@@ -52,13 +52,11 @@ from .modcod import (
     TableParseError,
     TableValidationError,
     ThresholdTable,
-    best_single_modcod,
     load_anomaly_manifest,
     load_threshold_csv,
     packaged_data_path,
     serialize_threshold_csv,
     signaling_bits,
-    stream_efficiency,
 )
 from .rateopt import (
     EqualRateSolution,
@@ -67,7 +65,6 @@ from .rateopt import (
     SystemSummary,
     TimeShare,
     achievable_pairs,
-    aggregate_hm,
     aggregate_ts,
     classical_pair_rate,
     equal_rate_point,

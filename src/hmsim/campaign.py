@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .beam import AntennaConfig, WeatherCdf, draw_population
-from .modcod import Family, ThresholdTable, best_single_modcod
+from .modcod import Family, ThresholdTable
 from .rateopt import system_gain
 
 __all__ = [
@@ -76,7 +76,6 @@ class CampaignConfig:
 class GainStat:
     mean: float
     std: float
-    median: float
     included_runs: int
     excluded_runs: int
 
@@ -114,7 +113,7 @@ def _evaluate_unit(
     seed = np.random.SeedSequence(master_seed, spawn_key=(grid_index, rep))
     population = draw_population(receivers, snr_max, beam, weather, rng=seed)
     baseline = next(iter(family_tables.values()))
-    served = [d.snr_db for d in population if best_single_modcod(d.snr_db, baseline) is not None]
+    served = [d.snr_db for d in population if baseline.best_single(d.snr_db) is not None]
     outage = receivers - len(served)
     if not served:
         return {token: None for token in family_tables}, outage
@@ -195,13 +194,11 @@ def run_campaign(
             if included:
                 mean = sum(included) / len(included)
                 std = math.sqrt(sum((v - mean) ** 2 for v in included) / len(included))
-                median = float(np.median(included))
             else:
-                mean = std = median = math.nan
+                mean = std = math.nan
             stats[(snr_max, token)] = GainStat(
                 mean=mean,
                 std=std,
-                median=median,
                 included_runs=len(included),
                 excluded_runs=len(values) - len(included),
             )

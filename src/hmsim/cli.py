@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,24 +134,30 @@ class Scenario:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     text = text.strip()
+    bad_spec = ScenarioError(f"bad grid spec {text!r}; expected 'start:stop:step' or a single value")
     try:
-        if ":" in text:
-            start_s, stop_s, step_s = text.split(":")
-            start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if step <= 0 or stop < start:
-                raise ValueError
-            values = []
-            k = 0
-            while True:
-                v = start + k * step
-                if v > stop + 1e-9:
-                    break
-                values.append(round(v, 9))
-                k += 1
-            return tuple(values)
-        return (float(text),)
+        numbers = [float(part) for part in text.split(":")]
     except ValueError:
-        raise ScenarioError(f"bad grid spec {text!r}; expected 'start:stop:step' or a single value") from None
+        raise bad_spec from None
+    for value in numbers:
+        if not math.isfinite(value):
+            raise ScenarioError(f"bad grid spec {text!r}: {value} is not a finite number")
+    if len(numbers) == 1:
+        return (numbers[0],)
+    if len(numbers) != 3:
+        raise bad_spec
+    start, stop, step = numbers
+    if step <= 0 or stop < start:
+        raise bad_spec
+    values = []
+    k = 0
+    while True:
+        v = start + k * step
+        if v > stop + 1e-9:
+            break
+        values.append(round(v, 9))
+        k += 1
+    return tuple(values)
 
 
 def _parse_paths(text: str, base: Path) -> tuple[Path, ...]:
@@ -257,16 +264,16 @@ def cmd_rho(args) -> int:
 
 
 def cmd_pair(args) -> int:
+    for snr in (args.snr1, args.snr2):
+        if not math.isfinite(snr):
+            raise ScenarioError(f"SNR {snr} dB is not a finite number")
     scenario = load_scenario(args.scenario, args)
     snr_weak, snr_strong = sorted((args.snr1, args.snr2))
     table = scenario.tables
     solution = pair_solution(snr_weak, snr_strong, table)
-    points = achievable_pairs(snr_weak, snr_strong, table)
-
-    from .modcod import best_single_modcod
 
     for label, snr in (("weak", snr_weak), ("strong", snr_strong)):
-        best = best_single_modcod(snr, table)
+        best = table.best_single(snr)
         state = str(best) if best else "OUTAGE (no decodable single modcod)"
         print(f"{label:>6} receiver {snr:g} dB: {state}")
     print(f"r_ts  = {solution.r_ts:.6f} bit/s/Hz (classical time sharing)")
@@ -283,7 +290,7 @@ def cmd_pair(args) -> int:
             )
     if args.dump_hull:
         lines = ["r1,r2,configuration"]
-        for p in rate_region_hull(points):
+        for p in rate_region_hull(achievable_pairs(snr_weak, snr_strong, table)):
             desc = p.describe().split(" via ", 1)[1]
             lines.append(f"{p.r1:.10g},{p.r2:.10g},\"{desc}\"")
         Path(args.dump_hull).write_text("\n".join(lines) + "\n")

@@ -162,14 +162,6 @@ def psk8_rho_he(params: Psk8Params) -> float:
     return math.cos(math.radians(params.theta)) ** 2
 
 
-def _apsk32_normalized_barycenter(params: Apsk32Params) -> float:
-    g1, g2 = params.gamma1, params.gamma2
-    th = math.radians(params.theta)
-    num = 1.0 + g1 * (1.0 + 2.0 * math.cos(th)) + 2.0 * g2 * (math.cos(th) + math.cos(th / 3.0))
-    den = math.sqrt(8.0 * (1.0 + 3.0 * g1 ** 2 + 4.0 * g2 ** 2))
-    return num / den
-
-
 def apsk32_barycenter_distance(params: Apsk32Params) -> float:
     """Distance from the origin of the quadrant barycenter, in units of
     sqrt(E_s).
@@ -183,7 +175,11 @@ def apsk32_barycenter_distance(params: Apsk32Params) -> float:
     returned ratio. Note cos(th/3) means cos of a third of the angle: the
     outer ring places points at the diagonal +- th/3 and +- th.
     """
-    return _apsk32_normalized_barycenter(params)
+    g1, g2 = params.gamma1, params.gamma2
+    th = math.radians(params.theta)
+    num = 1.0 + g1 * (1.0 + 2.0 * math.cos(th)) + 2.0 * g2 * (math.cos(th) + math.cos(th / 3.0))
+    den = math.sqrt(8.0 * (1.0 + 3.0 * g1 ** 2 + 4.0 * g2 ** 2))
+    return num / den
 
 
 def apsk32_rho_he(params: Apsk32Params) -> float:
@@ -194,7 +190,7 @@ def apsk32_rho_he(params: Apsk32Params) -> float:
         rho_he = (1 + g1 (1 + 2 cos th) + 2 g2 (cos th + cos(th/3)))^2
                  / (8 (1 + 3 g1^2 + 4 g2^2))
     """
-    return _apsk32_normalized_barycenter(params) ** 2
+    return apsk32_barycenter_distance(params) ** 2
 
 
 def qam16_energy_ratio(params: Qam16Params) -> float:

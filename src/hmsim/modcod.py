@@ -12,8 +12,22 @@ HE/LE (one row expanded to identical HE and LE entries), and ``code_rate``
 is an exact rational ``p/q``. Thresholds are step functions of SNR: a
 stream decodes iff SNR >= threshold (inclusive).
 
-The shipped files live in ``hmsim/data``; see the package README for their
-provenance and the known-anomalies manifest.
+The shipped files live in ``hmsim/data``:
+
+* ``dvbs2_single.csv`` - the non-hierarchical baseline: the required SNR of
+  each DVB-S2 QPSK, 8PSK, 16APSK and 32APSK modcod (ETSI EN 302 307, normal
+  FEC frames), SINGLE rows only;
+* ``hqpsk_thresholds.csv`` - hierarchical QPSK, HE and LE thresholds for
+  rho_he = 0.5 (merged HE/LE rows) to 0.9 in steps of 0.05, as printed in
+  the source tables;
+* ``h32apsk_thresholds.csv`` - hierarchical 32-APSK, HE and LE thresholds
+  for rho_he = 0.7 to 0.9 in steps of 0.05, as printed in the source tables;
+* ``known_anomalies.csv`` - the known-anomalies manifest, schema
+  ``family,rho_he,stream,code_rate,note``: cells whose printed value breaks
+  an expected monotonic pattern and is kept verbatim, so that
+  ``ThresholdTable.validate`` reports them as warnings, not errors;
+* ``weather_cdf_sample.csv`` - a sample weather-attenuation CDF for the
+  beam model, schema ``attenuation_db,cum_prob`` (see ``hmsim.beam``).
 """
 
 from __future__ import annotations
@@ -42,8 +56,6 @@ __all__ = [
     "load_threshold_csv",
     "load_anomaly_manifest",
     "serialize_threshold_csv",
-    "stream_efficiency",
-    "best_single_modcod",
     "signaling_bits",
     "packaged_data_path",
 ]
@@ -94,21 +106,13 @@ class Family(Enum):
 @dataclass(frozen=True)
 class SchemeId:
     """A concrete modulation scheme: a family plus, for hierarchical
-    families, its energy split rho_he. Bit widths default from the family
-    but may be overridden to model synthetic schemes in analysis code."""
+    families, its energy split rho_he. Bit widths come from the family."""
 
     family: Family
     rho_he: Optional[float] = None
-    bits_he: int = 0
-    bits_le: int = 0
 
     def __post_init__(self):
-        if self.bits_he == 0:
-            object.__setattr__(self, "bits_he", self.family.default_bits_he)
-            object.__setattr__(self, "bits_le", self.family.default_bits_le)
         hierarchical = self.rho_he is not None
-        if hierarchical != (self.bits_le > 0):
-            raise ValueError("rho_he must be present iff the scheme has LE bits")
         if self.family.hierarchical != hierarchical:
             raise ValueError(f"family {self.family.token} requires rho_he={'set' if self.family.hierarchical else 'absent'}")
         if hierarchical and not 0.5 <= self.rho_he <= 0.9:
@@ -118,10 +122,10 @@ class SchemeId:
         if stream is Stream.SINGLE:
             if self.rho_he is not None:
                 raise ValueError(f"{self.token} is hierarchical; stream SINGLE does not apply")
-            return self.bits_he
+            return self.family.default_bits_he
         if self.rho_he is None:
             raise ValueError(f"{self.token} is non-hierarchical; stream {stream.value} does not apply")
-        return self.bits_he if stream is Stream.HE else self.bits_le
+        return self.family.default_bits_he if stream is Stream.HE else self.family.default_bits_le
 
     @property
     def token(self) -> str:
@@ -208,6 +212,28 @@ def _parse_rate(text: str, line_no: int) -> Fraction:
     return rate
 
 
+_PrefixTable = tuple[list[float], list[float], list[ModcodChoice]]
+
+
+def _prefix_best(rows: Iterable[tuple[float, ModcodChoice]]) -> _PrefixTable:
+    """(thresholds, best efficiencies, best choices) of (threshold, choice)
+    rows sorted by threshold, then scheme token and code rate: entry k is
+    the most efficient of the first k + 1 rows, the earlier row on ties. So
+    the best choice decodable at an SNR is entry bisect_right(thresholds,
+    snr) - 1."""
+    thresholds: list[float] = []
+    best_eff: list[float] = []
+    best_choice: list[ModcodChoice] = []
+    cur_eff, cur_choice = Fraction(-1), None
+    for thr, choice in sorted(rows, key=lambda row: (row[0], row[1].scheme.token, row[1].code_rate)):
+        if choice.efficiency_fraction > cur_eff:
+            cur_eff, cur_choice = choice.efficiency_fraction, choice
+        thresholds.append(thr)
+        best_eff.append(float(cur_eff))
+        best_choice.append(cur_choice)
+    return thresholds, best_eff, best_choice
+
+
 class ThresholdTable:
     """Immutable map (scheme, stream, code rate) -> decoding threshold in dB.
 
@@ -222,57 +248,21 @@ class ThresholdTable:
     ):
         self._entries = dict(entries)
         self.warnings = tuple(warnings)
-        self._index: dict[tuple[SchemeId, Stream], tuple[list[float], list[float], list[ModcodChoice]]] = {}
-        self._build_index()
-
-    def _build_index(self):
-        grouped: dict[tuple[SchemeId, Stream], list[tuple[float, Fraction]]] = {}
+        columns: dict[tuple[SchemeId, Stream], list[tuple[float, ModcodChoice]]] = {}
         for (scheme, stream, rate), thr in self._entries.items():
-            grouped.setdefault((scheme, stream), []).append((thr, rate))
-        for key, rows in grouped.items():
-            scheme, stream = key
-            rows.sort()
-            thresholds: list[float] = []
-            best_eff: list[float] = []
-            best_choice: list[ModcodChoice] = []
-            cur_eff = Fraction(-1)
-            cur_choice: Optional[ModcodChoice] = None
-            for thr, rate in rows:
-                choice = ModcodChoice(scheme, stream, rate)
-                if choice.efficiency_fraction > cur_eff:
-                    cur_eff = choice.efficiency_fraction
-                    cur_choice = choice
-                thresholds.append(thr)
-                best_eff.append(float(cur_eff))
-                best_choice.append(cur_choice)
-            self._index[key] = (thresholds, best_eff, best_choice)
-
-        self._schemes_cache = sorted({k[0] for k in self._index}, key=SchemeId.sort_key)
+            columns.setdefault((scheme, stream), []).append((thr, ModcodChoice(scheme, stream, rate)))
+        self._schemes_cache = sorted({scheme for scheme, _ in columns}, key=SchemeId.sort_key)
         self._hier_cache = [s for s in self._schemes_cache if s.rho_he is not None]
         # Hot-path structures: hierarchical per-scheme (HE, LE) prefix tables
         # and one merged single-stream table, so modcod selection is a single
         # bisect with no dict lookups.
         self._hier_lookup = [
-            (s, self._index.get((s, Stream.HE)), self._index.get((s, Stream.LE)))
+            (s, _prefix_best(columns.get((s, Stream.HE), ())), _prefix_best(columns.get((s, Stream.LE), ())))
             for s in self._hier_cache
         ]
-        singles: list[tuple[float, str, Fraction, ModcodChoice]] = []
-        for (scheme, stream, rate), thr in self._entries.items():
-            if stream is Stream.SINGLE:
-                singles.append((thr, scheme.token, rate, ModcodChoice(scheme, stream, rate)))
-        singles.sort(key=lambda row: (row[0], row[1], row[2]))
-        thr_list: list[float] = []
-        choice_list: list[ModcodChoice] = []
-        eff_list: list[float] = []
-        cur_eff, cur_choice = Fraction(-1), None
-        for thr, _, _, choice in singles:
-            if choice.efficiency_fraction > cur_eff:
-                cur_eff = choice.efficiency_fraction
-                cur_choice = choice
-            thr_list.append(thr)
-            choice_list.append(cur_choice)
-            eff_list.append(float(cur_eff))
-        self._single_lookup = (thr_list, eff_list, choice_list)
+        self._single_lookup = _prefix_best(
+            row for (_, stream), rows in columns.items() if stream is Stream.SINGLE for row in rows
+        )
 
     # -- basic container surface -------------------------------------------------
 
@@ -316,57 +306,18 @@ class ThresholdTable:
 
     # -- queries -------------------------------------------------------------------
 
-    def hierarchical_stream_index(self):
+    def hierarchical_stream_index(self) -> list[tuple[SchemeId, _PrefixTable, _PrefixTable]]:
         """Per-hierarchical-scheme (scheme, HE, LE) prefix tables, where each
         side is (thresholds, best_efficiencies, best_choices) sorted by
-        threshold, or None if that stream has no entries. Query with one
-        bisect per side; used by the pair enumeration hot path."""
+        threshold, with empty lists if that stream has no entries. Query
+        with one bisect per side; used by the pair enumeration hot path."""
         return self._hier_lookup
-
-    def best_stream_choice(self, scheme: SchemeId, stream: Stream, snr_db: float) -> Optional[ModcodChoice]:
-        """Highest-efficiency rate of one (scheme, stream) decodable at snr_db."""
-        index = self._index.get((scheme, stream))
-        if index is None:
-            return None
-        thresholds, _, best_choice = index
-        k = bisect_right(thresholds, snr_db)
-        return best_choice[k - 1] if k else None
-
-    def best_stream_efficiency(self, scheme: SchemeId, stream: Stream, snr_db: float) -> float:
-        index = self._index.get((scheme, stream))
-        if index is None:
-            return 0.0
-        thresholds, best_eff, _ = index
-        k = bisect_right(thresholds, snr_db)
-        return best_eff[k - 1] if k else 0.0
 
     def best_single(self, snr_db: float) -> Optional[ModcodChoice]:
         """Best non-hierarchical modcod decodable at snr_db (one bisect)."""
         thresholds, _, choices = self._single_lookup
         k = bisect_right(thresholds, snr_db)
         return choices[k - 1] if k else None
-
-    def best(self, snr_db: float, streams: Sequence[Stream] = (Stream.SINGLE,)) -> Optional[ModcodChoice]:
-        """Best decodable modcod at snr_db over the given stream kinds.
-
-        Maximizes spectral efficiency; ties go to the lowest threshold, then
-        the lexicographically smallest scheme token (deterministic).
-        """
-        best_key = None
-        best_choice = None
-        for (scheme, stream), (thresholds, _, choices) in self._index.items():
-            if stream not in streams:
-                continue
-            k = bisect_right(thresholds, snr_db)
-            if not k:
-                continue
-            choice = choices[k - 1]
-            thr = self._entries[(scheme, stream, choice.code_rate)]
-            key = (-choice.efficiency_fraction, thr, scheme.token, stream.value, choice.code_rate)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_choice = choice
-        return best_choice
 
     # -- validation ------------------------------------------------------------------
 
@@ -554,16 +505,6 @@ def serialize_threshold_csv(table: ThresholdTable) -> str:
         rho_tok = "" if scheme.rho_he is None else f"{scheme.rho_he:g}"
         writer.writerow([scheme.family.token, rho_tok, stream_tok, str(rate), f"{thr:g}"])
     return out.getvalue()
-
-
-def stream_efficiency(scheme: SchemeId, stream: Stream, rate: Fraction) -> float:
-    """Spectrum efficiency of one stream: (stream bits per symbol) x code rate."""
-    return scheme.bits(stream) * float(rate)
-
-
-def best_single_modcod(snr_db: float, table: ThresholdTable) -> Optional[ModcodChoice]:
-    """Best non-hierarchical modcod decodable at snr_db, or None (outage)."""
-    return table.best_single(snr_db)
 
 
 def signaling_bits(n_rates: int, n_hier_mods: int) -> int:

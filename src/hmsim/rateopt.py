@@ -4,8 +4,10 @@ For two receivers, every transmission configuration yields a spectrum
 efficiency pair (R1, R2): non-hierarchical modcods give (R1, 0) or (0, R2),
 hierarchical ones serve both receivers at once. Time sharing achieves any
 convex combination of available pairs, so the relevant object is the convex
-hull of the achievable set, and the fairness objective used throughout is
-the equal-rate point: the largest R with (R, R) inside the hull.
+hull of the achievable set. A receiver can always be served less than it
+decodes (free disposal), so the region is the downward closure of that hull,
+and the fairness objective used throughout is its equal-rate point: the
+largest R that both receivers get, max min(R1, R2) over the hull.
 
 Populations are served by grouping receivers into max-SNR-spread pairs and
 equalizing across groups with time sharing, which composes rates
@@ -21,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .modcod import ModcodChoice, Stream, ThresholdTable, best_single_modcod
+from .modcod import ModcodChoice, ThresholdTable
 
 __all__ = [
     "RatePair",
@@ -34,7 +36,6 @@ __all__ = [
     "classical_pair_rate",
     "pair_solution",
     "group_receivers",
-    "aggregate_hm",
     "aggregate_ts",
     "system_gain",
     "system_summary",
@@ -105,87 +106,45 @@ class PairSolution:
 _ORIGIN = RatePair(0.0, 0.0)
 
 
-def achievable_pairs(
-    snr_weak: float,
-    snr_strong: float,
-    table: ThresholdTable,
-    prune: bool = True,
-) -> list[RatePair]:
+def achievable_pairs(snr_weak: float, snr_strong: float, table: ThresholdTable) -> list[RatePair]:
     """Achievable (R1, R2) points for a receiver pair.
 
     Always contains (0, 0) plus the best single-modcod points (R_weak, 0)
     and (0, R_strong) when decodable. For every hierarchical scheme both
     stream assignments are enumerated: weak receiver on HE with the strong
-    one on LE, and vice versa.
-
-    With ``prune`` (the default) only the per-assignment dominant point is
-    kept: rate combinations below the best decodable HE and LE rates are
-    coordinate-wise dominated by it. ``prune=False`` enumerates every
-    decodable (rate_he, rate_le) combination. Whenever both receivers can
-    decode some single modcod, the single points anchor the hull and
-    pruning provably leaves it unchanged (the shipped tables keep every
-    stream efficiency at or below the same-SNR single efficiency, which is
-    the condition the anchoring needs). Without those anchors, dominated
-    grid points can widen the hull, so outage-regime analyses should pass
-    ``prune=False``.
+    one on LE, and vice versa. Only the dominant point of each assignment,
+    its best decodable HE and LE rates, is kept: every other decodable rate
+    combination lies below it in both coordinates, so under free disposal
+    it adds nothing to the region.
     """
     if snr_weak > snr_strong:
         raise ValueError("snr_weak must not exceed snr_strong")
     points: list[RatePair] = [_ORIGIN]
 
-    weak_single = best_single_modcod(snr_weak, table)
-    strong_single = best_single_modcod(snr_strong, table)
+    weak_single = table.best_single(snr_weak)
+    strong_single = table.best_single(snr_strong)
     if weak_single is not None:
         points.append(RatePair(weak_single.spectral_efficiency, 0.0, (weak_single, None)))
     if strong_single is not None:
         points.append(RatePair(0.0, strong_single.spectral_efficiency, (None, strong_single)))
 
-    if prune:
-        for scheme, he_side, le_side in table.hierarchical_stream_index():
-            if he_side is None or le_side is None:
-                continue
-            he_thr, he_eff, he_choice = he_side
-            le_thr, le_eff, le_choice = le_side
-            for snr_he, snr_le, he_first in (
-                (snr_weak, snr_strong, True),
-                (snr_strong, snr_weak, False),
-            ):
-                kh = bisect_right(he_thr, snr_he)
-                if not kh:
-                    continue
-                kl = bisect_right(le_thr, snr_le)
-                if not kl:
-                    continue
-                he, le = he_choice[kh - 1], le_choice[kl - 1]
-                ehe, ele = he_eff[kh - 1], le_eff[kl - 1]
-                if he_first:
-                    points.append(RatePair(ehe, ele, (he, le)))
-                else:
-                    points.append(RatePair(ele, ehe, (le, he)))
-        return points
-
-    for scheme in table.hierarchical_schemes():
-        entries = table.entries()
+    for scheme, (he_thr, he_eff, he_choice), (le_thr, le_eff, le_choice) in table.hierarchical_stream_index():
         for snr_he, snr_le, he_first in (
             (snr_weak, snr_strong, True),
             (snr_strong, snr_weak, False),
         ):
-            he_all = [
-                ModcodChoice(scheme, Stream.HE, rate)
-                for (s, stream, rate), thr in entries.items()
-                if s == scheme and stream is Stream.HE and thr <= snr_he
-            ]
-            le_all = [
-                ModcodChoice(scheme, Stream.LE, rate)
-                for (s, stream, rate), thr in entries.items()
-                if s == scheme and stream is Stream.LE and thr <= snr_le
-            ]
-            for he in he_all:
-                for le in le_all:
-                    if he_first:
-                        points.append(RatePair(he.spectral_efficiency, le.spectral_efficiency, (he, le)))
-                    else:
-                        points.append(RatePair(le.spectral_efficiency, he.spectral_efficiency, (le, he)))
+            kh = bisect_right(he_thr, snr_he)
+            if not kh:
+                continue
+            kl = bisect_right(le_thr, snr_le)
+            if not kl:
+                continue
+            he, le = he_choice[kh - 1], le_choice[kl - 1]
+            ehe, ele = he_eff[kh - 1], le_eff[kl - 1]
+            if he_first:
+                points.append(RatePair(ehe, ele, (he, le)))
+            else:
+                points.append(RatePair(ele, ehe, (le, he)))
     return points
 
 
@@ -219,13 +178,17 @@ def rate_region_hull(pairs: Sequence[RatePair]) -> list[RatePair]:
 
 
 def equal_rate_point(pairs: Sequence[RatePair]) -> EqualRateSolution:
-    """Largest R with (R, R) in the convex hull of the given points.
+    """Largest R that time sharing of the given points can give both
+    receivers under free disposal: max min(R1, R2) over their convex hull,
+    equivalently the largest R with (R, R) in the hull's downward closure.
 
-    The maximizer lies where the diagonal leaves the hull, i.e. on a hull
-    edge or vertex, so it is found by intersecting the diagonal with every
-    hull edge. The schedule mixes the two endpoints of the crossed edge; if
-    the diagonal exits exactly at a vertex, that single point is reported
-    with tau = 1.
+    min(R1, R2) is concave and piecewise linear, so its maximum over the
+    hull is at a hull vertex or where the diagonal crosses a hull edge. The
+    crossings are scored by their common rate; the schedule mixes the two
+    endpoints of the crossed edge, or serves a vertex on the diagonal with
+    tau = 1. A vertex off the diagonal is scored by min(R1, R2) and wins only
+    when strictly above every crossing; it is served full time, and its
+    stronger receiver discards the surplus.
     """
     if not pairs:
         raise ValueError("need at least one rate pair")
@@ -239,11 +202,15 @@ def equal_rate_point(pairs: Sequence[RatePair]) -> EqualRateSolution:
 
     best_rate = 0.0
     best_schedule: tuple[TimeShare, ...] = ()
+    vertex_rate, vertex_tag = 0.0, -1
     m = len(hull)
     for i in range(m):
         x1, y1, tag1 = hull[i]
         x2, y2, tag2 = hull[(i + 1) % m] if m > 1 else hull[i]
         d1, d2 = x1 - y1, x2 - y2
+        score = x1 if x1 < y1 else y1
+        if score > vertex_rate:
+            vertex_rate, vertex_tag = score, tag1
         if d1 == 0.0 and x1 >= best_rate:
             best_rate = x1
             best_schedule = (TimeShare(1.0, pair_at(tag1), pair_at(tag1)),)
@@ -253,6 +220,9 @@ def equal_rate_point(pairs: Sequence[RatePair]) -> EqualRateSolution:
             if rate > best_rate:
                 best_rate = rate
                 best_schedule = (TimeShare(tau, pair_at(tag1), pair_at(tag2)),)
+    if vertex_rate > best_rate:
+        best_rate = vertex_rate
+        best_schedule = (TimeShare(1.0, pair_at(vertex_tag), pair_at(vertex_tag)),)
     # Tie rule: when some achievable point sits exactly at the optimum,
     # serve it full time instead of mixing two others.
     for p in pairs:
@@ -278,8 +248,8 @@ def classical_pair_rate(r_weak: float, r_strong: float) -> float:
 def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> PairSolution:
     """Solve one receiver pair: hierarchical equal-rate value vs the
     classical time-sharing baseline."""
-    weak = best_single_modcod(snr_weak, table)
-    strong = best_single_modcod(snr_strong, table)
+    weak = table.best_single(snr_weak)
+    strong = table.best_single(snr_strong)
     r_ts = classical_pair_rate(
         weak.spectral_efficiency if weak else 0.0,
         strong.spectral_efficiency if strong else 0.0,
@@ -315,7 +285,9 @@ def group_receivers(snrs: Sequence[float]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _harmonic(rates: Sequence[float]) -> float:
+def aggregate_ts(rates: Sequence[float]) -> float:
+    """Time-sharing rate over independently served units (receivers, or
+    pairs at their equal rate), composed harmonically."""
     if not rates:
         raise ValueError("need at least one rate")
     total = 0.0
@@ -326,17 +298,6 @@ def _harmonic(rates: Sequence[float]) -> float:
             return 0.0
         total += 1.0 / r
     return 1.0 / total
-
-
-def aggregate_hm(pair_rates: Sequence[float]) -> float:
-    """Population rate from per-pair equal rates, composed harmonically by
-    time sharing across pairs."""
-    return _harmonic(pair_rates)
-
-
-def aggregate_ts(rates: Sequence[float]) -> float:
-    """Classical time-sharing rate over individual receivers."""
-    return _harmonic(rates)
 
 
 @dataclass(frozen=True)
@@ -351,12 +312,17 @@ class SystemSummary:
 
 def system_summary(snrs: Sequence[float], table: ThresholdTable) -> SystemSummary:
     """Full breakdown of hierarchical vs classical time sharing for a
-    receiver population. Outage receivers (no decodable single modcod)
-    force both aggregates to 0; ``outage_count`` reports how many there
-    were so callers can filter and retry."""
+    receiver population, each pair at its free-disposal equal rate (see
+    ``equal_rate_point``).
+
+    An outage receiver (no decodable single modcod) forces r_ts to 0. It
+    forces r_hm to 0 too unless hierarchical points serve its pair: a
+    receiver that decodes only an HE or LE stream still gets a positive
+    pair rate, and then gain = inf. ``outage_count`` reports how many
+    outage receivers there were so callers can filter and retry."""
     if not snrs:
         raise ValueError("need at least one receiver")
-    singles = [best_single_modcod(s, table) for s in snrs]
+    singles = [table.best_single(s) for s in snrs]
     single_rates = [c.spectral_efficiency if c else 0.0 for c in singles]
     outage = sum(1 for c in singles if c is None)
 
@@ -417,9 +383,10 @@ def system_gain(snrs: Sequence[float], table: ThresholdTable) -> float:
     """Relative spectrum-efficiency gain (R_hm - R_ts) / R_ts of
     hierarchical-modulation time sharing over the classical baseline.
 
-    Returns 0 when both aggregates are 0 (and +inf in the corner case
-    where a hierarchical-only hull still crosses the diagonal while the
-    baseline is 0). Finite-gain comparisons require an outage-free
-    population; that is what the campaign engine feeds in.
+    Pair rates are free-disposal equal rates (see ``equal_rate_point``).
+    Returns 0 when both aggregates are 0, and +inf when the baseline is 0
+    but hierarchical points serve every outage receiver's pair. Finite-gain
+    comparisons require an outage-free population; that is what the
+    campaign engine feeds in.
     """
     return system_summary(snrs, table).gain

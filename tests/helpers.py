@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hmsim.modcod import DVBS2_CODE_RATES
+import numpy as np
+
+from hmsim.modcod import DVBS2_CODE_RATES, ModcodChoice, Stream, ThresholdTable
 
 RATES = list(DVBS2_CODE_RATES)
 
@@ -71,29 +73,45 @@ def h32apsk_reference_cells() -> dict[tuple[float, str, Fraction], float]:
 
 
 def equal_rate_oracle(points: list[tuple[float, float]]) -> float:
-    """Independent equal-rate solver: brute force over every segment
-    between two achievable points (and every single point), no hull.
+    """Independent free-disposal equal-rate solver: brute force over every
+    segment between two points (and every single point), no hull.
 
-    Any point of the convex hull lies on a segment between two of the
-    original points, so the diagonal's exit point does too.
+    Free disposal makes the region the downward closure of the hull of the
+    points, which is the hull of the points, their axis projections (x, 0)
+    and (0, y), and the origin. Any point of that hull lies on a segment
+    between two of those points, so the diagonal's exit point does too.
     """
-    pts = list(points)
-    if all(p != (0.0, 0.0) for p in pts):
-        pts.append((0.0, 0.0))
-    best = 0.0
-    n = len(pts)
-    for i in range(n):
-        x1, y1 = pts[i]
-        if x1 == y1 and x1 > best:
-            best = x1
-        for j in range(i + 1, n):
-            x2, y2 = pts[j]
-            d1, d2 = x1 - y1, x2 - y2
-            if d1 == d2:
-                continue
-            tau = d2 / (d2 - d1)
-            if 0.0 <= tau <= 1.0:
-                r = tau * x1 + (1.0 - tau) * x2
-                if r > best:
-                    best = r
-    return best
+    pts = [(0.0, 0.0)] + [q for x, y in points for q in ((x, y), (x, 0.0), (0.0, y))]
+    xy = np.unique(np.array(pts, dtype=float), axis=0)
+    x, d = xy[:, 0], xy[:, 0] - xy[:, 1]
+    best = x[d == 0.0].max()
+    d1, d2 = d[:, None], d[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = d2 / (d2 - d1)
+        rate = tau * x[:, None] + (1.0 - tau) * x[None, :]
+    crossing = (d1 != d2) & (tau >= 0.0) & (tau <= 1.0)
+    if crossing.any():
+        best = max(best, rate[crossing].max())
+    return float(best)
+
+
+def unpruned_points(snr_weak: float, snr_strong: float, table: ThresholdTable) -> list[tuple[float, float]]:
+    """Every achievable (R1, R2) point of a receiver pair, with no pruning,
+    built from the raw table entries: each decodable single modcod of
+    either receiver on its own axis and, for every hierarchical scheme and
+    both stream assignments, every decodable (HE rate, LE rate)
+    combination. Sorted, without duplicates."""
+    decodable: dict = {}
+    for (scheme, stream, rate), thr in table.entries().items():
+        eff = ModcodChoice(scheme, stream, rate).spectral_efficiency
+        for receiver, snr in enumerate((snr_weak, snr_strong)):
+            if thr <= snr:
+                decodable.setdefault((scheme, stream, receiver), []).append(eff)
+    points = {(0.0, 0.0)}
+    for (scheme, stream, receiver), effs in decodable.items():
+        if stream is Stream.SINGLE:
+            points.update((e, 0.0) if receiver == 0 else (0.0, e) for e in effs)
+        elif stream is Stream.HE:
+            for le in decodable.get((scheme, Stream.LE, 1 - receiver), ()):
+                points.update((e, le) if receiver == 0 else (le, e) for e in effs)
+    return sorted(points)

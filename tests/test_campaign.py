@@ -14,7 +14,7 @@ from hmsim.campaign import (
     gains_csv_text,
     run_campaign,
 )
-from hmsim.modcod import Family, best_single_modcod
+from hmsim.modcod import Family
 from hmsim.rateopt import system_gain
 
 TINY_EDGE = AntennaConfig(edge_level_db=1e-9)
@@ -100,7 +100,7 @@ class TestEngine:
                 25, 5.0, default_antenna, sample_weather,
                 rng=np.random.SeedSequence(11, spawn_key=(0, rep)),
             )
-            served = [d.snr_db for d in pop if best_single_modcod(d.snr_db, full_table)]
+            served = [d.snr_db for d in pop if full_table.best_single(d.snr_db)]
             expected = system_gain(served, sub)
             assert report.raw_gains[(5.0, "h_apsk32")][rep] == pytest.approx(expected, abs=1e-15)
 

@@ -80,6 +80,12 @@ class TestPair:
         assert "OUTAGE" in out
         assert "r_hm  = 0.000000" in out
 
+    def test_non_finite_snr_rejected(self, capsys):
+        assert main(["pair", "nan", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert "nan" in captured.err
+        assert captured.out == ""
+
     def test_matches_module_solution(self, scenario_dir, capsys):
         code = main(["pair", "1", "7", "--scenario", str(scenario_dir / "scenario.ini")])
         assert code == 0
@@ -127,6 +133,16 @@ class TestCampaign:
         ]) == 0
         lines = (out / "gains.csv").read_text().strip().splitlines()
         assert len(lines) - 1 == 1
+
+    def test_non_finite_grid_rejected(self, scenario_dir, tmp_path, capsys):
+        base = ["campaign", "--scenario", str(scenario_dir / "scenario.ini"), "--out", str(tmp_path / "o")]
+        assert main(base + ["--grid", "nan"]) == 1
+        assert "nan" in capsys.readouterr().err
+        ini = scenario_dir / "scenario.ini"
+        ini.write_text(ini.read_text().replace("grid = 2:4:1", "grid = 2:inf:1"))
+        assert main(base) == 1
+        assert "inf" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "gains.csv").exists()
 
     def test_unknown_family_is_validation_error(self, scenario_dir, capsys):
         code = main([

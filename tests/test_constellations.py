@@ -61,9 +61,14 @@ class TestQpskRho:
 
     @given(a=st.floats(0.001, 44.999), b=st.floats(0.001, 44.999))
     def test_monotone_decreasing(self, a, b):
+        # cos^2 of two angles within 1e-6 degrees of each other near 0 can
+        # round to the same double, so only the wider gaps are strict
         lo, hi = sorted((a, b))
-        if lo != hi:
-            assert qpsk_rho_he(QpskParams(lo)) > qpsk_rho_he(QpskParams(hi))
+        rho_lo, rho_hi = qpsk_rho_he(QpskParams(lo)), qpsk_rho_he(QpskParams(hi))
+        if hi - lo > 1e-6:
+            assert rho_lo > rho_hi
+        else:
+            assert rho_lo >= rho_hi
 
     @pytest.mark.parametrize("theta", [0.0, -1.0, 45.1, 90.0])
     def test_rejects_out_of_range(self, theta):

@@ -1,6 +1,7 @@
 """Threshold tables: loading, validation, queries, serialization."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,11 @@ from hmsim.modcod import (
     TableParseError,
     TableValidationError,
     ThresholdTable,
-    best_single_modcod,
     load_anomaly_manifest,
     load_threshold_csv,
     packaged_data_path,
     serialize_threshold_csv,
     signaling_bits,
-    stream_efficiency,
 )
 
 F = Fraction
@@ -200,22 +199,22 @@ class TestSchemeId:
 
 class TestStreamEfficiency:
     def test_qpsk_one_third(self):
-        assert stream_efficiency(SchemeId(Family.QPSK), Stream.SINGLE, F(1, 3)) == pytest.approx(2 / 3)
+        assert ModcodChoice(SchemeId(Family.QPSK), Stream.SINGLE, F(1, 3)).spectral_efficiency == pytest.approx(2 / 3)
 
     def test_hqpsk_he(self):
-        assert stream_efficiency(SchemeId(Family.H_QPSK, 0.8), Stream.HE, F(2, 3)) == pytest.approx(2 / 3)
+        assert ModcodChoice(SchemeId(Family.H_QPSK, 0.8), Stream.HE, F(2, 3)).spectral_efficiency == pytest.approx(2 / 3)
 
     def test_h32apsk_le(self):
-        assert stream_efficiency(SchemeId(Family.H_APSK32, 0.7), Stream.LE, F(1, 2)) == pytest.approx(1.5)
+        assert ModcodChoice(SchemeId(Family.H_APSK32, 0.7), Stream.LE, F(1, 2)).spectral_efficiency == pytest.approx(1.5)
 
     def test_mismatch(self):
         with pytest.raises(ValueError):
-            stream_efficiency(SchemeId(Family.QPSK), Stream.HE, F(1, 2))
+            ModcodChoice(SchemeId(Family.QPSK), Stream.HE, F(1, 2)).spectral_efficiency
 
 
 class TestBestSingleModcod:
     def test_deep_outage(self, full_table):
-        assert best_single_modcod(-10.0, full_table) is None
+        assert full_table.best_single(-10.0) is None
 
     def test_he_column_as_selector(self, hqpsk_table):
         # restrict to the rho=0.9 scheme and select over its HE stream: at
@@ -223,21 +222,21 @@ class TestBestSingleModcod:
         entries = {
             k: v for k, v in hqpsk_table.entries().items() if k[0].rho_he == 0.9
         }
-        table = ThresholdTable(entries)
-        choice = table.best(3.7, streams=(Stream.HE,))
+        ((_, (thresholds, _, choices), _),) = ThresholdTable(entries).hierarchical_stream_index()
+        choice = choices[bisect_right(thresholds, 3.7) - 1]
         assert choice.code_rate == F(8, 9)
         assert choice.spectral_efficiency == pytest.approx(8 / 9)
 
     def test_monotone_in_snr(self, full_table):
         prev = 0.0
         for snr10 in range(-40, 200):
-            choice = best_single_modcod(snr10 / 10, full_table)
+            choice = full_table.best_single(snr10 / 10)
             eff = choice.spectral_efficiency if choice else 0.0
             assert eff >= prev
             prev = eff
 
     def test_inclusive_threshold(self, single_table):
-        choice = best_single_modcod(1.00, single_table)
+        choice = single_table.best_single(1.00)
         assert (choice.scheme.family, choice.code_rate) == (Family.QPSK, F(1, 2))
 
     def test_tie_breaks_to_lower_threshold(self):
@@ -247,12 +246,12 @@ class TestBestSingleModcod:
             (a, Stream.SINGLE, F(9, 10)): 6.42,   # eff 1.8
             (b, Stream.SINGLE, F(3, 5)): 5.50,    # eff 1.8, lower threshold
         })
-        assert best_single_modcod(7.0, table).scheme.family is Family.PSK8
+        assert table.best_single(7.0).scheme.family is Family.PSK8
 
     def test_known_values(self, single_table):
-        assert best_single_modcod(16.0, single_table).spectral_efficiency == pytest.approx(40 / 9)
-        assert best_single_modcod(-2.35, single_table).code_rate == F(1, 4)
-        assert best_single_modcod(-2.36, single_table) is None
+        assert single_table.best_single(16.0).spectral_efficiency == pytest.approx(40 / 9)
+        assert single_table.best_single(-2.35).code_rate == F(1, 4)
+        assert single_table.best_single(-2.36) is None
 
 
 class TestTableAlgebra:

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import equal_rate_oracle
-from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable, best_single_modcod
+from helpers import equal_rate_oracle, unpruned_points
+from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable
 from hmsim.rateopt import (
     RatePair,
     achievable_pairs,
-    aggregate_hm,
     aggregate_ts,
     classical_pair_rate,
     equal_rate_point,
@@ -59,9 +58,9 @@ class TestAchievablePairs:
         sub = ThresholdTable(
             {k: v for k, v in h32apsk_table.entries().items() if k[0].rho_he == 0.7}
         )
-        points = achievable_pairs(0.0, 12.0, sub, prune=False)
+        points = unpruned_points(0.0, 12.0, sub)
         assert any(
-            p.r1 == pytest.approx(0.5) and p.r2 == pytest.approx(1.5) for p in points
+            r1 == pytest.approx(0.5) and r2 == pytest.approx(1.5) for r1, r2 in points
         )
         # the dominant point for that assignment: HE 1/4 (thr 0.0), LE 3/5 (thr 11.5)
         pruned = achievable_pairs(0.0, 12.0, sub)
@@ -76,23 +75,24 @@ class TestAchievablePairs:
         assert he_first and le_first
 
     def test_pruning_preserves_equal_rate(self, full_table):
-        # valid whenever both receivers decode some single modcod, which
-        # anchors the hull; -2.35 dB is the floor of the shipped baseline
+        # under free disposal for any pair, including weak receivers below
+        # the -2.35 dB floor of the shipped baseline
         rng = random.Random(5)
         for _ in range(150):
-            a = rng.uniform(-2.3, 17.0)
-            b = rng.uniform(-2.3, 17.0)
+            a = rng.uniform(-6.0, 17.0)
+            b = rng.uniform(-6.0, 17.0)
             weak, strong = sorted((a, b))
-            full = equal_rate_point(achievable_pairs(weak, strong, full_table, prune=False))
+            full = equal_rate_point([RatePair(x, y) for x, y in unpruned_points(weak, strong, full_table)])
             pruned = equal_rate_point(achievable_pairs(weak, strong, full_table))
             assert pruned.rate == pytest.approx(full.rate, abs=1e-12)
 
-    def test_unpruned_hull_can_exceed_pruned_without_anchor(self, full_table):
-        # without a weak-side single point the dominated grid combinations
-        # genuinely matter; the default prune targets served populations
-        full = equal_rate_point(achievable_pairs(-3.0, 10.0, full_table, prune=False))
+    def test_pruned_equals_unpruned_without_anchor(self, full_table):
+        # the weak receiver decodes no single modcod; h_qpsk rho=0.9 with
+        # HE 2/5 (0.4) for it and LE 3/5 (0.6) for the strong one still
+        # serves both at 0.4
+        full = equal_rate_point([RatePair(x, y) for x, y in unpruned_points(-3.0, 10.0, full_table)])
         pruned = equal_rate_point(achievable_pairs(-3.0, 10.0, full_table))
-        assert full.rate > pruned.rate == 0.0
+        assert pruned.rate == full.rate == pytest.approx(0.4, abs=1e-15)
 
     def test_requires_ordered_snrs(self, full_table):
         with pytest.raises(ValueError):
@@ -116,6 +116,16 @@ class TestEqualRatePoint:
     def test_origin_only(self):
         sol = equal_rate_point([RatePair(0, 0)])
         assert sol.rate == 0.0
+
+    def test_off_diagonal_vertex_under_free_disposal(self):
+        # the diagonal leaves the hull of (0, 0), (0.5, 0), (1, 3) at 0.6,
+        # but serving (1, 3) gives both receivers 1
+        sol = equal_rate_point([RatePair(0, 0), RatePair(0.5, 0), RatePair(1, 3)])
+        assert sol.rate == 1.0
+        share = sol.schedule[0]
+        assert share.tau == 1.0
+        assert (share.point_a.r1, share.point_a.r2) == (1.0, 3.0)
+        assert share.point_a is share.point_b
 
     def test_vertex_tie_prefers_single_point(self):
         # the diagonal touches (1, 1) exactly where two edges meet
@@ -208,6 +218,16 @@ class TestPairSolution:
             sol = pair_solution(a, b, full_table)
             assert sol.r_hm >= sol.r_ts >= 0.0
 
+    def test_free_disposal_matches_unpruned_brute_force(self, full_table):
+        rng = random.Random(2013)
+        outage_weak = 0
+        for _ in range(2000):
+            a, b = sorted((rng.uniform(-6.0, 21.0), rng.uniform(-6.0, 21.0)))
+            outage_weak += full_table.best_single(a) is None
+            expected = equal_rate_oracle(unpruned_points(a, b, full_table))
+            assert pair_solution(a, b, full_table).r_hm == pytest.approx(expected, abs=1e-12)
+        assert outage_weak > 100
+
     def test_outage_pair(self, full_table):
         sol = pair_solution(-10.0, -10.0, full_table)
         assert sol.r_hm == sol.r_ts == 0.0
@@ -243,15 +263,15 @@ class TestGroupReceivers:
 
 class TestAggregates:
     def test_examples(self):
-        assert aggregate_hm([1, 1]) == pytest.approx(0.5)
-        assert aggregate_hm([0.667]) == pytest.approx(0.667)
-        assert aggregate_hm([2, 1, 2]) == pytest.approx(0.5)
+        assert aggregate_ts([1, 1]) == pytest.approx(0.5)
+        assert aggregate_ts([0.667]) == pytest.approx(0.667)
+        assert aggregate_ts([2, 1, 2]) == pytest.approx(0.5)
         assert aggregate_ts([2, 2]) == pytest.approx(1.0)
         assert aggregate_ts([1, 2, 4, 4]) == pytest.approx(0.5)
 
     def test_zero_dominates(self):
         assert aggregate_ts([1.0, 0.0, 3.0]) == 0.0
-        assert aggregate_hm([0.0]) == 0.0
+        assert aggregate_ts([0.0]) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -280,14 +300,14 @@ class TestSystemGain:
             rng.shuffle(shuffled)
             assert system_gain(shuffled, full_table) == pytest.approx(base, abs=1e-12)
 
-    def test_partial_outage_zeroes_everything(self, full_table):
-        # the weak receiver decodes HE streams but no single modcod, so the
-        # pair's achievable set has no weak-side anchor: its literal hull
-        # never crosses the diagonal and both aggregates collapse to 0
+    def test_partial_outage_served_by_hierarchy(self, full_table):
+        # the weak receiver decodes HE streams but no single modcod: the
+        # baseline is 0, while h_qpsk rho=0.9 (HE 2/5 + LE 3/5) serves the
+        # pair at 0.4 under free disposal
         summary = system_summary([-3.0, 10.0], full_table)
         assert summary.r_ts == 0.0
-        assert summary.r_hm == 0.0
-        assert summary.gain == 0.0
+        assert summary.r_hm == pytest.approx(0.4, abs=1e-15)
+        assert summary.gain == float("inf")
         assert summary.outage_count == 1
 
     def test_matches_manual_composition(self, full_table):
@@ -295,7 +315,7 @@ class TestSystemGain:
         for _ in range(20):
             snrs = [rng.uniform(-1, 16) for _ in range(7)]
             summary = system_summary(snrs, full_table)
-            singles = [best_single_modcod(s, full_table) for s in snrs]
+            singles = [full_table.best_single(s) for s in snrs]
             rates = [c.spectral_efficiency if c else 0.0 for c in singles]
             r_ts = aggregate_ts(rates)
             hm = []
@@ -305,7 +325,7 @@ class TestSystemGain:
             (leftover,) = {k for k in range(7)} - {i for ij in group_receivers(snrs) for i in ij}
             hm.append(rates[leftover])
             assert summary.r_ts == pytest.approx(r_ts, abs=1e-15)
-            assert summary.r_hm == pytest.approx(max(aggregate_hm(hm), r_ts), abs=1e-15)
+            assert summary.r_hm == pytest.approx(max(aggregate_ts(hm), r_ts), abs=1e-15)
 
     def test_two_receiver_case_reduces_to_pair(self, full_table):
         sol = pair_solution(1.0, 7.0, full_table)
