@@ -8,7 +8,6 @@ model, the Monte Carlo campaign engine, and a CLI front end.
 
 from .beam import (
     AntennaConfig,
-    BeamDraw,
     WeatherCdf,
     antenna_gain_rel,
     beam_edge_angle,
@@ -66,7 +65,6 @@ from .rateopt import (
     TimeShare,
     achievable_pairs,
     aggregate_ts,
-    classical_pair_rate,
     equal_rate_point,
     group_receivers,
     pair_solution,

@@ -7,11 +7,11 @@ once with all families combined). The same population is used for every
 family at a given (grid point, repetition) - the curves are paired
 comparisons on a common system draw.
 
-Receivers that cannot decode any single-stream modcod are not servable by
-the classical baseline at all; they are removed from the run and counted,
-since the relative gain is undefined against a zero baseline. A run is
-excluded (gain recorded as missing) only when the whole population is in
-outage.
+Receivers that cannot decode any single-stream modcod (SNR below the
+baseline's lowest single threshold) are not servable by the classical
+baseline at all; they are removed from the run and counted, since the
+relative gain is undefined against a zero baseline. A run is excluded
+(gain recorded as missing) only when the whole population is in outage.
 
 Determinism: the population for grid index g, repetition r is drawn from
 ``SeedSequence(master_seed, spawn_key=(g, r))``. Work units are independent
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
@@ -57,7 +57,6 @@ class CampaignConfig:
     combined: bool = False
     master_seed: int = 1
     workers: int = 1
-    keep_raw: bool = False
 
     def __post_init__(self):
         if not self.snr_max_grid:
@@ -91,11 +90,14 @@ class OutageStat:
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """Per-cell statistics, keyed by (grid point, family token), and the
+    per-run gains they reduce, in repetition order (None: run excluded)."""
+
     config: CampaignConfig
     family_tokens: tuple[str, ...]
     stats: dict[tuple[float, str], GainStat]
     outage: dict[float, OutageStat]
-    raw_gains: Optional[dict[tuple[float, str], tuple[Optional[float], ...]]] = field(default=None)
+    raw_gains: dict[tuple[float, str], tuple[Optional[float], ...]]
 
 
 def _evaluate_unit(
@@ -111,11 +113,10 @@ def _evaluate_unit(
     """One (grid point, repetition): returns per-family gain and the
     number of receivers dropped as unservable."""
     seed = np.random.SeedSequence(master_seed, spawn_key=(grid_index, rep))
-    population = draw_population(receivers, snr_max, beam, weather, rng=seed)
-    baseline = next(iter(family_tables.values()))
-    served = [d.snr_db for d in population if baseline.best_single(d.snr_db) is not None]
+    snrs = draw_population(receivers, snr_max, beam, weather, rng=seed)
+    served = snrs[snrs >= next(iter(family_tables.values())).lowest_single_threshold()]
     outage = receivers - len(served)
-    if not served:
+    if not len(served):
         return {token: None for token in family_tables}, outage
     return {token: system_gain(served, table) for token, table in family_tables.items()}, outage
 
@@ -146,7 +147,7 @@ def run_campaign(
     combined evaluation over all requested families when configured.
     """
     single_families = [f for f in tables.families() if not f.hierarchical]
-    if not tables.has_single_entries():
+    if tables.lowest_single_threshold() is None:
         raise ValueError("tables contain no single-stream baseline entries")
     hierarchical = {s.family for s in tables.hierarchical_schemes()}
     if cfg.families:
@@ -202,14 +203,13 @@ def run_campaign(
                 included_runs=len(included),
                 excluded_runs=len(values) - len(included),
             )
-            if cfg.keep_raw:
-                raw[(snr_max, token)] = tuple(values)
+            raw[(snr_max, token)] = tuple(values)
     return SimulationReport(
         config=cfg,
         family_tokens=tuple(tokens),
         stats=stats,
         outage=outage,
-        raw_gains=raw if cfg.keep_raw else None,
+        raw_gains=raw,
     )
 
 

@@ -168,15 +168,33 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
     """Load the scenario file (or defaults) and apply CLI overrides."""
     parser = configparser.ConfigParser()
     base = Path(".")
+    source = "default scenario"
     if path is not None:
         file = Path(path)
         if not file.is_file():
             raise ScenarioError(f"scenario file not found: {file}")
         parser.read(file)
         base = file.parent
+        source = str(file)
 
     def get(section, option, fallback):
         return parser.get(section, option, fallback=fallback) if parser.has_section(section) else fallback
+
+    def number(section, option, fallback, kind=float):
+        text = get(section, option, fallback)
+        try:
+            return kind(text)
+        except ValueError:
+            raise ScenarioError(f"{source}: [{section}] {option} = {text!r} is not a valid {kind.__name__}") from None
+
+    antenna_fields = {
+        key: number("antenna", key, fallback)
+        for key, fallback in (("diameter_m", "1.5"), ("frequency_hz", "20e9"), ("edge_level_db", "4"))
+    }
+    try:
+        antenna = AntennaConfig(**antenna_fields)
+    except ValueError as exc:
+        raise ScenarioError(f"{source}: [antenna] {exc}") from None
 
     baseline = get("tables", "baseline", None)
     hierarchical = get("tables", "hierarchical", None)
@@ -187,23 +205,19 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
             if hierarchical
             else (packaged_data_path("hqpsk_thresholds.csv"), packaged_data_path("h32apsk_thresholds.csv"))
         ),
-        antenna=AntennaConfig(
-            diameter_m=float(get("antenna", "diameter_m", "1.5")),
-            frequency_hz=float(get("antenna", "frequency_hz", "20e9")),
-            edge_level_db=float(get("antenna", "edge_level_db", "4")),
-        ),
+        antenna=antenna,
         weather_path=(
             (base / get("weather", "cdf", "")).resolve()
             if get("weather", "cdf", "")
             else packaged_data_path("weather_cdf_sample.csv")
         ),
         grid=_parse_grid(get("campaign", "grid", "1:16:0.5")),
-        receivers=int(get("campaign", "receivers", "500")),
-        repetitions=int(get("campaign", "repetitions", "100")),
+        receivers=number("campaign", "receivers", "500", int),
+        repetitions=number("campaign", "repetitions", "100", int),
         families_spec=get("campaign", "families", "all"),
         combined=get("campaign", "combined", "false").strip().lower() in ("1", "true", "yes", "on"),
-        seed=int(get("campaign", "seed", "1")),
-        workers=int(get("campaign", "workers", "1")),
+        seed=number("campaign", "seed", "1", int),
+        workers=number("campaign", "workers", "1", int),
         out_dir=Path(get("output", "dir", "out")),
     )
 
@@ -280,14 +294,14 @@ def cmd_pair(args) -> int:
     print(f"r_hm  = {solution.r_hm:.6f} bit/s/Hz (hierarchical time sharing)")
     gain = solution.gain
     print(f"gain  = {gain if gain != float('inf') else 'inf (zero baseline)'}")
-    for share in solution.schedule:
-        if share.point_a == share.point_b:
-            print(f"schedule: serve {share.point_a.describe()} full time")
-        else:
-            print(
-                f"schedule: {share.tau:.4f} of time on {share.point_a.describe()}, "
-                f"rest on {share.point_b.describe()}"
-            )
+    share = solution.schedule
+    if share.point_a == share.point_b:
+        print(f"schedule: serve {share.point_a.describe()} full time")
+    else:
+        print(
+            f"schedule: {share.tau:.4f} of time on {share.point_a.describe()}, "
+            f"rest on {share.point_b.describe()}"
+        )
     if args.dump_hull:
         lines = ["r1,r2,configuration"]
         for p in rate_region_hull(achievable_pairs(snr_weak, snr_strong, table)):
@@ -330,7 +344,7 @@ def cmd_validate(args) -> int:
           f"({len(hits)} known-anomaly, {len(anomalies)} manifest rows)")
     print(f"weather CDF: {len(scenario.weather.cum_prob)} points, max attenuation "
           f"{scenario.weather.attenuation_db[-1]:g} dB")
-    if not scenario.tables.has_single_entries():
+    if scenario.tables.lowest_single_threshold() is None:
         print("FAIL: no single-stream baseline entries; campaigns cannot run", file=sys.stderr)
         return 1
     unknown = [w for w in warnings if not w.known_anomaly]

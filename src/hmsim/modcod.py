@@ -287,8 +287,12 @@ class ThresholdTable:
     def families(self) -> list[Family]:
         return sorted({s.family for s in self.schemes()}, key=lambda f: f.token)
 
-    def has_single_entries(self) -> bool:
-        return any(stream is Stream.SINGLE for (_, stream, _) in self._entries)
+    def lowest_single_threshold(self) -> Optional[float]:
+        """Threshold (dB) of the most robust non-hierarchical modcod, or
+        None without SINGLE rows: ``best_single(snr)`` is None exactly when a
+        non-NaN snr is below it."""
+        thresholds = self._single_lookup[0]
+        return thresholds[0] if thresholds else None
 
     def subset(self, families: Iterable[Family]) -> "ThresholdTable":
         """Table restricted to the given families (warnings not re-derived)."""

@@ -19,9 +19,12 @@ and reports how many it dropped).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .modcod import ModcodChoice, ThresholdTable
 
@@ -33,7 +36,6 @@ __all__ = [
     "achievable_pairs",
     "rate_region_hull",
     "equal_rate_point",
-    "classical_pair_rate",
     "pair_solution",
     "group_receivers",
     "aggregate_ts",
@@ -81,7 +83,7 @@ class TimeShare:
 @dataclass(frozen=True)
 class EqualRateSolution:
     rate: float
-    schedule: tuple[TimeShare, ...]
+    schedule: TimeShare
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class PairSolution:
 
     r_hm: float
     r_ts: float
-    schedule: tuple[TimeShare, ...]
+    schedule: TimeShare
 
     def __post_init__(self):
         if not self.r_hm >= self.r_ts >= 0.0:
@@ -98,9 +100,14 @@ class PairSolution:
 
     @property
     def gain(self) -> float:
-        if self.r_ts == 0.0:
-            return 0.0 if self.r_hm == 0.0 else float("inf")
-        return (self.r_hm - self.r_ts) / self.r_ts
+        return _relative_gain(self.r_hm, self.r_ts)
+
+
+def _relative_gain(r_hm: float, r_ts: float) -> float:
+    """(r_hm - r_ts) / r_ts; 0 when both are 0, +inf over a zero baseline."""
+    if r_ts == 0.0:
+        return 0.0 if r_hm == 0.0 else math.inf
+    return (r_hm - r_ts) / r_ts
 
 
 _ORIGIN = RatePair(0.0, 0.0)
@@ -201,7 +208,7 @@ def equal_rate_point(pairs: Sequence[RatePair]) -> EqualRateSolution:
         return _ORIGIN if tag < 0 else pairs[tag]
 
     best_rate = 0.0
-    best_schedule: tuple[TimeShare, ...] = ()
+    best_schedule: Optional[TimeShare] = None
     vertex_rate, vertex_tag = 0.0, -1
     m = len(hull)
     for i in range(m):
@@ -213,36 +220,25 @@ def equal_rate_point(pairs: Sequence[RatePair]) -> EqualRateSolution:
             vertex_rate, vertex_tag = score, tag1
         if d1 == 0.0 and x1 >= best_rate:
             best_rate = x1
-            best_schedule = (TimeShare(1.0, pair_at(tag1), pair_at(tag1)),)
+            best_schedule = TimeShare(1.0, pair_at(tag1), pair_at(tag1))
         if m > 1 and (d1 < 0.0) != (d2 < 0.0):
             tau = d2 / (d2 - d1)
             rate = tau * x1 + (1.0 - tau) * x2
             if rate > best_rate:
                 best_rate = rate
-                best_schedule = (TimeShare(tau, pair_at(tag1), pair_at(tag2)),)
+                best_schedule = TimeShare(tau, pair_at(tag1), pair_at(tag2))
     if vertex_rate > best_rate:
         best_rate = vertex_rate
-        best_schedule = (TimeShare(1.0, pair_at(vertex_tag), pair_at(vertex_tag)),)
+        best_schedule = TimeShare(1.0, pair_at(vertex_tag), pair_at(vertex_tag))
     # Tie rule: when some achievable point sits exactly at the optimum,
     # serve it full time instead of mixing two others.
     for p in pairs:
         if p.r1 == p.r2 == best_rate:
-            best_schedule = (TimeShare(1.0, p, p),)
+            best_schedule = TimeShare(1.0, p, p)
             break
-    if not best_schedule:
-        best_schedule = (TimeShare(1.0, _ORIGIN, _ORIGIN),)
+    if best_schedule is None:
+        best_schedule = TimeShare(1.0, _ORIGIN, _ORIGIN)
     return EqualRateSolution(rate=best_rate, schedule=best_schedule)
-
-
-def classical_pair_rate(r_weak: float, r_strong: float) -> float:
-    """Equal rate offered to two receivers by pure time sharing of their
-    individual best modcods: the harmonic combination (1/r1 + 1/r2)^-1,
-    zero as soon as either receiver decodes nothing."""
-    if r_weak < 0 or r_strong < 0:
-        raise ValueError("rates must be nonnegative")
-    if r_weak == 0.0 or r_strong == 0.0:
-        return 0.0
-    return 1.0 / (1.0 / r_weak + 1.0 / r_strong)
 
 
 def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> PairSolution:
@@ -250,10 +246,10 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
     classical time-sharing baseline."""
     weak = table.best_single(snr_weak)
     strong = table.best_single(snr_strong)
-    r_ts = classical_pair_rate(
+    r_ts = aggregate_ts((
         weak.spectral_efficiency if weak else 0.0,
         strong.spectral_efficiency if strong else 0.0,
-    )
+    ))
     solution = equal_rate_point(achievable_pairs(snr_weak, snr_strong, table))
     # The classical mix of the two single points is in the hull, so
     # r_hm >= r_ts holds mathematically. Achievable rates are small-denominator
@@ -266,23 +262,19 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
     return PairSolution(r_hm=r_hm, r_ts=r_ts, schedule=solution.schedule)
 
 
-def group_receivers(snrs: Sequence[float]) -> list[tuple[int, int]]:
+def group_receivers(snrs: Sequence[float]) -> tuple[list[tuple[int, int]], Optional[int]]:
     """Pair receivers by repeatedly grouping the current extremes.
 
     Sorting by SNR and matching minimum against maximum realizes the
-    pick-the-largest-SNR-difference rule. Returns index pairs as
-    (weaker, stronger); with an odd count the median receiver is left out
-    of every pair. Ties sort by original index, keeping the result a pure
-    function of the SNR multiset.
+    pick-the-largest-SNR-difference rule. Returns the index pairs as
+    (weaker, stronger) and the index left out of every pair: the median
+    receiver for an odd count, else None. Ties sort by original index
+    (a stable sort), keeping the result a pure function of the SNR multiset.
     """
-    order = sorted(range(len(snrs)), key=lambda i: (snrs[i], i))
-    pairs = []
-    lo, hi = 0, len(order) - 1
-    while lo < hi:
-        pairs.append((order[lo], order[hi]))
-        lo += 1
-        hi -= 1
-    return pairs
+    order = np.argsort(np.asarray(snrs, dtype=float), kind="stable").tolist()
+    half = len(order) // 2
+    pairs = list(zip(order[:half], order[::-1][:half]))
+    return pairs, order[half] if len(order) % 2 else None
 
 
 def aggregate_ts(rates: Sequence[float]) -> float:
@@ -294,10 +286,14 @@ def aggregate_ts(rates: Sequence[float]) -> float:
     for r in rates:
         if r < 0:
             raise ValueError("rates must be nonnegative")
-        if r == 0.0:
-            return 0.0
-        total += 1.0 / r
+        total += _reciprocal(r)
     return 1.0 / total
+
+
+def _reciprocal(rate: float) -> float:
+    """1 / rate, and inf for rate 0: a unit that gets nothing pins every
+    harmonic sum it enters at rate 0."""
+    return 1.0 / rate if rate else math.inf
 
 
 @dataclass(frozen=True)
@@ -305,77 +301,45 @@ class SystemSummary:
     r_hm: float
     r_ts: float
     gain: float
-    pairs: tuple[tuple[int, int, PairSolution], ...]
-    unpaired: Optional[int]
     outage_count: int
 
 
 def system_summary(snrs: Sequence[float], table: ThresholdTable) -> SystemSummary:
-    """Full breakdown of hierarchical vs classical time sharing for a
-    receiver population, each pair at its free-disposal equal rate (see
-    ``equal_rate_point``).
+    """Hierarchical vs classical time sharing for a receiver population,
+    each pair at its free-disposal equal rate (see ``equal_rate_point``).
 
     An outage receiver (no decodable single modcod) forces r_ts to 0. It
     forces r_hm to 0 too unless hierarchical points serve its pair: a
     receiver that decodes only an HE or LE stream still gets a positive
     pair rate, and then gain = inf. ``outage_count`` reports how many
     outage receivers there were so callers can filter and retry."""
-    if not snrs:
+    snrs = np.asarray(snrs, dtype=float)
+    if not snrs.size:
         raise ValueError("need at least one receiver")
-    singles = [table.best_single(s) for s in snrs]
-    single_rates = [c.spectral_efficiency if c else 0.0 for c in singles]
-    outage = sum(1 for c in singles if c is None)
-
-    pairs = group_receivers(snrs)
-    paired = {i for ij in pairs for i in ij}
-    unpaired = next((i for i in range(len(snrs)) if i not in paired), None)
+    pairs, unpaired = group_receivers(snrs)
+    values = snrs.tolist()
+    singles = [table.best_single(s) for s in values]
+    inv = [_reciprocal(c.spectral_efficiency if c else 0.0) for c in singles]
 
     # Both harmonic sums are accumulated in pair-traversal order, and a pair
     # without hierarchical benefit contributes the very same reciprocal terms
     # to both, so "no gain anywhere" yields r_hm == r_ts bit for bit.
-    solved: list[tuple[int, int, PairSolution]] = []
-    ts_inv = 0.0
-    hm_inv = 0.0
-    ts_dead = False  # a zero rate pins the corresponding aggregate at 0
-    hm_dead = False
+    ts_inv = hm_inv = 0.0
     for i, j in pairs:
-        sol = pair_solution(snrs[i], snrs[j], table)
-        solved.append((i, j, sol))
-        if single_rates[i] == 0.0 or single_rates[j] == 0.0:
-            ts_dead = True
-        else:
-            ts_inv += 1.0 / single_rates[i] + 1.0 / single_rates[j]
-        if sol.r_hm == 0.0:
-            hm_dead = True
-        elif sol.r_hm == sol.r_ts:
-            # no hierarchical benefit; r_ts > 0 implies both singles decode
-            hm_inv += 1.0 / single_rates[i] + 1.0 / single_rates[j]
-        else:
-            hm_inv += 1.0 / sol.r_hm
+        sol = pair_solution(values[i], values[j], table)
+        pair_inv = inv[i] + inv[j]
+        ts_inv += pair_inv
+        hm_inv += pair_inv if sol.r_hm == sol.r_ts else 1.0 / sol.r_hm
     if unpaired is not None:
-        rate_u = single_rates[unpaired]
-        if rate_u == 0.0:
-            ts_dead = hm_dead = True
-        else:
-            ts_inv += 1.0 / rate_u
-            hm_inv += 1.0 / rate_u
-
-    r_ts = 0.0 if ts_dead else 1.0 / ts_inv
-    r_hm = 0.0 if hm_dead else 1.0 / hm_inv
-    if not hm_dead and not ts_dead:
-        r_hm = max(r_hm, r_ts)
-
-    if r_ts == 0.0:
-        gain = 0.0 if r_hm == 0.0 else float("inf")
-    else:
-        gain = (r_hm - r_ts) / r_ts
+        ts_inv += inv[unpaired]
+        hm_inv += inv[unpaired]
+    r_ts = 1.0 / ts_inv
+    r_hm = max(1.0 / hm_inv, r_ts)
     return SystemSummary(
         r_hm=r_hm,
         r_ts=r_ts,
-        gain=gain,
-        pairs=tuple(solved),
-        unpaired=unpaired,
-        outage_count=outage,
+        gain=_relative_gain(r_hm, r_ts),
+        outage_count=sum(c is None for c in singles),
     )
 
 

@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion. The campaign-level criteria (8, 9) share two full default
 campaigns (500 receivers x 100 repetitions x 31 grid points, run at two
-different worker counts) through a session fixture; everything else is
-sub-minute.
+different worker counts) through a session fixture and are marked ``slow``;
+everything else is sub-minute (``pytest -m "not slow"`` skips the two).
 """
 
 import math
@@ -160,6 +160,7 @@ def test_criterion_7_beam_edge():
     report("7 (beam edge angle)", f"theta_edge = {math.degrees(theta):.6f} deg, gain gap {gap:.1e}")
 
 
+@pytest.mark.slow
 def test_criterion_8_gain_curve_bands(default_campaign):
     run_a, _, elapsed_a, elapsed_b = default_campaign
     assert elapsed_a < 600.0
@@ -188,6 +189,7 @@ def test_criterion_8_gain_curve_bands(default_campaign):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_campaign_determinism(default_campaign):
     run_a, run_b, _, _ = default_campaign
     text_a, text_b = gains_csv_text(run_a), gains_csv_text(run_b)

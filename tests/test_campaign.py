@@ -53,7 +53,7 @@ class TestEngine:
             families=(Family.H_QPSK,), master_seed=0,
         )
         pop = draw_population(2, 7.2, TINY_EDGE, weather, rng=np.random.SeedSequence(0, spawn_key=(0, 0)))
-        snrs = sorted(d.snr_db for d in pop)
+        snrs = sorted(pop.tolist())
         assert snrs[0] == pytest.approx(1.2, abs=1e-6)
         assert snrs[1] == pytest.approx(7.2, abs=1e-6)
 
@@ -65,14 +65,14 @@ class TestEngine:
     def test_baseline_only_family_gains_zero(self, full_table, sample_weather, default_antenna):
         cfg = CampaignConfig(
             snr_max_grid=(4.0, 10.0), receivers=30, repetitions=4,
-            families=(Family.QPSK,), master_seed=7, keep_raw=True,
+            families=(Family.QPSK,), master_seed=7,
         )
         report = run_campaign(cfg, full_table, default_antenna, sample_weather)
         for values in report.raw_gains.values():
             assert all(v == 0.0 for v in values if v is not None)
 
     def test_outage_receivers_filtered_and_counted(self, full_table, sample_weather, default_antenna):
-        cfg = CampaignConfig(snr_max_grid=(1.0,), receivers=60, repetitions=5, master_seed=3, keep_raw=True)
+        cfg = CampaignConfig(snr_max_grid=(1.0,), receivers=60, repetitions=5, master_seed=3)
         report = run_campaign(cfg, full_table, default_antenna, sample_weather)
         stat = report.outage[1.0]
         assert stat.mean_count > 0  # at 1 dB some receivers always sit below -2.35 dB
@@ -91,7 +91,7 @@ class TestEngine:
     def test_per_run_gains_match_filtered_system_gain(self, full_table, sample_weather, default_antenna):
         cfg = CampaignConfig(
             snr_max_grid=(5.0,), receivers=25, repetitions=3,
-            families=(Family.H_APSK32,), master_seed=11, keep_raw=True,
+            families=(Family.H_APSK32,), master_seed=11,
         )
         report = run_campaign(cfg, full_table, default_antenna, sample_weather)
         sub = full_table.subset({Family.QPSK, Family.PSK8, Family.APSK16, Family.APSK32, Family.H_APSK32})
@@ -100,7 +100,7 @@ class TestEngine:
                 25, 5.0, default_antenna, sample_weather,
                 rng=np.random.SeedSequence(11, spawn_key=(0, rep)),
             )
-            served = [d.snr_db for d in pop if full_table.best_single(d.snr_db)]
+            served = [s for s in pop.tolist() if full_table.best_single(s)]
             expected = system_gain(served, sub)
             assert report.raw_gains[(5.0, "h_apsk32")][rep] == pytest.approx(expected, abs=1e-15)
 
@@ -120,10 +120,10 @@ class TestDeterminism:
 
     def test_extending_repetitions_preserves_earlier_runs(self, full_table, sample_weather, default_antenna):
         base = CampaignConfig(
-            snr_max_grid=(3.0, 8.0), receivers=20, repetitions=4, master_seed=5, keep_raw=True
+            snr_max_grid=(3.0, 8.0), receivers=20, repetitions=4, master_seed=5
         )
         extended = CampaignConfig(
-            snr_max_grid=(3.0, 8.0), receivers=20, repetitions=8, master_seed=5, keep_raw=True
+            snr_max_grid=(3.0, 8.0), receivers=20, repetitions=8, master_seed=5
         )
         short = run_campaign(base, full_table, default_antenna, sample_weather)
         long = run_campaign(extended, full_table, default_antenna, sample_weather)

@@ -144,6 +144,31 @@ class TestCampaign:
         assert "inf" in capsys.readouterr().err
         assert not (tmp_path / "o" / "gains.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_antenna_rejected(self, tmp_path, value, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text(f"[antenna]\ndiameter_m = {value}\n")
+        out = tmp_path / "o"
+        small = ["--grid", "5", "--reps", "2", "--receivers", "4", "--out", str(out)]
+        for argv in (["campaign", *small], ["pair", "3", "5"]):
+            assert main(argv + ["--scenario", str(ini)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {ini}: [antenna] diameter_m must be")
+        assert not (out / "gains.csv").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("campaign", "receivers", "abc"),
+        ("campaign", "seed", "1.5"),
+        ("antenna", "frequency_hz", "20 GHz"),
+    ])
+    def test_bad_ini_number_named(self, tmp_path, section, key, value, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["pair", "3", "5", "--scenario", str(ini)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ini}: [{section}] {key} = '{value}' is not a valid")
+        assert err.count(str(ini)) == 1
+
     def test_unknown_family_is_validation_error(self, scenario_dir, capsys):
         code = main([
             "campaign", "--scenario", str(scenario_dir / "scenario.ini"), "--families", "h_psk8",

@@ -4,6 +4,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import H32APSK_RHOS, HQPSK_RHOS, RATES, h32apsk_reference_cells, hqpsk_reference_cells
@@ -268,7 +269,22 @@ class TestTableAlgebra:
     def test_merge_disjoint(self, single_table, hqpsk_table):
         merged = single_table.merged_with(hqpsk_table)
         assert len(merged) == len(single_table) + len(hqpsk_table)
-        assert merged.has_single_entries()
+        assert merged.lowest_single_threshold() == single_table.lowest_single_threshold() == -2.35
+        assert hqpsk_table.lowest_single_threshold() is None
+
+    def test_floor_filter_matches_best_single(self, full_table):
+        # SNRs exactly at, and one ulp either side of, every threshold
+        floor = full_table.lowest_single_threshold()
+        thresholds = np.array(sorted(set(full_table.entries().values())))
+        snrs = np.concatenate([
+            thresholds,
+            np.nextafter(thresholds, -np.inf),
+            np.nextafter(thresholds, np.inf),
+            np.random.default_rng(5).uniform(-8.0, 20.0, 2000),
+        ])
+        kept = snrs >= floor
+        assert kept.any() and not kept.all()
+        assert kept.tolist() == [full_table.best_single(s) is not None for s in snrs.tolist()]
 
 
 class TestSignalingBits:

@@ -14,7 +14,6 @@ from hmsim.rateopt import (
     RatePair,
     achievable_pairs,
     aggregate_ts,
-    classical_pair_rate,
     equal_rate_point,
     group_receivers,
     pair_solution,
@@ -103,15 +102,15 @@ class TestEqualRatePoint:
     def test_symmetric_triangle(self):
         sol = equal_rate_point([RatePair(0, 0), RatePair(2, 0), RatePair(0, 2)])
         assert sol.rate == pytest.approx(1.0, abs=1e-12)
-        share = sol.schedule[0]
+        share = sol.schedule
         assert share.tau == pytest.approx(0.5, abs=1e-12)
         assert {share.point_a.r1, share.point_b.r1} == {2.0, 0.0}
 
     def test_single_diagonal_point(self):
         sol = equal_rate_point([RatePair(0, 0), RatePair(0.667, 0.667)])
         assert sol.rate == pytest.approx(0.667)
-        assert sol.schedule[0].tau == 1.0
-        assert sol.schedule[0].point_a is sol.schedule[0].point_b
+        assert sol.schedule.tau == 1.0
+        assert sol.schedule.point_a is sol.schedule.point_b
 
     def test_origin_only(self):
         sol = equal_rate_point([RatePair(0, 0)])
@@ -122,7 +121,7 @@ class TestEqualRatePoint:
         # but serving (1, 3) gives both receivers 1
         sol = equal_rate_point([RatePair(0, 0), RatePair(0.5, 0), RatePair(1, 3)])
         assert sol.rate == 1.0
-        share = sol.schedule[0]
+        share = sol.schedule
         assert share.tau == 1.0
         assert (share.point_a.r1, share.point_a.r2) == (1.0, 3.0)
         assert share.point_a is share.point_b
@@ -131,7 +130,7 @@ class TestEqualRatePoint:
         # the diagonal touches (1, 1) exactly where two edges meet
         sol = equal_rate_point([RatePair(0, 0), RatePair(2, 0), RatePair(1, 1), RatePair(0, 2)])
         assert sol.rate == pytest.approx(1.0, abs=1e-12)
-        assert sol.schedule[0].point_a is sol.schedule[0].point_b
+        assert sol.schedule.point_a is sol.schedule.point_b
 
     def test_matches_oracle_on_random_sets(self):
         rng = random.Random(11)
@@ -188,18 +187,6 @@ class TestEqualRatePoint:
             equal_rate_point([])
 
 
-class TestClassicalPairRate:
-    @pytest.mark.parametrize(
-        "r1,r2,expected", [(2, 2, 1.0), (2, 3, 1.2), (0, 3, 0.0), (1, 2, 2 / 3)]
-    )
-    def test_values(self, r1, r2, expected):
-        assert classical_pair_rate(r1, r2) == pytest.approx(expected)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            classical_pair_rate(-1.0, 2.0)
-
-
 class TestPairSolution:
     def test_derived_example(self, hqpsk_rho08_with_singles):
         sol = pair_solution(1.0, 7.0, hqpsk_rho08_with_singles)
@@ -236,28 +223,40 @@ class TestPairSolution:
 
 class TestGroupReceivers:
     def test_forced_pairings(self):
-        assert group_receivers([1, 4, 7, 10]) == [(0, 3), (1, 2)]
-        assert group_receivers([0, 1, 2, 3, 4, 5]) == [(0, 5), (1, 4), (2, 3)]
+        assert group_receivers([1, 4, 7, 10]) == ([(0, 3), (1, 2)], None)
+        assert group_receivers([0, 1, 2, 3, 4, 5]) == ([(0, 5), (1, 4), (2, 3)], None)
 
     def test_all_equal(self):
-        pairs = group_receivers([5, 5, 5, 5])
+        pairs, unpaired = group_receivers([5, 5, 5, 5])
         assert sorted(i for ij in pairs for i in ij) == [0, 1, 2, 3]
+        assert unpaired is None
 
     def test_odd_leaves_median_out(self):
         snrs = [9, 1, 5, 3, 7]
-        pairs = group_receivers(snrs)
+        pairs, unpaired = group_receivers(snrs)
         used = {i for ij in pairs for i in ij}
-        (leftover,) = set(range(5)) - used
-        assert snrs[leftover] == 5
+        assert set(range(5)) - used == {unpaired}
+        assert snrs[unpaired] == 5
 
     def test_values_not_indices_decide(self):
-        assert group_receivers([10, 1, 7, 4]) == [(1, 0), (3, 2)]
+        assert group_receivers([10, 1, 7, 4]) == ([(1, 0), (3, 2)], None)
+
+    def test_ties_sort_by_index(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            snrs = [rng.choice([-1.0, 0.0, 2.5, 7.0]) for _ in range(rng.randint(1, 12))]
+            order = sorted(range(len(snrs)), key=lambda i: (snrs[i], i))
+            pairs, unpaired = group_receivers(snrs)
+            assert [i for ij in pairs for i in ij] == [
+                i for k in range(len(snrs) // 2) for i in (order[k], order[-1 - k])
+            ]
+            assert unpaired == (order[len(snrs) // 2] if len(snrs) % 2 else None)
 
     @given(st.lists(st.floats(-5, 20), min_size=2, max_size=30))
     def test_each_receiver_in_at_most_one_pair(self, snrs):
-        pairs = group_receivers(snrs)
-        used = [i for ij in pairs for i in ij]
-        assert len(used) == len(set(used))
+        pairs, unpaired = group_receivers(snrs)
+        used = [i for ij in pairs for i in ij] + ([unpaired] if unpaired is not None else [])
+        assert sorted(used) == list(range(len(snrs)))
         assert len(pairs) == len(snrs) // 2
 
 
@@ -269,6 +268,12 @@ class TestAggregates:
         assert aggregate_ts([2, 2]) == pytest.approx(1.0)
         assert aggregate_ts([1, 2, 4, 4]) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "r1,r2,expected", [(2, 2, 1.0), (2, 3, 1.2), (0, 3, 0.0), (1, 2, 2 / 3)]
+    )
+    def test_pair_values(self, r1, r2, expected):
+        assert aggregate_ts((r1, r2)) == pytest.approx(expected)
+
     def test_zero_dominates(self):
         assert aggregate_ts([1.0, 0.0, 3.0]) == 0.0
         assert aggregate_ts([0.0]) == 0.0
@@ -276,6 +281,10 @@ class TestAggregates:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_ts([])
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            aggregate_ts((-1.0, 2.0))
 
 
 class TestSystemGain:
@@ -319,10 +328,10 @@ class TestSystemGain:
             rates = [c.spectral_efficiency if c else 0.0 for c in singles]
             r_ts = aggregate_ts(rates)
             hm = []
-            for i, j in group_receivers(snrs):
+            pairs, leftover = group_receivers(snrs)
+            for i, j in pairs:
                 lo, hi = sorted((snrs[i], snrs[j]))
                 hm.append(pair_solution(lo, hi, full_table).r_hm)
-            (leftover,) = {k for k in range(7)} - {i for ij in group_receivers(snrs) for i in ij}
             hm.append(rates[leftover])
             assert summary.r_ts == pytest.approx(r_ts, abs=1e-15)
             assert summary.r_hm == pytest.approx(max(aggregate_ts(hm), r_ts), abs=1e-15)
