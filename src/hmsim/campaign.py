@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,6 +68,8 @@ class CampaignConfig:
             raise ValueError("need at least one repetition")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,20 @@ def _run_grid_point(ctx, grid_index: int):
     return rows
 
 
+# A pool worker's campaign context, received once when the worker starts, so
+# that its tables (and their pair memos) persist across its grid points.
+_worker_ctx = None
+
+
+def _init_worker(ctx) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _run_worker_grid_point(grid_index: int):
+    return _run_grid_point(_worker_ctx, grid_index)
+
+
 def run_campaign(
     cfg: CampaignConfig,
     tables: ThresholdTable,
@@ -169,13 +184,12 @@ def run_campaign(
         tokens.append(COMBINED)
 
     ctx = (family_tables, cfg, beam, weather)
-    runner = partial(_run_grid_point, ctx)
     grid_indices = list(range(len(cfg.snr_max_grid)))
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            per_grid = list(pool.map(runner, grid_indices))
+        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker, initargs=(ctx,)) as pool:
+            per_grid = list(pool.map(_run_worker_grid_point, grid_indices))
     else:
-        per_grid = [runner(g) for g in grid_indices]
+        per_grid = [_run_grid_point(ctx, g) for g in grid_indices]
 
     stats: dict[tuple[float, str], GainStat] = {}
     outage: dict[float, OutageStat] = {}

@@ -132,16 +132,17 @@ class Scenario:
         )
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    bad_spec = ScenarioError(f"bad grid spec {text!r}; expected 'start:stop:step' or a single value")
+def _parse_grid(text: str, where: str) -> tuple[float, ...]:
+    """Grid points of 'start:stop:step' or a single value; ``where`` names
+    the INI key or flag the text came from, for the error message."""
+    bad_spec = ScenarioError(f"{where} is not a valid grid: expected 'start:stop:step' or a single value")
     try:
-        numbers = [float(part) for part in text.split(":")]
+        numbers = [float(part) for part in text.strip().split(":")]
     except ValueError:
         raise bad_spec from None
     for value in numbers:
         if not math.isfinite(value):
-            raise ScenarioError(f"bad grid spec {text!r}: {value} is not a finite number")
+            raise ScenarioError(f"{where} is not a valid grid: {value} is not a finite number")
     if len(numbers) == 1:
         return (numbers[0],)
     if len(numbers) != 3:
@@ -164,6 +165,23 @@ def _parse_paths(text: str, base: Path) -> tuple[Path, ...]:
     return tuple((base / p.strip()).resolve() for p in text.split(",") if p.strip())
 
 
+def _parse_bool(text: str) -> bool:
+    """configparser's boolean words: 1/yes/true/on and 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+
+
+def _at_least(value: int, minimum: int, where: str) -> int:
+    if value < minimum:
+        raise ScenarioError(f"{where} is below the minimum of {minimum}")
+    return value
+
+
 def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenario:
     """Load the scenario file (or defaults) and apply CLI overrides."""
     parser = configparser.ConfigParser()
@@ -180,15 +198,19 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
     def get(section, option, fallback):
         return parser.get(section, option, fallback=fallback) if parser.has_section(section) else fallback
 
-    def number(section, option, fallback, kind=float):
+    def where(section, option, text):
+        return f"{source}: [{section}] {option} = {text!r}"
+
+    def setting(section, option, fallback, kind="float", minimum=None):
         text = get(section, option, fallback)
         try:
-            return kind(text)
+            value = _PARSERS[kind](text)
         except ValueError:
-            raise ScenarioError(f"{source}: [{section}] {option} = {text!r} is not a valid {kind.__name__}") from None
+            raise ScenarioError(f"{where(section, option, text)} is not a valid {kind}") from None
+        return value if minimum is None else _at_least(value, minimum, where(section, option, text))
 
     antenna_fields = {
-        key: number("antenna", key, fallback)
+        key: setting("antenna", key, fallback)
         for key, fallback in (("diameter_m", "1.5"), ("frequency_hz", "20e9"), ("edge_level_db", "4"))
     }
     try:
@@ -196,6 +218,7 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
     except ValueError as exc:
         raise ScenarioError(f"{source}: [antenna] {exc}") from None
 
+    grid_text = get("campaign", "grid", "1:16:0.5")
     baseline = get("tables", "baseline", None)
     hierarchical = get("tables", "hierarchical", None)
     scenario = Scenario(
@@ -211,30 +234,30 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
             if get("weather", "cdf", "")
             else packaged_data_path("weather_cdf_sample.csv")
         ),
-        grid=_parse_grid(get("campaign", "grid", "1:16:0.5")),
-        receivers=number("campaign", "receivers", "500", int),
-        repetitions=number("campaign", "repetitions", "100", int),
+        grid=_parse_grid(grid_text, where("campaign", "grid", grid_text)),
+        receivers=setting("campaign", "receivers", "500", "int", 2),
+        repetitions=setting("campaign", "repetitions", "100", "int", 1),
         families_spec=get("campaign", "families", "all"),
-        combined=get("campaign", "combined", "false").strip().lower() in ("1", "true", "yes", "on"),
-        seed=number("campaign", "seed", "1", int),
-        workers=number("campaign", "workers", "1", int),
+        combined=setting("campaign", "combined", "false", "bool"),
+        seed=setting("campaign", "seed", "1", "int", 0),
+        workers=setting("campaign", "workers", "1", "int", 1),
         out_dir=Path(get("output", "dir", "out")),
     )
 
     if overrides.seed is not None:
-        scenario.seed = overrides.seed
+        scenario.seed = _at_least(overrides.seed, 0, f"--seed {overrides.seed}")
     if overrides.receivers is not None:
-        scenario.receivers = overrides.receivers
+        scenario.receivers = _at_least(overrides.receivers, 2, f"--receivers {overrides.receivers}")
     if overrides.reps is not None:
-        scenario.repetitions = overrides.reps
+        scenario.repetitions = _at_least(overrides.reps, 1, f"--reps {overrides.reps}")
     if overrides.grid is not None:
-        scenario.grid = _parse_grid(overrides.grid)
+        scenario.grid = _parse_grid(overrides.grid, f"--grid {overrides.grid}")
     if overrides.families is not None:
         scenario.families_spec = overrides.families
     if overrides.out is not None:
         scenario.out_dir = Path(overrides.out)
     if getattr(overrides, "workers", None) is not None:
-        scenario.workers = overrides.workers
+        scenario.workers = _at_least(overrides.workers, 1, f"--workers {overrides.workers}")
 
     scenario.load_data()
     return scenario

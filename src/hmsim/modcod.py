@@ -39,9 +39,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Stream",
@@ -143,13 +146,13 @@ class ModcodChoice:
     stream: Stream
     code_rate: Fraction
 
-    @property
+    @cached_property
     def efficiency_fraction(self) -> Fraction:
         """Exact spectrum efficiency, bits x code rate. Orderings and tie
         breaks use this; float(...) of it only leaves for numeric work."""
         return self.scheme.bits(self.stream) * self.code_rate
 
-    @property
+    @cached_property
     def spectral_efficiency(self) -> float:
         return float(self.efficiency_fraction)
 
@@ -237,8 +240,10 @@ def _prefix_best(rows: Iterable[tuple[float, ModcodChoice]]) -> _PrefixTable:
 class ThresholdTable:
     """Immutable map (scheme, stream, code rate) -> decoding threshold in dB.
 
-    Query helpers are precomputed at construction; instances are safe to
-    share across threads and processes.
+    Query helpers are precomputed at construction. The one mutable member,
+    ``pair_memo``, is a deterministic cache filled on first use, so
+    instances are safe to share across threads and processes: a race only
+    repeats work.
     """
 
     def __init__(
@@ -263,6 +268,11 @@ class ThresholdTable:
         self._single_lookup = _prefix_best(
             row for (_, stream), rows in columns.items() if stream is Stream.SINGLE for row in rows
         )
+        self._edges = np.array(sorted(set(self._entries.values())), dtype=float)
+        # Answers that depend on an SNR pair only through its cells (see
+        # ``cells``), keyed by (weak cell, strong cell); rateopt.system_summary
+        # keeps each pair's hierarchical reciprocal term here.
+        self.pair_memo: dict[tuple[int, int], Optional[float]] = {}
 
     # -- basic container surface -------------------------------------------------
 
@@ -322,6 +332,15 @@ class ThresholdTable:
         thresholds, _, choices = self._single_lookup
         k = bisect_right(thresholds, snr_db)
         return choices[k - 1] if k else None
+
+    def cells(self, snrs_db) -> np.ndarray:
+        """Cell of each SNR: the number of distinct table thresholds at or
+        below it (NaN counts as above all of them, as in bisect_right).
+
+        Every query of this table is a bisect_right on a list of its
+        thresholds, which returns the same index for two SNRs in one cell;
+        so anything computed from such queries is a function of the cells."""
+        return np.searchsorted(self._edges, snrs_db, side="right")
 
     # -- validation ------------------------------------------------------------------
 

@@ -312,24 +312,37 @@ def system_summary(snrs: Sequence[float], table: ThresholdTable) -> SystemSummar
     forces r_hm to 0 too unless hierarchical points serve its pair: a
     receiver that decodes only an HE or LE stream still gets a positive
     pair rate, and then gain = inf. ``outage_count`` reports how many
-    outage receivers there were so callers can filter and retry."""
+    outage receivers there were so callers can filter and retry.
+
+    ``pair_solution`` runs once per (weak cell, strong cell) of ``table``
+    (see ``ThresholdTable.cells``); later pairs in the same cells read its
+    answer from ``table.pair_memo``, which gives the same bits."""
     snrs = np.asarray(snrs, dtype=float)
     if not snrs.size:
         raise ValueError("need at least one receiver")
     pairs, unpaired = group_receivers(snrs)
     values = snrs.tolist()
+    cells = table.cells(snrs).tolist()
     singles = [table.best_single(s) for s in values]
     inv = [_reciprocal(c.spectral_efficiency if c else 0.0) for c in singles]
 
     # Both harmonic sums are accumulated in pair-traversal order, and a pair
     # without hierarchical benefit contributes the very same reciprocal terms
-    # to both, so "no gain anywhere" yields r_hm == r_ts bit for bit.
+    # to both, so "no gain anywhere" yields r_hm == r_ts bit for bit. A pair's
+    # solution is a function of its two cells, so it is solved once per cell
+    # pair and table; the memo keeps 1 / r_hm, or None when r_hm == r_ts.
+    memo = table.pair_memo
     ts_inv = hm_inv = 0.0
     for i, j in pairs:
-        sol = pair_solution(values[i], values[j], table)
         pair_inv = inv[i] + inv[j]
         ts_inv += pair_inv
-        hm_inv += pair_inv if sol.r_hm == sol.r_ts else 1.0 / sol.r_hm
+        key = (cells[i], cells[j])
+        try:
+            hm_term = memo[key]
+        except KeyError:
+            sol = pair_solution(values[i], values[j], table)
+            hm_term = memo[key] = None if sol.r_hm == sol.r_ts else 1.0 / sol.r_hm
+        hm_inv += pair_inv if hm_term is None else hm_term
     if unpaired is not None:
         ts_inv += inv[unpaired]
         hm_inv += inv[unpaired]

@@ -8,11 +8,13 @@ the tests check.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from hmsim.modcod import DVBS2_CODE_RATES, ModcodChoice, Stream, ThresholdTable
+from hmsim.modcod import DVBS2_CODE_RATES, Stream, ThresholdTable
+from hmsim.rateopt import group_receivers, pair_solution
 
 RATES = list(DVBS2_CODE_RATES)
 
@@ -103,7 +105,7 @@ def unpruned_points(snr_weak: float, snr_strong: float, table: ThresholdTable) -
     combination. Sorted, without duplicates."""
     decodable: dict = {}
     for (scheme, stream, rate), thr in table.entries().items():
-        eff = ModcodChoice(scheme, stream, rate).spectral_efficiency
+        eff = float(scheme.bits(stream) * rate)
         for receiver, snr in enumerate((snr_weak, snr_strong)):
             if thr <= snr:
                 decodable.setdefault((scheme, stream, receiver), []).append(eff)
@@ -115,3 +117,30 @@ def unpruned_points(snr_weak: float, snr_strong: float, table: ThresholdTable) -
             for le in decodable.get((scheme, Stream.LE, 1 - receiver), ()):
                 points.update((e, le) if receiver == 0 else (le, e) for e in effs)
     return sorted(points)
+
+
+def system_summary_reference(snrs, table: ThresholdTable) -> tuple[float, float, float, int]:
+    """(r_hm, r_ts, gain, outage_count) of a population with no memo:
+    ``pair_solution`` on every pair, both harmonic sums accumulated
+    sequentially in pair-traversal order with per-pair grouping
+    1/r_i + 1/r_j, as ``system_summary`` defines them."""
+    values = [float(s) for s in snrs]
+    pairs, unpaired = group_receivers(values)
+    singles = [table.best_single(s) for s in values]
+    inv = [1.0 / c.spectral_efficiency if c else math.inf for c in singles]
+    ts_inv = hm_inv = 0.0
+    for i, j in pairs:
+        sol = pair_solution(values[i], values[j], table)
+        pair_inv = inv[i] + inv[j]
+        ts_inv += pair_inv
+        hm_inv += pair_inv if sol.r_hm == sol.r_ts else 1.0 / sol.r_hm
+    if unpaired is not None:
+        ts_inv += inv[unpaired]
+        hm_inv += inv[unpaired]
+    r_ts = 1.0 / ts_inv
+    r_hm = max(1.0 / hm_inv, r_ts)
+    if r_ts == 0.0:
+        gain = 0.0 if r_hm == 0.0 else math.inf
+    else:
+        gain = (r_hm - r_ts) / r_ts
+    return r_hm, r_ts, gain, sum(c is None for c in singles)

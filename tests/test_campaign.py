@@ -38,6 +38,10 @@ class TestConfigValidation:
             CampaignConfig(snr_max_grid=(1.0,), receivers=1)
         with pytest.raises(ValueError):
             CampaignConfig(snr_max_grid=(1.0,), repetitions=0)
+        with pytest.raises(ValueError):
+            CampaignConfig(snr_max_grid=(1.0,), workers=0)
+        with pytest.raises(ValueError):
+            CampaignConfig(snr_max_grid=(1.0,), master_seed=-1)
 
 
 class TestEngine:

@@ -169,6 +169,38 @@ class TestCampaign:
         assert err.startswith(f"error: {ini}: [{section}] {key} = '{value}' is not a valid")
         assert err.count(str(ini)) == 1
 
+    @pytest.mark.parametrize("value,combined", [("ture", None), ("On", True), ("no", False), ("1", True)])
+    def test_combined_takes_configparser_booleans(self, scenario_dir, tmp_path, value, combined, capsys):
+        ini = scenario_dir / "scenario.ini"
+        ini.write_text(ini.read_text().replace("seed = 9", f"seed = 9\nfamilies = h_qpsk\ncombined = {value}"))
+        out = tmp_path / "o"
+        code = main(["campaign", "--scenario", str(ini), "--grid", "3", "--out", str(out)])
+        if combined is None:
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {ini}: [campaign] combined = '{value}' is not a valid bool\n"
+            assert not (out / "gains.csv").exists()
+        else:
+            assert code == 0
+            assert (",combined," in (out / "gains.csv").read_text()) == combined
+
+    @pytest.mark.parametrize("flag,key,value,problem", [
+        ("--receivers", "receivers", "1", "is below the minimum of 2"),
+        ("--reps", "repetitions", "0", "is below the minimum of 1"),
+        ("--workers", "workers", "0", "is below the minimum of 1"),
+        ("--seed", "seed", "-1", "is below the minimum of 0"),
+        ("--grid", "grid", "1:x:2", "is not a valid grid: expected 'start:stop:step'"),
+        ("--grid", "grid", "4:2:1", "is not a valid grid: expected 'start:stop:step'"),
+    ])
+    def test_range_and_grid_errors_located(self, tmp_path, flag, key, value, problem, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text(f"[campaign]\n{key} = {value}\n")
+        out = ["--out", str(tmp_path / "o")]
+        assert main(["campaign", "--scenario", str(ini), *out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ini}: [campaign] {key} = '{value}' {problem}")
+        assert main(["campaign", flag, value, *out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} {value} {problem}")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_family_is_validation_error(self, scenario_dir, capsys):
         code = main([
             "campaign", "--scenario", str(scenario_dir / "scenario.ini"), "--families", "h_psk8",

@@ -4,11 +4,12 @@ aggregation, and system gains."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import equal_rate_oracle, unpruned_points
+from helpers import equal_rate_oracle, system_summary_reference, unpruned_points
 from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable
 from hmsim.rateopt import (
     RatePair,
@@ -339,3 +340,50 @@ class TestSystemGain:
     def test_two_receiver_case_reduces_to_pair(self, full_table):
         sol = pair_solution(1.0, 7.0, full_table)
         assert system_gain([7.0, 1.0], full_table) == pytest.approx(sol.gain, abs=1e-12)
+
+
+class TestPairMemo:
+    """system_summary solves each (weak cell, strong cell) pair once per
+    table and reads the answer back for every later pair in that cell."""
+
+    @staticmethod
+    def populations(table: ThresholdTable) -> list[list[float]]:
+        """Populations of 1-41 receivers drawn with replacement from every
+        threshold, the doubles either side of it and uniform SNRs on
+        [-6, 21] dB, so ties, odd sizes and outage receivers all occur."""
+        edges = np.unique(list(table.entries().values()))
+        pool = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        rng = np.random.default_rng(1)
+        pool = np.concatenate([pool, rng.uniform(-6.0, 21.0, pool.size)]).tolist()
+        return [
+            [pool[k] for k in rng.integers(0, len(pool), rng.integers(1, 42))]
+            for _ in range(400)
+        ]
+
+    @pytest.mark.parametrize("families", [None, (Family.H_QPSK,), (Family.H_APSK32,)],
+                             ids=["full", "h_qpsk", "h_apsk32"])
+    def test_bit_equal_to_memo_free_reference(self, full_table, families):
+        singles = {f for f in full_table.families() if not f.hierarchical}
+        keep = full_table.families() if families is None else singles | set(families)
+        table = full_table.subset(keep)  # a fresh table: the memo starts cold
+        populations = self.populations(table)
+        expected = [system_summary_reference(snrs, table) for snrs in populations]
+        assert any(e[3] for e in expected) and any(len(p) % 2 for p in populations)
+        for order in (range(len(populations)), reversed(range(len(populations)))):
+            for k in order:
+                s = system_summary(populations[k], table)
+                assert (s.r_hm, s.r_ts, s.gain, s.outage_count) == expected[k], populations[k]
+        assert table.pair_memo
+
+    def test_one_solve_per_cell_pair(self, full_table, monkeypatch):
+        table = full_table.subset(full_table.families())
+        calls = []
+        def counting(*args):
+            calls.append(args)
+            return pair_solution(*args)
+        monkeypatch.setattr("hmsim.rateopt.pair_solution", counting)
+        # 3.0 and 3.01 share a cell, 9.0 and 9.02 too: 40 pairs, one solve
+        system_summary([3.0, 3.01] * 20 + [9.0, 9.02] * 20, table)
+        assert len(calls) == 1
+        system_summary([3.005, 9.01], table)
+        assert len(calls) == 1
