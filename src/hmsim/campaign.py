@@ -162,7 +162,7 @@ def run_campaign(
     combined evaluation over all requested families when configured.
     """
     single_families = [f for f in tables.families() if not f.hierarchical]
-    if tables.lowest_single_threshold() is None:
+    if not single_families:
         raise ValueError("tables contain no single-stream baseline entries")
     hierarchical = {s.family for s in tables.hierarchical_schemes()}
     if cfg.families:

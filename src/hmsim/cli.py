@@ -77,6 +77,7 @@ class Scenario:
     receivers: int
     repetitions: int
     families_spec: str
+    families_where: str  # the INI key or flag families_spec came from, for messages
     combined: bool
     seed: int
     workers: int
@@ -100,8 +101,12 @@ class Scenario:
         self.tables = table
 
     def campaign_families(self) -> tuple[tuple[Family, ...], bool]:
+        """The requested families and the combined flag; ScenarioError,
+        naming the INI key or flag, for a family that is unknown or has no
+        entries in the loaded tables."""
         tokens = [t.strip() for t in self.families_spec.split(",") if t.strip()]
         combined = self.combined
+        loaded = self.tables.families()
         families: list[Family] = []
         for token in tokens:
             if token == "all":
@@ -110,9 +115,14 @@ class Scenario:
                 combined = True
             else:
                 try:
-                    families.append(Family.from_token(token))
-                except ValueError as exc:
-                    raise ScenarioError(str(exc)) from None
+                    family = Family.from_token(token)
+                except ValueError:
+                    raise ScenarioError(f"{self.families_where} names an unknown modulation family {token!r}") from None
+                if family not in loaded:
+                    raise ScenarioError(
+                        f"{self.families_where} names family {token}, which has no entries in the loaded tables"
+                    )
+                families.append(family)
         seen = []
         for fam in families:
             if fam not in seen:
@@ -219,6 +229,7 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
         raise ScenarioError(f"{source}: [antenna] {exc}") from None
 
     grid_text = get("campaign", "grid", "1:16:0.5")
+    families_text = get("campaign", "families", "all")
     baseline = get("tables", "baseline", None)
     hierarchical = get("tables", "hierarchical", None)
     scenario = Scenario(
@@ -237,7 +248,8 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
         grid=_parse_grid(grid_text, where("campaign", "grid", grid_text)),
         receivers=setting("campaign", "receivers", "500", "int", 2),
         repetitions=setting("campaign", "repetitions", "100", "int", 1),
-        families_spec=get("campaign", "families", "all"),
+        families_spec=families_text,
+        families_where=where("campaign", "families", families_text),
         combined=setting("campaign", "combined", "false", "bool"),
         seed=setting("campaign", "seed", "1", "int", 0),
         workers=setting("campaign", "workers", "1", "int", 1),
@@ -254,6 +266,7 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
         scenario.grid = _parse_grid(overrides.grid, f"--grid {overrides.grid}")
     if overrides.families is not None:
         scenario.families_spec = overrides.families
+        scenario.families_where = f"--families {overrides.families}"
     if overrides.out is not None:
         scenario.out_dir = Path(overrides.out)
     if getattr(overrides, "workers", None) is not None:
@@ -369,6 +382,11 @@ def cmd_validate(args) -> int:
           f"{scenario.weather.attenuation_db[-1]:g} dB")
     if scenario.tables.lowest_single_threshold() is None:
         print("FAIL: no single-stream baseline entries; campaigns cannot run", file=sys.stderr)
+        return 1
+    try:
+        scenario.campaign_families()
+    except ScenarioError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     unknown = [w for w in warnings if not w.known_anomaly]
     if unknown:

@@ -41,6 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -63,14 +64,36 @@ __all__ = [
     "packaged_data_path",
 ]
 
+
+class _CodeRate(Fraction):
+    """A Fraction that computes its hash once. The keys of a loaded table
+    hold these, and Fraction's own hash redoes a Python-level modular
+    inverse on every dict operation; the value is the same, so a plain
+    Fraction still finds the key."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, numerator, denominator):
+        self = super().__new__(cls, numerator, denominator)
+        self._hash = Fraction.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 # The 11 LDPC code rates of DVB-S2 (normal FEC frames).
 DVBS2_CODE_RATES = tuple(
-    Fraction(p, q)
+    _CodeRate(p, q)
     for p, q in [(1, 4), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5), (5, 6), (8, 9), (9, 10)]
 )
 
 
 class Stream(Enum):
+    # Members are singletons that compare by identity, so the identity hash
+    # (a C slot, unlike Enum's) is exact and keeps table keys cheap to hash.
+    __hash__ = object.__hash__
+
     HE = "HE"
     LE = "LE"
     SINGLE = "SINGLE"
@@ -89,6 +112,8 @@ class Family(Enum):
     H_APSK16 = ("h_apsk16", 2, 2)
     H_APSK32 = ("h_apsk32", 2, 3)
 
+    __hash__ = object.__hash__  # as for Stream
+
     def __init__(self, token: str, bits_he: int, bits_le: int):
         self.token = token
         self.default_bits_he = bits_he
@@ -100,10 +125,13 @@ class Family(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "Family":
-        for fam in cls:
-            if fam.token == token:
-                return fam
-        raise ValueError(f"unknown modulation family {token!r}")
+        try:
+            return _FAMILY_BY_TOKEN[token]
+        except KeyError:
+            raise ValueError(f"unknown modulation family {token!r}") from None
+
+
+_FAMILY_BY_TOKEN = {fam.token: fam for fam in Family}
 
 
 @dataclass(frozen=True)
@@ -120,6 +148,16 @@ class SchemeId:
             raise ValueError(f"family {self.family.token} requires rho_he={'set' if self.family.hierarchical else 'absent'}")
         if hierarchical and not 0.5 <= self.rho_he <= 0.9:
             raise ValueError(f"rho_he must be in [0.5, 0.9], got {self.rho_he}")
+        # Every table-key operation hashes the scheme, so hash it once. The
+        # value differs between processes (Family hashes by identity), so
+        # __reduce__ rebuilds a pickled scheme instead of copying it.
+        object.__setattr__(self, "_hash", hash((self.family, self.rho_he)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return SchemeId, (self.family, self.rho_he)
 
     def bits(self, stream: Stream) -> int:
         if stream is Stream.SINGLE:
@@ -130,7 +168,7 @@ class SchemeId:
             raise ValueError(f"{self.token} is non-hierarchical; stream {stream.value} does not apply")
         return self.family.default_bits_he if stream is Stream.HE else self.family.default_bits_le
 
-    @property
+    @cached_property
     def token(self) -> str:
         if self.rho_he is None:
             return self.family.token
@@ -149,7 +187,8 @@ class ModcodChoice:
     @cached_property
     def efficiency_fraction(self) -> Fraction:
         """Exact spectrum efficiency, bits x code rate. Orderings and tie
-        breaks use this; float(...) of it only leaves for numeric work."""
+        breaks compare it exactly (the prefix tables use the same integer
+        ratio); float(...) of it only leaves for numeric work."""
         return self.scheme.bits(self.stream) * self.code_rate
 
     @cached_property
@@ -205,34 +244,47 @@ def load_anomaly_manifest(path: Union[str, Path, None] = None) -> dict[AnomalyKe
     return manifest
 
 
+# The canonical spelling of each DVB-S2 rate, so the common case is one
+# dict lookup that returns the shared DVBS2_CODE_RATES object.
+_RATE_BY_TEXT = {str(rate): rate for rate in DVBS2_CODE_RATES}
+
+
 def _parse_rate(text: str, line_no: int) -> Fraction:
+    rate = _RATE_BY_TEXT.get(text)
+    if rate is not None:
+        return rate
     try:
         rate = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise TableParseError(f"line {line_no}: bad code_rate {text!r}: {exc}") from None
     if rate not in DVBS2_CODE_RATES:
         raise TableValidationError(f"line {line_no}: code rate {text} is not a DVB-S2 rate")
-    return rate
+    return DVBS2_CODE_RATES[DVBS2_CODE_RATES.index(rate)]
 
 
 _PrefixTable = tuple[list[float], list[float], list[ModcodChoice]]
 
 
-def _prefix_best(rows: Iterable[tuple[float, ModcodChoice]]) -> _PrefixTable:
-    """(thresholds, best efficiencies, best choices) of (threshold, choice)
-    rows sorted by threshold, then scheme token and code rate: entry k is
-    the most efficient of the first k + 1 rows, the earlier row on ties. So
-    the best choice decodable at an SNR is entry bisect_right(thresholds,
-    snr) - 1."""
+def _prefix_best(rows: Iterable[tuple[float, str, Fraction, SchemeId, Stream]]) -> _PrefixTable:
+    """(thresholds, best efficiencies, best choices) of (threshold, scheme
+    token, code rate, scheme, stream) rows sorted by threshold, then scheme
+    token and code rate: entry k is the most efficient of the first k + 1
+    rows, the earlier row on ties. So the best choice decodable at an SNR is
+    entry bisect_right(thresholds, snr) - 1."""
     thresholds: list[float] = []
     best_eff: list[float] = []
     best_choice: list[ModcodChoice] = []
-    cur_eff, cur_choice = Fraction(-1), None
-    for thr, choice in sorted(rows, key=lambda row: (row[0], row[1].scheme.token, row[1].code_rate)):
-        if choice.efficiency_fraction > cur_eff:
-            cur_eff, cur_choice = choice.efficiency_fraction, choice
+    # The running best efficiency as the exact ratio cur_num / cur_den, so
+    # ties compare exactly (2 x 9/10 == 3 x 3/5); int / int rounds correctly,
+    # so cur_eff is float(cur_choice.efficiency_fraction).
+    cur_num, cur_den, cur_eff, cur_choice = -1, 1, -1.0, None
+    for thr, _, rate, scheme, stream in sorted(rows, key=itemgetter(0, 1, 2)):
+        num, den = scheme.bits(stream) * rate.numerator, rate.denominator
+        if num * cur_den > cur_num * den:
+            cur_num, cur_den, cur_eff = num, den, num / den
+            cur_choice = ModcodChoice(scheme, stream, rate)
         thresholds.append(thr)
-        best_eff.append(float(cur_eff))
+        best_eff.append(cur_eff)
         best_choice.append(cur_choice)
     return thresholds, best_eff, best_choice
 
@@ -240,8 +292,11 @@ def _prefix_best(rows: Iterable[tuple[float, ModcodChoice]]) -> _PrefixTable:
 class ThresholdTable:
     """Immutable map (scheme, stream, code rate) -> decoding threshold in dB.
 
-    Query helpers are precomputed at construction. The one mutable member,
-    ``pair_memo``, is a deterministic cache filled on first use, so
+    Construction keeps only the entries and the warnings. Each query
+    structure (the prefix tables, the cell edges, the sorted scheme list) is
+    built on the first call that reads it and kept on the instance, so a
+    table that is only loaded, merged, validated or pickled never builds
+    one. These structures and ``pair_memo`` are deterministic caches, so
     instances are safe to share across threads and processes: a race only
     repeats work.
     """
@@ -253,26 +308,40 @@ class ThresholdTable:
     ):
         self._entries = dict(entries)
         self.warnings = tuple(warnings)
-        columns: dict[tuple[SchemeId, Stream], list[tuple[float, ModcodChoice]]] = {}
-        for (scheme, stream, rate), thr in self._entries.items():
-            columns.setdefault((scheme, stream), []).append((thr, ModcodChoice(scheme, stream, rate)))
-        self._schemes_cache = sorted({scheme for scheme, _ in columns}, key=SchemeId.sort_key)
-        self._hier_cache = [s for s in self._schemes_cache if s.rho_he is not None]
-        # Hot-path structures: hierarchical per-scheme (HE, LE) prefix tables
-        # and one merged single-stream table, so modcod selection is a single
-        # bisect with no dict lookups.
-        self._hier_lookup = [
-            (s, _prefix_best(columns.get((s, Stream.HE), ())), _prefix_best(columns.get((s, Stream.LE), ())))
-            for s in self._hier_cache
-        ]
-        self._single_lookup = _prefix_best(
-            row for (_, stream), rows in columns.items() if stream is Stream.SINGLE for row in rows
-        )
-        self._edges = np.array(sorted(set(self._entries.values())), dtype=float)
         # Answers that depend on an SNR pair only through its cells (see
         # ``cells``), keyed by (weak cell, strong cell); rateopt.system_summary
         # keeps each pair's hierarchical reciprocal term here.
         self.pair_memo: dict[tuple[int, int], Optional[float]] = {}
+
+    @cached_property
+    def _schemes(self) -> list[SchemeId]:
+        return sorted({scheme for scheme, _, _ in self._entries}, key=SchemeId.sort_key)
+
+    def _prefix_rows(self, streams: tuple[Stream, ...]) -> dict[tuple[SchemeId, Stream], list]:
+        """_prefix_best rows of the given streams, grouped by (scheme, stream)."""
+        columns: dict[tuple[SchemeId, Stream], list] = {}
+        for (scheme, stream, rate), thr in self._entries.items():
+            if stream in streams:
+                columns.setdefault((scheme, stream), []).append((thr, scheme.token, rate, scheme, stream))
+        return columns
+
+    @cached_property
+    def _single_lookup(self) -> _PrefixTable:
+        """One prefix table over every single-stream entry, so modcod
+        selection is a single bisect with no dict lookups."""
+        return _prefix_best(row for rows in self._prefix_rows((Stream.SINGLE,)).values() for row in rows)
+
+    @cached_property
+    def _hier_lookup(self) -> list[tuple[SchemeId, _PrefixTable, _PrefixTable]]:
+        columns = self._prefix_rows((Stream.HE, Stream.LE))
+        return [
+            (s, _prefix_best(columns.get((s, Stream.HE), ())), _prefix_best(columns.get((s, Stream.LE), ())))
+            for s in self.hierarchical_schemes()
+        ]
+
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        return np.array(sorted(set(self._entries.values())), dtype=float)
 
     # -- basic container surface -------------------------------------------------
 
@@ -289,13 +358,13 @@ class ThresholdTable:
         return dict(self._entries)
 
     def schemes(self) -> list[SchemeId]:
-        return list(self._schemes_cache)
+        return list(self._schemes)
 
     def hierarchical_schemes(self) -> list[SchemeId]:
-        return list(self._hier_cache)
+        return [s for s in self._schemes if s.rho_he is not None]
 
     def families(self) -> list[Family]:
-        return sorted({s.family for s in self.schemes()}, key=lambda f: f.token)
+        return sorted({s.family for s in self._schemes}, key=lambda f: f.token)
 
     def lowest_single_threshold(self) -> Optional[float]:
         """Threshold (dB) of the most robust non-hierarchical modcod, or
@@ -353,59 +422,65 @@ class ThresholdTable:
         family at a fixed rate, HE thresholds should fall and LE thresholds
         rise with rho_he; violations of that pattern are warnings only.
         """
-        anomalies = anomalies or {}
-        issues: list[ValidationIssue] = []
+        return _validation_issues(self._entries, anomalies)
 
-        by_column: dict[tuple[SchemeId, Stream], list[tuple[Fraction, float]]] = {}
-        for (scheme, stream, rate), thr in self._entries.items():
-            by_column.setdefault((scheme, stream), []).append((rate, thr))
-        for (scheme, stream), cells in sorted(
-            by_column.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].value)
-        ):
-            by_rate = sorted(cells)
-            for (r_a, t_a), (r_b, t_b) in zip(by_rate, by_rate[1:]):
-                if t_b <= t_a:
-                    key = (scheme.family.token, scheme.rho_he, stream.value, r_b)
-                    known = key in anomalies
-                    issues.append(
-                        ValidationIssue(
-                            severity="warning" if known else "error",
-                            message=(
-                                f"{scheme.token}/{stream.value}: threshold not increasing "
-                                f"in code rate at {r_b} ({t_a} dB -> {t_b} dB)"
-                            ),
-                            known_anomaly=known,
-                        )
+
+def _validation_issues(
+    entries: Mapping[tuple[SchemeId, Stream, Fraction], float],
+    anomalies: Optional[Mapping[AnomalyKey, str]],
+) -> list[ValidationIssue]:
+    """The issues ``ThresholdTable.validate`` reports, from the entries alone."""
+    anomalies = anomalies or {}
+    issues: list[ValidationIssue] = []
+
+    by_column: dict[tuple[SchemeId, Stream], list[tuple[Fraction, float]]] = {}
+    for (scheme, stream, rate), thr in entries.items():
+        by_column.setdefault((scheme, stream), []).append((rate, thr))
+    for (scheme, stream), cells in sorted(by_column.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].value)):
+        by_rate = sorted(cells, key=itemgetter(0))  # rates are unique within a column
+        for (r_a, t_a), (r_b, t_b) in zip(by_rate, by_rate[1:]):
+            if t_b <= t_a:
+                key = (scheme.family.token, scheme.rho_he, stream.value, r_b)
+                known = key in anomalies
+                issues.append(
+                    ValidationIssue(
+                        severity="warning" if known else "error",
+                        message=(
+                            f"{scheme.token}/{stream.value}: threshold not increasing "
+                            f"in code rate at {r_b} ({t_a} dB -> {t_b} dB)"
+                        ),
+                        known_anomaly=known,
                     )
+                )
 
-        by_family: dict[Family, list[SchemeId]] = {}
-        for scheme in self.hierarchical_schemes():
-            by_family.setdefault(scheme.family, []).append(scheme)
-        for family, schemes in sorted(by_family.items(), key=lambda kv: kv[0].token):
-            schemes.sort(key=lambda s: s.rho_he)
-            for lo, hi in zip(schemes, schemes[1:]):
-                for stream, should_increase in ((Stream.HE, False), (Stream.LE, True)):
-                    for rate in DVBS2_CODE_RATES:
-                        t_lo = self._entries.get((lo, stream, rate))
-                        t_hi = self._entries.get((hi, stream, rate))
-                        if t_lo is None or t_hi is None:
-                            continue
-                        ok = t_hi > t_lo if should_increase else t_hi < t_lo
-                        if not ok:
-                            key = (family.token, hi.rho_he, stream.value, rate)
-                            known = key in anomalies
-                            issues.append(
-                                ValidationIssue(
-                                    severity="warning",
-                                    message=(
-                                        f"{family.token} {stream.value} at rate {rate}: threshold should be "
-                                        f"{'increasing' if should_increase else 'decreasing'} in rho_he but goes "
-                                        f"{t_lo} dB (rho={lo.rho_he:g}) -> {t_hi} dB (rho={hi.rho_he:g})"
-                                    ),
-                                    known_anomaly=known,
-                                )
+    by_family: dict[Family, list[SchemeId]] = {}
+    for scheme in {scheme for scheme, _ in by_column if scheme.rho_he is not None}:
+        by_family.setdefault(scheme.family, []).append(scheme)
+    for family, schemes in sorted(by_family.items(), key=lambda kv: kv[0].token):
+        schemes.sort(key=lambda s: s.rho_he)
+        for lo, hi in zip(schemes, schemes[1:]):
+            for stream, should_increase in ((Stream.HE, False), (Stream.LE, True)):
+                for rate in DVBS2_CODE_RATES:
+                    t_lo = entries.get((lo, stream, rate))
+                    t_hi = entries.get((hi, stream, rate))
+                    if t_lo is None or t_hi is None:
+                        continue
+                    ok = t_hi > t_lo if should_increase else t_hi < t_lo
+                    if not ok:
+                        key = (family.token, hi.rho_he, stream.value, rate)
+                        known = key in anomalies
+                        issues.append(
+                            ValidationIssue(
+                                severity="warning",
+                                message=(
+                                    f"{family.token} {stream.value} at rate {rate}: threshold should be "
+                                    f"{'increasing' if should_increase else 'decreasing'} in rho_he but goes "
+                                    f"{t_lo} dB (rho={lo.rho_he:g}) -> {t_hi} dB (rho={hi.rho_he:g})"
+                                ),
+                                known_anomaly=known,
                             )
-        return issues
+                        )
+    return issues
 
 
 def load_threshold_csv(
@@ -423,6 +498,9 @@ def load_threshold_csv(
         anomalies = load_anomaly_manifest()
     path = Path(path)
     entries: dict[tuple[SchemeId, Stream, Fraction], float] = {}
+    # One SchemeId per (family, rho_he) spelling, so the rows of a scheme
+    # share it and each spelling is parsed and checked once.
+    schemes: dict[tuple[str, str], SchemeId] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -432,23 +510,27 @@ def load_threshold_csv(
         if [h.strip() for h in header] != ["family", "rho_he", "stream", "code_rate", "threshold_db"]:
             raise TableParseError(f"{path}: line 1: unexpected header {header!r}")
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
                 continue
-            if len(row) != 5:
-                raise TableParseError(f"{path}: line {line_no}: expected 5 fields, got {len(row)}")
-            fam_tok, rho_tok, stream_tok, rate_tok, thr_tok = (cell.strip() for cell in row)
-            try:
-                family = Family.from_token(fam_tok)
-            except ValueError as exc:
-                raise TableParseError(f"{path}: line {line_no}: {exc}") from None
-            try:
-                rho = float(rho_tok) if rho_tok else None
-            except ValueError:
-                raise TableParseError(f"{path}: line {line_no}: bad rho_he {rho_tok!r}") from None
-            try:
-                scheme = SchemeId(family, rho)
-            except ValueError as exc:
-                raise TableValidationError(f"{path}: line {line_no}: {exc}") from None
+            if len(cells) != 5:
+                raise TableParseError(f"{path}: line {line_no}: expected 5 fields, got {len(cells)}")
+            fam_tok, rho_tok, stream_tok, rate_tok, thr_tok = cells
+            scheme = schemes.get((fam_tok, rho_tok))
+            if scheme is None:
+                try:
+                    family = Family.from_token(fam_tok)
+                except ValueError as exc:
+                    raise TableParseError(f"{path}: line {line_no}: {exc}") from None
+                try:
+                    rho = float(rho_tok) if rho_tok else None
+                except ValueError:
+                    raise TableParseError(f"{path}: line {line_no}: bad rho_he {rho_tok!r}") from None
+                try:
+                    scheme = schemes[(fam_tok, rho_tok)] = SchemeId(family, rho)
+                except ValueError as exc:
+                    raise TableValidationError(f"{path}: line {line_no}: {exc}") from None
+            family, rho = scheme.family, scheme.rho_he
             rate = _parse_rate(rate_tok, line_no)
             try:
                 threshold = float(thr_tok)
@@ -483,7 +565,7 @@ def load_threshold_csv(
     if not entries:
         raise TableParseError(f"{path}: no data rows")
 
-    issues = ThresholdTable(entries).validate(anomalies)
+    issues = _validation_issues(entries, anomalies)
     errors = [i for i in issues if i.severity == "error"]
     if errors:
         raise TableValidationError(f"{path}: " + "; ".join(i.message for i in errors))

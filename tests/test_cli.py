@@ -207,6 +207,21 @@ class TestCampaign:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("value,problem", [
+        ("h_xyz", "names an unknown modulation family 'h_xyz'"),
+        ("h_qpsk,h_xyz", "names an unknown modulation family 'h_xyz'"),
+        ("h_psk8", "names family h_psk8, which has no entries in the loaded tables"),
+    ])
+    def test_family_errors_located(self, tmp_path, value, problem, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text(f"[campaign]\nfamilies = {value}\n")
+        out = ["--out", str(tmp_path / "o")]
+        assert main(["campaign", "--scenario", str(ini), *out]) == 1
+        assert capsys.readouterr().err == f"error: {ini}: [campaign] families = '{value}' {problem}\n"
+        assert main(["campaign", "--families", value, *out]) == 1
+        assert capsys.readouterr().err == f"error: --families {value} {problem}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestValidate:
     def test_shipped_data_passes_with_one_warning(self, capsys):
@@ -226,6 +241,22 @@ class TestValidate:
         )
         (scenario_dir / "scenario.ini").write_text(ini)
         assert main(["validate", "--scenario", str(scenario_dir / "scenario.ini")]) == 1
+
+    @pytest.mark.parametrize("value,problem", [
+        ("h_xyz", "names an unknown modulation family 'h_xyz'"),
+        ("h_psk8", "names family h_psk8, which has no entries in the loaded tables"),
+    ])
+    def test_family_errors_fail(self, tmp_path, value, problem, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text(f"[campaign]\nfamilies = {value}\n")
+        assert main(["validate", "--scenario", str(ini)]) == 1
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert captured.err == f"FAIL: {ini}: [campaign] families = '{value}' {problem}\n"
+        assert main(["validate", "--families", value]) == 1
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert captured.err == f"FAIL: --families {value} {problem}\n"
 
     def test_missing_scenario_file(self, capsys):
         assert main(["validate", "--scenario", "/nonexistent/s.ini"]) == 1

@@ -1,5 +1,7 @@
 """Threshold tables: loading, validation, queries, serialization."""
 
+import argparse
+import pickle
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -8,6 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import H32APSK_RHOS, HQPSK_RHOS, RATES, h32apsk_reference_cells, hqpsk_reference_cells
+from hmsim import cli, modcod
+from hmsim.campaign import CampaignConfig, run_campaign
 from hmsim.modcod import (
     DVBS2_CODE_RATES,
     Family,
@@ -23,6 +27,7 @@ from hmsim.modcod import (
     serialize_threshold_csv,
     signaling_bits,
 )
+from hmsim.rateopt import pair_solution
 
 F = Fraction
 
@@ -132,6 +137,21 @@ class TestLoaderErrors:
     def test_non_dvbs2_rate(self, tmp_path):
         path = write_csv(tmp_path, "h.csv", ["qpsk,,SINGLE,7/8,1.0"])
         with pytest.raises(TableValidationError, match="7/8"):
+            load_threshold_csv(path)
+
+    @pytest.mark.parametrize("text", ["1/2", "2/4", "0.5", "+1/2", "01/02", "5e-1", "0.50"])
+    def test_rate_spellings(self, tmp_path, text):
+        table = load_threshold_csv(write_csv(tmp_path, "h.csv", [f"qpsk,,SINGLE,{text},1.0"]))
+        ((_, _, rate),) = table.entries()
+        assert rate == F(1, 2) and isinstance(rate, Fraction)
+        assert table.threshold(SchemeId(Family.QPSK), Stream.SINGLE, F(1, 2)) == 1.0
+
+    @pytest.mark.parametrize("text,error", [
+        ("abc", TableParseError), ("1/0", TableParseError), ("1/5", TableValidationError), ("", TableParseError),
+    ])
+    def test_bad_rate_located(self, tmp_path, text, error):
+        path = write_csv(tmp_path, "h.csv", ["qpsk,,SINGLE,1/4,-2.35", f"qpsk,,SINGLE,{text},1.0"])
+        with pytest.raises(error, match="line 3: "):
             load_threshold_csv(path)
 
     def test_duplicate_cell(self, tmp_path):
@@ -295,3 +315,78 @@ class TestSignalingBits:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             signaling_bits(0, 5)
+
+
+def _count_index_builds(monkeypatch) -> list[int]:
+    """Count prefix-table builds; an indexed table has 1 + 2 x (its
+    hierarchical schemes) of them: the single one plus HE and LE each."""
+    calls = [0]
+    build = modcod._prefix_best
+
+    def counting(rows):
+        calls[0] += 1
+        return build(rows)
+
+    monkeypatch.setattr(modcod, "_prefix_best", counting)
+    return calls
+
+
+def _index_size(table: ThresholdTable) -> int:
+    return 1 + 2 * len(table.hierarchical_schemes())
+
+
+def _default_scenario(**overrides):
+    fields = dict(seed=None, receivers=None, reps=None, grid=None, families=None, out=None, workers=None)
+    fields.update(overrides)
+    return cli.load_scenario(None, argparse.Namespace(**fields))
+
+
+class TestLazyIndex:
+    def test_load_builds_nothing_and_a_query_builds_one_index(self, monkeypatch):
+        calls = _count_index_builds(monkeypatch)
+        scenario = _default_scenario()
+        tables = scenario.tables
+        tables.validate(load_anomaly_manifest())
+        tables.schemes(), tables.hierarchical_schemes(), tables.families()
+        assert calls[0] == 0
+        first = pair_solution(3.0, 12.0, tables)
+        assert calls[0] == _index_size(tables) == 29
+        assert pair_solution(3.0, 12.0, tables) == first
+        pair_solution(-1.0, 17.5, tables)
+        assert calls[0] == 29
+
+    def test_campaign_indexes_only_its_subset_tables(self, monkeypatch):
+        calls = _count_index_builds(monkeypatch)
+        scenario = _default_scenario(grid="8", receivers=60, reps=2, families="h_qpsk,h_apsk32,combined")
+        cfg = scenario.campaign_config()
+        run_campaign(cfg, scenario.tables, scenario.antenna, scenario.weather)
+        full = scenario.tables
+        singles = {f for f in full.families() if not f.hierarchical}
+        subsets = [full.subset(singles | {f}) for f in cfg.families] + [full.subset(full.families())]
+        assert calls[0] == sum(_index_size(t) for t in subsets) == 19 + 11 + 29
+        # the scenario's own table was never indexed: its first query builds it
+        pair_solution(3.0, 12.0, full)
+        assert calls[0] == 59 + 29
+
+
+class TestPickledTable:
+    """Pool workers receive pickled tables; one pickled before its first
+    query travels without an index and builds its own."""
+
+    @pytest.mark.parametrize("queried", [False, True])
+    def test_answers_match_the_original(self, full_table, queried):
+        table = full_table.subset(full_table.families())
+        if queried:
+            pair_solution(3.0, 12.0, table)
+        copy = pickle.loads(pickle.dumps(table))
+        thresholds = np.array(sorted(set(table.entries().values())))
+        snrs = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf)])
+        assert np.array_equal(copy.cells(snrs), table.cells(snrs))
+        values = snrs.tolist()
+        assert [copy.best_single(s) for s in values] == [table.best_single(s) for s in values]
+        assert copy.hierarchical_stream_index() == table.hierarchical_stream_index()
+        assert copy.entries() == table.entries() and copy.warnings == table.warnings
+        rng = random.Random(11)
+        for _ in range(1500):
+            weak, strong = sorted(rng.sample(values, 2))
+            assert pair_solution(weak, strong, copy) == pair_solution(weak, strong, table)
