@@ -11,7 +11,6 @@ from .beam import (
     WeatherCdf,
     antenna_gain_rel,
     beam_edge_angle,
-    bessel_j1,
     draw_population,
     sample_location_attenuation,
     sample_weather_attenuation,
@@ -29,17 +28,11 @@ from .constellations import (
     ADOPTED_APSK32_TRIPLES,
     ADOPTED_QPSK_SPLITS,
     Apsk32Params,
-    ConstellationPoints,
     Psk8Params,
     QpskParams,
-    Qam16Params,
     apsk32_barycenter_distance,
     apsk32_rho_he,
-    build_apsk32_points,
-    build_psk8_points,
-    build_qpsk_points,
     psk8_rho_he,
-    qam16_energy_ratio,
     qpsk_rho_he,
 )
 from .modcod import (

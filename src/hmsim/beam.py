@@ -6,7 +6,10 @@ A receiver's SNR is the boresight value SNR_max minus two attenuations:
   beam; the disk edge is where the parabolic-antenna pattern has dropped
   edge_level_db below boresight. The pattern is the standard circular
   aperture model  G(theta)/Gmax = (2 J1(x)/x)^2  with
-  x = sin(theta) * pi * D / lambda.
+  x = sin(theta) * pi * D / lambda. The edge must come before the first
+  null x = j1,1 = 3.8317, so the pattern is only ever evaluated on its
+  main lobe, by a short power series; an angle past the null (beyond a
+  1e-12 relative rounding margin) raises ValueError.
 * weather: drawn from an empirical attenuation distribution supplied as a
   tabulated CDF, sampled by inverse transform with linear interpolation.
 
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence, Union
@@ -32,7 +34,6 @@ __all__ = [
     "GEO_ALTITUDE_M",
     "AntennaConfig",
     "WeatherCdf",
-    "bessel_j1",
     "antenna_gain_rel",
     "beam_edge_angle",
     "sample_location_attenuation",
@@ -43,18 +44,23 @@ __all__ = [
 SPEED_OF_LIGHT = 299_792_458.0
 GEO_ALTITUDE_M = 35_786_000.0
 
-# First positive zero of J1: the pattern's first null.
+# First positive zero of J1: the pattern's first null. beam_edge_angle
+# evaluates the gain at asin(j1,1 / aperture_factor), where sin(...) times
+# the aperture factor can round 1 ulp above j1,1, so the reject bound
+# admits a relative margin of 1e-12.
 _J1_FIRST_ZERO = 3.8317059702075123
+_X_MAX = _J1_FIRST_ZERO * (1 + 1e-12)
 
-# J1(x) = (x/2) * sum_k (-1)^k (x^2/4)^k / (k! (k+1)!). 52 terms keep the
-# alternating tail far below 1e-20 for x <= 16, where the series hands over
-# to the large-argument expansion. The series suffers cancellation as x
-# grows (the largest term at x = 16 is ~2e4), so it is summed in extended
-# precision to hold the branch-agreement error at the cutoff near 1e-13.
-_SERIES_CUTOFF = 16.0
+# 2 J1(x)/x = sum_k (-1)^k u^k / (k! (k+1)!) with u = x^2/4 <= 3.68 on the
+# main lobe. From k = 1 on the terms alternate and shrink, so the error of
+# the first 22 terms is below the first omitted one, u^22 / (22! 23!) <
+# 1e-30 at the bound. That is far below the rounding (~1e-19) of the sum
+# itself, summed by Horner in extended precision, so more terms change no
+# float64 output bit.
+_J1_SERIES_TERMS = 22
 _J1_SERIES_COEFFS = [
     np.longdouble((-1) ** k) / (np.longdouble(math.factorial(k)) * np.longdouble(math.factorial(k + 1)))
-    for k in range(52)
+    for k in range(_J1_SERIES_TERMS)
 ]
 
 
@@ -65,64 +71,6 @@ def _j1_series_factor(x2_over_4):
     for c in reversed(_J1_SERIES_COEFFS[:-1]):
         acc = acc * u + c
     return acc.astype(float)
-
-
-def _hankel_pq_coeffs(n_terms: int) -> tuple[list[float], list[float]]:
-    # P = sum_k p_k z^k and Q = (1/8x) sum_k q_k z^k with z = 1/(8x)^2 and
-    # p_k, q_k built from the products (mu - 1)(mu - 9)... with mu = 4.
-    mu = 4
-    p_coeffs, q_coeffs = [], []
-    prod = Fraction(1)
-    factor = 0
-    for k in range(n_terms):
-        p_coeffs.append(float(prod / math.factorial(2 * k)) * (-1) ** k)
-        prod *= mu - (2 * factor + 1) ** 2
-        factor += 1
-        q_coeffs.append(float(prod / math.factorial(2 * k + 1)) * (-1) ** k)
-        prod *= mu - (2 * factor + 1) ** 2
-        factor += 1
-    return p_coeffs, q_coeffs
-
-
-_J1_P_COEFFS, _J1_Q_COEFFS = _hankel_pq_coeffs(11)
-
-
-def _j1_asymptotic(x):
-    """Hankel expansion of J1, truncated near its smallest term for the
-    cutoff region; error ~1e-13 at x = 16 and falling rapidly beyond."""
-    inv = 1.0 / (8.0 * x)
-    z = inv * inv
-    p = np.full_like(z, _J1_P_COEFFS[-1])
-    for c in reversed(_J1_P_COEFFS[:-1]):
-        p = p * z + c
-    q = np.full_like(z, _J1_Q_COEFFS[-1])
-    for c in reversed(_J1_Q_COEFFS[:-1]):
-        q = q * z + c
-    q *= inv
-    chi = x - 0.75 * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def bessel_j1(x):
-    """First-order Bessel function of the first kind, elementwise.
-
-    Power series up to x = 16, Hankel asymptotics above; absolute error
-    under 1e-10 everywhere and ~1e-13 on the pattern's domain of use.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    sign = np.sign(x)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
-    small = ax <= _SERIES_CUTOFF
-    if small.any():
-        xs = ax[small]
-        out[small] = (xs / 2.0) * _j1_series_factor(xs * xs / 4.0)
-    if (~small).any():
-        out[~small] = _j1_asymptotic(ax[~small])
-    out *= sign  # J1 is odd
-    return out[0] if scalar else out
 
 
 @dataclass(frozen=True)
@@ -155,27 +103,28 @@ class AntennaConfig:
 
 
 def antenna_gain_rel(theta_off, cfg: AntennaConfig):
-    """Relative pattern gain G(theta)/Gmax = (2 J1(x)/x)^2, elementwise.
+    """Relative pattern gain G(theta)/Gmax = (2 J1(x)/x)^2 on the main lobe,
+    elementwise, with x = sin(theta) * pi * D / lambda.
 
-    Continuous at boresight: the series form of 2 J1(x)/x has no removable
-    singularity to special-case, and evaluates to exactly 1 at x = 0.
+    The domain is the main lobe: x may not pass the first null j1,1 =
+    3.8317 by more than a relative 1e-12, and an angle beyond it raises a
+    ValueError naming the angle and its x. Continuous at boresight: the
+    series form of 2 J1(x)/x has no removable singularity to special-case,
+    and evaluates to exactly 1 at x = 0.
     """
     theta_off = np.asarray(theta_off, dtype=float)
-    scalar = theta_off.ndim == 0
-    theta_off = np.atleast_1d(theta_off)
     if ((theta_off < 0) | (theta_off >= math.pi / 2)).any():
         raise ValueError("off-axis angle must be in [0, pi/2)")
     x = np.sin(theta_off) * cfg.aperture_factor
-    small = x <= _SERIES_CUTOFF
-    bracket = np.empty_like(x)
-    if small.any():
-        xs = x[small]
-        bracket[small] = _j1_series_factor(xs * xs / 4.0)
-    if (~small).any():
-        xl = x[~small]
-        bracket[~small] = 2.0 * _j1_asymptotic(xl) / xl
-    out = bracket * bracket
-    return out[0] if scalar else out
+    past = x > _X_MAX
+    if past.any():
+        theta, xp = float(theta_off[past][0]), float(x[past][0])
+        raise ValueError(
+            f"off-axis angle {theta} rad is past the main lobe: x = sin(theta) * pi * D / lambda = "
+            f"{xp} exceeds the first null {_J1_FIRST_ZERO}"
+        )
+    bracket = _j1_series_factor(x * x / 4.0)
+    return bracket * bracket
 
 
 @lru_cache(maxsize=None)
@@ -273,10 +222,6 @@ class WeatherCdf:
     def quantile(self, u):
         """Inverse CDF with linear interpolation."""
         return np.interp(u, self.cum_prob, self.attenuation_db)
-
-    def cdf(self, a):
-        """Forward CDF value at attenuation a (piecewise linear, clamped)."""
-        return np.interp(a, self.attenuation_db, self.cum_prob, left=0.0, right=1.0)
 
 
 def sample_weather_attenuation(rng, cdf: WeatherCdf, size=None):

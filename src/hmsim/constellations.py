@@ -11,7 +11,6 @@ tabulated); trigonometry is done in radians internally.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,16 +18,10 @@ __all__ = [
     "QpskParams",
     "Psk8Params",
     "Apsk32Params",
-    "Qam16Params",
-    "ConstellationPoints",
     "qpsk_rho_he",
     "psk8_rho_he",
     "apsk32_barycenter_distance",
     "apsk32_rho_he",
-    "qam16_energy_ratio",
-    "build_qpsk_points",
-    "build_psk8_points",
-    "build_apsk32_points",
     "ADOPTED_QPSK_SPLITS",
     "ADOPTED_APSK32_TRIPLES",
 ]
@@ -109,39 +102,6 @@ class Apsk32Params:
             raise ValueError(f"theta must be in (0, 45) degrees, got {self.theta}")
 
 
-@dataclass(frozen=True)
-class Qam16Params:
-    """Hierarchical 16-QAM described by alpha = d_h/d_l, the ratio of the
-    half-distance between HE clusters to the half-distance between points."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class ConstellationPoints:
-    """A unit-average-energy symbol set with its per-stream bit widths."""
-
-    points: tuple[complex, ...]
-    he_bits: int
-    le_bits: int
-
-    def __post_init__(self):
-        n = len(self.points)
-        if n != 2 ** (self.he_bits + self.le_bits):
-            raise ValueError(f"{n} points cannot carry {self.he_bits}+{self.le_bits} bits")
-        es = sum(abs(p) ** 2 for p in self.points) / n
-        if abs(es - 1.0) > 1e-12:
-            raise ValueError(f"mean symbol energy is {es}, expected 1")
-
-    @property
-    def mean_energy(self) -> float:
-        return sum(abs(p) ** 2 for p in self.points) / len(self.points)
-
-
 def qpsk_rho_he(params: QpskParams) -> float:
     """HE energy fraction of the hierarchical QPSK: rho_he = cos(theta)^2.
 
@@ -191,74 +151,3 @@ def apsk32_rho_he(params: Apsk32Params) -> float:
                  / (8 (1 + 3 g1^2 + 4 g2^2))
     """
     return apsk32_barycenter_distance(params) ** 2
-
-
-def qam16_energy_ratio(params: Qam16Params) -> float:
-    """HE/LE energy ratio of the hierarchical 16-QAM: (1 + alpha)^2."""
-    return (1.0 + params.alpha) ** 2
-
-
-def _rotations(quadrant: list[complex]) -> tuple[complex, ...]:
-    """Replicate a first-quadrant point set by 90-degree rotations."""
-    out: list[complex] = []
-    for k in range(4):
-        rot = 1j ** k
-        out.extend(p * rot for p in quadrant)
-    return tuple(out)
-
-
-def _normalized(points: tuple[complex, ...]) -> tuple[complex, ...]:
-    es = sum(abs(p) ** 2 for p in points) / len(points)
-    scale = 1.0 / math.sqrt(es)
-    return tuple(p * scale for p in points)
-
-
-def build_qpsk_points(params: QpskParams) -> ConstellationPoints:
-    """Generate the four hierarchical-QPSK symbols.
-
-    Points at angles +theta, -theta, 180-theta, 180+theta on the unit
-    circle; one HE bit (I-axis sign) and one LE bit.
-    """
-    th = math.radians(params.theta)
-    pts = (
-        cmath.rect(1.0, th),
-        cmath.rect(1.0, -th),
-        cmath.rect(1.0, math.pi - th),
-        cmath.rect(1.0, math.pi + th),
-    )
-    return ConstellationPoints(points=pts, he_bits=1, le_bits=1)
-
-
-def build_psk8_points(params: Psk8Params) -> ConstellationPoints:
-    """Generate the eight hierarchical 8-PSK symbols: per quadrant, two
-    unit-circle points at the diagonal +- theta. Two HE bits, one LE bit."""
-    th = math.radians(params.theta)
-    diag = math.pi / 4
-    quadrant = [cmath.rect(1.0, diag + th), cmath.rect(1.0, diag - th)]
-    return ConstellationPoints(points=_rotations(quadrant), he_bits=2, le_bits=1)
-
-
-def build_apsk32_points(params: Apsk32Params) -> ConstellationPoints:
-    """Generate the 32 hierarchical 32-APSK symbols, normalized to unit
-    average energy.
-
-    Per quadrant (shown for the upper-right one, diagonal at 45 degrees):
-    one inner-ring point on the diagonal, three middle-ring points at the
-    diagonal and diagonal +- theta, four outer-ring points at the diagonal
-    +- theta/3 and +- theta. Rings hold 4, 12 and 16 points in total. Two
-    HE bits select the quadrant; three LE bits select the point within it.
-    """
-    g1, g2 = params.gamma1, params.gamma2
-    th = math.radians(params.theta)
-    diag = math.pi / 4
-    quadrant = [
-        cmath.rect(1.0, diag),
-        cmath.rect(g1, diag),
-        cmath.rect(g1, diag + th),
-        cmath.rect(g1, diag - th),
-        cmath.rect(g2, diag + th / 3),
-        cmath.rect(g2, diag - th / 3),
-        cmath.rect(g2, diag + th),
-        cmath.rect(g2, diag - th),
-    ]
-    return ConstellationPoints(points=_normalized(_rotations(quadrant)), he_bits=2, le_bits=3)

@@ -249,16 +249,16 @@ def load_anomaly_manifest(path: Union[str, Path, None] = None) -> dict[AnomalyKe
 _RATE_BY_TEXT = {str(rate): rate for rate in DVBS2_CODE_RATES}
 
 
-def _parse_rate(text: str, line_no: int) -> Fraction:
+def _parse_rate(text: str, path: Path, line_no: int) -> Fraction:
     rate = _RATE_BY_TEXT.get(text)
     if rate is not None:
         return rate
     try:
         rate = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise TableParseError(f"line {line_no}: bad code_rate {text!r}: {exc}") from None
+        raise TableParseError(f"{path}: line {line_no}: bad code_rate {text!r}: {exc}") from None
     if rate not in DVBS2_CODE_RATES:
-        raise TableValidationError(f"line {line_no}: code rate {text} is not a DVB-S2 rate")
+        raise TableValidationError(f"{path}: line {line_no}: code rate {text} is not a DVB-S2 rate")
     return DVBS2_CODE_RATES[DVBS2_CODE_RATES.index(rate)]
 
 
@@ -347,9 +347,6 @@ class ThresholdTable:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
 
     def threshold(self, scheme: SchemeId, stream: Stream, rate: Fraction) -> float:
         return self._entries[(scheme, stream, rate)]
@@ -531,7 +528,7 @@ def load_threshold_csv(
                 except ValueError as exc:
                     raise TableValidationError(f"{path}: line {line_no}: {exc}") from None
             family, rho = scheme.family, scheme.rho_he
-            rate = _parse_rate(rate_tok, line_no)
+            rate = _parse_rate(rate_tok, path, line_no)
             try:
                 threshold = float(thr_tok)
             except ValueError:

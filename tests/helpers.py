@@ -8,11 +8,14 @@ the tests check.
 
 from __future__ import annotations
 
+import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from hmsim.constellations import Apsk32Params, Psk8Params, QpskParams
 from hmsim.modcod import DVBS2_CODE_RATES, Stream, ThresholdTable
 from hmsim.rateopt import group_receivers, pair_solution
 
@@ -144,3 +147,94 @@ def system_summary_reference(snrs, table: ThresholdTable) -> tuple[float, float,
     else:
         gain = (r_hm - r_ts) / r_ts
     return r_hm, r_ts, gain, sum(c is None for c in singles)
+
+
+# Constellation geometry: the symbol sets whose quadrant barycenters the
+# closed-form rho_he formulas of hmsim.constellations are checked against.
+
+
+@dataclass(frozen=True)
+class ConstellationPoints:
+    """A unit-average-energy symbol set with its per-stream bit widths."""
+
+    points: tuple[complex, ...]
+    he_bits: int
+    le_bits: int
+
+    def __post_init__(self):
+        n = len(self.points)
+        if n != 2 ** (self.he_bits + self.le_bits):
+            raise ValueError(f"{n} points cannot carry {self.he_bits}+{self.le_bits} bits")
+        es = sum(abs(p) ** 2 for p in self.points) / n
+        if abs(es - 1.0) > 1e-12:
+            raise ValueError(f"mean symbol energy is {es}, expected 1")
+
+    @property
+    def mean_energy(self) -> float:
+        return sum(abs(p) ** 2 for p in self.points) / len(self.points)
+
+
+def _rotations(quadrant: list[complex]) -> tuple[complex, ...]:
+    """Replicate a first-quadrant point set by 90-degree rotations."""
+    out: list[complex] = []
+    for k in range(4):
+        rot = 1j ** k
+        out.extend(p * rot for p in quadrant)
+    return tuple(out)
+
+
+def _normalized(points: tuple[complex, ...]) -> tuple[complex, ...]:
+    es = sum(abs(p) ** 2 for p in points) / len(points)
+    scale = 1.0 / math.sqrt(es)
+    return tuple(p * scale for p in points)
+
+
+def build_qpsk_points(params: QpskParams) -> ConstellationPoints:
+    """Generate the four hierarchical-QPSK symbols.
+
+    Points at angles +theta, -theta, 180-theta, 180+theta on the unit
+    circle; one HE bit (I-axis sign) and one LE bit.
+    """
+    th = math.radians(params.theta)
+    pts = (
+        cmath.rect(1.0, th),
+        cmath.rect(1.0, -th),
+        cmath.rect(1.0, math.pi - th),
+        cmath.rect(1.0, math.pi + th),
+    )
+    return ConstellationPoints(points=pts, he_bits=1, le_bits=1)
+
+
+def build_psk8_points(params: Psk8Params) -> ConstellationPoints:
+    """Generate the eight hierarchical 8-PSK symbols: per quadrant, two
+    unit-circle points at the diagonal +- theta. Two HE bits, one LE bit."""
+    th = math.radians(params.theta)
+    diag = math.pi / 4
+    quadrant = [cmath.rect(1.0, diag + th), cmath.rect(1.0, diag - th)]
+    return ConstellationPoints(points=_rotations(quadrant), he_bits=2, le_bits=1)
+
+
+def build_apsk32_points(params: Apsk32Params) -> ConstellationPoints:
+    """Generate the 32 hierarchical 32-APSK symbols, normalized to unit
+    average energy.
+
+    Per quadrant (shown for the upper-right one, diagonal at 45 degrees):
+    one inner-ring point on the diagonal, three middle-ring points at the
+    diagonal and diagonal +- theta, four outer-ring points at the diagonal
+    +- theta/3 and +- theta. Rings hold 4, 12 and 16 points in total. Two
+    HE bits select the quadrant; three LE bits select the point within it.
+    """
+    g1, g2 = params.gamma1, params.gamma2
+    th = math.radians(params.theta)
+    diag = math.pi / 4
+    quadrant = [
+        cmath.rect(1.0, diag),
+        cmath.rect(g1, diag),
+        cmath.rect(g1, diag + th),
+        cmath.rect(g1, diag - th),
+        cmath.rect(g2, diag + th / 3),
+        cmath.rect(g2, diag - th / 3),
+        cmath.rect(g2, diag + th),
+        cmath.rect(g2, diag - th),
+    ]
+    return ConstellationPoints(points=_normalized(_rotations(quadrant)), he_bits=2, le_bits=3)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import equal_rate_oracle, h32apsk_reference_cells, hqpsk_reference_cells
+from helpers import build_apsk32_points, equal_rate_oracle, h32apsk_reference_cells, hqpsk_reference_cells
 from hmsim.beam import AntennaConfig, antenna_gain_rel, beam_edge_angle
 from hmsim.campaign import CampaignConfig, gain_curve, gains_csv_text, run_campaign
 from hmsim.constellations import (
@@ -24,7 +24,6 @@ from hmsim.constellations import (
     Apsk32Params,
     QpskParams,
     apsk32_rho_he,
-    build_apsk32_points,
     qpsk_rho_he,
 )
 from hmsim.modcod import Family, SchemeId, Stream, signaling_bits

@@ -1,4 +1,4 @@
-"""Beam model: Bessel evaluation, edge geometry, attenuation sampling."""
+"""Beam model: main-lobe J1 series, edge geometry, attenuation sampling."""
 
 import math
 
@@ -13,17 +13,17 @@ from hmsim.beam import (
     WeatherCdf,
     antenna_gain_rel,
     beam_edge_angle,
-    bessel_j1,
     draw_population,
     sample_location_attenuation,
     sample_weather_attenuation,
-    _SERIES_CUTOFF,
-    _j1_asymptotic,
+    _J1_FIRST_ZERO,
+    _J1_SERIES_TERMS,
+    _X_MAX,
     _j1_series_factor,
 )
 
-# J1 reference values on [0, 10], 30-digit arbitrary-precision series,
-# computed offline and frozen here.
+# J1 reference values on the main lobe [0, j1,1], 30-digit
+# arbitrary-precision series, computed offline and frozen here.
 J1_REFERENCE = [
     (0.0, 0.0),
     (0.5, 0.24226845767487388638),
@@ -33,19 +33,6 @@ J1_REFERENCE = [
     (2.5, 0.49709410246427403801),
     (3.0, 0.33905895852593645893),
     (3.5, 0.13737752736232718572),
-    (4.0, -0.066043328023549136143),
-    (4.5, -0.23106043192337063401),
-    (5.0, -0.32757913759146522204),
-    (5.5, -0.34143821542904335018),
-    (6.0, -0.27668385812756560817),
-    (6.5, -0.15384130140997183711),
-    (7.0, -0.0046828234823458326991),
-    (7.5, 0.13524842757970550518),
-    (8.0, 0.23463634685391462438),
-    (8.5, 0.27312196367405374427),
-    (9.0, 0.24531178657332527232),
-    (9.5, 0.16126443075752985095),
-    (10.0, 0.04347274616886143667),
 ]
 
 # Independently computed: theta at which the default pattern is 4 dB down,
@@ -53,29 +40,70 @@ J1_REFERENCE = [
 EDGE_ANGLE_RAD = 0.0058668218250460214517
 GAIN_AT_0336_DEG = 0.39845002707054591143
 
+# Reference for the short series: the same extended-precision Horner with
+# 52 terms, whose tail is negligible far beyond the main lobe.
+_REFERENCE_COEFFS = [
+    np.longdouble((-1) ** k) / (np.longdouble(math.factorial(k)) * np.longdouble(math.factorial(k + 1)))
+    for k in range(52)
+]
+
+
+def reference_series_factor(u):
+    u = np.asarray(u, dtype=np.longdouble)
+    acc = np.full_like(u, _REFERENCE_COEFFS[-1])
+    for c in reversed(_REFERENCE_COEFFS[:-1]):
+        acc = acc * u + c
+    return acc.astype(float)
+
+
+def j1_main_lobe(x):
+    x = np.asarray(x, dtype=float)
+    return (x / 2.0) * _j1_series_factor(x * x / 4.0)
+
 
 class TestBesselJ1:
     def test_frozen_reference_grid(self):
         for x, expected in J1_REFERENCE:
-            assert abs(bessel_j1(x) - expected) < 1e-10, x
+            assert abs(j1_main_lobe(x) - expected) < 1e-10, x
 
     def test_against_scipy_dense(self):
-        x = np.linspace(0.0, 10.0, 2001)
-        assert np.max(np.abs(bessel_j1(x) - scipy.special.j1(x))) < 1e-10
+        x = np.linspace(0.0, _J1_FIRST_ZERO, 2001)
+        assert np.max(np.abs(j1_main_lobe(x) - scipy.special.j1(x))) < 1e-10
 
-    def test_large_arguments_against_scipy(self):
-        x = np.linspace(10.0, 330.0, 1500)
-        assert np.max(np.abs(bessel_j1(x) - scipy.special.j1(x))) < 1e-10
 
-    def test_branch_agreement_at_cutoff(self):
-        x = np.array([_SERIES_CUTOFF])
-        series = (x / 2.0) * _j1_series_factor(x * x / 4.0)
-        asym = _j1_asymptotic(x)
-        assert abs(series[0] - asym[0]) < 1e-12
+class TestMainLobeSeries:
+    def test_bit_equal_to_52_terms(self):
+        # seeded x over the whole main lobe up to the reject bound, plus the
+        # null and the doubles either side of it
+        x = np.random.default_rng(20131002).uniform(0.0, _X_MAX, 1_000_000)
+        null = _J1_FIRST_ZERO
+        x = np.concatenate([x, [0.0, np.nextafter(null, 0.0), null, np.nextafter(null, 4.0), _X_MAX]])
+        u = x * x / 4.0
+        assert np.array_equal(_j1_series_factor(u), reference_series_factor(u))
 
-    def test_odd_function(self):
-        x = np.array([0.3, 1.7, 5.2])
-        assert np.allclose(bessel_j1(-x), -bessel_j1(x), rtol=0, atol=0)
+    def test_tail_bound_justifies_term_count(self):
+        # from k = 1 on, term k+1 / term k = u / ((k+1)(k+2)) < 1 needs u < 6,
+        # so the alternating tail is bounded by its first term
+        n = _J1_SERIES_TERMS
+        u = _X_MAX * _X_MAX / 4.0
+        assert u < 6.0
+        assert u**n / (math.factorial(n) * math.factorial(n + 1)) < 1e-30
+
+    def test_edge_angle_where_sine_rounds_past_the_null(self):
+        # here sin(asin(j1,1 / k)) * k lands 1 ulp above j1,1, so the
+        # bisection's upper end needs the reject bound's rounding margin
+        cfg = AntennaConfig(diameter_m=0.2, frequency_hz=2.95e9)
+        k = cfg.aperture_factor
+        assert math.sin(math.asin(_J1_FIRST_ZERO / k)) * k > _J1_FIRST_ZERO
+        theta = beam_edge_angle(cfg)
+        assert antenna_gain_rel(theta, cfg) == pytest.approx(10 ** (-0.4), abs=1e-9)
+
+    def test_rejects_angles_past_the_null(self, default_antenna):
+        theta = math.asin(4.0 / default_antenna.aperture_factor)
+        with pytest.raises(ValueError, match=f"off-axis angle {theta} rad is past the main lobe"):
+            antenna_gain_rel(theta, default_antenna)
+        with pytest.raises(ValueError, match="past the main lobe"):
+            antenna_gain_rel(np.array([0.0, 0.001, theta]), default_antenna)
 
 
 class TestAntennaGain:
@@ -174,7 +202,7 @@ class TestWeatherSampling:
         draws = np.sort(
             sample_weather_attenuation(np.random.default_rng(5), sample_weather, size=1_000_000)
         )
-        model = sample_weather.cdf(draws)
+        model = np.interp(draws, sample_weather.attenuation_db, sample_weather.cum_prob, left=0.0, right=1.0)
         empirical = np.arange(1, draws.size + 1) / draws.size
         assert np.max(np.abs(empirical - model)) < 0.005
 

@@ -7,20 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import build_apsk32_points, build_psk8_points, build_qpsk_points
 from hmsim.constellations import (
     ADOPTED_APSK32_TRIPLES,
     ADOPTED_QPSK_SPLITS,
     Apsk32Params,
     Psk8Params,
-    Qam16Params,
     QpskParams,
     apsk32_barycenter_distance,
     apsk32_rho_he,
-    build_apsk32_points,
-    build_psk8_points,
-    build_qpsk_points,
     psk8_rho_he,
-    qam16_energy_ratio,
     qpsk_rho_he,
 )
 
@@ -111,16 +107,6 @@ class TestApsk32Rho:
             Apsk32Params(2.0, 1.5, 20.0)
         with pytest.raises(ValueError):
             Apsk32Params(1.5, 2.5, 45.0)
-
-
-class TestQam16:
-    @pytest.mark.parametrize("alpha,expected", [(1.0, 4.0), (2.0, 9.0), (1.5, 6.25)])
-    def test_energy_ratio(self, alpha, expected):
-        assert qam16_energy_ratio(Qam16Params(alpha)) == pytest.approx(expected)
-
-    def test_rejects_alpha_below_one(self):
-        with pytest.raises(ValueError):
-            Qam16Params(0.99)
 
 
 class TestQpskPoints:

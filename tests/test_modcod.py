@@ -3,6 +3,7 @@
 import argparse
 import pickle
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -151,7 +152,7 @@ class TestLoaderErrors:
     ])
     def test_bad_rate_located(self, tmp_path, text, error):
         path = write_csv(tmp_path, "h.csv", ["qpsk,,SINGLE,1/4,-2.35", f"qpsk,,SINGLE,{text},1.0"])
-        with pytest.raises(error, match="line 3: "):
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: line 3: "):
             load_threshold_csv(path)
 
     def test_duplicate_cell(self, tmp_path):
