@@ -78,8 +78,7 @@ class AntennaConfig:
     """Transmit antenna and beam-edge definition.
 
     edge_level_db is the (positive) depth of the beam edge below boresight;
-    it must lie strictly inside the main lobe, i.e. be reached before the
-    pattern's first null.
+    it must be reached on the main lobe (see ``beam_edge_angle``).
     """
 
     diameter_m: float = 1.5
@@ -131,12 +130,21 @@ def antenna_gain_rel(theta_off, cfg: AntennaConfig):
 def beam_edge_angle(cfg: AntennaConfig) -> float:
     """Off-axis angle (radians) at which the pattern is edge_level_db below
     boresight, found by bisection over the main lobe where the gain falls
-    monotonically from 1 to 0."""
+    monotonically from 1 to 0.
+
+    Raises ValueError only for an antenna whose main lobe reaches 90
+    degrees off axis above the edge level. When the first null comes
+    before 90 degrees every level is reachable; a level deeper than the
+    series resolves near the null (about 325 dB) gives the angle where the
+    computed gain bottoms out, next to the null."""
     target = 10.0 ** (-cfg.edge_level_db / 10.0)
     sin_null = _J1_FIRST_ZERO / cfg.aperture_factor
-    hi = math.asin(sin_null) if sin_null < 1.0 else math.pi / 2 * (1 - 1e-12)
-    if antenna_gain_rel(hi, cfg) >= target:
-        raise ValueError(f"main lobe never drops {cfg.edge_level_db} dB below boresight")
+    if sin_null < 1.0:
+        hi = math.asin(sin_null)
+    else:
+        hi = math.pi / 2 * (1 - 1e-12)
+        if antenna_gain_rel(hi, cfg) >= target:
+            raise ValueError(f"main lobe never drops {cfg.edge_level_db} dB below boresight")
     lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -147,22 +155,20 @@ def beam_edge_angle(cfg: AntennaConfig) -> float:
     return 0.5 * (lo + hi)
 
 
-def sample_location_attenuation(rng, cfg: AntennaConfig, size=None):
-    """Location attenuation (dB) of receivers placed uniformly over the
-    coverage disk.
+def sample_location_attenuation(rng, cfg: AntennaConfig, size):
+    """Location attenuation (dB), an ndarray of shape size, of receivers
+    placed uniformly over the coverage disk.
 
     The disk radius is the ground radius under the beam edge for a
     geostationary satellite pointing at nadir. radius = R_edge * sqrt(u)
     is area-uniform; the off-axis angle is the exact arctan(r / altitude).
-    Returns a scalar for size=None, else an ndarray of that shape.
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    u = rng.random(size if size is not None else 1)
+    u = rng.random(size)
     edge_radius = GEO_ALTITUDE_M * math.tan(beam_edge_angle(cfg))
     theta = np.arctan(edge_radius * np.sqrt(u) / GEO_ALTITUDE_M)
     att = -10.0 * np.log10(antenna_gain_rel(theta, cfg))
-    att = np.maximum(att, 0.0)
-    return att[0] if size is None else att
+    return np.maximum(att, 0.0)
 
 
 class WeatherCdf:
@@ -224,12 +230,11 @@ class WeatherCdf:
         return np.interp(u, self.cum_prob, self.attenuation_db)
 
 
-def sample_weather_attenuation(rng, cdf: WeatherCdf, size=None):
-    """Weather attenuation (dB) drawn by inverse-transform sampling."""
+def sample_weather_attenuation(rng, cdf: WeatherCdf, size):
+    """Weather attenuation (dB), an ndarray of shape size, drawn by
+    inverse-transform sampling."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    u = rng.random(size if size is not None else 1)
-    att = cdf.quantile(u)
-    return att[0] if size is None else att
+    return cdf.quantile(rng.random(size))
 
 
 def draw_population(

@@ -25,7 +25,7 @@ The shipped files live in ``hmsim/data``:
 * ``known_anomalies.csv`` - the known-anomalies manifest, schema
   ``family,rho_he,stream,code_rate,note``: cells whose printed value breaks
   an expected monotonic pattern and is kept verbatim, so that
-  ``ThresholdTable.validate`` reports them as warnings, not errors;
+  ``load_threshold_csv`` reports them as warnings, not errors;
 * ``weather_cdf_sample.csv`` - a sample weather-attenuation CDF for the
   beam model, schema ``attenuation_db,cum_prob`` (see ``hmsim.beam``).
 """
@@ -185,15 +185,9 @@ class ModcodChoice:
     code_rate: Fraction
 
     @cached_property
-    def efficiency_fraction(self) -> Fraction:
-        """Exact spectrum efficiency, bits x code rate. Orderings and tie
-        breaks compare it exactly (the prefix tables use the same integer
-        ratio); float(...) of it only leaves for numeric work."""
-        return self.scheme.bits(self.stream) * self.code_rate
-
-    @cached_property
     def spectral_efficiency(self) -> float:
-        return float(self.efficiency_fraction)
+        """bits x code rate, rounded once from the exact ratio."""
+        return float(self.scheme.bits(self.stream) * self.code_rate)
 
     def __str__(self) -> str:
         return f"{self.scheme.token}/{self.stream.value} {self.code_rate} ({self.spectral_efficiency:.4g} bit/s/Hz)"
@@ -276,7 +270,7 @@ def _prefix_best(rows: Iterable[tuple[float, str, Fraction, SchemeId, Stream]]) 
     best_choice: list[ModcodChoice] = []
     # The running best efficiency as the exact ratio cur_num / cur_den, so
     # ties compare exactly (2 x 9/10 == 3 x 3/5); int / int rounds correctly,
-    # so cur_eff is float(cur_choice.efficiency_fraction).
+    # so cur_eff is cur_choice.spectral_efficiency.
     cur_num, cur_den, cur_eff, cur_choice = -1, 1, -1.0, None
     for thr, _, rate, scheme, stream in sorted(rows, key=itemgetter(0, 1, 2)):
         num, den = scheme.bits(stream) * rate.numerator, rate.denominator
@@ -293,12 +287,12 @@ class ThresholdTable:
     """Immutable map (scheme, stream, code rate) -> decoding threshold in dB.
 
     Construction keeps only the entries and the warnings. Each query
-    structure (the prefix tables, the cell edges, the sorted scheme list) is
-    built on the first call that reads it and kept on the instance, so a
-    table that is only loaded, merged, validated or pickled never builds
-    one. These structures and ``pair_memo`` are deterministic caches, so
-    instances are safe to share across threads and processes: a race only
-    repeats work.
+    structure is built on the first call that reads it and kept on the
+    instance, so a table that is only loaded, merged, validated or pickled
+    never builds one: the prefix tables, the cell edges, the sorted scheme
+    list and two arrays indexed by cell (see ``cells``), ``cell_inv`` and
+    ``pair_memo``. These are deterministic caches, so instances are safe to
+    share across threads and processes: a race only repeats work.
     """
 
     def __init__(
@@ -308,10 +302,6 @@ class ThresholdTable:
     ):
         self._entries = dict(entries)
         self.warnings = tuple(warnings)
-        # Answers that depend on an SNR pair only through its cells (see
-        # ``cells``), keyed by (weak cell, strong cell); rateopt.system_summary
-        # keeps each pair's hierarchical reciprocal term here.
-        self.pair_memo: dict[tuple[int, int], Optional[float]] = {}
 
     @cached_property
     def _schemes(self) -> list[SchemeId]:
@@ -340,8 +330,31 @@ class ThresholdTable:
         ]
 
     @cached_property
-    def _edges(self) -> np.ndarray:
-        return np.array(sorted(set(self._entries.values())), dtype=float)
+    def _edges(self) -> list[float]:
+        return sorted(set(self._entries.values()))
+
+    @cached_property
+    def _edge_array(self) -> np.ndarray:
+        return np.array(self._edges, dtype=float)
+
+    @cached_property
+    def cell_inv(self) -> np.ndarray:
+        """1 / (best single-modcod efficiency) per cell, and inf in a cell
+        where no single modcod decodes: a receiver that gets nothing pins
+        every harmonic sum it enters at rate 0."""
+        thresholds, best_eff, _ = self._single_lookup
+        # Cell 0 lies below every threshold; cell k >= 1 decodes what its
+        # lower edge does, since single thresholds are table thresholds.
+        k = np.searchsorted(thresholds, [-math.inf] + self._edges, side="right")
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.array([0.0] + best_eff)[k]
+
+    @cached_property
+    def pair_memo(self) -> np.ndarray:
+        """(weak cell, strong cell) -> a pair's hierarchical reciprocal term,
+        NaN until ``rateopt.system_summary`` solves it."""
+        n = len(self._edges) + 1
+        return np.full((n, n), np.nan)
 
     # -- basic container surface -------------------------------------------------
 
@@ -406,27 +419,25 @@ class ThresholdTable:
         Every query of this table is a bisect_right on a list of its
         thresholds, which returns the same index for two SNRs in one cell;
         so anything computed from such queries is a function of the cells."""
-        return np.searchsorted(self._edges, snrs_db, side="right")
+        return np.searchsorted(self._edge_array, snrs_db, side="right")
 
-    # -- validation ------------------------------------------------------------------
-
-    def validate(self, anomalies: Optional[Mapping[AnomalyKey, str]] = None) -> list[ValidationIssue]:
-        """Check monotonicity invariants.
-
-        Thresholds must be strictly increasing in code rate for each
-        (scheme, stream); violations are errors unless the cell appears in
-        the known-anomalies manifest. Across schemes of one hierarchical
-        family at a fixed rate, HE thresholds should fall and LE thresholds
-        rise with rho_he; violations of that pattern are warnings only.
-        """
-        return _validation_issues(self._entries, anomalies)
+    def cell(self, snr_db: float) -> int:
+        """Cell of one SNR (see ``cells``), by one bisect."""
+        return bisect_right(self._edges, snr_db)
 
 
 def _validation_issues(
     entries: Mapping[tuple[SchemeId, Stream, Fraction], float],
     anomalies: Optional[Mapping[AnomalyKey, str]],
 ) -> list[ValidationIssue]:
-    """The issues ``ThresholdTable.validate`` reports, from the entries alone."""
+    """Check monotonicity invariants.
+
+    Thresholds must be strictly increasing in code rate for each
+    (scheme, stream); violations are errors unless the cell appears in
+    the known-anomalies manifest. Across schemes of one hierarchical
+    family at a fixed rate, HE thresholds should fall and LE thresholds
+    rise with rho_he; violations of that pattern are warnings only.
+    """
     anomalies = anomalies or {}
     issues: list[ValidationIssue] = []
 

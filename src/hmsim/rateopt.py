@@ -11,10 +11,14 @@ largest R that both receivers get, max min(R1, R2) over the hull.
 
 Populations are served by grouping receivers into max-SNR-spread pairs and
 equalizing across groups with time sharing, which composes rates
-harmonically. A receiver that decodes nothing contributes rate 0 and pins
-the harmonic aggregate at 0; callers that want to serve a degraded
-population must filter such receivers out first (the campaign engine does,
-and reports how many it dropped).
+harmonically: the aggregate is 1 / (sum of per-unit reciprocals). Every
+reciprocal depends on the SNRs only through their table cells (see
+``ThresholdTable.cells``), so populations are aggregated on arrays indexed
+by cell: ``ThresholdTable.cell_inv`` for single modcods and
+``ThresholdTable.pair_memo`` for solved pairs. A receiver that decodes
+nothing has reciprocal inf and pins the harmonic aggregate at 0; callers
+that want to serve a degraded population must filter such receivers out
+first (the campaign engine does, and reports how many it dropped).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "equal_rate_point",
     "pair_solution",
     "group_receivers",
-    "aggregate_ts",
     "system_gain",
     "system_summary",
     "SystemSummary",
@@ -244,12 +247,8 @@ def equal_rate_point(pairs: Sequence[RatePair]) -> EqualRateSolution:
 def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> PairSolution:
     """Solve one receiver pair: hierarchical equal-rate value vs the
     classical time-sharing baseline."""
-    weak = table.best_single(snr_weak)
-    strong = table.best_single(snr_strong)
-    r_ts = aggregate_ts((
-        weak.spectral_efficiency if weak else 0.0,
-        strong.spectral_efficiency if strong else 0.0,
-    ))
+    inv = table.cell_inv
+    r_ts = float(1.0 / (inv[table.cell(snr_weak)] + inv[table.cell(snr_strong)]))
     solution = equal_rate_point(achievable_pairs(snr_weak, snr_strong, table))
     # The classical mix of the two single points is in the hull, so
     # r_hm >= r_ts holds mathematically. Achievable rates are small-denominator
@@ -262,38 +261,19 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
     return PairSolution(r_hm=r_hm, r_ts=r_ts, schedule=solution.schedule)
 
 
-def group_receivers(snrs: Sequence[float]) -> tuple[list[tuple[int, int]], Optional[int]]:
+def group_receivers(snrs: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair receivers by repeatedly grouping the current extremes.
 
     Sorting by SNR and matching minimum against maximum realizes the
-    pick-the-largest-SNR-difference rule. Returns the index pairs as
-    (weaker, stronger) and the index left out of every pair: the median
-    receiver for an odd count, else None. Ties sort by original index
-    (a stable sort), keeping the result a pure function of the SNR multiset.
+    pick-the-largest-SNR-difference rule. Returns index arrays (weak,
+    strong, unpaired): pair k is (weak[k], strong[k]), in traversal order,
+    and unpaired holds the median receiver for an odd count, else nothing.
+    Ties sort by original index (a stable sort), keeping the result a pure
+    function of the SNR multiset.
     """
-    order = np.argsort(np.asarray(snrs, dtype=float), kind="stable").tolist()
-    half = len(order) // 2
-    pairs = list(zip(order[:half], order[::-1][:half]))
-    return pairs, order[half] if len(order) % 2 else None
-
-
-def aggregate_ts(rates: Sequence[float]) -> float:
-    """Time-sharing rate over independently served units (receivers, or
-    pairs at their equal rate), composed harmonically."""
-    if not rates:
-        raise ValueError("need at least one rate")
-    total = 0.0
-    for r in rates:
-        if r < 0:
-            raise ValueError("rates must be nonnegative")
-        total += _reciprocal(r)
-    return 1.0 / total
-
-
-def _reciprocal(rate: float) -> float:
-    """1 / rate, and inf for rate 0: a unit that gets nothing pins every
-    harmonic sum it enters at rate 0."""
-    return 1.0 / rate if rate else math.inf
+    order = np.argsort(np.asarray(snrs, dtype=float), kind="stable")
+    half = order.size // 2
+    return order[:half], order[::-1][:half], order[half:order.size - half]
 
 
 @dataclass(frozen=True)
@@ -314,45 +294,44 @@ def system_summary(snrs: Sequence[float], table: ThresholdTable) -> SystemSummar
     pair rate, and then gain = inf. ``outage_count`` reports how many
     outage receivers there were so callers can filter and retry.
 
-    ``pair_solution`` runs once per (weak cell, strong cell) of ``table``
-    (see ``ThresholdTable.cells``); later pairs in the same cells read its
-    answer from ``table.pair_memo``, which gives the same bits."""
+    Both harmonic sums run over the pairs in traversal order, then the
+    unpaired receiver. The classical term of a pair is the sum of its two
+    receivers' ``table.cell_inv`` entries. Its hierarchical term is read
+    from ``table.pair_memo``; ``pair_solution`` runs only for a (weak cell,
+    strong cell) not yet solved on this table, and stores 1 / r_hm, or the
+    classical term itself when r_hm == r_ts. So "no gain anywhere" yields
+    r_hm == r_ts bit for bit."""
     snrs = np.asarray(snrs, dtype=float)
     if not snrs.size:
         raise ValueError("need at least one receiver")
-    pairs, unpaired = group_receivers(snrs)
-    values = snrs.tolist()
-    cells = table.cells(snrs).tolist()
-    singles = [table.best_single(s) for s in values]
-    inv = [_reciprocal(c.spectral_efficiency if c else 0.0) for c in singles]
-
-    # Both harmonic sums are accumulated in pair-traversal order, and a pair
-    # without hierarchical benefit contributes the very same reciprocal terms
-    # to both, so "no gain anywhere" yields r_hm == r_ts bit for bit. A pair's
-    # solution is a function of its two cells, so it is solved once per cell
-    # pair and table; the memo keeps 1 / r_hm, or None when r_hm == r_ts.
+    weak, strong, unpaired = group_receivers(snrs)
+    cells = table.cells(snrs)
+    inv = table.cell_inv[cells]
+    ts_pair = inv[weak] + inv[strong]
+    cw, cs = cells[weak], cells[strong]
     memo = table.pair_memo
-    ts_inv = hm_inv = 0.0
-    for i, j in pairs:
-        pair_inv = inv[i] + inv[j]
-        ts_inv += pair_inv
-        key = (cells[i], cells[j])
-        try:
-            hm_term = memo[key]
-        except KeyError:
-            sol = pair_solution(values[i], values[j], table)
-            hm_term = memo[key] = None if sol.r_hm == sol.r_ts else 1.0 / sol.r_hm
-        hm_inv += pair_inv if hm_term is None else hm_term
-    if unpaired is not None:
-        ts_inv += inv[unpaired]
-        hm_inv += inv[unpaired]
-    r_ts = 1.0 / ts_inv
-    r_hm = max(1.0 / hm_inv, r_ts)
+    todo = np.isnan(memo[cw, cs])
+    if todo.any():
+        solved = set()
+        for a, b, snr_w, snr_s, ts_term in zip(
+            cw[todo].tolist(), cs[todo].tolist(), snrs[weak[todo]].tolist(),
+            snrs[strong[todo]].tolist(), ts_pair[todo].tolist(),
+        ):
+            if (a, b) not in solved:
+                solved.add((a, b))
+                sol = pair_solution(snr_w, snr_s, table)
+                memo[a, b] = ts_term if sol.r_hm == sol.r_ts else 1.0 / sol.r_hm
+    # add.accumulate adds in sequence, so the bits do not depend on numpy's
+    # pairwise summation.
+    ts_inv = np.add.accumulate(np.concatenate((ts_pair, inv[unpaired])))[-1]
+    hm_inv = np.add.accumulate(np.concatenate((memo[cw, cs], inv[unpaired])))[-1]
+    r_ts = float(1.0 / ts_inv)
+    r_hm = max(float(1.0 / hm_inv), r_ts)
     return SystemSummary(
         r_hm=r_hm,
         r_ts=r_ts,
         gain=_relative_gain(r_hm, r_ts),
-        outage_count=sum(c is None for c in singles),
+        outage_count=int(np.isinf(inv).sum()),
     )
 
 

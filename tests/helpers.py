@@ -17,7 +17,7 @@ import numpy as np
 
 from hmsim.constellations import Apsk32Params, Psk8Params, QpskParams
 from hmsim.modcod import DVBS2_CODE_RATES, Stream, ThresholdTable
-from hmsim.rateopt import group_receivers, pair_solution
+from hmsim.rateopt import pair_solution
 
 RATES = list(DVBS2_CODE_RATES)
 
@@ -123,12 +123,17 @@ def unpruned_points(snr_weak: float, snr_strong: float, table: ThresholdTable) -
 
 
 def system_summary_reference(snrs, table: ThresholdTable) -> tuple[float, float, float, int]:
-    """(r_hm, r_ts, gain, outage_count) of a population with no memo:
-    ``pair_solution`` on every pair, both harmonic sums accumulated
-    sequentially in pair-traversal order with per-pair grouping
-    1/r_i + 1/r_j, as ``system_summary`` defines them."""
+    """(r_hm, r_ts, gain, outage_count) of a population with no memo and
+    no cell arrays: receivers sorted by (SNR, index) and paired extremes
+    first, ``pair_solution`` on every pair, reciprocals from
+    ``best_single``, and both harmonic sums accumulated sequentially in
+    pair-traversal order with per-pair grouping 1/r_i + 1/r_j, as
+    ``system_summary`` defines them."""
     values = [float(s) for s in snrs]
-    pairs, unpaired = group_receivers(values)
+    n = len(values)
+    order = sorted(range(n), key=lambda i: (values[i], i))
+    pairs = [(order[k], order[-1 - k]) for k in range(n // 2)]
+    unpaired = order[n // 2] if n % 2 else None
     singles = [table.best_single(s) for s in values]
     inv = [1.0 / c.spectral_efficiency if c else math.inf for c in singles]
     ts_inv = hm_inv = 0.0

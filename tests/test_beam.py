@@ -132,6 +132,24 @@ class TestAntennaGain:
         beam_edge_angle.cache_clear()
         assert beam_edge_angle(AntennaConfig()) == first
 
+    def test_edge_levels_below_the_series_floor(self, sample_weather):
+        # next to the null the computed gain bottoms out near 325 dB, so a
+        # deeper edge level gives that angle, 1 ulp below the null
+        floor_angle = beam_edge_angle(AntennaConfig(edge_level_db=325))
+        null = math.asin(_J1_FIRST_ZERO / AntennaConfig().aperture_factor)
+        assert floor_angle == np.nextafter(null, 0.0)
+        for level in (326, 350, 1000, 1e6):
+            assert beam_edge_angle(AntennaConfig(edge_level_db=level)) == floor_angle
+        snrs = draw_population(2000, 10.0, AntennaConfig(edge_level_db=1000), sample_weather, 3)
+        assert np.isfinite(snrs).all()
+
+    def test_rejects_edge_level_without_a_null(self):
+        # the first null lies past 90 degrees; the gain there is -0.01 dB
+        cfg = AntennaConfig(diameter_m=0.01, frequency_hz=1e9)
+        assert _J1_FIRST_ZERO / cfg.aperture_factor >= 1.0
+        with pytest.raises(ValueError, match="main lobe never drops 4.0 dB below boresight"):
+            beam_edge_angle(cfg)
+
     def test_rejects_angles_outside_domain(self, default_antenna):
         with pytest.raises(ValueError):
             antenna_gain_rel(-0.1, default_antenna)

@@ -1,6 +1,7 @@
 """Threshold tables: loading, validation, queries, serialization."""
 
 import argparse
+import math
 import pickle
 import random
 import re
@@ -276,6 +277,28 @@ class TestBestSingleModcod:
         assert single_table.best_single(-2.36) is None
 
 
+class TestCellInv:
+    """cell_inv is the single-modcod reciprocal of every cell: one value
+    per cell, inf where no single modcod decodes."""
+
+    @pytest.mark.parametrize("name", ["full_table", "hqpsk_table", "single_table"])
+    def test_matches_best_single(self, request, name):
+        table = request.getfixturevalue(name)
+        thresholds = np.array(sorted(set(table.entries().values())))
+        snrs = np.concatenate([
+            thresholds,
+            np.nextafter(thresholds, -np.inf),
+            np.nextafter(thresholds, np.inf),
+            [-np.inf, np.inf],
+        ]).tolist()
+        expected = [
+            1.0 / c.spectral_efficiency if c else math.inf for c in map(table.best_single, snrs)
+        ]
+        assert table.cell_inv[table.cells(snrs)].tolist() == expected
+        assert [table.cell_inv[table.cell(s)] for s in snrs] == expected
+        assert len(table.cell_inv) == thresholds.size + 1
+
+
 class TestTableAlgebra:
     def test_subset(self, full_table):
         sub = full_table.subset({Family.QPSK, Family.PSK8, Family.H_QPSK})
@@ -347,9 +370,9 @@ class TestLazyIndex:
         calls = _count_index_builds(monkeypatch)
         scenario = _default_scenario()
         tables = scenario.tables
-        tables.validate(load_anomaly_manifest())
         tables.schemes(), tables.hierarchical_schemes(), tables.families()
         assert calls[0] == 0
+        assert "cell_inv" not in vars(tables) and "pair_memo" not in vars(tables)
         first = pair_solution(3.0, 12.0, tables)
         assert calls[0] == _index_size(tables) == 29
         assert pair_solution(3.0, 12.0, tables) == first
@@ -383,6 +406,7 @@ class TestPickledTable:
         thresholds = np.array(sorted(set(table.entries().values())))
         snrs = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf)])
         assert np.array_equal(copy.cells(snrs), table.cells(snrs))
+        assert np.array_equal(copy.cell_inv, table.cell_inv)
         values = snrs.tolist()
         assert [copy.best_single(s) for s in values] == [table.best_single(s) for s in values]
         assert copy.hierarchical_stream_index() == table.hierarchical_stream_index()

@@ -14,7 +14,6 @@ from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable
 from hmsim.rateopt import (
     RatePair,
     achievable_pairs,
-    aggregate_ts,
     equal_rate_point,
     group_receivers,
     pair_solution,
@@ -222,70 +221,90 @@ class TestPairSolution:
         assert sol.gain == 0.0
 
 
+def grouped(snrs) -> tuple[list[int], list[int], list[int]]:
+    return tuple(a.tolist() for a in group_receivers(snrs))
+
+
 class TestGroupReceivers:
     def test_forced_pairings(self):
-        assert group_receivers([1, 4, 7, 10]) == ([(0, 3), (1, 2)], None)
-        assert group_receivers([0, 1, 2, 3, 4, 5]) == ([(0, 5), (1, 4), (2, 3)], None)
+        assert grouped([1, 4, 7, 10]) == ([0, 1], [3, 2], [])
+        assert grouped([0, 1, 2, 3, 4, 5]) == ([0, 1, 2], [5, 4, 3], [])
 
     def test_all_equal(self):
-        pairs, unpaired = group_receivers([5, 5, 5, 5])
-        assert sorted(i for ij in pairs for i in ij) == [0, 1, 2, 3]
-        assert unpaired is None
+        weak, strong, unpaired = grouped([5, 5, 5, 5])
+        assert sorted(weak + strong) == [0, 1, 2, 3]
+        assert unpaired == []
 
     def test_odd_leaves_median_out(self):
         snrs = [9, 1, 5, 3, 7]
-        pairs, unpaired = group_receivers(snrs)
-        used = {i for ij in pairs for i in ij}
-        assert set(range(5)) - used == {unpaired}
-        assert snrs[unpaired] == 5
+        weak, strong, unpaired = grouped(snrs)
+        assert set(range(5)) - set(weak + strong) == set(unpaired)
+        assert [snrs[k] for k in unpaired] == [5]
 
     def test_values_not_indices_decide(self):
-        assert group_receivers([10, 1, 7, 4]) == ([(1, 0), (3, 2)], None)
+        assert grouped([10, 1, 7, 4]) == ([1, 3], [0, 2], [])
 
     def test_ties_sort_by_index(self):
         rng = random.Random(31)
         for _ in range(300):
             snrs = [rng.choice([-1.0, 0.0, 2.5, 7.0]) for _ in range(rng.randint(1, 12))]
             order = sorted(range(len(snrs)), key=lambda i: (snrs[i], i))
-            pairs, unpaired = group_receivers(snrs)
-            assert [i for ij in pairs for i in ij] == [
-                i for k in range(len(snrs) // 2) for i in (order[k], order[-1 - k])
-            ]
-            assert unpaired == (order[len(snrs) // 2] if len(snrs) % 2 else None)
+            half = len(snrs) // 2
+            assert grouped(snrs) == (
+                [order[k] for k in range(half)],
+                [order[-1 - k] for k in range(half)],
+                [order[half]] if len(snrs) % 2 else [],
+            )
 
     @given(st.lists(st.floats(-5, 20), min_size=2, max_size=30))
     def test_each_receiver_in_at_most_one_pair(self, snrs):
-        pairs, unpaired = group_receivers(snrs)
-        used = [i for ij in pairs for i in ij] + ([unpaired] if unpaired is not None else [])
-        assert sorted(used) == list(range(len(snrs)))
-        assert len(pairs) == len(snrs) // 2
+        weak, strong, unpaired = group_receivers(snrs)
+        assert all(a.dtype.kind == "i" for a in (weak, strong, unpaired))
+        assert sorted(np.concatenate((weak, strong, unpaired)).tolist()) == list(range(len(snrs)))
+        assert weak.size == strong.size == len(snrs) // 2
+        assert unpaired.size == len(snrs) % 2
+
+
+def snr_for_efficiency(table: ThresholdTable, eff: float) -> float:
+    """A table threshold at which the best single modcod has efficiency
+    eff, or the double just below the lowest one for eff = 0."""
+    if eff == 0:
+        return float(np.nextafter(table.lowest_single_threshold(), -np.inf))
+    for thr in sorted(set(table.entries().values())):
+        choice = table.best_single(thr)
+        if choice is not None and choice.spectral_efficiency == eff:
+            return thr
+    raise LookupError(eff)
 
 
 class TestAggregates:
-    def test_examples(self):
-        assert aggregate_ts([1, 1]) == pytest.approx(0.5)
-        assert aggregate_ts([0.667]) == pytest.approx(0.667)
-        assert aggregate_ts([2, 1, 2]) == pytest.approx(0.5)
-        assert aggregate_ts([2, 2]) == pytest.approx(1.0)
-        assert aggregate_ts([1, 2, 4, 4]) == pytest.approx(0.5)
+    """Classical time sharing composes single-modcod rates harmonically,
+    and a receiver that decodes nothing pins the aggregate at 0."""
+
+    def test_examples(self, full_table):
+        for rates, expected in [([1, 1], 0.5), ([2, 1, 2], 0.5), ([2, 2], 1.0), ([1, 2, 4, 4], 0.5), ([2], 2.0)]:
+            snrs = [snr_for_efficiency(full_table, r) for r in rates]
+            assert system_summary(snrs, full_table).r_ts == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize(
         "r1,r2,expected", [(2, 2, 1.0), (2, 3, 1.2), (0, 3, 0.0), (1, 2, 2 / 3)]
     )
-    def test_pair_values(self, r1, r2, expected):
-        assert aggregate_ts((r1, r2)) == pytest.approx(expected)
+    def test_pair_values(self, full_table, r1, r2, expected):
+        weak, strong = (snr_for_efficiency(full_table, r) for r in (r1, r2))
+        assert pair_solution(weak, strong, full_table).r_ts == pytest.approx(expected, abs=1e-15)
 
-    def test_zero_dominates(self):
-        assert aggregate_ts([1.0, 0.0, 3.0]) == 0.0
-        assert aggregate_ts([0.0]) == 0.0
+    def test_zero_dominates(self, full_table):
+        snrs = [snr_for_efficiency(full_table, r) for r in (1, 0, 3)]
+        assert system_summary(snrs, full_table).r_ts == 0.0
+        assert system_summary(snrs[1:2], full_table).r_ts == 0.0
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, full_table):
         with pytest.raises(ValueError):
-            aggregate_ts([])
+            system_summary([], full_table)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            aggregate_ts((-1.0, 2.0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            RatePair(-1.0, 2.0)
 
 
 class TestSystemGain:
@@ -325,17 +344,13 @@ class TestSystemGain:
         for _ in range(20):
             snrs = [rng.uniform(-1, 16) for _ in range(7)]
             summary = system_summary(snrs, full_table)
-            singles = [full_table.best_single(s) for s in snrs]
-            rates = [c.spectral_efficiency if c else 0.0 for c in singles]
-            r_ts = aggregate_ts(rates)
-            hm = []
-            pairs, leftover = group_receivers(snrs)
-            for i, j in pairs:
-                lo, hi = sorted((snrs[i], snrs[j]))
-                hm.append(pair_solution(lo, hi, full_table).r_hm)
-            hm.append(rates[leftover])
+            rates = [full_table.best_single(s).spectral_efficiency for s in snrs]
+            weak, strong, leftover = group_receivers(snrs)
+            hm = [pair_solution(snrs[i], snrs[j], full_table).r_hm for i, j in zip(weak, strong)]
+            hm += [rates[k] for k in leftover]
+            r_ts = 1 / sum(1 / r for r in rates)
             assert summary.r_ts == pytest.approx(r_ts, abs=1e-15)
-            assert summary.r_hm == pytest.approx(max(aggregate_ts(hm), r_ts), abs=1e-15)
+            assert summary.r_hm == pytest.approx(max(1 / sum(1 / r for r in hm), r_ts), abs=1e-15)
 
     def test_two_receiver_case_reduces_to_pair(self, full_table):
         sol = pair_solution(1.0, 7.0, full_table)
@@ -373,7 +388,7 @@ class TestPairMemo:
             for k in order:
                 s = system_summary(populations[k], table)
                 assert (s.r_hm, s.r_ts, s.gain, s.outage_count) == expected[k], populations[k]
-        assert table.pair_memo
+        assert not np.isnan(table.pair_memo).all()
 
     def test_one_solve_per_cell_pair(self, full_table, monkeypatch):
         table = full_table.subset(full_table.families())
