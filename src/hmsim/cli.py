@@ -19,7 +19,6 @@ import configparser
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -397,10 +396,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The hmsim argument parser, built once per process; parsing does not
-    change it."""
     parser = argparse.ArgumentParser(prog="hmsim", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -423,27 +419,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_rho.add_argument("--g1", type=float)
     p_rho.add_argument("--g2", type=float)
     p_rho.add_argument("--table", choices=("hqpsk", "h32apsk"), help="print the adopted parameter table")
+    p_rho.set_defaults(func=cmd_rho)
 
     p_pair = sub.add_parser("pair", help="solve one receiver pair")
     p_pair.add_argument("snr1", type=float)
     p_pair.add_argument("snr2", type=float)
     p_pair.add_argument("--dump-hull", metavar="PATH", help="write hull vertices as CSV")
     add_scenario_flags(p_pair)
+    p_pair.set_defaults(func=cmd_pair)
 
     p_camp = sub.add_parser("campaign", help="run a Monte Carlo gain campaign")
     add_scenario_flags(p_camp)
+    p_camp.set_defaults(func=cmd_campaign)
 
     p_val = sub.add_parser("validate", help="validate scenario data files")
     add_scenario_flags(p_val)
+    p_val.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # Looked up on each call, so a patched cmd_* function is the one called.
-    commands = {"rho": cmd_rho, "pair": cmd_pair, "campaign": cmd_campaign, "validate": cmd_validate}
     try:
-        return commands[args.command](args)
+        return args.func(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ import numpy as np
 
 from hmsim.constellations import Apsk32Params, Psk8Params, QpskParams
 from hmsim.modcod import DVBS2_CODE_RATES, Stream, ThresholdTable
-from hmsim.rateopt import pair_solution
+from hmsim.rateopt import achievable_pairs, equal_rate_point
 
 RATES = list(DVBS2_CODE_RATES)
 
@@ -125,10 +125,11 @@ def unpruned_points(snr_weak: float, snr_strong: float, table: ThresholdTable) -
 def system_summary_reference(snrs, table: ThresholdTable) -> tuple[float, float, float, int]:
     """(r_hm, r_ts, gain, outage_count) of a population with no memo and
     no cell arrays: receivers sorted by (SNR, index) and paired extremes
-    first, ``pair_solution`` on every pair, reciprocals from
-    ``best_single``, and both harmonic sums accumulated sequentially in
-    pair-traversal order with per-pair grouping 1/r_i + 1/r_j, as
-    ``system_summary`` defines them."""
+    first, reciprocals from ``best_single``, each pair's equal-rate point
+    from ``achievable_pairs`` with the 1e-9 snap of ``pair_solution``
+    applied against its own classical rate, and both harmonic sums
+    accumulated sequentially in pair-traversal order with per-pair
+    grouping 1/r_i + 1/r_j, as ``system_summary`` defines them."""
     values = [float(s) for s in snrs]
     n = len(values)
     order = sorted(range(n), key=lambda i: (values[i], i))
@@ -138,10 +139,10 @@ def system_summary_reference(snrs, table: ThresholdTable) -> tuple[float, float,
     inv = [1.0 / c.spectral_efficiency if c else math.inf for c in singles]
     ts_inv = hm_inv = 0.0
     for i, j in pairs:
-        sol = pair_solution(values[i], values[j], table)
         pair_inv = inv[i] + inv[j]
+        rate = equal_rate_point(achievable_pairs(values[i], values[j], table)).rate
         ts_inv += pair_inv
-        hm_inv += pair_inv if sol.r_hm == sol.r_ts else 1.0 / sol.r_hm
+        hm_inv += 1.0 / rate if rate > (1.0 / pair_inv) * (1.0 + 1e-9) else pair_inv
     if unpaired is not None:
         ts_inv += inv[unpaired]
         hm_inv += inv[unpaired]

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from hmsim import cli
 from hmsim.cli import main
 from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable, packaged_data_path, serialize_threshold_csv
 from hmsim.rateopt import pair_solution
@@ -99,15 +98,6 @@ class TestPair:
         expected = pair_solution(1.0, 7.0, table)
         assert float(re.search(r"r_hm\s+= ([\d.]+)", out).group(1)) == pytest.approx(expected.r_hm, abs=1e-6)
         assert float(re.search(r"r_ts\s+= ([\d.]+)", out).group(1)) == pytest.approx(expected.r_ts, abs=1e-6)
-
-    def test_parser_built_once_and_commands_looked_up_per_call(self, monkeypatch, capsys):
-        assert main(["pair", "7", "10"]) == 0
-        assert cli.build_parser.cache_info().currsize == 1
-        seen = []
-        monkeypatch.setattr(cli, "cmd_pair", lambda args: seen.append((args.snr1, args.snr2)) or 0)
-        assert main(["pair", "3", "5"]) == 0
-        assert seen == [(3.0, 5.0)]
-        assert cli.build_parser.cache_info().currsize == 1
 
     def test_hull_dump(self, scenario_dir, tmp_path, capsys):
         dump = tmp_path / "hull.csv"
