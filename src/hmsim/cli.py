@@ -9,7 +9,9 @@ Subcommands:
 
 Configuration comes from an INI scenario file (all sections optional, see
 ``DEFAULT_SCENARIO`` below) with individual values overridable by flags.
-Exit codes: 0 success, 1 validation error, 2 runtime error.
+Exit codes: 0 success, 1 validation error, 2 runtime error. A reader that
+closes standard output early (``hmsim campaign | head``) is not an error:
+the command stops writing and exits 0 with nothing on standard error.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -441,7 +444,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit does not
+        # raise again on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except OSError:  # a stdout without a file descriptor
+            pass
+        finally:
+            os.close(devnull)
+        return 0
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

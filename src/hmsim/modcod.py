@@ -41,6 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -57,6 +58,7 @@ __all__ = [
     "TableParseError",
     "TableValidationError",
     "DVBS2_CODE_RATES",
+    "EFFICIENCY_UNITS",
     "load_threshold_csv",
     "load_anomaly_manifest",
     "serialize_threshold_csv",
@@ -87,6 +89,10 @@ DVBS2_CODE_RATES = tuple(
     _CodeRate(p, q)
     for p, q in [(1, 4), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5), (5, 6), (8, 9), (9, 10)]
 )
+
+# Every spectral efficiency bits x p/q is a whole number of 1/180 bit/s/Hz,
+# since 180 is the lcm of the rate denominators: bits x p x (180 // q).
+EFFICIENCY_UNITS = math.lcm(*(rate.denominator for rate in DVBS2_CODE_RATES))
 
 
 class Stream(Enum):
@@ -290,7 +296,10 @@ class ThresholdTable:
     structure is built on the first call that reads it and kept on the
     instance, so a table that is only loaded, merged, validated or pickled
     never builds one: the prefix tables, the cell edges, the sorted scheme
-    list and two arrays indexed by cell (see ``cells``), ``cell_inv`` and
+    list and three arrays indexed by cell (see ``cells``): ``cell_inv``,
+    the float reciprocals that the harmonic sums add; ``cell_units``, the
+    best efficiencies as exact integers in 1/EFFICIENCY_UNITS bit/s/Hz,
+    which the exact pair solver ``rateopt.solve_cell_pairs`` reads; and
     ``pair_memo``. These are deterministic caches, so instances are safe to
     share across threads and processes: a race only repeats work.
     """
@@ -350,9 +359,34 @@ class ThresholdTable:
             return 1.0 / np.array([0.0] + best_eff)[k]
 
     @cached_property
+    def cell_units(self) -> np.ndarray:
+        """Best efficiencies per cell as exact integers in 1/EFFICIENCY_UNITS
+        bit/s/Hz: an int64 array of shape (cells, 1 + 2 S) for the S
+        ``hierarchical_schemes()``, 0 where nothing decodes. Column 0 is the
+        best single modcod, columns 1..S the best HE stream of each scheme
+        and columns S+1..2S its best LE stream. No efficiency exceeds 5 x
+        9/10 bit/s/Hz, 810 units."""
+        hier = self._hier_lookup
+        columns = [self._single_lookup] + [he for _, he, _ in hier] + [le for _, _, le in hier]
+        thresholds = np.fromiter(chain.from_iterable(c[0] for c in columns), float)
+        # A prefix table's efficiencies are its exact ratios rounded once to
+        # float64, so each scaled one is within 1e-13 of its integer.
+        units = np.rint(EFFICIENCY_UNITS * np.fromiter(chain.from_iterable(c[1] for c in columns), float))
+        # An entry decodes from the cell its threshold opens (thresholds are
+        # table edges), so the best per cell is a running max down the cells.
+        grid = np.zeros((len(self._edges) + 1, len(columns)), dtype=np.int64)
+        np.maximum.at(
+            grid,
+            (np.searchsorted(self._edge_array, thresholds, side="right"),
+             np.repeat(np.arange(len(columns)), [len(c[0]) for c in columns])),
+            units.astype(np.int64),
+        )
+        return np.maximum.accumulate(grid, axis=0)
+
+    @cached_property
     def pair_memo(self) -> np.ndarray:
         """(weak cell, strong cell) -> a pair's hierarchical reciprocal term,
-        NaN until ``rateopt.system_summary`` solves it."""
+        NaN until ``rateopt.system_summary`` has it solved."""
         n = len(self._edges) + 1
         return np.full((n, n), np.nan)
 

@@ -8,6 +8,7 @@ the tests check.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ import numpy as np
 
 from hmsim.constellations import Apsk32Params, Psk8Params, QpskParams
 from hmsim.modcod import DVBS2_CODE_RATES, Stream, ThresholdTable
-from hmsim.rateopt import achievable_pairs, equal_rate_point
 
 RATES = list(DVBS2_CODE_RATES)
 
@@ -122,14 +122,78 @@ def unpruned_points(snr_weak: float, snr_strong: float, table: ThresholdTable) -
     return sorted(points)
 
 
-def system_summary_reference(snrs, table: ThresholdTable) -> tuple[float, float, float, int]:
+class ExactPairOracle:
+    """Exact free-disposal equal rates of receiver pairs, in Fractions,
+    from ``table.entries()`` alone: no cell arrays, no float hull.
+
+    A receiver decodes the entries at or below its SNR, a prefix of the
+    entries sorted by threshold, so a pair's answer depends only on the two
+    prefix lengths and is memoised on them. Its points are the best single
+    modcod of each receiver on its own axis and, for every hierarchical
+    scheme and both stream assignments, the best HE and LE rates when both
+    decode. The oracle keeps the Pareto frontier of those points and the
+    origin and takes the largest of min(x, y) over the frontier and of the
+    diagonal crossing of every segment between a frontier point below the
+    diagonal and one above it."""
+
+    def __init__(self, table: ThresholdTable):
+        rows = sorted(table.entries().items(), key=lambda kv: kv[1])
+        self._thresholds = [thr for _, thr in rows]
+        self._efficiencies = [(scheme, stream, scheme.bits(stream) * rate) for (scheme, stream, rate), _ in rows]
+        self._schemes = sorted({s for s, stream, _ in self._efficiencies if stream is not Stream.SINGLE},
+                               key=lambda s: s.sort_key())
+        self._best: dict[int, dict] = {}
+        self._pairs: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+
+    def _decodes(self, snr: float) -> tuple[int, dict]:
+        k = bisect.bisect_right(self._thresholds, snr)
+        if k not in self._best:
+            best: dict = {}
+            for scheme, stream, eff in self._efficiencies[:k]:
+                key = None if stream is Stream.SINGLE else (scheme, stream)
+                best[key] = max(best.get(key, Fraction(0)), eff)
+            self._best[k] = best
+        return k, self._best[k]
+
+    def rates(self, snr_weak: float, snr_strong: float) -> tuple[Fraction, Fraction]:
+        """(R*, R_ts) in bit/s/Hz: the hierarchical equal rate and the
+        classical time-sharing rate s_w s_s / (s_w + s_s), 0 without both."""
+        kw, weak = self._decodes(snr_weak)
+        ks, strong = self._decodes(snr_strong)
+        if (kw, ks) not in self._pairs:
+            self._pairs[kw, ks] = self._solve(weak, strong)
+        return self._pairs[kw, ks]
+
+    def _solve(self, weak: dict, strong: dict) -> tuple[Fraction, Fraction]:
+        zero = Fraction(0)
+        sw, ss = weak.get(None, zero), strong.get(None, zero)
+        points = {(zero, zero), (sw, zero), (zero, ss)}
+        for scheme in self._schemes:
+            for w, s in ((Stream.HE, Stream.LE), (Stream.LE, Stream.HE)):
+                if (scheme, w) in weak and (scheme, s) in strong:
+                    points.add((weak[scheme, w], strong[scheme, s]))
+        frontier, top = [], None
+        for x, y in sorted(points, reverse=True):
+            if top is None or y > top:
+                frontier.append((x, y))
+                top = y
+        best = max(min(x, y) for x, y in frontier)
+        below = [(x, x - y) for x, y in frontier if x > y]
+        above = [(x, x - y) for x, y in frontier if x < y]
+        for xp, dp in below:
+            for xq, dq in above:
+                best = max(best, (dp * xq - dq * xp) / (dp - dq))
+        return best, (sw * ss / (sw + ss) if sw + ss else zero)
+
+
+def system_summary_reference(snrs, table: ThresholdTable, oracle: ExactPairOracle) -> tuple[float, float, float, int]:
     """(r_hm, r_ts, gain, outage_count) of a population with no memo and
     no cell arrays: receivers sorted by (SNR, index) and paired extremes
-    first, reciprocals from ``best_single``, each pair's equal-rate point
-    from ``achievable_pairs`` with the 1e-9 snap of ``pair_solution``
-    applied against its own classical rate, and both harmonic sums
-    accumulated sequentially in pair-traversal order with per-pair
-    grouping 1/r_i + 1/r_j, as ``system_summary`` defines them."""
+    first, reciprocals from ``best_single``, each pair's hierarchical term
+    1 / R* from the table's exact oracle where R* > R_ts and its classical
+    term 1/r_i + 1/r_j otherwise, and both harmonic sums accumulated
+    sequentially in pair-traversal order, as ``system_summary`` defines
+    them."""
     values = [float(s) for s in snrs]
     n = len(values)
     order = sorted(range(n), key=lambda i: (values[i], i))
@@ -140,9 +204,9 @@ def system_summary_reference(snrs, table: ThresholdTable) -> tuple[float, float,
     ts_inv = hm_inv = 0.0
     for i, j in pairs:
         pair_inv = inv[i] + inv[j]
-        rate = equal_rate_point(achievable_pairs(values[i], values[j], table)).rate
+        r_star, r_ts = oracle.rates(values[i], values[j])
         ts_inv += pair_inv
-        hm_inv += 1.0 / rate if rate > (1.0 / pair_inv) * (1.0 + 1e-9) else pair_inv
+        hm_inv += float(1 / r_star) if r_star > r_ts else pair_inv
     if unpaired is not None:
         ts_inv += inv[unpaired]
         hm_inv += inv[unpaired]

@@ -1,10 +1,17 @@
 """CLI surface: subcommands, scenario handling, exit codes, determinism."""
 
+import errno
+import io
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hmsim
 from hmsim.cli import main
 from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable, packaged_data_path, serialize_threshold_csv
 from hmsim.rateopt import pair_solution
@@ -260,3 +267,50 @@ class TestValidate:
 
     def test_missing_scenario_file(self, capsys):
         assert main(["validate", "--scenario", "/nonexistent/s.ini"]) == 1
+
+
+class TestClosedStdout:
+    """A reader that closes standard output early (``hmsim ... | head``)
+    ends the command quietly with exit code 0."""
+
+    def test_broken_pipe_exits_zero_and_silences_stdout(self, scenario_dir, tmp_path, monkeypatch, capsys):
+        sink = tmp_path / "stdout"
+
+        class ClosedPipe(io.TextIOBase):
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+            argv = ["campaign", "--scenario", str(scenario_dir / "scenario.ini"), "--out", str(tmp_path / "o")]
+            assert main(argv) == 0
+            os.write(fd, b"flushed at exit")  # now lands in devnull
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
+        assert sink.read_bytes() == b""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_in_a_process(self, scenario_dir, tmp_path, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in [str(Path(hmsim.__file__).parents[1]), env.get("PYTHONPATH")] if p)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from hmsim.cli import main; sys.exit(main())", "campaign",
+                 "--scenario", str(scenario_dir / "scenario.ini"), "--out", str(tmp_path / "o")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")

@@ -299,6 +299,29 @@ class TestCellInv:
         assert len(table.cell_inv) == thresholds.size + 1
 
 
+class TestCellUnits:
+    """cell_units holds, per cell, the best efficiency of the single column
+    and of every hierarchical scheme's HE and LE column in 1/180 bit/s/Hz."""
+
+    @pytest.mark.parametrize("name", ["full_table", "hqpsk_table", "single_table"])
+    def test_matches_entries(self, request, name):
+        table = request.getfixturevalue(name)
+        schemes = table.hierarchical_schemes()
+        columns = [None] + [(s, Stream.HE) for s in schemes] + [(s, Stream.LE) for s in schemes]
+        edges = sorted(set(table.entries().values()))
+        expected = np.zeros((len(edges) + 1, len(columns)), dtype=np.int64)
+        for (scheme, stream, rate), thr in table.entries().items():
+            col = columns.index(None if stream is Stream.SINGLE else (scheme, stream))
+            units = scheme.bits(stream) * rate * 180
+            assert units.denominator == 1 and units <= 810
+            for cell, lower in enumerate(edges, start=1):
+                if thr <= lower:
+                    expected[cell, col] = max(expected[cell, col], int(units))
+        assert modcod.EFFICIENCY_UNITS == 180
+        assert table.cell_units.dtype == np.int64
+        assert np.array_equal(table.cell_units, expected)
+
+
 class TestTableAlgebra:
     def test_subset(self, full_table):
         sub = full_table.subset({Family.QPSK, Family.PSK8, Family.H_QPSK})
@@ -372,7 +395,7 @@ class TestLazyIndex:
         tables = scenario.tables
         tables.schemes(), tables.hierarchical_schemes(), tables.families()
         assert calls[0] == 0
-        assert "cell_inv" not in vars(tables) and "pair_memo" not in vars(tables)
+        assert not {"cell_inv", "cell_units", "pair_memo"} & set(vars(tables))
         first = pair_solution(3.0, 12.0, tables)
         assert calls[0] == _index_size(tables) == 29
         assert pair_solution(3.0, 12.0, tables) == first
@@ -407,6 +430,7 @@ class TestPickledTable:
         snrs = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf)])
         assert np.array_equal(copy.cells(snrs), table.cells(snrs))
         assert np.array_equal(copy.cell_inv, table.cell_inv)
+        assert np.array_equal(copy.cell_units, table.cell_units)
         values = snrs.tolist()
         assert [copy.best_single(s) for s in values] == [table.best_single(s) for s in values]
         assert copy.hierarchical_stream_index() == table.hierarchical_stream_index()

@@ -1,6 +1,7 @@
 """Rate-region optimization: hull solver vs brute-force oracle, pairing,
 aggregation, and system gains."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import equal_rate_oracle, system_summary_reference, unpruned_points
+from helpers import ExactPairOracle, equal_rate_oracle, system_summary_reference, unpruned_points
 from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable
 from hmsim.rateopt import (
     RatePair,
@@ -18,6 +19,7 @@ from hmsim.rateopt import (
     group_receivers,
     pair_solution,
     rate_region_hull,
+    solve_cell_pairs,
     system_gain,
     system_summary,
 )
@@ -220,6 +222,72 @@ class TestPairSolution:
         assert sol.r_hm == sol.r_ts == 0.0
         assert sol.gain == 0.0
 
+    def test_exact_oracle_matches_unpruned_brute_force(self, full_table):
+        oracle = ExactPairOracle(full_table)
+        rng = random.Random(2014)
+        for _ in range(300):
+            a, b = sorted((rng.uniform(-6.0, 21.0), rng.uniform(-6.0, 21.0)))
+            expected = equal_rate_oracle(unpruned_points(a, b, full_table))
+            assert float(oracle.rates(a, b)[0]) == pytest.approx(expected, abs=1e-12)
+
+
+def table_for(full_table: ThresholdTable, family) -> ThresholdTable:
+    """A fresh copy of the shipped tables: all of them, or the singles and
+    one hierarchical family."""
+    keep = set(full_table.families())
+    if family is not None:
+        keep = {f for f in keep if not f.hierarchical} | {family}
+    return full_table.subset(keep)
+
+
+@pytest.mark.slow
+class TestEveryCellPair:
+    """Every (weak cell, strong cell) pair of the shipped tables against the
+    exact oracle: 18,721 for the combined table, 10,296 for h_qpsk and
+    6,105 for h_apsk32, 35,122 in all. A cell is represented by its lower
+    edge, and cell 0 by 1 dB below the lowest threshold."""
+
+    @pytest.fixture(scope="class", params=[(None, 18721), (Family.H_QPSK, 10296), (Family.H_APSK32, 6105)],
+                    ids=["combined", "h_qpsk", "h_apsk32"])
+    def space(self, request, full_table):
+        family, size = request.param
+        table = table_for(full_table, family)
+        edges = sorted(set(table.entries().values()))
+        snrs = [edges[0] - 1.0] + edges
+        weak, strong = np.triu_indices(len(snrs))
+        assert weak.size == size
+        oracle = ExactPairOracle(table)
+        pairs = [(snrs[i], snrs[j]) for i, j in zip(weak.tolist(), strong.tolist())]
+        return table, weak, strong, pairs, [oracle.rates(*pair) for pair in pairs]
+
+    def test_memo_terms_equal_the_exact_oracle(self, space):
+        table, weak, strong, pairs, rates = space
+
+        def inv(snr):
+            choice = table.best_single(snr)
+            return 1.0 / choice.spectral_efficiency if choice else math.inf
+
+        expected = [float(1 / r) if r > ts else inv(a) + inv(b) for (a, b), (r, ts) in zip(pairs, rates)]
+        assert solve_cell_pairs(table, weak, strong).tolist() == expected
+
+    def test_float_hull_decides_alike_within_two_ulps(self, space):
+        """pair_solution's 1e-9 snap sits between the float hull's roundoff
+        on pairs without gain and the smallest genuine gain, both relative
+        to r_ts, with decades to spare on either side."""
+        table, _, _, pairs, rates = space
+        roundoff, smallest_gain = 0.0, math.inf
+        for (a, b), (r_star, r_ts) in zip(pairs, rates):
+            sol = pair_solution(a, b, table)
+            assert (sol.r_hm > sol.r_ts) == (r_star > r_ts), (a, b)
+            if r_star > r_ts:
+                assert abs(sol.r_hm - float(r_star)) <= 2 * math.ulp(float(r_star)), (a, b)
+                if r_ts:
+                    smallest_gain = min(smallest_gain, float((r_star - r_ts) / r_ts))
+            elif r_ts:
+                raw = equal_rate_point(achievable_pairs(a, b, table)).rate
+                roundoff = max(roundoff, abs(raw - sol.r_ts) / sol.r_ts)
+        assert 0.0 < roundoff <= 3.3e-16 and 8.1e-4 <= smallest_gain < math.inf
+
 
 def grouped(snrs) -> tuple[list[int], list[int], list[int]]:
     return tuple(a.tolist() for a in group_receivers(snrs))
@@ -375,14 +443,12 @@ class TestPairMemo:
             for _ in range(400)
         ]
 
-    @pytest.mark.parametrize("families", [None, (Family.H_QPSK,), (Family.H_APSK32,)],
-                             ids=["full", "h_qpsk", "h_apsk32"])
-    def test_bit_equal_to_memo_free_reference(self, full_table, families):
-        singles = {f for f in full_table.families() if not f.hierarchical}
-        keep = full_table.families() if families is None else singles | set(families)
-        table = full_table.subset(keep)  # a fresh table: the memo starts cold
+    @pytest.mark.parametrize("family", [None, Family.H_QPSK, Family.H_APSK32], ids=["full", "h_qpsk", "h_apsk32"])
+    def test_bit_equal_to_memo_free_reference(self, full_table, family):
+        table = table_for(full_table, family)  # a fresh table: the memo starts cold
         populations = self.populations(table)
-        expected = [system_summary_reference(snrs, table) for snrs in populations]
+        oracle = ExactPairOracle(table)
+        expected = [system_summary_reference(snrs, table, oracle) for snrs in populations]
         assert any(e[3] for e in expected) and any(len(p) % 2 for p in populations)
         for order in (range(len(populations)), reversed(range(len(populations)))):
             for k in order:
@@ -392,13 +458,17 @@ class TestPairMemo:
 
     def test_one_solve_per_cell_pair(self, full_table, monkeypatch):
         table = full_table.subset(full_table.families())
-        calls = []
-        def counting(*args):
-            calls.append(args)
-            return pair_solution(*args)
-        monkeypatch.setattr("hmsim.rateopt.pair_solution", counting)
+        solved = []
+        def counting(table, weak_cells, strong_cells):
+            solved.extend(zip(weak_cells.tolist(), strong_cells.tolist()))
+            return solve_cell_pairs(table, weak_cells, strong_cells)
+        monkeypatch.setattr("hmsim.rateopt.solve_cell_pairs", counting)
         # 3.0 and 3.01 share a cell, 9.0 and 9.02 too: 40 pairs, one solve
         system_summary([3.0, 3.01] * 20 + [9.0, 9.02] * 20, table)
-        assert len(calls) == 1
+        assert solved == [(table.cell(3.0), table.cell(9.0))]
         system_summary([3.005, 9.01], table)
-        assert len(calls) == 1
+        assert len(solved) == 1
+        # two new cell pairs, one of them twice, and a solved one: one batch
+        system_summary([-1.0, -1.0, 0.5, 3.0, 3.01, 9.0, 9.02, 14.0, 17.5, 17.5], table)
+        cell = table.cell
+        assert solved[1:] == [(cell(-1.0), cell(17.5)), (cell(0.5), cell(14.0))]
