@@ -85,6 +85,7 @@ class Scenario:
     seed: int
     workers: int
     out_dir: Path
+    out_where: str  # the INI key or flag out_dir came from, for messages
     tables: ThresholdTable = field(init=False, repr=False)
     weather: WeatherCdf = field(init=False, repr=False)
 
@@ -233,6 +234,7 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
 
     grid_text = get("campaign", "grid", "1:16:0.5")
     families_text = get("campaign", "families", "all")
+    out_text = get("output", "dir", "out")
     baseline = get("tables", "baseline", None)
     hierarchical = get("tables", "hierarchical", None)
     scenario = Scenario(
@@ -256,23 +258,27 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
         combined=setting("campaign", "combined", "false", "bool"),
         seed=setting("campaign", "seed", "1", "int", 0),
         workers=setting("campaign", "workers", "1", "int", 1),
-        out_dir=Path(get("output", "dir", "out")),
+        out_dir=Path(out_text),
+        out_where=where("output", "dir", out_text),
     )
 
-    if overrides.seed is not None:
+    # A subcommand without the campaign flags (``pair``) has no such fields.
+    flag = vars(overrides).get
+    if flag("seed") is not None:
         scenario.seed = _at_least(overrides.seed, 0, f"--seed {overrides.seed}")
-    if overrides.receivers is not None:
+    if flag("receivers") is not None:
         scenario.receivers = _at_least(overrides.receivers, 2, f"--receivers {overrides.receivers}")
-    if overrides.reps is not None:
+    if flag("reps") is not None:
         scenario.repetitions = _at_least(overrides.reps, 1, f"--reps {overrides.reps}")
-    if overrides.grid is not None:
+    if flag("grid") is not None:
         scenario.grid = _parse_grid(overrides.grid, f"--grid {overrides.grid}")
-    if overrides.families is not None:
+    if flag("families") is not None:
         scenario.families_spec = overrides.families
         scenario.families_where = f"--families {overrides.families}"
-    if overrides.out is not None:
+    if flag("out") is not None:
         scenario.out_dir = Path(overrides.out)
-    if getattr(overrides, "workers", None) is not None:
+        scenario.out_where = f"--out {overrides.out}"
+    if flag("workers") is not None:
         scenario.workers = _at_least(overrides.workers, 1, f"--workers {overrides.workers}")
 
     scenario.load_data()
@@ -324,6 +330,15 @@ def cmd_pair(args) -> int:
     snr_weak, snr_strong = sorted((args.snr1, args.snr2))
     table = scenario.tables
     solution = pair_solution(snr_weak, snr_strong, table)
+    if args.dump_hull:
+        lines = ["r1,r2,configuration"]
+        for p in rate_region_hull(achievable_pairs(snr_weak, snr_strong, table)):
+            desc = p.describe().split(" via ", 1)[1]
+            lines.append(f"{p.r1:.10g},{p.r2:.10g},\"{desc}\"")
+        try:
+            Path(args.dump_hull).write_text("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise ScenarioError(f"--dump-hull {args.dump_hull}: {exc.strerror}") from None
 
     for label, snr in (("weak", snr_weak), ("strong", snr_strong)):
         best = table.best_single(snr)
@@ -342,11 +357,6 @@ def cmd_pair(args) -> int:
             f"rest on {share.point_b.describe()}"
         )
     if args.dump_hull:
-        lines = ["r1,r2,configuration"]
-        for p in rate_region_hull(achievable_pairs(snr_weak, snr_strong, table)):
-            desc = p.describe().split(" via ", 1)[1]
-            lines.append(f"{p.r1:.10g},{p.r2:.10g},\"{desc}\"")
-        Path(args.dump_hull).write_text("\n".join(lines) + "\n")
         print(f"hull vertices written to {args.dump_hull}")
     return 0
 
@@ -354,9 +364,12 @@ def cmd_pair(args) -> int:
 def cmd_campaign(args) -> int:
     scenario = load_scenario(args.scenario, args)
     cfg = scenario.campaign_config()
-    report = run_campaign(cfg, scenario.tables, scenario.antenna, scenario.weather)
     out = scenario.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"{scenario.out_where}: {exc.strerror}") from None
+    report = run_campaign(cfg, scenario.tables, scenario.antenna, scenario.weather)
     gains = out / "gains.csv"
     gains.write_text(gains_csv_text(report))
     for token in report.family_tokens:
@@ -427,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair = sub.add_parser("pair", help="solve one receiver pair")
     p_pair.add_argument("snr1", type=float)
     p_pair.add_argument("snr2", type=float)
+    p_pair.add_argument("--scenario", metavar="PATH", help="scenario INI file")
     p_pair.add_argument("--dump-hull", metavar="PATH", help="write hull vertices as CSV")
-    add_scenario_flags(p_pair)
     p_pair.set_defaults(func=cmd_pair)
 
     p_camp = sub.add_parser("campaign", help="run a Monte Carlo gain campaign")

@@ -41,7 +41,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -139,6 +138,13 @@ class Family(Enum):
 
 _FAMILY_BY_TOKEN = {fam.token: fam for fam in Family}
 
+# (bits of a stream, efficiency units) -> the code rate giving that efficiency.
+_RATE_BY_UNITS = {
+    (bits, int(bits * rate * EFFICIENCY_UNITS)): rate
+    for bits in {bits for fam in Family for bits in (fam.default_bits_he, fam.default_bits_le) if bits}
+    for rate in DVBS2_CODE_RATES
+}
+
 
 @dataclass(frozen=True)
 class SchemeId:
@@ -189,6 +195,12 @@ class ModcodChoice:
     scheme: SchemeId
     stream: Stream
     code_rate: Fraction
+
+    @classmethod
+    def from_units(cls, scheme: SchemeId, stream: Stream, units: int) -> "ModcodChoice":
+        """The choice of this scheme and stream whose efficiency is units /
+        EFFICIENCY_UNITS bit/s/Hz: there the efficiency fixes the code rate."""
+        return cls(scheme, stream, _RATE_BY_UNITS[scheme.bits(stream), units])
 
     @cached_property
     def spectral_efficiency(self) -> float:
@@ -262,31 +274,28 @@ def _parse_rate(text: str, path: Path, line_no: int) -> Fraction:
     return DVBS2_CODE_RATES[DVBS2_CODE_RATES.index(rate)]
 
 
-_PrefixTable = tuple[list[float], list[float], list[ModcodChoice]]
+_PrefixTable = tuple[list[float], list[ModcodChoice]]
 
 
 def _prefix_best(rows: Iterable[tuple[float, str, Fraction, SchemeId, Stream]]) -> _PrefixTable:
-    """(thresholds, best efficiencies, best choices) of (threshold, scheme
-    token, code rate, scheme, stream) rows sorted by threshold, then scheme
-    token and code rate: entry k is the most efficient of the first k + 1
-    rows, the earlier row on ties. So the best choice decodable at an SNR is
-    entry bisect_right(thresholds, snr) - 1."""
+    """(thresholds, best choices) of (threshold, scheme token, code rate,
+    scheme, stream) rows sorted by threshold, then scheme token and code
+    rate: entry k is the most efficient of the first k + 1 rows, the earlier
+    row on ties. So the best choice decodable at an SNR is entry
+    bisect_right(thresholds, snr) - 1."""
     thresholds: list[float] = []
-    best_eff: list[float] = []
     best_choice: list[ModcodChoice] = []
     # The running best efficiency as the exact ratio cur_num / cur_den, so
-    # ties compare exactly (2 x 9/10 == 3 x 3/5); int / int rounds correctly,
-    # so cur_eff is cur_choice.spectral_efficiency.
-    cur_num, cur_den, cur_eff, cur_choice = -1, 1, -1.0, None
+    # ties compare exactly (2 x 9/10 == 3 x 3/5).
+    cur_num, cur_den, cur_choice = -1, 1, None
     for thr, _, rate, scheme, stream in sorted(rows, key=itemgetter(0, 1, 2)):
         num, den = scheme.bits(stream) * rate.numerator, rate.denominator
         if num * cur_den > cur_num * den:
-            cur_num, cur_den, cur_eff = num, den, num / den
+            cur_num, cur_den = num, den
             cur_choice = ModcodChoice(scheme, stream, rate)
         thresholds.append(thr)
-        best_eff.append(cur_eff)
         best_choice.append(cur_choice)
-    return thresholds, best_eff, best_choice
+    return thresholds, best_choice
 
 
 class ThresholdTable:
@@ -295,13 +304,15 @@ class ThresholdTable:
     Construction keeps only the entries and the warnings. Each query
     structure is built on the first call that reads it and kept on the
     instance, so a table that is only loaded, merged, validated or pickled
-    never builds one: the prefix tables, the cell edges, the sorted scheme
-    list and three arrays indexed by cell (see ``cells``): ``cell_inv``,
-    the float reciprocals that the harmonic sums add; ``cell_units``, the
-    best efficiencies as exact integers in 1/EFFICIENCY_UNITS bit/s/Hz,
-    which the exact pair solver ``rateopt.solve_cell_pairs`` reads; and
-    ``pair_memo``. These are deterministic caches, so instances are safe to
-    share across threads and processes: a race only repeats work.
+    never builds one: the sorted scheme list, the cell edges, the prefix
+    table that ``best_single`` bisects and three arrays indexed by cell (see
+    ``cells``). ``cell_units``, the best single, HE and LE efficiencies as
+    exact integers in 1/EFFICIENCY_UNITS bit/s/Hz, is the one per-cell
+    record of best efficiencies, built from the entries; ``cell_inv``, the
+    float reciprocals that the harmonic sums add, is derived from it; and
+    ``pair_memo`` holds solved cell pairs. These are deterministic caches,
+    so instances are safe to share across threads and processes: a race
+    only repeats work.
     """
 
     def __init__(
@@ -316,47 +327,29 @@ class ThresholdTable:
     def _schemes(self) -> list[SchemeId]:
         return sorted({scheme for scheme, _, _ in self._entries}, key=SchemeId.sort_key)
 
-    def _prefix_rows(self, streams: tuple[Stream, ...]) -> dict[tuple[SchemeId, Stream], list]:
-        """_prefix_best rows of the given streams, grouped by (scheme, stream)."""
-        columns: dict[tuple[SchemeId, Stream], list] = {}
-        for (scheme, stream, rate), thr in self._entries.items():
-            if stream in streams:
-                columns.setdefault((scheme, stream), []).append((thr, scheme.token, rate, scheme, stream))
-        return columns
-
     @cached_property
     def _single_lookup(self) -> _PrefixTable:
         """One prefix table over every single-stream entry, so modcod
         selection is a single bisect with no dict lookups."""
-        return _prefix_best(row for rows in self._prefix_rows((Stream.SINGLE,)).values() for row in rows)
-
-    @cached_property
-    def _hier_lookup(self) -> list[tuple[SchemeId, _PrefixTable, _PrefixTable]]:
-        columns = self._prefix_rows((Stream.HE, Stream.LE))
-        return [
-            (s, _prefix_best(columns.get((s, Stream.HE), ())), _prefix_best(columns.get((s, Stream.LE), ())))
-            for s in self.hierarchical_schemes()
-        ]
-
-    @cached_property
-    def _edges(self) -> list[float]:
-        return sorted(set(self._entries.values()))
+        return _prefix_best(
+            (thr, scheme.token, rate, scheme, stream)
+            for (scheme, stream, rate), thr in self._entries.items()
+            if stream is Stream.SINGLE
+        )
 
     @cached_property
     def _edge_array(self) -> np.ndarray:
-        return np.array(self._edges, dtype=float)
+        return np.unique(np.fromiter(self._entries.values(), float, len(self._entries)))
 
     @cached_property
     def cell_inv(self) -> np.ndarray:
         """1 / (best single-modcod efficiency) per cell, and inf in a cell
         where no single modcod decodes: a receiver that gets nothing pins
         every harmonic sum it enters at rate 0."""
-        thresholds, best_eff, _ = self._single_lookup
-        # Cell 0 lies below every threshold; cell k >= 1 decodes what its
-        # lower edge does, since single thresholds are table thresholds.
-        k = np.searchsorted(thresholds, [-math.inf] + self._edges, side="right")
+        # units / EFFICIENCY_UNITS is the exact ratio rounded once, so it is
+        # the ModcodChoice.spectral_efficiency of the cell's best choice.
         with np.errstate(divide="ignore"):
-            return 1.0 / np.array([0.0] + best_eff)[k]
+            return 1.0 / (self.cell_units[:, 0] / EFFICIENCY_UNITS)
 
     @cached_property
     def cell_units(self) -> np.ndarray:
@@ -365,29 +358,31 @@ class ThresholdTable:
         ``hierarchical_schemes()``, 0 where nothing decodes. Column 0 is the
         best single modcod, columns 1..S the best HE stream of each scheme
         and columns S+1..2S its best LE stream. No efficiency exceeds 5 x
-        9/10 bit/s/Hz, 810 units."""
-        hier = self._hier_lookup
-        columns = [self._single_lookup] + [he for _, he, _ in hier] + [le for _, _, le in hier]
-        thresholds = np.fromiter(chain.from_iterable(c[0] for c in columns), float)
-        # A prefix table's efficiencies are its exact ratios rounded once to
-        # float64, so each scaled one is within 1e-13 of its integer.
-        units = np.rint(EFFICIENCY_UNITS * np.fromiter(chain.from_iterable(c[1] for c in columns), float))
+        9/10 bit/s/Hz, 810 units. This is the table's one per-cell record of
+        best efficiencies: ``cell_inv``, ``achievable_pairs`` and
+        ``rateopt.solve_cell_pairs`` all read it."""
+        schemes, entries, n = self.hierarchical_schemes(), self._entries, len(self._entries)
+        column = {(scheme, Stream.HE): 1 + i for i, scheme in enumerate(schemes)}
+        column.update({(scheme, Stream.LE): 1 + len(schemes) + i for i, scheme in enumerate(schemes)})
+        columns = np.fromiter((column.get((scheme, stream), 0) for scheme, stream, _ in entries), np.intp, n)
+        units = np.fromiter(
+            (scheme.bits(stream) * rate.numerator * (EFFICIENCY_UNITS // rate.denominator)
+             for scheme, stream, rate in entries),
+            np.int64,
+            n,
+        )
         # An entry decodes from the cell its threshold opens (thresholds are
         # table edges), so the best per cell is a running max down the cells.
-        grid = np.zeros((len(self._edges) + 1, len(columns)), dtype=np.int64)
-        np.maximum.at(
-            grid,
-            (np.searchsorted(self._edge_array, thresholds, side="right"),
-             np.repeat(np.arange(len(columns)), [len(c[0]) for c in columns])),
-            units.astype(np.int64),
-        )
+        cells = np.searchsorted(self._edge_array, np.fromiter(entries.values(), float, n), side="right")
+        grid = np.zeros((self._edge_array.size + 1, 1 + 2 * len(schemes)), dtype=np.int64)
+        np.maximum.at(grid, (cells, columns), units)
         return np.maximum.accumulate(grid, axis=0)
 
     @cached_property
     def pair_memo(self) -> np.ndarray:
         """(weak cell, strong cell) -> a pair's hierarchical reciprocal term,
         NaN until ``rateopt.system_summary`` has it solved."""
-        n = len(self._edges) + 1
+        n = self._edge_array.size + 1
         return np.full((n, n), np.nan)
 
     # -- basic container surface -------------------------------------------------
@@ -433,16 +428,9 @@ class ThresholdTable:
 
     # -- queries -------------------------------------------------------------------
 
-    def hierarchical_stream_index(self) -> list[tuple[SchemeId, _PrefixTable, _PrefixTable]]:
-        """Per-hierarchical-scheme (scheme, HE, LE) prefix tables, where each
-        side is (thresholds, best_efficiencies, best_choices) sorted by
-        threshold, with empty lists if that stream has no entries. Query
-        with one bisect per side; used by the pair enumeration hot path."""
-        return self._hier_lookup
-
     def best_single(self, snr_db: float) -> Optional[ModcodChoice]:
         """Best non-hierarchical modcod decodable at snr_db (one bisect)."""
-        thresholds, _, choices = self._single_lookup
+        thresholds, choices = self._single_lookup
         k = bisect_right(thresholds, snr_db)
         return choices[k - 1] if k else None
 
@@ -451,13 +439,14 @@ class ThresholdTable:
         below it (NaN counts as above all of them, as in bisect_right).
 
         Every query of this table is a bisect_right on a list of its
-        thresholds, which returns the same index for two SNRs in one cell;
-        so anything computed from such queries is a function of the cells."""
+        thresholds, which returns the same index for two SNRs in one cell,
+        or a read of an array indexed by cell; so anything computed from such
+        queries is a function of the cells."""
         return np.searchsorted(self._edge_array, snrs_db, side="right")
 
     def cell(self, snr_db: float) -> int:
-        """Cell of one SNR (see ``cells``), by one bisect."""
-        return bisect_right(self._edges, snr_db)
+        """Cell of one SNR (see ``cells``)."""
+        return int(self.cells(snr_db))
 
 
 def _validation_issues(

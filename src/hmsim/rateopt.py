@@ -20,27 +20,30 @@ nothing has reciprocal inf and pins the harmonic aggregate at 0; callers
 that want to serve a degraded population must filter such receivers out
 first (the campaign engine does, and reports how many it dropped).
 
-There are two pair solvers. ``solve_cell_pairs`` is the population path:
-it solves a batch of cell pairs exactly, in integer units of 1/180
-bit/s/Hz (``modcod.EFFICIENCY_UNITS``) read from
-``ThresholdTable.cell_units``, without building points or schedules; no
-coordinate exceeds 810 units and no product 2.2e9, so int64 is exact.
-``pair_solution`` is the float hull that ``hmsim pair`` prints, with its
-schedule and the provenance of each point; on the shipped tables it
-decides gain alike and its rate is within 2 ulps of the exact one.
+There are two pair solvers, and both take a cell's best efficiencies from
+one per-cell array, ``ThresholdTable.cell_units``: the best single, HE
+and LE efficiencies in integer units of 1/180 bit/s/Hz
+(``modcod.EFFICIENCY_UNITS``). ``solve_cell_pairs`` is the population
+path: it solves a batch of cell pairs exactly in those units, without
+building points or schedules; no coordinate exceeds 810 units and no
+product 2.2e9, so int64 is exact. ``pair_solution`` is the float hull
+that ``hmsim pair`` prints, with its schedule and the provenance of each
+point (``achievable_pairs``, whose single-modcod points and their
+provenance come from ``ThresholdTable.best_single``); on the shipped
+tables it decides gain alike and its rate is within 2 ulps of the exact
+one.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .modcod import EFFICIENCY_UNITS, ModcodChoice, ThresholdTable
+from .modcod import EFFICIENCY_UNITS, ModcodChoice, Stream, ThresholdTable
 
 __all__ = [
     "RatePair",
@@ -136,7 +139,8 @@ def achievable_pairs(snr_weak: float, snr_strong: float, table: ThresholdTable) 
     one on LE, and vice versa. Only the dominant point of each assignment,
     its best decodable HE and LE rates, is kept: every other decodable rate
     combination lies below it in both coordinates, so under free disposal
-    it adds nothing to the region.
+    it adds nothing to the region. Those rates are read from the two
+    receivers' rows of ``table.cell_units``.
     """
     if snr_weak > snr_strong:
         raise ValueError("snr_weak must not exceed snr_strong")
@@ -149,23 +153,16 @@ def achievable_pairs(snr_weak: float, snr_strong: float, table: ThresholdTable) 
     if strong_single is not None:
         points.append(RatePair(0.0, strong_single.spectral_efficiency, (None, strong_single)))
 
-    for scheme, (he_thr, he_eff, he_choice), (le_thr, le_eff, le_choice) in table.hierarchical_stream_index():
-        for snr_he, snr_le, he_first in (
-            (snr_weak, snr_strong, True),
-            (snr_strong, snr_weak, False),
-        ):
-            kh = bisect_right(he_thr, snr_he)
-            if not kh:
-                continue
-            kl = bisect_right(le_thr, snr_le)
-            if not kl:
-                continue
-            he, le = he_choice[kh - 1], le_choice[kl - 1]
-            ehe, ele = he_eff[kh - 1], le_eff[kl - 1]
-            if he_first:
-                points.append(RatePair(ehe, ele, (he, le)))
-            else:
-                points.append(RatePair(ele, ehe, (le, he)))
+    weak, strong = (table.cell_units[table.cell(snr)].tolist() for snr in (snr_weak, snr_strong))
+    schemes = table.hierarchical_schemes()
+    for i, scheme in enumerate(schemes):
+        # Weak receiver on HE, then on LE; each point lists the weak side first.
+        for he_row, le_row, order in ((weak, strong, 1), (strong, weak, -1)):
+            he, le = he_row[1 + i], le_row[1 + len(schemes) + i]
+            if he and le:
+                choices = ModcodChoice.from_units(scheme, Stream.HE, he), ModcodChoice.from_units(scheme, Stream.LE, le)
+                rates = he / EFFICIENCY_UNITS, le / EFFICIENCY_UNITS
+                points.append(RatePair(*rates[::order], choices[::order]))
     return points
 
 

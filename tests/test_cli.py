@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hmsim
+from hmsim import cli
 from hmsim.cli import main
 from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable, packaged_data_path, serialize_threshold_csv
 from hmsim.rateopt import pair_solution
@@ -116,6 +117,94 @@ class TestPair:
         assert lines[0] == "r1,r2,configuration"
         assert len(lines) >= 4  # origin, two singles, and the hull body
 
+    def test_hull_dump_to_a_missing_directory(self, tmp_path, capsys):
+        dump = tmp_path / "missing" / "hull.csv"
+        assert main(["pair", "3", "12", "--dump-hull", str(dump)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --dump-hull {dump}: No such file or directory\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--families", "h_qpsk"), ("--seed", "3"), ("--receivers", "8"), ("--reps", "2"),
+        ("--grid", "5"), ("--out", "o"), ("--workers", "2"),
+    ])
+    def test_campaign_flags_rejected(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "3", "12", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert captured.out == ""
+
+    # Output of the shipped tables, bit for bit: an outage-free pair, a
+    # weak receiver in outage served only by hierarchy, a pair in total
+    # outage, and a pair whose optimum (0.6, 0.6) is an achievable point on
+    # the hull edge between two others that the schedule mixes.
+    GOLDEN = {
+        ("3", "12"): (
+            "  weak receiver 3 dB: qpsk/SINGLE 3/5 (1.2 bit/s/Hz)\n"
+            "strong receiver 12 dB: apsk16/SINGLE 5/6 (3.333 bit/s/Hz)\n"
+            "r_ts  = 0.882353 bit/s/Hz (classical time sharing)\n"
+            "r_hm  = 1.028571 bit/s/Hz (hierarchical time sharing)\n"
+            "gain  = 0.16571428571428565\n"
+            "schedule: 0.1429 of time on (1.2, 0) via [qpsk/SINGLE 3/5 (1.2 bit/s/Hz) | -], rest on (1, 1.2) via "
+            "[h_apsk32[rho=0.85]/HE 1/2 (1 bit/s/Hz) | h_apsk32[rho=0.85]/LE 2/5 (1.2 bit/s/Hz)]\n",
+            "r1,r2,configuration\n"
+            '0,0,"[- | -]"\n'
+            '1.2,0,"[qpsk/SINGLE 3/5 (1.2 bit/s/Hz) | -]"\n'
+            '1,1.2,"[h_apsk32[rho=0.85]/HE 1/2 (1 bit/s/Hz) | h_apsk32[rho=0.85]/LE 2/5 (1.2 bit/s/Hz)]"\n'
+            '0.8,1.8,"[h_apsk32[rho=0.7]/HE 2/5 (0.8 bit/s/Hz) | h_apsk32[rho=0.7]/LE 3/5 (1.8 bit/s/Hz)]"\n'
+            '0,3.333333333,"[- | apsk16/SINGLE 5/6 (3.333 bit/s/Hz)]"\n',
+        ),
+        ("-3", "10"): (
+            "  weak receiver -3 dB: OUTAGE (no decodable single modcod)\n"
+            "strong receiver 10 dB: apsk16/SINGLE 2/3 (2.667 bit/s/Hz)\n"
+            "r_ts  = 0.000000 bit/s/Hz (classical time sharing)\n"
+            "r_hm  = 0.400000 bit/s/Hz (hierarchical time sharing)\n"
+            "gain  = inf (zero baseline)\n"
+            "schedule: serve (0.4, 0.6) via "
+            "[h_qpsk[rho=0.9]/HE 2/5 (0.4 bit/s/Hz) | h_qpsk[rho=0.9]/LE 3/5 (0.6 bit/s/Hz)] full time\n",
+            "r1,r2,configuration\n"
+            '0,0,"[- | -]"\n'
+            '0.4,0.6,"[h_qpsk[rho=0.9]/HE 2/5 (0.4 bit/s/Hz) | h_qpsk[rho=0.9]/LE 3/5 (0.6 bit/s/Hz)]"\n'
+            '0,2.666666667,"[- | apsk16/SINGLE 2/3 (2.667 bit/s/Hz)]"\n',
+        ),
+        ("-10", "-9"): (
+            "  weak receiver -10 dB: OUTAGE (no decodable single modcod)\n"
+            "strong receiver -9 dB: OUTAGE (no decodable single modcod)\n"
+            "r_ts  = 0.000000 bit/s/Hz (classical time sharing)\n"
+            "r_hm  = 0.000000 bit/s/Hz (hierarchical time sharing)\n"
+            "gain  = 0.0\n"
+            "schedule: serve (0, 0) via [- | -] full time\n",
+            "r1,r2,configuration\n"
+            '0,0,"[- | -]"\n',
+        ),
+        ("1.8", "3.2"): (
+            "  weak receiver 1.8 dB: qpsk/SINGLE 1/2 (1 bit/s/Hz)\n"
+            "strong receiver 3.2 dB: qpsk/SINGLE 2/3 (1.333 bit/s/Hz)\n"
+            "r_ts  = 0.571429 bit/s/Hz (classical time sharing)\n"
+            "r_hm  = 0.600000 bit/s/Hz (hierarchical time sharing)\n"
+            "gain  = 0.05000000000000021\n"
+            "schedule: 0.2000 of time on (1, 0) via [qpsk/SINGLE 1/2 (1 bit/s/Hz) | -], rest on (0.5, 0.75) via "
+            "[h_qpsk[rho=0.6]/LE 1/2 (0.5 bit/s/Hz) | h_qpsk[rho=0.6]/HE 3/4 (0.75 bit/s/Hz)]\n",
+            "r1,r2,configuration\n"
+            '0,0,"[- | -]"\n'
+            '1,0,"[qpsk/SINGLE 1/2 (1 bit/s/Hz) | -]"\n'
+            '0.5,0.75,"[h_qpsk[rho=0.6]/LE 1/2 (0.5 bit/s/Hz) | h_qpsk[rho=0.6]/HE 3/4 (0.75 bit/s/Hz)]"\n'
+            '0,1.333333333,"[- | qpsk/SINGLE 2/3 (1.333 bit/s/Hz)]"\n',
+        ),
+    }
+
+    @pytest.mark.parametrize("snrs", list(GOLDEN))
+    def test_golden_output(self, snrs, tmp_path, capsys):
+        stdout, hull = self.GOLDEN[snrs]
+        assert main(["pair", *snrs]) == 0
+        assert capsys.readouterr().out == stdout
+        dump = tmp_path / "hull.csv"
+        assert main(["pair", *snrs, "--dump-hull", str(dump)]) == 0
+        assert capsys.readouterr().out == stdout + f"hull vertices written to {dump}\n"
+        assert dump.read_text() == hull
+
 
 class TestCampaign:
     def test_writes_reports(self, scenario_dir, capsys):
@@ -207,6 +296,21 @@ class TestCampaign:
         assert main(["campaign", flag, value, *out]) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag} {value} {problem}")
         assert not (tmp_path / "o").exists()
+
+    def test_out_naming_a_file_is_rejected_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def no_run(*args):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(cli, "run_campaign", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        small = ["--grid", "5", "--reps", "2", "--receivers", "4"]
+        assert main(["campaign", *small, "--out", str(taken)]) == 1
+        assert capsys.readouterr().err == f"error: --out {taken}: File exists\n"
+        ini = tmp_path / "s.ini"
+        ini.write_text(f"[output]\ndir = {taken}\n")
+        assert main(["campaign", *small, "--scenario", str(ini)]) == 1
+        assert capsys.readouterr().err == f"error: {ini}: [output] dir = '{taken}': File exists\n"
 
     def test_unknown_family_is_validation_error(self, scenario_dir, capsys):
         code = main([

@@ -1,11 +1,11 @@
 """Threshold tables: loading, validation, queries, serialization."""
 
 import argparse
+import functools
 import math
 import pickle
 import random
 import re
-from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +29,7 @@ from hmsim.modcod import (
     serialize_threshold_csv,
     signaling_bits,
 )
-from hmsim.rateopt import pair_solution
+from hmsim.rateopt import achievable_pairs, pair_solution
 
 F = Fraction
 
@@ -240,15 +240,17 @@ class TestBestSingleModcod:
         assert full_table.best_single(-10.0) is None
 
     def test_he_column_as_selector(self, hqpsk_table):
-        # restrict to the rho=0.9 scheme and select over its HE stream: at
-        # 3.7 dB rate 8/9 decodes (3.6 dB) but 9/10 (3.8 dB) does not
+        # restrict to the rho=0.9 scheme and select over its HE stream
+        # (column 1 of cell_units): at 3.7 dB rate 8/9 decodes (3.6 dB) but
+        # 9/10 (3.8 dB) does not
         entries = {
             k: v for k, v in hqpsk_table.entries().items() if k[0].rho_he == 0.9
         }
-        ((_, (thresholds, _, choices), _),) = ThresholdTable(entries).hierarchical_stream_index()
-        choice = choices[bisect_right(thresholds, 3.7) - 1]
-        assert choice.code_rate == F(8, 9)
-        assert choice.spectral_efficiency == pytest.approx(8 / 9)
+        table = ThresholdTable(entries)
+        (scheme,) = table.hierarchical_schemes()
+        units = int(table.cell_units[table.cell(3.7), 1])
+        assert units == 160  # 1 bit x 8/9 in 1/180 bit/s/Hz
+        assert ModcodChoice.from_units(scheme, Stream.HE, units) == ModcodChoice(scheme, Stream.HE, F(8, 9))
 
     def test_monotone_in_snr(self, full_table):
         prev = 0.0
@@ -364,22 +366,27 @@ class TestSignalingBits:
             signaling_bits(0, 5)
 
 
-def _count_index_builds(monkeypatch) -> list[int]:
-    """Count prefix-table builds; an indexed table has 1 + 2 x (its
-    hierarchical schemes) of them: the single one plus HE and LE each."""
-    calls = [0]
-    build = modcod._prefix_best
+def _count_index_builds(monkeypatch) -> dict[str, int]:
+    """Count builds of the prefix table (the one ``best_single`` bisects)
+    and of ``cell_units``, on every table in the process."""
+    calls = {"prefix": 0, "cell_units": 0}
+    build_prefix, build_units = modcod._prefix_best, ThresholdTable.cell_units.func
 
-    def counting(rows):
-        calls[0] += 1
-        return build(rows)
+    def counting_prefix(rows):
+        calls["prefix"] += 1
+        rows = list(rows)
+        assert {row[4] for row in rows} <= {Stream.SINGLE}  # no hierarchical prefix table
+        return build_prefix(rows)
 
-    monkeypatch.setattr(modcod, "_prefix_best", counting)
+    def counting_units(table):
+        calls["cell_units"] += 1
+        return build_units(table)
+
+    units = functools.cached_property(counting_units)
+    units.__set_name__(ThresholdTable, "cell_units")
+    monkeypatch.setattr(modcod, "_prefix_best", counting_prefix)
+    monkeypatch.setattr(ThresholdTable, "cell_units", units)
     return calls
-
-
-def _index_size(table: ThresholdTable) -> int:
-    return 1 + 2 * len(table.hierarchical_schemes())
 
 
 def _default_scenario(**overrides):
@@ -394,26 +401,28 @@ class TestLazyIndex:
         scenario = _default_scenario()
         tables = scenario.tables
         tables.schemes(), tables.hierarchical_schemes(), tables.families()
-        assert calls[0] == 0
-        assert not {"cell_inv", "cell_units", "pair_memo"} & set(vars(tables))
+        assert calls == {"prefix": 0, "cell_units": 0}
+        assert not {"_single_lookup", "_edge_array", "cell_inv", "cell_units", "pair_memo"} & set(vars(tables))
         first = pair_solution(3.0, 12.0, tables)
-        assert calls[0] == _index_size(tables) == 29
+        assert calls == {"prefix": 1, "cell_units": 1}
         assert pair_solution(3.0, 12.0, tables) == first
         pair_solution(-1.0, 17.5, tables)
-        assert calls[0] == 29
+        assert calls == {"prefix": 1, "cell_units": 1}
 
     def test_campaign_indexes_only_its_subset_tables(self, monkeypatch):
         calls = _count_index_builds(monkeypatch)
         scenario = _default_scenario(grid="8", receivers=60, reps=2, families="h_qpsk,h_apsk32,combined")
         cfg = scenario.campaign_config()
         run_campaign(cfg, scenario.tables, scenario.antenna, scenario.weather)
-        full = scenario.tables
-        singles = {f for f in full.families() if not f.hierarchical}
-        subsets = [full.subset(singles | {f}) for f in cfg.families] + [full.subset(full.families())]
-        assert calls[0] == sum(_index_size(t) for t in subsets) == 19 + 11 + 29
+        # cell_units for each family table (h_qpsk, h_apsk32, combined), and
+        # the prefix table of one of them for the outage floor
+        assert len(cfg.families) + 1 == 3
+        assert calls == {"prefix": 1, "cell_units": 3}
         # the scenario's own table was never indexed: its first query builds it
+        full = scenario.tables
+        assert not {"_single_lookup", "cell_units"} & set(vars(full))
         pair_solution(3.0, 12.0, full)
-        assert calls[0] == 59 + 29
+        assert calls == {"prefix": 2, "cell_units": 4}
 
 
 class TestPickledTable:
@@ -433,9 +442,13 @@ class TestPickledTable:
         assert np.array_equal(copy.cell_units, table.cell_units)
         values = snrs.tolist()
         assert [copy.best_single(s) for s in values] == [table.best_single(s) for s in values]
-        assert copy.hierarchical_stream_index() == table.hierarchical_stream_index()
         assert copy.entries() == table.entries() and copy.warnings == table.warnings
         rng = random.Random(11)
         for _ in range(1500):
             weak, strong = sorted(rng.sample(values, 2))
+            points = achievable_pairs(weak, strong, copy)
+            assert points == achievable_pairs(weak, strong, table)
+            assert [str(p) for point in points for p in point.provenance] == [
+                str(p) for point in achievable_pairs(weak, strong, table) for p in point.provenance
+            ]
             assert pair_solution(weak, strong, copy) == pair_solution(weak, strong, table)

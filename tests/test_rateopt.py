@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ExactPairOracle, equal_rate_oracle, system_summary_reference, unpruned_points
-from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable
+from hmsim.modcod import Family, ModcodChoice, SchemeId, Stream, ThresholdTable
 from hmsim.rateopt import (
     RatePair,
     achievable_pairs,
@@ -98,6 +98,38 @@ class TestAchievablePairs:
     def test_requires_ordered_snrs(self, full_table):
         with pytest.raises(ValueError):
             achievable_pairs(7.0, 1.0, full_table)
+
+    @pytest.mark.parametrize("name", ["full_table", "hqpsk_table", "h32apsk_table"])
+    def test_provenance_is_the_best_decodable_stream(self, request, name):
+        # every hierarchical point, in scheme order with weak-on-HE first,
+        # carries the highest decodable rate of its scheme and stream for
+        # each receiver, worked out from the entries, and sits at their
+        # efficiencies; SNRs at every threshold and one ulp either side
+        table = request.getfixturevalue(name)
+        columns: dict = {}
+        for (scheme, stream, rate), thr in table.entries().items():
+            columns.setdefault((scheme, stream), []).append((rate, thr))
+
+        def best(scheme, stream, snr):
+            rate = max((r for r, thr in columns.get((scheme, stream), ()) if thr <= snr), default=None)
+            return None if rate is None else ModcodChoice(scheme, stream, rate)
+
+        thresholds = np.array(sorted(set(table.entries().values())))
+        snrs = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf)])
+        snrs = snrs.tolist()
+        partners = random.Random(4).sample(snrs, len(snrs))
+        pairs = [sorted(pair) for pair in zip(snrs, partners)] + [[snr, snr] for snr in snrs]
+        for weak, strong in pairs:
+            expected = []
+            for scheme in table.hierarchical_schemes():
+                for snr_he, snr_le, he_first in ((weak, strong, True), (strong, weak, False)):
+                    he, le = best(scheme, Stream.HE, snr_he), best(scheme, Stream.LE, snr_le)
+                    if he and le:
+                        expected.append((he, le) if he_first else (le, he))
+            hier = [p for p in achievable_pairs(weak, strong, table) if None not in p.provenance]
+            assert [p.provenance for p in hier] == expected
+            assert [repr(p.provenance) for p in hier] == [repr(e) for e in expected]
+            assert [(p.r1, p.r2) for p in hier] == [(a.spectral_efficiency, b.spectral_efficiency) for a, b in expected]
 
 
 class TestEqualRatePoint:
