@@ -22,6 +22,7 @@ Callers that parallelize derive one child seed per work unit, e.g.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -163,7 +164,7 @@ def sample_location_attenuation(rng, cfg: AntennaConfig, size):
     geostationary satellite pointing at nadir. radius = R_edge * sqrt(u)
     is area-uniform; the off-axis angle is the exact arctan(r / altitude).
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     u = rng.random(size)
     edge_radius = GEO_ALTITUDE_M * math.tan(beam_edge_angle(cfg))
     theta = np.arctan(edge_radius * np.sqrt(u) / GEO_ALTITUDE_M)
@@ -199,11 +200,9 @@ class WeatherCdf:
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "WeatherCdf":
         """Load from a CSV with header ``attenuation_db,cum_prob``."""
-        import csv as _csv
-
         path = Path(path)
         with open(path, newline="") as fh:
-            reader = _csv.reader(fh)
+            reader = csv.reader(fh)
             try:
                 header = next(reader)
             except StopIteration:
@@ -233,7 +232,7 @@ class WeatherCdf:
 def sample_weather_attenuation(rng, cdf: WeatherCdf, size):
     """Weather attenuation (dB), an ndarray of shape size, drawn by
     inverse-transform sampling."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     return cdf.quantile(rng.random(size))
 
 
@@ -252,7 +251,7 @@ def draw_population(
     """
     if n < 1:
         raise ValueError("need at least one receiver")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     loc = sample_location_attenuation(rng, cfg, size=n)
     wx = sample_weather_attenuation(rng, cdf, size=n)
     return snr_max_db - loc - wx

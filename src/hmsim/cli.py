@@ -7,11 +7,21 @@ Subcommands:
 * ``campaign``  - run a Monte Carlo gain campaign and write CSV reports
 * ``validate``  - check scenario, tables and weather CDF; report anomalies
 
-Configuration comes from an INI scenario file (all sections optional, see
-``DEFAULT_SCENARIO`` below) with individual values overridable by flags.
-Exit codes: 0 success, 1 validation error, 2 runtime error. A reader that
-closes standard output early (``hmsim campaign | head``) is not an error:
-the command stops writing and exits 0 with nothing on standard error.
+Configuration comes in three layers, each read over the one before:
+``DEFAULT_SCENARIO`` below, the only place that states a default; the INI
+file given by ``--scenario``, in which every section and key is optional;
+and the campaign flags, each of which overrides one ``[campaign]`` or
+``[output]`` key. A path in ``[tables]`` or ``[weather]`` is relative to
+the scenario file, or ``<packaged NAME>`` for the data file NAME shipped
+with the package. ``hierarchical`` takes a comma list of paths,
+``baseline`` and ``cdf`` exactly one.
+
+Exit codes: 0 success; 1 bad input, which includes a usage error (an
+unknown flag, a missing argument), an invalid scenario, table or value,
+and a failed ``validate``; 2 an unexpected runtime error. ``--help``
+exits 0. A reader that closes standard output early (``hmsim campaign |
+head``) is not an error: the command stops writing and exits 0 with
+nothing on standard error.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ import argparse
 import configparser
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -106,8 +117,8 @@ class Scenario:
 
     def campaign_families(self) -> tuple[tuple[Family, ...], bool]:
         """The requested families and the combined flag; ScenarioError,
-        naming the INI key or flag, for a family that is unknown or has no
-        entries in the loaded tables."""
+        naming the INI key or flag, for a family that is unknown, is not
+        hierarchical or has no entries in the loaded tables."""
         tokens = [t.strip() for t in self.families_spec.split(",") if t.strip()]
         combined = self.combined
         loaded = self.tables.families()
@@ -122,6 +133,8 @@ class Scenario:
                     family = Family.from_token(token)
                 except ValueError:
                     raise ScenarioError(f"{self.families_where} names an unknown modulation family {token!r}") from None
+                if not family.hierarchical:
+                    raise ScenarioError(f"{self.families_where} names family {token}, which is not hierarchical")
                 if family not in loaded:
                     raise ScenarioError(
                         f"{self.families_where} names family {token}, which has no entries in the loaded tables"
@@ -175,10 +188,6 @@ def _parse_grid(text: str, where: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _parse_paths(text: str, base: Path) -> tuple[Path, ...]:
-    return tuple((base / p.strip()).resolve() for p in text.split(",") if p.strip())
-
-
 def _parse_bool(text: str) -> bool:
     """configparser's boolean words: 1/yes/true/on and 0/no/false/off."""
     try:
@@ -190,15 +199,16 @@ def _parse_bool(text: str) -> bool:
 _PARSERS = {"int": int, "float": float, "bool": _parse_bool}
 
 
-def _at_least(value: int, minimum: int, where: str) -> int:
-    if value < minimum:
-        raise ScenarioError(f"{where} is below the minimum of {minimum}")
-    return value
+# The campaign flag, without its dashes, that overrides each INI key.
+_FLAGS = {"grid": "grid", "receivers": "receivers", "repetitions": "reps", "families": "families",
+          "seed": "seed", "workers": "workers", "dir": "out"}
 
 
 def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenario:
-    """Load the scenario file (or defaults) and apply CLI overrides."""
+    """Load ``DEFAULT_SCENARIO``, then the scenario file over it, then the
+    flags in ``overrides`` over both, and load the data files."""
     parser = configparser.ConfigParser()
+    parser.read_string(DEFAULT_SCENARIO)
     base = Path(".")
     source = "default scenario"
     if path is not None:
@@ -208,79 +218,63 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
         parser.read(file)
         base = file.parent
         source = str(file)
+    # A subcommand without the campaign flags (``pair``) has no such fields.
+    flag_value = vars(overrides).get
 
-    def get(section, option, fallback):
-        return parser.get(section, option, fallback=fallback) if parser.has_section(section) else fallback
+    def text(section, option) -> tuple[str, str]:
+        """A key's text and where it came from: its flag or its INI key."""
+        flag = _FLAGS.get(option)
+        if flag and flag_value(flag) is not None:
+            value = str(flag_value(flag))
+            return value, f"--{flag} {value}"
+        value = parser.get(section, option)
+        return value, f"{source}: [{section}] {option} = {value!r}"
 
-    def where(section, option, text):
-        return f"{source}: [{section}] {option} = {text!r}"
-
-    def setting(section, option, fallback, kind="float", minimum=None):
-        text = get(section, option, fallback)
+    def setting(section, option, kind="float", minimum=None):
+        raw, where = text(section, option)
         try:
-            value = _PARSERS[kind](text)
+            value = _PARSERS[kind](raw)
         except ValueError:
-            raise ScenarioError(f"{where(section, option, text)} is not a valid {kind}") from None
-        return value if minimum is None else _at_least(value, minimum, where(section, option, text))
+            raise ScenarioError(f"{where} is not a valid {kind}") from None
+        if minimum is not None and value < minimum:
+            raise ScenarioError(f"{where} is below the minimum of {minimum}")
+        return value
 
-    antenna_fields = {
-        key: setting("antenna", key, fallback)
-        for key, fallback in (("diameter_m", "1.5"), ("frequency_hz", "20e9"), ("edge_level_db", "4"))
-    }
+    def paths(section, option, single=False) -> tuple[Path, ...]:
+        """The comma list of paths a key names, each relative to the
+        scenario file or ``<packaged NAME>``; exactly one if ``single``."""
+        value, where = text(section, option)
+        items = [item.strip() for item in value.split(",") if item.strip()]
+        if len(items) != 1 and (single or not items):
+            raise ScenarioError(
+                f"{where} names {len(items)} paths, expected {'exactly' if single else 'at least'} one"
+            )
+        packaged = [re.fullmatch(r"<packaged (.+)>", item) for item in items]
+        return tuple(packaged_data_path(m[1]) if m else (base / item).resolve() for item, m in zip(items, packaged))
+
+    antenna_fields = {key: setting("antenna", key) for key in ("diameter_m", "frequency_hz", "edge_level_db")}
     try:
         antenna = AntennaConfig(**antenna_fields)
     except ValueError as exc:
         raise ScenarioError(f"{source}: [antenna] {exc}") from None
-
-    grid_text = get("campaign", "grid", "1:16:0.5")
-    families_text = get("campaign", "families", "all")
-    out_text = get("output", "dir", "out")
-    baseline = get("tables", "baseline", None)
-    hierarchical = get("tables", "hierarchical", None)
+    families_spec, families_where = text("campaign", "families")
+    out_text, out_where = text("output", "dir")
     scenario = Scenario(
-        baseline_path=(base / baseline).resolve() if baseline else packaged_data_path("dvbs2_single.csv"),
-        hierarchical_paths=(
-            _parse_paths(hierarchical, base)
-            if hierarchical
-            else (packaged_data_path("hqpsk_thresholds.csv"), packaged_data_path("h32apsk_thresholds.csv"))
-        ),
+        baseline_path=paths("tables", "baseline", single=True)[0],
+        hierarchical_paths=paths("tables", "hierarchical"),
         antenna=antenna,
-        weather_path=(
-            (base / get("weather", "cdf", "")).resolve()
-            if get("weather", "cdf", "")
-            else packaged_data_path("weather_cdf_sample.csv")
-        ),
-        grid=_parse_grid(grid_text, where("campaign", "grid", grid_text)),
-        receivers=setting("campaign", "receivers", "500", "int", 2),
-        repetitions=setting("campaign", "repetitions", "100", "int", 1),
-        families_spec=families_text,
-        families_where=where("campaign", "families", families_text),
-        combined=setting("campaign", "combined", "false", "bool"),
-        seed=setting("campaign", "seed", "1", "int", 0),
-        workers=setting("campaign", "workers", "1", "int", 1),
+        weather_path=paths("weather", "cdf", single=True)[0],
+        grid=_parse_grid(*text("campaign", "grid")),
+        receivers=setting("campaign", "receivers", "int", 2),
+        repetitions=setting("campaign", "repetitions", "int", 1),
+        families_spec=families_spec,
+        families_where=families_where,
+        combined=setting("campaign", "combined", "bool"),
+        seed=setting("campaign", "seed", "int", 0),
+        workers=setting("campaign", "workers", "int", 1),
         out_dir=Path(out_text),
-        out_where=where("output", "dir", out_text),
+        out_where=out_where,
     )
-
-    # A subcommand without the campaign flags (``pair``) has no such fields.
-    flag = vars(overrides).get
-    if flag("seed") is not None:
-        scenario.seed = _at_least(overrides.seed, 0, f"--seed {overrides.seed}")
-    if flag("receivers") is not None:
-        scenario.receivers = _at_least(overrides.receivers, 2, f"--receivers {overrides.receivers}")
-    if flag("reps") is not None:
-        scenario.repetitions = _at_least(overrides.reps, 1, f"--reps {overrides.reps}")
-    if flag("grid") is not None:
-        scenario.grid = _parse_grid(overrides.grid, f"--grid {overrides.grid}")
-    if flag("families") is not None:
-        scenario.families_spec = overrides.families
-        scenario.families_where = f"--families {overrides.families}"
-    if flag("out") is not None:
-        scenario.out_dir = Path(overrides.out)
-        scenario.out_where = f"--out {overrides.out}"
-    if flag("workers") is not None:
-        scenario.workers = _at_least(overrides.workers, 1, f"--workers {overrides.workers}")
-
     scenario.load_data()
     return scenario
 
@@ -412,9 +406,16 @@ def cmd_validate(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error exits 1, like any other bad input, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hmsim", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _ArgumentParser(prog="hmsim", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_scenario_flags(p):
@@ -471,10 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         finally:
             os.close(devnull)
         return 0
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TableParseError, TableValidationError, ValueError) as exc:
+    except ValueError as exc:  # ScenarioError and the table errors among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - unexpected runtime failures

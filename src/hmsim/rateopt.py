@@ -13,12 +13,14 @@ Populations are served by grouping receivers into max-SNR-spread pairs and
 equalizing across groups with time sharing, which composes rates
 harmonically: the aggregate is 1 / (sum of per-unit reciprocals). Every
 reciprocal depends on the SNRs only through their table cells (see
-``ThresholdTable.cells``), so populations are aggregated on arrays indexed
-by cell: ``ThresholdTable.cell_inv`` for single modcods and
-``ThresholdTable.pair_memo`` for solved pairs. A receiver that decodes
-nothing has reciprocal inf and pins the harmonic aggregate at 0; callers
-that want to serve a degraded population must filter such receivers out
-first (the campaign engine does, and reports how many it dropped).
+``ThresholdTable.cells``), and cells never decrease as the SNR rises, so
+populations are paired on their sorted cells, lowest with highest, and
+aggregated on arrays indexed by cell: ``ThresholdTable.cell_inv`` for
+single modcods and ``ThresholdTable.pair_memo`` for solved pairs. A
+receiver that decodes nothing has reciprocal inf and pins the harmonic
+aggregate at 0; callers that want to serve a degraded population must
+filter such receivers out first (the campaign engine does, and reports
+how many it dropped).
 
 There are two pair solvers, and both take a cell's best efficiencies from
 one per-cell array, ``ThresholdTable.cell_units``: the best single, HE
@@ -55,7 +57,6 @@ __all__ = [
     "equal_rate_point",
     "pair_solution",
     "solve_cell_pairs",
-    "group_receivers",
     "system_gain",
     "system_summary",
     "SystemSummary",
@@ -352,21 +353,6 @@ def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndar
     return terms
 
 
-def group_receivers(snrs: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair receivers by repeatedly grouping the current extremes.
-
-    Sorting by SNR and matching minimum against maximum realizes the
-    pick-the-largest-SNR-difference rule. Returns index arrays (weak,
-    strong, unpaired): pair k is (weak[k], strong[k]), in traversal order,
-    and unpaired holds the median receiver for an odd count, else nothing.
-    Ties sort by original index (a stable sort), keeping the result a pure
-    function of the SNR multiset.
-    """
-    order = np.argsort(np.asarray(snrs, dtype=float), kind="stable")
-    half = order.size // 2
-    return order[:half], order[::-1][:half], order[half:order.size - half]
-
-
 @dataclass(frozen=True)
 class SystemSummary:
     r_hm: float
@@ -385,31 +371,35 @@ def system_summary(snrs: Sequence[float], table: ThresholdTable) -> SystemSummar
     pair rate, and then gain = inf. ``outage_count`` reports how many
     outage receivers there were so callers can filter and retry.
 
-    Both harmonic sums run over the pairs in traversal order, then the
-    unpaired receiver. The classical term of a pair is the sum of its two
-    receivers' ``table.cell_inv`` entries. Its hierarchical term is read
-    from ``table.pair_memo``. The (weak cell, strong cell) pairs not yet
-    solved on this table go, each once, to one ``solve_cell_pairs`` call,
-    which stores the correctly rounded 1 / r_hm of the exact equal rate,
-    or the classical term itself where hierarchy gains nothing. So "no
-    gain anywhere" yields r_hm == r_ts bit for bit."""
+    Receivers are paired on their sorted cells (see ``table.cells``),
+    which never decrease as the SNR rises: the k-th lowest cell with the
+    k-th highest, for k = 1 .. n // 2, and for an odd n the median cell is
+    left unpaired. This is the weakest-with-strongest rule on SNRs, since
+    every term is a function of the cells. Both harmonic sums run over the
+    pairs in that order, then the unpaired receiver. The classical term of
+    a pair is the sum of its two cells' ``table.cell_inv`` entries. Its
+    hierarchical term is read from ``table.pair_memo``. The (weak cell,
+    strong cell) pairs not yet solved on this table go, each once, to one
+    ``solve_cell_pairs`` call, which stores the correctly rounded 1 / r_hm
+    of the exact equal rate, or the classical term itself where hierarchy
+    gains nothing. So "no gain anywhere" yields r_hm == r_ts bit for bit."""
     snrs = np.asarray(snrs, dtype=float)
     if not snrs.size:
         raise ValueError("need at least one receiver")
-    weak, strong, unpaired = group_receivers(snrs)
-    cells = table.cells(snrs)
+    cells = np.sort(table.cells(snrs))
+    half = cells.size // 2
+    weak, strong = cells[:half], cells[::-1][:half]
     inv = table.cell_inv[cells]
-    ts_pair = inv[weak] + inv[strong]
-    cw, cs = cells[weak], cells[strong]
+    inv_unpaired = inv[half:cells.size - half]
     memo = table.pair_memo
-    todo = np.isnan(memo[cw, cs])
+    todo = np.isnan(memo[weak, strong])
     if todo.any():
-        a, b = np.divmod(np.unique(cw[todo] * len(memo) + cs[todo]), len(memo))
+        a, b = np.divmod(np.unique(weak[todo] * len(memo) + strong[todo]), len(memo))
         memo[a, b] = solve_cell_pairs(table, a, b)
     # add.accumulate adds in sequence, so the bits do not depend on numpy's
     # pairwise summation.
-    ts_inv = np.add.accumulate(np.concatenate((ts_pair, inv[unpaired])))[-1]
-    hm_inv = np.add.accumulate(np.concatenate((memo[cw, cs], inv[unpaired])))[-1]
+    ts_inv = np.add.accumulate(np.concatenate((inv[:half] + inv[::-1][:half], inv_unpaired)))[-1]
+    hm_inv = np.add.accumulate(np.concatenate((memo[weak, strong], inv_unpaired)))[-1]
     r_ts = float(1.0 / ts_inv)
     r_hm = max(float(1.0 / hm_inv), r_ts)
     return SystemSummary(

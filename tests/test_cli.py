@@ -1,5 +1,7 @@
 """CLI surface: subcommands, scenario handling, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import errno
 import io
 import os
@@ -131,7 +133,7 @@ class TestPair:
     def test_campaign_flags_rejected(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pair", "3", "12", flag, value])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         captured = capsys.readouterr()
         assert f"unrecognized arguments: {flag} {value}" in captured.err
         assert captured.out == ""
@@ -322,6 +324,7 @@ class TestCampaign:
         ("h_xyz", "names an unknown modulation family 'h_xyz'"),
         ("h_qpsk,h_xyz", "names an unknown modulation family 'h_xyz'"),
         ("h_psk8", "names family h_psk8, which has no entries in the loaded tables"),
+        ("qpsk", "names family qpsk, which is not hierarchical"),
     ])
     def test_family_errors_located(self, tmp_path, value, problem, capsys):
         ini = tmp_path / "s.ini"
@@ -356,6 +359,7 @@ class TestValidate:
     @pytest.mark.parametrize("value,problem", [
         ("h_xyz", "names an unknown modulation family 'h_xyz'"),
         ("h_psk8", "names family h_psk8, which has no entries in the loaded tables"),
+        ("qpsk", "names family qpsk, which is not hierarchical"),
     ])
     def test_family_errors_fail(self, tmp_path, value, problem, capsys):
         ini = tmp_path / "s.ini"
@@ -371,6 +375,48 @@ class TestValidate:
 
     def test_missing_scenario_file(self, capsys):
         assert main(["validate", "--scenario", "/nonexistent/s.ini"]) == 1
+
+
+class TestScenario:
+    NO_FLAGS = argparse.Namespace()
+
+    def test_default_text_as_a_file_loads_the_default_scenario(self, tmp_path):
+        ini = tmp_path / "s.ini"
+        ini.write_text(cli.DEFAULT_SCENARIO)
+        from_file = cli.load_scenario(str(ini), self.NO_FLAGS)
+        default = cli.load_scenario(None, self.NO_FLAGS)
+        located = {"families_where", "out_where"}
+        for f in dataclasses.fields(cli.Scenario):
+            if f.init and f.name not in located:
+                assert getattr(from_file, f.name) == getattr(default, f.name), f.name
+        assert from_file.families_where == f"{ini}: [campaign] families = 'all'"
+        assert default.families_where == "default scenario: [campaign] families = 'all'"
+        assert default.baseline_path == packaged_data_path("dvbs2_single.csv")
+
+    @pytest.mark.parametrize("section,key,value,problem", [
+        ("tables", "baseline", "a.csv, b.csv", "names 2 paths, expected exactly one"),
+        ("tables", "baseline", "", "names 0 paths, expected exactly one"),
+        ("weather", "cdf", ",", "names 0 paths, expected exactly one"),
+        ("tables", "hierarchical", ",", "names 0 paths, expected at least one"),
+    ])
+    def test_path_count_errors_located(self, tmp_path, section, key, value, problem, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["pair", "3", "12", "--scenario", str(ini)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {ini}: [{section}] {key} = {value!r} {problem}\n"
+        assert captured.out == ""
+
+    def test_packaged_and_relative_paths(self, tmp_path):
+        ini = tmp_path / "s.ini"
+        ini.write_text(
+            "[tables]\nhierarchical = <packaged hqpsk_thresholds.csv>, hq.csv\n"
+            f"[weather]\ncdf = {packaged_data_path('weather_cdf_sample.csv')}\n"
+        )
+        (tmp_path / "hq.csv").write_text(packaged_data_path("h32apsk_thresholds.csv").read_text())
+        scenario = cli.load_scenario(str(ini), self.NO_FLAGS)
+        expected = (packaged_data_path("hqpsk_thresholds.csv"), (tmp_path / "hq.csv").resolve())
+        assert scenario.hierarchical_paths == expected
 
 
 class TestClosedStdout:

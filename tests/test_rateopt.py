@@ -16,7 +16,6 @@ from hmsim.rateopt import (
     RatePair,
     achievable_pairs,
     equal_rate_point,
-    group_receivers,
     pair_solution,
     rate_region_hull,
     solve_cell_pairs,
@@ -321,50 +320,6 @@ class TestEveryCellPair:
         assert 0.0 < roundoff <= 3.3e-16 and 8.1e-4 <= smallest_gain < math.inf
 
 
-def grouped(snrs) -> tuple[list[int], list[int], list[int]]:
-    return tuple(a.tolist() for a in group_receivers(snrs))
-
-
-class TestGroupReceivers:
-    def test_forced_pairings(self):
-        assert grouped([1, 4, 7, 10]) == ([0, 1], [3, 2], [])
-        assert grouped([0, 1, 2, 3, 4, 5]) == ([0, 1, 2], [5, 4, 3], [])
-
-    def test_all_equal(self):
-        weak, strong, unpaired = grouped([5, 5, 5, 5])
-        assert sorted(weak + strong) == [0, 1, 2, 3]
-        assert unpaired == []
-
-    def test_odd_leaves_median_out(self):
-        snrs = [9, 1, 5, 3, 7]
-        weak, strong, unpaired = grouped(snrs)
-        assert set(range(5)) - set(weak + strong) == set(unpaired)
-        assert [snrs[k] for k in unpaired] == [5]
-
-    def test_values_not_indices_decide(self):
-        assert grouped([10, 1, 7, 4]) == ([1, 3], [0, 2], [])
-
-    def test_ties_sort_by_index(self):
-        rng = random.Random(31)
-        for _ in range(300):
-            snrs = [rng.choice([-1.0, 0.0, 2.5, 7.0]) for _ in range(rng.randint(1, 12))]
-            order = sorted(range(len(snrs)), key=lambda i: (snrs[i], i))
-            half = len(snrs) // 2
-            assert grouped(snrs) == (
-                [order[k] for k in range(half)],
-                [order[-1 - k] for k in range(half)],
-                [order[half]] if len(snrs) % 2 else [],
-            )
-
-    @given(st.lists(st.floats(-5, 20), min_size=2, max_size=30))
-    def test_each_receiver_in_at_most_one_pair(self, snrs):
-        weak, strong, unpaired = group_receivers(snrs)
-        assert all(a.dtype.kind == "i" for a in (weak, strong, unpaired))
-        assert sorted(np.concatenate((weak, strong, unpaired)).tolist()) == list(range(len(snrs)))
-        assert weak.size == strong.size == len(snrs) // 2
-        assert unpaired.size == len(snrs) % 2
-
-
 def snr_for_efficiency(table: ThresholdTable, eff: float) -> float:
     """A table threshold at which the best single modcod has efficiency
     eff, or the double just below the lowest one for eff = 0."""
@@ -445,9 +400,9 @@ class TestSystemGain:
             snrs = [rng.uniform(-1, 16) for _ in range(7)]
             summary = system_summary(snrs, full_table)
             rates = [full_table.best_single(s).spectral_efficiency for s in snrs]
-            weak, strong, leftover = group_receivers(snrs)
-            hm = [pair_solution(snrs[i], snrs[j], full_table).r_hm for i, j in zip(weak, strong)]
-            hm += [rates[k] for k in leftover]
+            ranked = sorted(snrs)
+            hm = [pair_solution(ranked[k], ranked[-1 - k], full_table).r_hm for k in range(3)]
+            hm.append(full_table.best_single(ranked[3]).spectral_efficiency)
             r_ts = 1 / sum(1 / r for r in rates)
             assert summary.r_ts == pytest.approx(r_ts, abs=1e-15)
             assert summary.r_hm == pytest.approx(max(1 / sum(1 / r for r in hm), r_ts), abs=1e-15)
