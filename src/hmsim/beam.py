@@ -164,8 +164,11 @@ def sample_location_attenuation(rng, cfg: AntennaConfig, size):
     geostationary satellite pointing at nadir. radius = R_edge * sqrt(u)
     is area-uniform; the off-axis angle is the exact arctan(r / altitude).
     """
-    rng = np.random.default_rng(rng)
-    u = rng.random(size)
+    return _location_attenuation(np.random.default_rng(rng).random(size), cfg)
+
+
+def _location_attenuation(u, cfg: AntennaConfig):
+    """Location attenuation (dB) of receivers at radius R_edge * sqrt(u)."""
     edge_radius = GEO_ALTITUDE_M * math.tan(beam_edge_angle(cfg))
     theta = np.arctan(edge_radius * np.sqrt(u) / GEO_ALTITUDE_M)
     att = -10.0 * np.log10(antenna_gain_rel(theta, cfg))
@@ -232,13 +235,12 @@ class WeatherCdf:
 def sample_weather_attenuation(rng, cdf: WeatherCdf, size):
     """Weather attenuation (dB), an ndarray of shape size, drawn by
     inverse-transform sampling."""
-    rng = np.random.default_rng(rng)
-    return cdf.quantile(rng.random(size))
+    return cdf.quantile(np.random.default_rng(rng).random(size))
 
 
 def draw_population(
     n: int,
-    snr_max_db: float,
+    snr_max_db,
     cfg: AntennaConfig,
     cdf: WeatherCdf,
     rng,
@@ -248,10 +250,21 @@ def draw_population(
     Consumes exactly n location uniforms then n weather uniforms from the
     generator, so the population is bit-reproducible from the seed
     regardless of how callers schedule the surrounding work.
+
+    Many populations at once: with snr_max_db a 1-D array of R boresight
+    SNRs and rng a sequence of R generators (or seeds), row i of the
+    (R, n) result is the population of snr_max_db[i] drawn from rng[i],
+    bit for bit the one-row call. Each row's generator still draws its own
+    uniforms; the pattern and the weather quantile are then evaluated once
+    for all rows.
     """
     if n < 1:
         raise ValueError("need at least one receiver")
-    rng = np.random.default_rng(rng)
-    loc = sample_location_attenuation(rng, cfg, size=n)
-    wx = sample_weather_attenuation(rng, cdf, size=n)
-    return snr_max_db - loc - wx
+    snr_max = np.asarray(snr_max_db, dtype=float)
+    generators = [rng] if snr_max.ndim == 0 else rng
+    # Per row: its n location uniforms, then its n weather uniforms.
+    u = np.empty((len(generators), 2, n))
+    for generator, row in zip(generators, u):
+        np.random.default_rng(generator).random(out=row)
+    snrs = snr_max[..., None] - _location_attenuation(u[:, 0], cfg) - cdf.quantile(u[:, 1])
+    return snrs[0] if snr_max.ndim == 0 else snrs

@@ -13,10 +13,18 @@ baseline at all; they are removed from the run and counted, since the
 relative gain is undefined against a zero baseline. A run is excluded
 (gain recorded as missing) only when the whole population is in outage.
 
+Each process evaluates its (grid point, repetition) units as one array
+program over (units x receivers) arrays, in chunks of whole units of at
+most ``_CHUNK_RECEIVERS`` receivers: one population draw and one
+``system_summaries`` call per family for each chunk. With more than one
+worker, each worker gets one interleaved block of grid points (worker w
+of W takes points w, w + W, ...), which spreads the costlier high-SNR
+points, and the results are put back in grid order.
+
 Determinism: the population for grid index g, repetition r is drawn from
-``SeedSequence(master_seed, spawn_key=(g, r))``. Work units are independent
-and the report is assembled in grid-major order, so results are
-bit-identical for any worker count.
+its own generator, ``SeedSequence(master_seed, spawn_key=(g, r))``, and
+every unit's sums run in the same order whatever chunk it sits in, so
+results are bit-identical for any worker count and any chunk size.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import numpy as np
 
 from .beam import AntennaConfig, WeatherCdf, draw_population
 from .modcod import Family, ThresholdTable
-from .rateopt import system_gain
+from .rateopt import system_summaries
 
 __all__ = [
     "CampaignConfig",
@@ -101,52 +109,36 @@ class SimulationReport:
     raw_gains: dict[tuple[float, str], tuple[Optional[float], ...]]
 
 
-def _evaluate_unit(
-    family_tables: dict[str, ThresholdTable],
-    receivers: int,
-    master_seed: int,
-    beam: AntennaConfig,
-    weather: WeatherCdf,
-    snr_max: float,
-    grid_index: int,
-    rep: int,
-) -> tuple[dict[str, Optional[float]], int]:
-    """One (grid point, repetition): returns per-family gain and the
-    number of receivers dropped as unservable."""
-    seed = np.random.SeedSequence(master_seed, spawn_key=(grid_index, rep))
-    snrs = draw_population(receivers, snr_max, beam, weather, rng=seed)
-    served = snrs[snrs >= next(iter(family_tables.values())).lowest_single_threshold()]
-    outage = receivers - len(served)
-    if not len(served):
-        return {token: None for token in family_tables}, outage
-    return {token: system_gain(served, table) for token, table in family_tables.items()}, outage
+# Receivers per chunk of units drawn and aggregated as one array program:
+# (units x receivers) float64 arrays of 128 KB, a few MB in all.
+_CHUNK_RECEIVERS = 1 << 14
 
 
-def _run_grid_point(ctx, grid_index: int):
+def _run_grid_points(ctx, grid_indices: Sequence[int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The units of the given grid points, in chunks of whole units of at
+    most ``_CHUNK_RECEIVERS`` receivers (at least one unit): the receivers
+    dropped as unservable, and each family's gains (NaN: run excluded),
+    as (grid points, repetitions) arrays."""
     family_tables, cfg, beam, weather = ctx
-    snr_max = cfg.snr_max_grid[grid_index]
-    rows = []
-    for rep in range(cfg.repetitions):
-        rows.append(
-            _evaluate_unit(
-                family_tables, cfg.receivers, cfg.master_seed, beam, weather, snr_max, grid_index, rep
-            )
+    units = [(g, rep) for g in grid_indices for rep in range(cfg.repetitions)]
+    floor = next(iter(family_tables.values())).lowest_single_threshold()
+    dropped = np.empty(len(units), dtype=np.intp)
+    gains = {token: np.empty(len(units)) for token in family_tables}
+    step = max(1, _CHUNK_RECEIVERS // cfg.receivers)
+    for lo in range(0, len(units), step):
+        chunk = units[lo:lo + step]
+        snrs = draw_population(
+            cfg.receivers,
+            np.array([cfg.snr_max_grid[g] for g, _ in chunk]),
+            beam,
+            weather,
+            rng=[np.random.SeedSequence(cfg.master_seed, spawn_key=unit) for unit in chunk],
         )
-    return rows
-
-
-# A pool worker's campaign context, received once when the worker starts, so
-# that its tables (and their pair memos) persist across its grid points.
-_worker_ctx = None
-
-
-def _init_worker(ctx) -> None:
-    global _worker_ctx
-    _worker_ctx = ctx
-
-
-def _run_worker_grid_point(grid_index: int):
-    return _run_grid_point(_worker_ctx, grid_index)
+        dropped[lo:lo + step] = (snrs < floor).sum(axis=1)
+        for token, table in family_tables.items():
+            gains[token][lo:lo + step] = system_summaries(snrs, table, dropped[lo:lo + step])[2]
+    shape = (len(grid_indices), cfg.repetitions)
+    return dropped.reshape(shape), {token: g.reshape(shape) for token, g in gains.items()}
 
 
 def run_campaign(
@@ -184,27 +176,32 @@ def run_campaign(
         tokens.append(COMBINED)
 
     ctx = (family_tables, cfg, beam, weather)
-    grid_indices = list(range(len(cfg.snr_max_grid)))
+    grid = range(len(cfg.snr_max_grid))
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker, initargs=(ctx,)) as pool:
-            per_grid = list(pool.map(_run_worker_grid_point, grid_indices))
+        # One interleaved block of grid points per worker, which spreads the
+        # costlier high-SNR points across the workers.
+        blocks = [grid[w::cfg.workers] for w in range(min(cfg.workers, len(grid)))]
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            parts = list(pool.map(_run_grid_points, [ctx] * len(blocks), blocks))
+        order = np.argsort(np.concatenate(blocks))
+        dropped = np.concatenate([d for d, _ in parts])[order]
+        gains = {token: np.concatenate([g[token] for _, g in parts])[order] for token in tokens}
     else:
-        per_grid = [_run_grid_point(ctx, g) for g in grid_indices]
+        dropped, gains = _run_grid_points(ctx, grid)
 
     stats: dict[tuple[float, str], GainStat] = {}
     outage: dict[float, OutageStat] = {}
     raw: dict[tuple[float, str], tuple[Optional[float], ...]] = {}
-    for g, rows in zip(grid_indices, per_grid):
+    for g in grid:
         snr_max = cfg.snr_max_grid[g]
-        outage_counts = [o for _, o in rows]
-        excluded = sum(1 for gains, _ in rows if any(v is None for v in gains.values()))
+        outage_counts = dropped[g].tolist()
         outage[snr_max] = OutageStat(
             mean_count=sum(outage_counts) / len(outage_counts),
             max_count=max(outage_counts),
-            total_outage_runs=excluded,
+            total_outage_runs=outage_counts.count(cfg.receivers),
         )
         for token in tokens:
-            values = [gains[token] for gains, _ in rows]
+            values = [None if math.isnan(v) else v for v in gains[token][g].tolist()]
             included = [v for v in values if v is not None]
             if included:
                 mean = sum(included) / len(included)

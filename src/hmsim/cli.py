@@ -207,7 +207,8 @@ _FLAGS = {"grid": "grid", "receivers": "receivers", "repetitions": "reps", "fami
 def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenario:
     """Load ``DEFAULT_SCENARIO``, then the scenario file over it, then the
     flags in ``overrides`` over both, and load the data files."""
-    parser = configparser.ConfigParser()
+    # No interpolation: a % in a value (a path, say) is a literal character.
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(DEFAULT_SCENARIO)
     base = Path(".")
     source = "default scenario"
@@ -215,7 +216,12 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
         file = Path(path)
         if not file.is_file():
             raise ScenarioError(f"scenario file not found: {file}")
-        parser.read(file)
+        try:
+            parser.read(str(file))
+        except configparser.Error as exc:
+            # A missing section header or a duplicate key; configparser's
+            # message names the file and the line, over several lines.
+            raise ScenarioError(" ".join(str(exc).split())) from None
         base = file.parent
         source = str(file)
     # A subcommand without the campaign flags (``pair``) has no such fields.

@@ -381,7 +381,7 @@ class ThresholdTable:
     @cached_property
     def pair_memo(self) -> np.ndarray:
         """(weak cell, strong cell) -> a pair's hierarchical reciprocal term,
-        NaN until ``rateopt.system_summary`` has it solved."""
+        NaN until ``rateopt.system_summaries`` has it solved."""
         n = self._edge_array.size + 1
         return np.full((n, n), np.nan)
 

@@ -16,11 +16,14 @@ reciprocal depends on the SNRs only through their table cells (see
 ``ThresholdTable.cells``), and cells never decrease as the SNR rises, so
 populations are paired on their sorted cells, lowest with highest, and
 aggregated on arrays indexed by cell: ``ThresholdTable.cell_inv`` for
-single modcods and ``ThresholdTable.pair_memo`` for solved pairs. A
-receiver that decodes nothing has reciprocal inf and pins the harmonic
-aggregate at 0; callers that want to serve a degraded population must
-filter such receivers out first (the campaign engine does, and reports
-how many it dropped).
+single modcods and ``ThresholdTable.pair_memo`` for solved pairs. There
+is one aggregation path, ``system_summaries``: it takes many populations
+as the rows of one array, with a count of weakest receivers to leave out
+of each, and ``system_summary`` is its one-row case that leaves out
+none. A receiver that decodes nothing has reciprocal inf and pins the
+harmonic aggregate at 0; callers that want to serve a degraded
+population must leave such receivers out (the campaign engine does, and
+reports how many it dropped).
 
 There are two pair solvers, and both take a cell's best efficiencies from
 one per-cell array, ``ThresholdTable.cell_units``: the best single, HE
@@ -57,7 +60,7 @@ __all__ = [
     "equal_rate_point",
     "pair_solution",
     "solve_cell_pairs",
-    "system_gain",
+    "system_summaries",
     "system_summary",
     "SystemSummary",
 ]
@@ -358,66 +361,81 @@ class SystemSummary:
     r_hm: float
     r_ts: float
     gain: float
-    outage_count: int
 
 
-def system_summary(snrs: Sequence[float], table: ThresholdTable) -> SystemSummary:
-    """Hierarchical vs classical time sharing for a receiver population,
-    each pair at its free-disposal equal rate (see ``equal_rate_point``).
+def system_summaries(snrs, table: ThresholdTable, dropped) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hierarchical vs classical time sharing for each row of an (R, n)
+    array of receiver SNRs, each pair at its free-disposal equal rate (see
+    ``equal_rate_point``): the arrays r_hm, r_ts and gain, one entry per
+    row. Row i leaves out its ``dropped[i]`` weakest receivers, and a row
+    that leaves out all n reads NaN in all three.
 
-    An outage receiver (no decodable single modcod) forces r_ts to 0. It
-    forces r_hm to 0 too unless hierarchical points serve its pair: a
-    receiver that decodes only an HE or LE stream still gets a positive
-    pair rate, and then gain = inf. ``outage_count`` reports how many
-    outage receivers there were so callers can filter and retry.
-
-    Receivers are paired on their sorted cells (see ``table.cells``),
-    which never decrease as the SNR rises: the k-th lowest cell with the
-    k-th highest, for k = 1 .. n // 2, and for an odd n the median cell is
-    left unpaired. This is the weakest-with-strongest rule on SNRs, since
-    every term is a function of the cells. Both harmonic sums run over the
-    pairs in that order, then the unpaired receiver. The classical term of
+    Each row pairs its receivers on their sorted cells (see
+    ``table.cells``), which never decrease as the SNR rises. With k
+    receivers left out, the served cells are ``cells[k:]``, and pair j is
+    weak cell ``k + j`` with strong cell ``n - 1 - j`` while ``k + j < n - 1
+    - j``; for an odd served count the median cell ``k + j == n - 1 - j``
+    is left unpaired. This is the weakest-with-strongest rule on SNRs,
+    since every term is a function of the cells. Both harmonic sums run
+    over the pairs in that order, then the unpaired receiver: one
+    ``np.add.accumulate`` along each row, whose columns past the row's
+    last term hold +0.0, which changes no sum's bits. The classical term of
     a pair is the sum of its two cells' ``table.cell_inv`` entries. Its
     hierarchical term is read from ``table.pair_memo``. The (weak cell,
-    strong cell) pairs not yet solved on this table go, each once, to one
-    ``solve_cell_pairs`` call, which stores the correctly rounded 1 / r_hm
-    of the exact equal rate, or the classical term itself where hierarchy
-    gains nothing. So "no gain anywhere" yields r_hm == r_ts bit for bit."""
-    snrs = np.asarray(snrs, dtype=float)
-    if not snrs.size:
-        raise ValueError("need at least one receiver")
-    cells = np.sort(table.cells(snrs))
-    half = cells.size // 2
-    weak, strong = cells[:half], cells[::-1][:half]
-    inv = table.cell_inv[cells]
-    inv_unpaired = inv[half:cells.size - half]
+    strong cell) pairs of all rows not yet solved on this table go, each
+    once, to one ``solve_cell_pairs`` call, which stores the correctly
+    rounded 1 / r_hm of the exact equal rate, or the classical term itself
+    where hierarchy gains nothing. So "no gain anywhere" yields r_hm ==
+    r_ts bit for bit.
+
+    A served receiver that decodes no single modcod (reciprocal inf)
+    forces r_ts to 0. It forces r_hm to 0 too unless hierarchical points
+    serve its pair: a receiver that decodes only an HE or LE stream still
+    gets a positive pair rate, and then gain = inf.
+    """
+    # Sorted SNRs give sorted cells, and searchsorted runs faster on them.
+    cells = table.cells(np.sort(snrs, axis=1))
+    rows, n = cells.shape
+    dropped = np.asarray(dropped)
+    served = n - dropped
+    # Term column j of each row: pair j, then the unpaired receiver, then
+    # zero padding; at least one column, which a row that leaves out every
+    # receiver sums to 0. Index arrays are (rows, columns).
+    j = np.arange(max(1, int((served.max() + 1) // 2)))
+    weak_at, strong_at = dropped[:, None] + j, n - 1 - j
+    paired, unpaired = weak_at < strong_at, weak_at == strong_at
+    weak = np.take_along_axis(cells, np.minimum(weak_at, n - 1), axis=1)
+    strong = cells[:, strong_at]
+    inv = table.cell_inv
+    weak_inv = inv[weak]
     memo = table.pair_memo
-    todo = np.isnan(memo[weak, strong])
+    hm = memo[weak, strong]
+    todo = paired & np.isnan(hm)
     if todo.any():
         a, b = np.divmod(np.unique(weak[todo] * len(memo) + strong[todo]), len(memo))
         memo[a, b] = solve_cell_pairs(table, a, b)
+        hm = memo[weak, strong]
+    alone = np.where(unpaired, weak_inv, 0.0)
     # add.accumulate adds in sequence, so the bits do not depend on numpy's
     # pairwise summation.
-    ts_inv = np.add.accumulate(np.concatenate((inv[:half] + inv[::-1][:half], inv_unpaired)))[-1]
-    hm_inv = np.add.accumulate(np.concatenate((memo[weak, strong], inv_unpaired)))[-1]
-    r_ts = float(1.0 / ts_inv)
-    r_hm = max(float(1.0 / hm_inv), r_ts)
-    return SystemSummary(
-        r_hm=r_hm,
-        r_ts=r_ts,
-        gain=_relative_gain(r_hm, r_ts),
-        outage_count=int(np.isinf(inv).sum()),
-    )
+    ts_inv = np.add.accumulate(np.where(paired, weak_inv + inv[strong], alone), axis=1)[:, -1]
+    hm_inv = np.add.accumulate(np.where(paired, hm, alone), axis=1)[:, -1]
+    some = served > 0
+    r_ts = np.divide(1.0, ts_inv, out=np.full(rows, np.nan), where=some)
+    r_hm = np.maximum(np.divide(1.0, hm_inv, out=np.full(rows, np.nan), where=some), r_ts)
+    # _relative_gain per row: r_hm > r_ts == 0 is +inf, r_hm == 0 is 0.
+    with np.errstate(divide="ignore"):
+        gain = np.divide(r_hm - r_ts, r_ts, out=np.where(some, 0.0, np.nan), where=r_hm > 0)
+    return r_hm, r_ts, gain
 
 
-def system_gain(snrs: Sequence[float], table: ThresholdTable) -> float:
-    """Relative spectrum-efficiency gain (R_hm - R_ts) / R_ts of
-    hierarchical-modulation time sharing over the classical baseline.
+def system_summary(snrs: Sequence[float], table: ThresholdTable) -> SystemSummary:
+    """``system_summaries`` of one population with no receiver left out.
 
-    Pair rates are free-disposal equal rates (see ``equal_rate_point``).
-    Returns 0 when both aggregates are 0, and +inf when the baseline is 0
-    but hierarchical points serve every outage receiver's pair. Finite-gain
-    comparisons require an outage-free population; that is what the
-    campaign engine feeds in.
-    """
-    return system_summary(snrs, table).gain
+    Receivers that decode no single modcod stay in: the campaign drops
+    them before it aggregates, a library caller may filter them first."""
+    snrs = np.asarray(snrs, dtype=float)
+    if not snrs.size:
+        raise ValueError("need at least one receiver")
+    r_hm, r_ts, gain = system_summaries(snrs[None], table, [0])
+    return SystemSummary(r_hm=float(r_hm[0]), r_ts=float(r_ts[0]), gain=float(gain[0]))

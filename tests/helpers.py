@@ -186,8 +186,8 @@ class ExactPairOracle:
         return best, (sw * ss / (sw + ss) if sw + ss else zero)
 
 
-def system_summary_reference(snrs, table: ThresholdTable, oracle: ExactPairOracle) -> tuple[float, float, float, int]:
-    """(r_hm, r_ts, gain, outage_count) of a population with no memo and
+def system_summary_reference(snrs, table: ThresholdTable, oracle: ExactPairOracle) -> tuple[float, float, float]:
+    """(r_hm, r_ts, gain) of a population with no memo and
     no cell arrays: receivers sorted by (SNR, index) and paired extremes
     first, reciprocals from ``best_single``, each pair's hierarchical term
     1 / R* from the table's exact oracle where R* > R_ts and its classical
@@ -216,7 +216,7 @@ def system_summary_reference(snrs, table: ThresholdTable, oracle: ExactPairOracl
         gain = 0.0 if r_hm == 0.0 else math.inf
     else:
         gain = (r_hm - r_ts) / r_ts
-    return r_hm, r_ts, gain, sum(c is None for c in singles)
+    return r_hm, r_ts, gain
 
 
 # Constellation geometry: the symbol sets whose quadrant barycenters the

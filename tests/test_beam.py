@@ -279,6 +279,14 @@ class TestDrawPopulation:
         b = draw_population(100, 5.0, default_antenna, sample_weather, rng=np.random.SeedSequence(77))
         assert a.tobytes() == b.tobytes()
 
+    def test_rows_equal_one_row_draws(self, default_antenna, sample_weather):
+        snr_max = np.array([-2.0, 5.0, 5.0, 12.5])
+        seeds = [np.random.SeedSequence(3, spawn_key=key) for key in [(0, 0), (1, 0), (1, 1), (2, 0)]]
+        rows = draw_population(70, snr_max, default_antenna, sample_weather, rng=seeds)
+        assert rows.shape == (4, 70)
+        for row, snr, seed in zip(rows, snr_max.tolist(), seeds):
+            assert row.tobytes() == draw_population(70, snr, default_antenna, sample_weather, rng=seed).tobytes()
+
     def test_rejects_empty(self, default_antenna, sample_weather):
         with pytest.raises(ValueError):
             draw_population(0, 5.0, default_antenna, sample_weather, rng=1)

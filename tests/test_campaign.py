@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hmsim import campaign
 from hmsim.beam import AntennaConfig, WeatherCdf, draw_population
 from hmsim.campaign import (
     COMBINED,
@@ -15,7 +16,7 @@ from hmsim.campaign import (
     run_campaign,
 )
 from hmsim.modcod import Family
-from hmsim.rateopt import system_gain
+from hmsim.rateopt import system_summary
 
 TINY_EDGE = AntennaConfig(edge_level_db=1e-9)
 TWO_ATOM_WEATHER = [(0.0, 0.0), (0.0, 0.5), (6.0, 0.5), (6.0, 1.0)]
@@ -64,7 +65,7 @@ class TestEngine:
         report = run_campaign(cfg, tables, TINY_EDGE, weather)
         gain = report.stats[(7.2, "h_qpsk")].mean
         assert gain == pytest.approx(1 / 74, abs=1e-12)
-        assert gain == pytest.approx(system_gain(snrs, tables), abs=1e-15)
+        assert gain == pytest.approx(system_summary(snrs, tables).gain, abs=1e-15)
 
     def test_baseline_only_family_gains_zero(self, full_table, sample_weather, default_antenna):
         cfg = CampaignConfig(
@@ -105,8 +106,8 @@ class TestEngine:
                 rng=np.random.SeedSequence(11, spawn_key=(0, rep)),
             )
             served = [s for s in pop.tolist() if full_table.best_single(s)]
-            expected = system_gain(served, sub)
-            assert report.raw_gains[(5.0, "h_apsk32")][rep] == pytest.approx(expected, abs=1e-15)
+            expected = system_summary(served, sub).gain
+            assert report.raw_gains[(5.0, "h_apsk32")][rep] == expected
 
 
 class TestDeterminism:
@@ -116,6 +117,24 @@ class TestDeterminism:
         parallel = run_campaign(parallel_cfg, full_table, default_antenna, sample_weather)
         assert gains_csv_text(serial) == gains_csv_text(parallel)
         assert serial.stats == parallel.stats
+
+    def test_uneven_worker_blocks_do_not_change_bytes(self, full_table, sample_weather, default_antenna):
+        # workers=3 on 4 grid points: blocks (0, 3), (1,) and (2,)
+        cfg = CampaignConfig(snr_max_grid=(-1.0, 4.0, 9.0, 14.0), receivers=30, repetitions=3, master_seed=8)
+        serial = run_campaign(cfg, full_table, default_antenna, sample_weather)
+        parallel = run_campaign(CampaignConfig(**{**cfg.__dict__, "workers": 3}), full_table, default_antenna, sample_weather)
+        assert gains_csv_text(serial) == gains_csv_text(parallel)
+        assert serial.raw_gains == parallel.raw_gains and serial.outage == parallel.outage
+
+    @pytest.mark.parametrize("chunk", [1, 160], ids=["one_unit", "split_grid_point"])
+    def test_chunk_size_does_not_change_gains(self, full_table, sample_weather, default_antenna, small_cfg,
+                                              monkeypatch, chunk):
+        # Units of 40 receivers: one unit per chunk, or four, so that chunks
+        # split the 6 repetitions of a grid point and span two points. The
+        # default chunk holds all 18 units.
+        default = run_campaign(small_cfg, full_table, default_antenna, sample_weather)
+        monkeypatch.setattr(campaign, "_CHUNK_RECEIVERS", chunk)
+        assert run_campaign(small_cfg, full_table, default_antenna, sample_weather).raw_gains == default.raw_gains
 
     def test_same_seed_same_report(self, full_table, sample_weather, default_antenna, small_cfg):
         a = run_campaign(small_cfg, full_table, default_antenna, sample_weather)

@@ -418,6 +418,28 @@ class TestScenario:
         expected = (packaged_data_path("hqpsk_thresholds.csv"), (tmp_path / "hq.csv").resolve())
         assert scenario.hierarchical_paths == expected
 
+    @pytest.mark.parametrize("text,problem", [
+        ("grid = 3\n", "File contains no section headers. file: '{ini}', line: 1 'grid = 3\\n'"),
+        ("[campaign]\ngrid = 3\ngrid = 4\n",
+         "While reading from '{ini}' [line 3]: option 'grid' in section 'campaign' already exists"),
+    ], ids=["no_section_header", "duplicate_key"])
+    def test_malformed_file_located(self, tmp_path, text, problem, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text(text)
+        assert main(["validate", "--scenario", str(ini)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"FAIL: {problem.format(ini=ini)}\n"
+        assert main(["pair", "3", "12", "--scenario", str(ini)]) == 1
+        assert capsys.readouterr().err == f"error: {problem.format(ini=ini)}\n"
+
+    def test_percent_in_a_path_is_literal(self, tmp_path):
+        (tmp_path / "wx%1.csv").write_text("attenuation_db,cum_prob\n0,0\n2,1\n")
+        ini = tmp_path / "s.ini"
+        ini.write_text("[weather]\ncdf = wx%1.csv\n")
+        scenario = cli.load_scenario(str(ini), self.NO_FLAGS)
+        assert scenario.weather_path == (tmp_path / "wx%1.csv").resolve()
+        assert list(scenario.weather.attenuation_db) == [0.0, 2.0]
+
 
 class TestClosedStdout:
     """A reader that closes standard output early (``hmsim ... | head``)

@@ -19,7 +19,7 @@ from hmsim.rateopt import (
     pair_solution,
     rate_region_hull,
     solve_cell_pairs,
-    system_gain,
+    system_summaries,
     system_summary,
 )
 
@@ -364,7 +364,7 @@ class TestAggregates:
 
 class TestSystemGain:
     def test_total_outage_is_zero_gain(self, full_table):
-        assert system_gain([-10.0, -10.0, -10.0, -10.0], full_table) == 0.0
+        assert system_summary([-10.0, -10.0, -10.0, -10.0], full_table).gain == 0.0
 
     def test_gain_nonnegative_when_baseline_positive(self, full_table):
         rng = random.Random(99)
@@ -378,11 +378,11 @@ class TestSystemGain:
     def test_permutation_invariance(self, full_table):
         rng = random.Random(7)
         snrs = [rng.uniform(-1, 15) for _ in range(9)]
-        base = system_gain(snrs, full_table)
+        base = system_summary(snrs, full_table).gain
         for _ in range(5):
             shuffled = snrs[:]
             rng.shuffle(shuffled)
-            assert system_gain(shuffled, full_table) == pytest.approx(base, abs=1e-12)
+            assert system_summary(shuffled, full_table).gain == pytest.approx(base, abs=1e-12)
 
     def test_partial_outage_served_by_hierarchy(self, full_table):
         # the weak receiver decodes HE streams but no single modcod: the
@@ -392,7 +392,6 @@ class TestSystemGain:
         assert summary.r_ts == 0.0
         assert summary.r_hm == pytest.approx(0.4, abs=1e-15)
         assert summary.gain == float("inf")
-        assert summary.outage_count == 1
 
     def test_matches_manual_composition(self, full_table):
         rng = random.Random(4242)
@@ -409,7 +408,7 @@ class TestSystemGain:
 
     def test_two_receiver_case_reduces_to_pair(self, full_table):
         sol = pair_solution(1.0, 7.0, full_table)
-        assert system_gain([7.0, 1.0], full_table) == pytest.approx(sol.gain, abs=1e-12)
+        assert system_summary([7.0, 1.0], full_table).gain == pytest.approx(sol.gain, abs=1e-12)
 
 
 class TestPairMemo:
@@ -417,14 +416,19 @@ class TestPairMemo:
     table and reads the answer back for every later pair in that cell."""
 
     @staticmethod
-    def populations(table: ThresholdTable) -> list[list[float]]:
-        """Populations of 1-41 receivers drawn with replacement from every
-        threshold, the doubles either side of it and uniform SNRs on
-        [-6, 21] dB, so ties, odd sizes and outage receivers all occur."""
+    def snr_pool(table: ThresholdTable, rng) -> list[float]:
+        """Every threshold, the doubles either side of it and as many
+        uniform SNRs on [-6, 21] dB."""
         edges = np.unique(list(table.entries().values()))
         pool = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        return np.concatenate([pool, rng.uniform(-6.0, 21.0, pool.size)]).tolist()
+
+    @classmethod
+    def populations(cls, table: ThresholdTable) -> list[list[float]]:
+        """Populations of 1-41 receivers drawn with replacement from the
+        SNR pool, so ties, odd sizes and outage receivers all occur."""
         rng = np.random.default_rng(1)
-        pool = np.concatenate([pool, rng.uniform(-6.0, 21.0, pool.size)]).tolist()
+        pool = cls.snr_pool(table, rng)
         return [
             [pool[k] for k in rng.integers(0, len(pool), rng.integers(1, 42))]
             for _ in range(400)
@@ -436,12 +440,34 @@ class TestPairMemo:
         populations = self.populations(table)
         oracle = ExactPairOracle(table)
         expected = [system_summary_reference(snrs, table, oracle) for snrs in populations]
-        assert any(e[3] for e in expected) and any(len(p) % 2 for p in populations)
+        # r_ts == 0: some population holds a receiver in outage
+        assert any(e[1] == 0.0 for e in expected) and any(len(p) % 2 for p in populations)
         for order in (range(len(populations)), reversed(range(len(populations)))):
             for k in order:
                 s = system_summary(populations[k], table)
-                assert (s.r_hm, s.r_ts, s.gain, s.outage_count) == expected[k], populations[k]
+                assert (s.r_hm, s.r_ts, s.gain) == expected[k], populations[k]
         assert not np.isnan(table.pair_memo).all()
+
+    @pytest.mark.parametrize("family", [None, Family.H_QPSK, Family.H_APSK32], ids=["full", "h_qpsk", "h_apsk32"])
+    def test_batch_rows_equal_system_summary_of_the_served(self, full_table, family):
+        """One batch of rows that leave out different counts of weakest
+        receivers (none, all, the outage count, odd and even served counts)
+        equals system_summary of each row's served SNRs bit for bit; the
+        batch starts on a cold memo."""
+        rng = np.random.default_rng(2)
+        n, table = 40, table_for(full_table, family)
+        snrs = rng.choice(self.snr_pool(table, rng), size=(60, n))
+        outage = (snrs < table.lowest_single_threshold()).sum(axis=1)
+        dropped = np.concatenate([[0, n, n - 1, n - 2, 1, 2], outage[6:30], rng.integers(0, n + 1, 30)])
+        assert {(n - k) % 2 for k in dropped} == {0, 1} and 0 < outage.max() < n
+        r_hm, r_ts, gain = system_summaries(snrs, table, dropped)
+        reference = table_for(full_table, family)
+        for row, k, *got in zip(snrs, dropped, r_hm, r_ts, gain):
+            if k == n:
+                assert np.isnan(got).all()
+            else:
+                s = system_summary(np.sort(row)[k:], reference)
+                assert tuple(got) == (s.r_hm, s.r_ts, s.gain), (row, k)
 
     def test_one_solve_per_cell_pair(self, full_table, monkeypatch):
         table = full_table.subset(full_table.families())
