@@ -69,8 +69,11 @@ def _j1_series_factor(x2_over_4):
     """sum_k (-1)^k u^k / (k!(k+1)!) by Horner; J1(x) = (x/2) * this."""
     u = np.asarray(x2_over_4, dtype=np.longdouble)
     acc = np.full_like(u, _J1_SERIES_COEFFS[-1])
+    # In place: one array for the whole series, so large batches do not
+    # churn the heap.
     for c in reversed(_J1_SERIES_COEFFS[:-1]):
-        acc = acc * u + c
+        acc *= u
+        acc += c
     return acc.astype(float)
 
 

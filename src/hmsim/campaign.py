@@ -110,8 +110,13 @@ class SimulationReport:
 
 
 # Receivers per chunk of units drawn and aggregated as one array program:
-# (units x receivers) float64 arrays of 128 KB, a few MB in all.
-_CHUNK_RECEIVERS = 1 << 14
+# (units x receivers) float64 arrays of 32 KB, a few hundred KB in all.
+# Larger chunks are slower and less steady: glibc's malloc hands the free
+# top of its heap back to the kernel once it passes a threshold of a few
+# hundred KB, so temporaries past it are faulted back in on every chunk. At
+# 1 << 14 receivers that was about 1,900 page faults (7.5 MB) per 31-unit
+# campaign, whose cost moved with the host from one run to the next.
+_CHUNK_RECEIVERS = 1 << 12
 
 
 def _run_grid_points(ctx, grid_indices: Sequence[int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:

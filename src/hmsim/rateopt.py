@@ -278,9 +278,10 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
     return PairSolution(r_hm=r_hm, r_ts=r_ts, schedule=solution.schedule)
 
 
-# Crossings per block of cell pairs in solve_cell_pairs: 128 KB per int64
-# array, about 1 MB for the whole block.
-_BLOCK_CROSSINGS = 1 << 14
+# Crossings per block of cell pairs in solve_cell_pairs: 64 KB per int64
+# array, about 0.5 MB for the whole block, which the heap keeps between
+# blocks (see campaign._CHUNK_RECEIVERS).
+_BLOCK_CROSSINGS = 1 << 13
 
 
 @lru_cache
