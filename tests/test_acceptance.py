@@ -7,6 +7,7 @@ different worker counts) through a session fixture and are marked ``slow``;
 everything else is sub-minute (``pytest -m "not slow"`` skips the two).
 """
 
+import hashlib
 import math
 import random
 import time
@@ -30,6 +31,10 @@ from hmsim.modcod import Family, SchemeId, Stream, signaling_bits
 from hmsim.rateopt import RatePair, achievable_pairs, equal_rate_point, pair_solution
 
 F = Fraction
+
+# sha256 of the default campaign's gains.csv (seed 1, every family, no
+# combined rows), the same at every worker count.
+DEFAULT_GAINS_SHA256 = "ec590b97094c49b6b390bd9408f15083f8b6953ec3ec1404f47db59647cd9d29"
 
 
 def report(criterion: str, detail: str):
@@ -193,6 +198,7 @@ def test_criterion_9_campaign_determinism(default_campaign):
     run_a, run_b, _, _ = default_campaign
     text_a, text_b = gains_csv_text(run_a), gains_csv_text(run_b)
     assert text_a.encode() == text_b.encode()
+    assert hashlib.sha256(text_a.encode()).hexdigest() == DEFAULT_GAINS_SHA256
     report(
         "9 (determinism across parallelism)",
         f"workers=2 and workers=1 produced byte-identical gains.csv ({len(text_a)} bytes)",

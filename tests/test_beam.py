@@ -20,6 +20,7 @@ from hmsim.beam import (
     _J1_SERIES_TERMS,
     _X_MAX,
     _j1_series_factor,
+    _j1_series_factor_f64,
 )
 
 # J1 reference values on the main lobe [0, j1,1], 30-digit
@@ -80,6 +81,25 @@ class TestMainLobeSeries:
         x = np.concatenate([x, [0.0, np.nextafter(null, 0.0), null, np.nextafter(null, 4.0), _X_MAX]])
         u = x * x / 4.0
         assert np.array_equal(_j1_series_factor(u), reference_series_factor(u))
+
+    def test_float64_series_absolute_bound(self):
+        # the draw's series (beam._location_attenuation) is within 2^-50 of
+        # the long-double one over the whole main lobe
+        x = np.random.default_rng(20131002).uniform(0.0, _X_MAX, 1_000_000)
+        x = np.concatenate([x, [0.0, _J1_FIRST_ZERO, _X_MAX]])
+        u = x * x / 4.0
+        assert np.abs(_j1_series_factor_f64(u) - _j1_series_factor(u)).max() <= 2.0**-50
+
+    @pytest.mark.parametrize("edge_level_db", [1, 4, 10, 20, 40])
+    def test_float64_series_relative_bound_inside_the_edge(self, edge_level_db):
+        # on [0, x_edge] the bracket is at least 10^(-L/20), so the stated
+        # relative bound is 2^-50 * 10^(L/20)
+        cfg = AntennaConfig(edge_level_db=edge_level_db)
+        x = np.linspace(0.0, math.sin(beam_edge_angle(cfg)) * cfg.aperture_factor, 1_000_001)
+        u = x * x / 4.0
+        exact = _j1_series_factor(u)
+        rel = np.abs(_j1_series_factor_f64(u) - exact) / exact
+        assert rel.max() <= 2.0**-50 * 10 ** (edge_level_db / 20)
 
     def test_tail_bound_justifies_term_count(self):
         # from k = 1 on, term k+1 / term k = u / ((k+1)(k+2)) < 1 needs u < 6,
@@ -235,6 +255,11 @@ class TestWeatherSampling:
             WeatherCdf([(-0.5, 0.0), (1.0, 1.0)])
         with pytest.raises(ValueError):
             WeatherCdf([(0.0, 0.0), (1.0, 0.9)])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                WeatherCdf([(0.0, 0.0), (bad, 0.5), (2.0, 1.0)])
+            with pytest.raises(ValueError, match="finite"):
+                WeatherCdf([(0.0, 0.0), (1.0, bad), (2.0, 1.0)])
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "wx.csv"
@@ -251,6 +276,12 @@ class TestWeatherSampling:
         decreasing.write_text("attenuation_db,cum_prob\n0,0.9\n5,0.2\n6,1\n")
         with pytest.raises(ValueError, match="nondecreasing"):
             WeatherCdf.from_csv(decreasing)
+        for row in ("nan,0.5", "1,nan", "inf,0.5", "1,-inf"):
+            non_finite = tmp_path / "c.csv"
+            non_finite.write_text(f"attenuation_db,cum_prob\n0,0\n{row}\n6,1\n")
+            with pytest.raises(ValueError) as excinfo:
+                WeatherCdf.from_csv(non_finite)
+            assert str(excinfo.value) == f"{non_finite}: line 3: non-finite value"
 
 
 class TestDrawPopulation:

@@ -1,12 +1,13 @@
 """Campaign engine: determinism, seeding stability, oracle agreement."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from hmsim import campaign
-from hmsim.beam import AntennaConfig, WeatherCdf, draw_population
+from hmsim.beam import GEO_ALTITUDE_M, AntennaConfig, WeatherCdf, antenna_gain_rel, beam_edge_angle, draw_population
 from hmsim.campaign import (
     COMBINED,
     CampaignConfig,
@@ -20,6 +21,25 @@ from hmsim.rateopt import system_summary
 
 TINY_EDGE = AntennaConfig(edge_level_db=1e-9)
 TWO_ATOM_WEATHER = [(0.0, 0.0), (0.0, 0.5), (6.0, 0.5), (6.0, 1.0)]
+
+
+def _grid(start, step, count):
+    return tuple(round(start + k * step, 9) for k in range(count))
+
+
+# The campaigns of the perfbench workloads at seed 1 (`sweep` and
+# `outage-edge`, 500 receivers, h_qpsk and h_apsk32), with the sha256 of
+# their gains.csv, as in perfbench/reference.json.
+BENCHMARK_CAMPAIGNS = {
+    "sweep": (_grid(1.0, 0.5, 31), 1, "6da06df765692392087f695323d043e84114ed42606b8e7713e9031ae04c72d0"),
+    "outage-edge": (_grid(-2.4, 0.05, 19), 5, "844aa13e45698a54d3bcf79f7f538675e10441a3400d3091bcf32b8cb7875261"),
+}
+
+
+def benchmark_config(name):
+    grid, reps, _ = BENCHMARK_CAMPAIGNS[name]
+    return CampaignConfig(snr_max_grid=grid, receivers=500, repetitions=reps,
+                          families=(Family.H_QPSK, Family.H_APSK32), master_seed=1)
 
 
 @pytest.fixture()
@@ -152,6 +172,43 @@ class TestDeterminism:
         long = run_campaign(extended, full_table, default_antenna, sample_weather)
         for key, values in short.raw_gains.items():
             assert long.raw_gains[key][: len(values)] == values
+
+
+class TestBenchmarkCampaigns:
+    @pytest.mark.parametrize("name", BENCHMARK_CAMPAIGNS)
+    def test_gains_csv_digest(self, name, full_table, sample_weather, default_antenna):
+        report = run_campaign(benchmark_config(name), full_table, default_antenna, sample_weather)
+        assert hashlib.sha256(gains_csv_text(report).encode()).hexdigest() == BENCHMARK_CAMPAIGNS[name][2]
+
+    @pytest.mark.parametrize("name", BENCHMARK_CAMPAIGNS)
+    def test_float64_pattern_keeps_every_cell(self, name, full_table, sample_weather, default_antenna):
+        # The draw evaluates the pattern in float64; the oracle runs the same
+        # uniforms through the long-double antenna_gain_rel. The SNRs may
+        # differ by the draw's stated bound (beam._location_attenuation) as
+        # dB, plus a rounding of log10 and of the two subtractions; every
+        # receiver must stay further than that from every threshold.
+        cfg = benchmark_config(name)
+        units = [(g, rep) for g in range(len(cfg.snr_max_grid)) for rep in range(cfg.repetitions)]
+        snr_max = np.array([cfg.snr_max_grid[g] for g, _ in units])
+        seeds = [np.random.SeedSequence(cfg.master_seed, spawn_key=unit) for unit in units]
+        snrs = draw_population(cfg.receivers, snr_max, default_antenna, sample_weather, rng=seeds)
+
+        u = np.stack([np.random.default_rng(seed).random((2, cfg.receivers)) for seed in seeds])
+        edge_radius = GEO_ALTITUDE_M * math.tan(beam_edge_angle(default_antenna))
+        theta = np.arctan(edge_radius * np.sqrt(u[:, 0]) / GEO_ALTITUDE_M)
+        location = np.maximum(-10.0 * np.log10(antenna_gain_rel(theta, default_antenna)), 0.0)
+        oracle = snr_max[:, None] - location - sample_weather.quantile(u[:, 1])
+
+        level = default_antenna.edge_level_db
+        bound_db = (20.0 * math.log10(1.0 + 2.0**-50 * 10 ** (level / 20)) + np.spacing(level)
+                    + 2.0 * np.spacing(np.abs(oracle).max()))
+        assert np.abs(snrs - oracle).max() <= bound_db
+        cells = full_table.cells(oracle)
+        assert np.array_equal(full_table.cells(snrs), cells)
+        # cell c lies between the c-th and (c+1)-th distinct thresholds
+        edges = np.concatenate([[-np.inf], np.unique(list(full_table.entries().values())), [np.inf]])
+        margin = np.minimum(oracle - edges[cells], edges[cells + 1] - oracle).min()
+        assert margin > bound_db
 
 
 class TestReportSurface:

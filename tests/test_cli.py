@@ -349,6 +349,17 @@ class TestValidate:
         (scenario_dir / "wx.csv").write_text("attenuation_db,cum_prob\n0,0.9\n1,0.2\n2,1\n")
         assert main(["validate", "--scenario", str(scenario_dir / "scenario.ini")]) == 1
 
+    def test_non_finite_cdf_fails(self, scenario_dir, capsys):
+        # a NaN quantile would count as above every threshold
+        wx = scenario_dir / "wx.csv"
+        wx.write_text("attenuation_db,cum_prob\n0,0\nnan,0.5\n2,1\n")
+        message = f"weather CDF: {wx}: line 3: non-finite value\n"
+        assert main(["validate", "--scenario", str(scenario_dir / "scenario.ini")]) == 1
+        assert capsys.readouterr().err == f"FAIL: {message}"
+        assert main(["campaign", "--scenario", str(scenario_dir / "scenario.ini")]) == 1
+        assert capsys.readouterr().err.endswith(message)
+        assert not (scenario_dir / "out").exists()
+
     def test_missing_baseline_fails(self, scenario_dir, capsys):
         ini = (scenario_dir / "scenario.ini").read_text().replace(
             str(packaged_data_path("dvbs2_single.csv")), "does_not_exist.csv"
