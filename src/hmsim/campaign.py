@@ -16,10 +16,17 @@ relative gain is undefined against a zero baseline. A run is excluded
 Each process evaluates its (grid point, repetition) units as one array
 program over (units x receivers) arrays, in chunks of whole units of at
 most ``_CHUNK_RECEIVERS`` receivers: one population draw and one
-``system_summaries`` call per family for each chunk. With more than one
-worker, each worker gets one interleaved block of grid points (worker w
-of W takes points w, w + W, ...), which spreads the costlier high-SNR
-points, and the results are put back in grid order.
+``system_summaries`` call per family for each chunk. With W workers the
+grid is split into B = min(W, grid points) interleaved blocks of grid
+points (block b takes points b, b + W, ...), which spreads the costlier
+high-SNR points, and the results are put back in grid order. The parent
+process first builds everything a block reads (see ``_primed_context``):
+numpy's lazily imported ``random`` submodule, the beam edge angle and each
+family table's query structures. It then starts B - 1 pool processes,
+which get the primed context through the pool's initializer (under fork
+they inherit it without pickling), and runs block 0 itself while they run
+the others. With one block, at workers=1 or on a one-point grid, no pool
+is started.
 
 Determinism: the population for grid index g, repetition r is drawn from
 its own generator, ``SeedSequence(master_seed, spawn_key=(g, r))``, and
@@ -31,12 +38,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .beam import AntennaConfig, WeatherCdf, draw_population
+from .beam import AntennaConfig, WeatherCdf, beam_edge_angle, draw_population
 from .modcod import Family, ThresholdTable
 from .rateopt import system_summaries
 
@@ -119,14 +127,27 @@ class SimulationReport:
 _CHUNK_RECEIVERS = 1 << 12
 
 
+# The context of a pool process's blocks, set once by the pool's initializer.
+_worker_ctx = None
+
+
+def _adopt_context(ctx) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _run_block(grid_indices: Sequence[int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    return _run_grid_points(_worker_ctx, grid_indices)
+
+
 def _run_grid_points(ctx, grid_indices: Sequence[int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The units of the given grid points, in chunks of whole units of at
     most ``_CHUNK_RECEIVERS`` receivers (at least one unit): the receivers
     dropped as unservable, and each family's gains (NaN: run excluded),
-    as (grid points, repetitions) arrays."""
-    family_tables, cfg, beam, weather = ctx
+    as (grid points, repetitions) arrays. ``ctx`` is a
+    ``_primed_context``."""
+    family_tables, floor, cfg, beam, weather = ctx
     units = [(g, rep) for g in grid_indices for rep in range(cfg.repetitions)]
-    floor = next(iter(family_tables.values())).lowest_single_threshold()
     dropped = np.empty(len(units), dtype=np.intp)
     gains = {token: np.empty(len(units)) for token in family_tables}
     step = max(1, _CHUNK_RECEIVERS // cfg.receivers)
@@ -146,18 +167,15 @@ def _run_grid_points(ctx, grid_indices: Sequence[int]) -> tuple[np.ndarray, dict
     return dropped.reshape(shape), {token: g.reshape(shape) for token, g in gains.items()}
 
 
-def run_campaign(
-    cfg: CampaignConfig,
-    tables: ThresholdTable,
-    beam: AntennaConfig,
-    weather: WeatherCdf,
-) -> SimulationReport:
-    """Run the campaign and reduce per-run gains to per-cell statistics.
+def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaConfig, weather: WeatherCdf):
+    """The context of ``_run_grid_points``: each evaluated family's table,
+    keyed by token in report order, the single-stream floor below which
+    receivers are dropped, then cfg, beam and weather.
 
-    ``tables`` must hold the non-hierarchical baseline plus every requested
-    family; each family is evaluated against the baseline alone, plus a
-    combined evaluation over all requested families when configured.
-    """
+    Everything a block reads is built here, once, so that no block rebuilds
+    it and pool processes forked afterwards inherit it: numpy's lazily
+    imported ``random`` submodule, the beam edge angle, and each table's
+    cell edges, per-cell arrays and pair memo."""
     single_families = [f for f in tables.families() if not f.hierarchical]
     if not single_families:
         raise ValueError("tables contain no single-stream baseline entries")
@@ -175,24 +193,44 @@ def run_campaign(
     family_tables: dict[str, ThresholdTable] = {
         fam.token: tables.subset(set(single_families) | {fam}) for fam in requested
     }
-    tokens = [fam.token for fam in requested]
     if cfg.combined:
         family_tables[COMBINED] = tables.subset(set(single_families) | set(requested))
-        tokens.append(COMBINED)
 
-    ctx = (family_tables, cfg, beam, weather)
+    import numpy.random  # noqa: F401  numpy imports it on first use
+    beam_edge_angle(beam)
+    for table in family_tables.values():
+        table.cell_inv, table.pair_memo  # cell_inv builds cell_units and the cell edges
+    floor = next(iter(family_tables.values())).lowest_single_threshold()
+    return family_tables, floor, cfg, beam, weather
+
+
+def run_campaign(
+    cfg: CampaignConfig,
+    tables: ThresholdTable,
+    beam: AntennaConfig,
+    weather: WeatherCdf,
+) -> SimulationReport:
+    """Run the campaign and reduce per-run gains to per-cell statistics.
+
+    ``tables`` must hold the non-hierarchical baseline plus every requested
+    family; each family is evaluated against the baseline alone, plus a
+    combined evaluation over all requested families when configured.
+    """
+    ctx = _primed_context(cfg, tables, beam, weather)
+    tokens = tuple(ctx[0])
     grid = range(len(cfg.snr_max_grid))
-    if cfg.workers > 1:
-        # One interleaved block of grid points per worker, which spreads the
-        # costlier high-SNR points across the workers.
-        blocks = [grid[w::cfg.workers] for w in range(min(cfg.workers, len(grid)))]
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(pool.map(_run_grid_points, [ctx] * len(blocks), blocks))
-        order = np.argsort(np.concatenate(blocks))
-        dropped = np.concatenate([d for d, _ in parts])[order]
-        gains = {token: np.concatenate([g[token] for _, g in parts])[order] for token in tokens}
-    else:
-        dropped, gains = _run_grid_points(ctx, grid)
+    blocks = [grid[w::cfg.workers] for w in range(min(cfg.workers, len(grid)))]
+    with ExitStack() as stack:
+        others = ()
+        if len(blocks) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=len(blocks) - 1, initializer=_adopt_context, initargs=(ctx,)))
+            # map submits every other block now, before block 0 runs here.
+            others = pool.map(_run_block, blocks[1:])
+        parts = [_run_grid_points(ctx, blocks[0]), *others]
+    order = np.argsort(np.concatenate(blocks))
+    dropped = np.concatenate([d for d, _ in parts])[order]
+    gains = {token: np.concatenate([g[token] for _, g in parts])[order] for token in tokens}
 
     stats: dict[tuple[float, str], GainStat] = {}
     outage: dict[float, OutageStat] = {}
@@ -222,7 +260,7 @@ def run_campaign(
             raw[(snr_max, token)] = tuple(values)
     return SimulationReport(
         config=cfg,
-        family_tokens=tuple(tokens),
+        family_tokens=tokens,
         stats=stats,
         outage=outage,
         raw_gains=raw,

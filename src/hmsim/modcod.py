@@ -339,7 +339,10 @@ class ThresholdTable:
 
     @cached_property
     def _edge_array(self) -> np.ndarray:
-        return np.unique(np.fromiter(self._entries.values(), float, len(self._entries)))
+        """The distinct thresholds, ascending: each first of a run of equal
+        sorted values, as np.unique keeps it (thresholds are finite)."""
+        edges = np.sort(np.fromiter(self._entries.values(), float, len(self._entries)))
+        return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
     @cached_property
     def cell_inv(self) -> np.ndarray:

@@ -413,7 +413,10 @@ def system_summaries(snrs, table: ThresholdTable, dropped) -> tuple[np.ndarray, 
     hm = memo[weak, strong]
     todo = paired & np.isnan(hm)
     if todo.any():
-        a, b = np.divmod(np.unique(weak[todo] * len(memo) + strong[todo]), len(memo))
+        # Each cold pair once, in row-major (weak, strong) order.
+        cold = np.zeros(memo.shape, dtype=bool)
+        cold[weak[todo], strong[todo]] = True
+        a, b = np.nonzero(cold)
         memo[a, b] = solve_cell_pairs(table, a, b)
         hm = memo[weak, strong]
     alone = np.where(unpaired, weak_inv, 0.0)

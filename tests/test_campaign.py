@@ -1,11 +1,18 @@
 """Campaign engine: determinism, seeding stability, oracle agreement."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmsim
 from hmsim import campaign
 from hmsim.beam import GEO_ALTITUDE_M, AntennaConfig, WeatherCdf, antenna_gain_rel, beam_edge_angle, draw_population
 from hmsim.campaign import (
@@ -146,6 +153,25 @@ class TestDeterminism:
         assert gains_csv_text(serial) == gains_csv_text(parallel)
         assert serial.raw_gains == parallel.raw_gains and serial.outage == parallel.outage
 
+    @pytest.mark.parametrize("workers, grid", [(2, (7.0,)), (4, (-1.0, 6.0, 13.0))],
+                             ids=["one_block", "more_workers_than_points"])
+    def test_more_workers_than_grid_points_do_not_change_bytes(self, full_table, sample_weather, default_antenna,
+                                                               workers, grid):
+        cfg = CampaignConfig(snr_max_grid=grid, receivers=30, repetitions=3, master_seed=8)
+        serial = run_campaign(cfg, full_table, default_antenna, sample_weather)
+        parallel = run_campaign(CampaignConfig(**{**cfg.__dict__, "workers": workers}),
+                                full_table, default_antenna, sample_weather)
+        assert gains_csv_text(serial) == gains_csv_text(parallel)
+        assert serial.raw_gains == parallel.raw_gains and serial.outage == parallel.outage
+
+    def test_one_block_starts_no_pool(self, full_table, sample_weather, default_antenna, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block campaign started a pool")
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", no_pool)
+        cfg = CampaignConfig(snr_max_grid=(7.0,), receivers=30, repetitions=2, master_seed=8, workers=2)
+        assert run_campaign(cfg, full_table, default_antenna, sample_weather).stats
+
     @pytest.mark.parametrize("chunk", [1, 160], ids=["one_unit", "split_grid_point"])
     def test_chunk_size_does_not_change_gains(self, full_table, sample_weather, default_antenna, small_cfg,
                                               monkeypatch, chunk):
@@ -250,3 +276,63 @@ class TestReportSurface:
         )
         with pytest.raises(ValueError, match="h_psk8"):
             run_campaign(cfg, single_table.merged_with(hqpsk_table), default_antenna, sample_weather)
+
+
+def _run_fresh_process(script: str) -> dict:
+    """Run a Python script in a new interpreter that imports hmsim from this
+    checkout, so that what the test session has imported or built masks
+    nothing; the script prints one JSON object as its last line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [str(Path(hmsim.__file__).parents[1]), env.get("PYTHONPATH")] if p)
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestPrimedContext:
+    def test_a_block_builds_nothing_after_priming(self):
+        # A pool process forked after _primed_context inherits all it built;
+        # whatever a block still builds or imports, every worker of every
+        # campaign would build again. Block 1 of 2 of the default grid.
+        grown = _run_fresh_process("""
+            import argparse, dataclasses, json, sys
+            from hmsim import beam, campaign, cli
+
+            scenario = cli.load_scenario(None, argparse.Namespace())
+            cfg = dataclasses.replace(scenario.campaign_config(), repetitions=2)
+            ctx = campaign._primed_context(cfg, scenario.tables, scenario.antenna, scenario.weather)
+
+            def snapshot():
+                return (set(sys.modules), {token: set(vars(t)) for token, t in ctx[0].items()},
+                        beam.beam_edge_angle.cache_info().misses)
+
+            modules, attributes, misses = snapshot()
+            campaign._run_grid_points(ctx, range(1, len(cfg.snr_max_grid), 2))
+            modules_after, attributes_after, misses_after = snapshot()
+            print(json.dumps({
+                "modules": sorted(modules_after - modules),
+                "attributes": {token: sorted(attributes_after[token] - attributes[token]) for token in attributes},
+                "edge_angle_misses": misses_after - misses,
+            }))
+        """)
+        assert grown["modules"] == []
+        assert set(grown["attributes"]) == {"h_apsk32", "h_qpsk"}
+        assert all(new == [] for new in grown["attributes"].values())
+        assert grown["edge_angle_misses"] == 0
+
+    def test_no_hmsim_command_imports_numpy_ma(self, tmp_path):
+        # numpy imports numpy.ma lazily, in np.unique among others, which
+        # costs a cold campaign about 16 ms.
+        imported = _run_fresh_process(f"""
+            import json, sys
+            from hmsim.cli import main
+
+            out = {str(tmp_path)!r}
+            assert main(["validate"]) == 0
+            assert main(["pair", "-3", "10", "--dump-hull", out + "/hull.csv"]) == 0
+            assert main(["campaign", "--grid", "4:6:1", "--reps", "2", "--receivers", "40", "--workers", "2",
+                         "--out", out]) == 0
+            print(json.dumps(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))))
+        """)
+        assert imported == []
