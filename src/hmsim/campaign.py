@@ -22,11 +22,13 @@ points (block b takes points b, b + W, ...), which spreads the costlier
 high-SNR points, and the results are put back in grid order. The parent
 process first builds everything a block reads (see ``_primed_context``):
 numpy's lazily imported ``random`` submodule, the beam edge angle and each
-family table's query structures. It then starts B - 1 pool processes,
-which get the primed context through the pool's initializer (under fork
-they inherit it without pickling), and runs block 0 itself while they run
-the others. With one block, at workers=1 or on a one-point grid, no pool
-is started.
+family table's query structures. It then starts one child process for each
+of blocks 1 to B - 1, forked on Linux so that it inherits the primed
+context without pickling, and runs block 0 itself while they run the
+others. Each child sends back its block's result, or the exception it
+raised, over a one-way pipe. With one block, at workers=1 or on a
+one-point grid, no child is started and ``multiprocessing`` is not
+imported.
 
 Determinism: the population for grid index g, repetition r is drawn from
 its own generator, ``SeedSequence(master_seed, spawn_key=(g, r))``, and
@@ -37,8 +39,7 @@ results are bit-identical for any worker count and any chunk size.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -127,19 +128,6 @@ class SimulationReport:
 _CHUNK_RECEIVERS = 1 << 12
 
 
-# The context of a pool process's blocks, set once by the pool's initializer.
-_worker_ctx = None
-
-
-def _adopt_context(ctx) -> None:
-    global _worker_ctx
-    _worker_ctx = ctx
-
-
-def _run_block(grid_indices: Sequence[int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    return _run_grid_points(_worker_ctx, grid_indices)
-
-
 def _run_grid_points(ctx, grid_indices: Sequence[int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The units of the given grid points, in chunks of whole units of at
     most ``_CHUNK_RECEIVERS`` receivers (at least one unit): the receivers
@@ -173,7 +161,7 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     receivers are dropped, then cfg, beam and weather.
 
     Everything a block reads is built here, once, so that no block rebuilds
-    it and pool processes forked afterwards inherit it: numpy's lazily
+    it and the child processes forked afterwards inherit it: numpy's lazily
     imported ``random`` submodule, the beam edge angle, and each table's
     cell edges, per-cell arrays and pair memo."""
     single_families = [f for f in tables.families() if not f.hierarchical]
@@ -204,6 +192,50 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     return family_tables, floor, cfg, beam, weather
 
 
+def _run_child_block(ctx, grid_indices: Sequence[int], sender) -> None:
+    """The body of a child process: sends its block's ``_run_grid_points``
+    result, or the exception it raised, to the parent."""
+    try:
+        reply = _run_grid_points(ctx, grid_indices)
+    except Exception as exc:  # the parent raises it
+        reply = exc
+    with sender:
+        sender.send(reply)
+
+
+def _start_child(ctx, grid_indices: Sequence[int]):
+    """A started child process running one block, and the read end of its
+    pipe."""
+    import multiprocessing  # only a campaign that starts a child pays for it
+
+    # Fork, so that the child inherits the primed context; Python 3.14 made
+    # forkserver the Linux default, which would pickle it and re-import numpy.
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_run_child_block, args=(ctx, grid_indices, sender))
+    child.start()
+    # The child holds the only write end now, so recv sees EOF once it exits.
+    sender.close()
+    return child, receiver
+
+
+def _child_reply(block: int, child, receiver):
+    """What a child sent: its block's result or the exception it raised, or
+    a RuntimeError when it exited without sending. The reply is read before
+    the child is joined: a reply larger than the pipe buffer holds the child
+    in ``send`` until the parent reads it."""
+    try:
+        reply = receiver.recv()
+    except EOFError:
+        reply = None
+    finally:
+        receiver.close()
+        child.join()
+    if reply is None:
+        reply = RuntimeError(f"campaign block {block} exited with code {child.exitcode} without sending a result")
+    return reply
+
+
 def run_campaign(
     cfg: CampaignConfig,
     tables: ThresholdTable,
@@ -220,14 +252,18 @@ def run_campaign(
     tokens = tuple(ctx[0])
     grid = range(len(cfg.snr_max_grid))
     blocks = [grid[w::cfg.workers] for w in range(min(cfg.workers, len(grid)))]
-    with ExitStack() as stack:
-        others = ()
-        if len(blocks) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=len(blocks) - 1, initializer=_adopt_context, initargs=(ctx,)))
-            # map submits every other block now, before block 0 runs here.
-            others = pool.map(_run_block, blocks[1:])
-        parts = [_run_grid_points(ctx, blocks[0]), *others]
+    children = []
+    try:
+        for block in blocks[1:]:
+            children.append(_start_child(ctx, block))
+        parts = [_run_grid_points(ctx, blocks[0])]
+    finally:
+        # Every child is read and joined, also when block 0 raised here.
+        replies = [_child_reply(b, *child) for b, child in enumerate(children, 1)]
+    for reply in replies:
+        if isinstance(reply, Exception):
+            raise reply
+    parts += replies
     order = np.argsort(np.concatenate(blocks))
     dropped = np.concatenate([d for d, _ in parts])[order]
     gains = {token: np.concatenate([g[token] for _, g in parts])[order] for token in tokens}

@@ -3,10 +3,13 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from hmsim.campaign import (
     gains_csv_text,
     run_campaign,
 )
+from hmsim.cli import main
 from hmsim.modcod import Family
 from hmsim.rateopt import system_summary
 
@@ -47,6 +51,31 @@ def benchmark_config(name):
     grid, reps, _ = BENCHMARK_CAMPAIGNS[name]
     return CampaignConfig(snr_max_grid=grid, receivers=500, repetitions=reps,
                           families=(Family.H_QPSK, Family.H_APSK32), master_seed=1)
+
+
+@pytest.fixture()
+def started(monkeypatch):
+    """The child processes started while the test runs."""
+    processes = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def record(process):
+        processes.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record)
+    return processes
+
+
+def _patch_blocks(monkeypatch, parent_block, child_block):
+    """Make campaign._run_grid_points call parent_block in this process and
+    child_block in the children forked from it, which inherit the patch."""
+    parent = os.getpid()
+
+    def run(ctx, grid_indices):
+        return (parent_block if os.getpid() == parent else child_block)(ctx, grid_indices)
+
+    monkeypatch.setattr(campaign, "_run_grid_points", run)
 
 
 @pytest.fixture()
@@ -164,13 +193,14 @@ class TestDeterminism:
         assert gains_csv_text(serial) == gains_csv_text(parallel)
         assert serial.raw_gains == parallel.raw_gains and serial.outage == parallel.outage
 
-    def test_one_block_starts_no_pool(self, full_table, sample_weather, default_antenna, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-block campaign started a pool")
-
-        monkeypatch.setattr(campaign, "ProcessPoolExecutor", no_pool)
-        cfg = CampaignConfig(snr_max_grid=(7.0,), receivers=30, repetitions=2, master_seed=8, workers=2)
+    @pytest.mark.parametrize("workers, grid, children", [(2, (7.0,), 0), (3, (-1.0, 6.0, 13.0), 2)],
+                             ids=["one_block", "three_blocks"])
+    def test_each_block_after_the_first_starts_one_child(self, full_table, sample_weather, default_antenna,
+                                                         started, workers, grid, children):
+        cfg = CampaignConfig(snr_max_grid=grid, receivers=30, repetitions=2, master_seed=8, workers=workers)
         assert run_campaign(cfg, full_table, default_antenna, sample_weather).stats
+        assert len(started) == children
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("chunk", [1, 160], ids=["one_unit", "split_grid_point"])
     def test_chunk_size_does_not_change_gains(self, full_table, sample_weather, default_antenna, small_cfg,
@@ -198,6 +228,92 @@ class TestDeterminism:
         long = run_campaign(extended, full_table, default_antenna, sample_weather)
         for key, values in short.raw_gains.items():
             assert long.raw_gains[key][: len(values)] == values
+
+
+@pytest.fixture()
+def deadline():
+    """Fail a test that waits on child processes for more than 60 s, rather
+    than let it hang: kill the children, which multiprocessing would join at
+    exit, and raise pytest's failure, a BaseException that the OSError
+    handlers around multiprocessing's waits do not swallow."""
+    def expire(signum, frame):
+        for child in multiprocessing.active_children():
+            child.kill()
+        pytest.fail("waited 60 s on the campaign's child processes")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="children inherit a patched module only when forked, as on Linux")
+@pytest.mark.usefixtures("deadline")
+class TestChildProcesses:
+    CFG = CampaignConfig(snr_max_grid=(-1.0, 6.0, 13.0), receivers=30, repetitions=2, master_seed=8, workers=3)
+    CLI_CAMPAIGN = ["campaign", "--grid", "4:6:1", "--reps", "2", "--receivers", "40", "--workers", "2"]
+
+    def test_children_are_forked_on_linux(self, full_table, sample_weather, default_antenna, started):
+        # Python 3.14 made forkserver the Linux default, under which every
+        # child would pickle the primed context and import numpy again.
+        default = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("forkserver", force=True)
+        try:
+            run_campaign(self.CFG, full_table, default_antenna, sample_weather)
+        finally:
+            multiprocessing.set_start_method(default, force=True)
+        assert [type(p) for p in started] == [multiprocessing.get_context("fork").Process] * 2
+
+    def test_child_exception_keeps_its_type(self, full_table, sample_weather, default_antenna, monkeypatch,
+                                            tmp_path, capsys):
+        def fail(ctx, grid_indices):
+            raise ValueError(f"bad block {list(grid_indices)}")
+
+        _patch_blocks(monkeypatch, campaign._run_grid_points, fail)
+        with pytest.raises(ValueError, match=r"bad block \[1\]"):
+            run_campaign(self.CFG, full_table, default_antenna, sample_weather)
+        assert multiprocessing.active_children() == []
+        assert main([*self.CLI_CAMPAIGN, "--out", str(tmp_path)]) == 1
+        assert "error: bad block [1]" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_sends_nothing(self, full_table, sample_weather, default_antenna, monkeypatch,
+                                      tmp_path, capsys):
+        _patch_blocks(monkeypatch, campaign._run_grid_points, lambda ctx, grid_indices: os._exit(3))
+        with pytest.raises(RuntimeError, match="campaign block 1 exited with code 3"):
+            run_campaign(self.CFG, full_table, default_antenna, sample_weather)
+        assert multiprocessing.active_children() == []
+        assert main([*self.CLI_CAMPAIGN, "--out", str(tmp_path)]) == 2
+        assert "campaign block 1 exited with code 3" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_block_0_failure_joins_every_child(self, full_table, sample_weather, default_antenna, monkeypatch,
+                                               started):
+        # The children outlast block 0, so only a join reaps them in time.
+        def fail(ctx, grid_indices):
+            raise ValueError("block 0 failed")
+
+        def slow(ctx, grid_indices, run=campaign._run_grid_points):
+            time.sleep(0.5)
+            return run(ctx, grid_indices)
+
+        _patch_blocks(monkeypatch, fail, slow)
+        with pytest.raises(ValueError, match="block 0 failed"):
+            run_campaign(self.CFG, full_table, default_antenna, sample_weather)
+        assert [p.exitcode for p in started] == [0, 0]
+        assert multiprocessing.active_children() == []
+
+    def test_reply_larger_than_the_pipe_buffer(self, full_table, sample_weather, default_antenna):
+        # Block 1's reply holds three arrays of 4,000 runs, about 96 KB, more
+        # than a 64 KB pipe buffer: a parent that joined the child before
+        # reading its reply would wait for ever.
+        cfg = CampaignConfig(snr_max_grid=(4.0, 9.0), receivers=2, repetitions=4000,
+                             families=(Family.H_QPSK, Family.H_APSK32), master_seed=8)
+        serial = run_campaign(cfg, full_table, default_antenna, sample_weather)
+        parallel = run_campaign(CampaignConfig(**{**cfg.__dict__, "workers": 2}),
+                                full_table, default_antenna, sample_weather)
+        assert serial.raw_gains == parallel.raw_gains and serial.outage == parallel.outage
 
 
 class TestBenchmarkCampaigns:
@@ -323,16 +439,23 @@ class TestPrimedContext:
 
     def test_no_hmsim_command_imports_numpy_ma(self, tmp_path):
         # numpy imports numpy.ma lazily, in np.unique among others, which
-        # costs a cold campaign about 16 ms.
+        # costs a cold campaign about 16 ms. Commands that start no child
+        # process import no process machinery either: concurrent.futures
+        # costs 19-30 ms of a cold import.
         imported = _run_fresh_process(f"""
             import json, sys
             from hmsim.cli import main
 
+            def imported(*names):
+                return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+
             out = {str(tmp_path)!r}
             assert main(["validate"]) == 0
             assert main(["pair", "-3", "10", "--dump-hull", out + "/hull.csv"]) == 0
-            assert main(["campaign", "--grid", "4:6:1", "--reps", "2", "--receivers", "40", "--workers", "2",
-                         "--out", out]) == 0
-            print(json.dumps(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))))
+            campaign = ["campaign", "--grid", "4:6:1", "--reps", "2", "--receivers", "40", "--out", out]
+            assert main([*campaign, "--workers", "1"]) == 0
+            serial = imported("numpy.ma", "multiprocessing", "concurrent")
+            assert main([*campaign, "--workers", "2"]) == 0
+            print(json.dumps({{"serial": serial, "two_workers": imported("numpy.ma", "concurrent")}}))
         """)
-        assert imported == []
+        assert imported == {"serial": [], "two_workers": []}
