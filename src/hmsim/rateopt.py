@@ -30,20 +30,22 @@ one per-cell array, ``ThresholdTable.cell_units``: the best single, HE
 and LE efficiencies in integer units of 1/180 bit/s/Hz
 (``modcod.EFFICIENCY_UNITS``). ``solve_cell_pairs`` is the population
 path: it solves a batch of cell pairs exactly in those units, without
-building points or schedules; no coordinate exceeds 810 units and no
-product 2.2e9, so int64 is exact. ``pair_solution`` is the float hull
-that ``hmsim pair`` prints, with its schedule and the provenance of each
-point (``achievable_pairs``, whose single-modcod points and their
-provenance come from ``ThresholdTable.best_single``); on the shipped
-tables it decides gain alike and its rate is within 2 ulps of the exact
-one.
+building points or schedules. It first tests each pair against its
+classical time-sharing line, which decides in O(S) whether hierarchy
+gains at all, and crosses the diagonal only for the pairs that gain,
+between points below it and points above it; no coordinate exceeds 810
+units and no product 1.32e6, so int64 is exact. ``pair_solution`` is the
+float hull that ``hmsim pair`` prints, with its schedule and the
+provenance of each point (``achievable_pairs``, whose single-modcod
+points and their provenance come from ``ThresholdTable.best_single``);
+on the shipped tables it decides gain alike and its rate is within 2
+ulps of the exact one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -278,23 +280,31 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
     return PairSolution(r_hm=r_hm, r_ts=r_ts, schedule=solution.schedule)
 
 
-# Crossings per block of cell pairs in solve_cell_pairs: 64 KB per int64
-# array, about 0.5 MB for the whole block, which the heap keeps between
-# blocks (see campaign._CHUNK_RECEIVERS).
-_BLOCK_CROSSINGS = 1 << 13
+# Entries per int64 temporary of solve_cell_pairs: a block's points
+# (pairs x (1 + 2 S)) in the gain test and its crossings (pairs x |P| x |Q|)
+# in _best_crossings, 32 KB each. A block's temporaries then total about
+# 0.3 MB and stay within the heap that glibc keeps mapped between blocks
+# (see campaign._CHUNK_RECEIVERS).
+_BLOCK_ENTRIES = 1 << 12
 
 
-@lru_cache
-def _point_layout(schemes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columns of ``cell_units`` that give the weak and the strong
-    coordinate of each point, and the (p, q) index pairs of the points.
-    Points: (s_w, 0), (0, s_s), weak on HE of each scheme, weak on LE of
-    each scheme; column 0 stands in for the zeros, which the caller sets."""
-    he, le = list(range(1, schemes + 1)), list(range(schemes + 1, 2 * schemes + 1))
-    layout = (np.array([0, 0] + he + le), np.array([0, 0] + le + he), *np.triu_indices(2 + 2 * schemes, 1))
-    for index in layout:
-        index.flags.writeable = False  # shared by every caller
-    return layout
+def _best_crossings(xp, dp, xq, dq) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator of each row's best diagonal crossing
+    between a P point (x, d) = (xp, dp) and a Q point (xq, dq); the inputs
+    are (rows, |P|) and (rows, |Q|) int64 arrays (see solve_cell_pairs)."""
+    rows, width = xp.shape[0], xp.shape[1] * xq.shape[1]
+    num, den = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // width)
+    for lo in range(0, rows, step):
+        block = slice(lo, lo + step)
+        n = dp[block, :, None] * xq[block, None]
+        n -= dq[block, None] * xp[block, :, None]
+        d = dp[block, :, None] - dq[block, None]
+        np.maximum(d, 1, out=d)
+        n, d = n.reshape(-1, width), d.reshape(-1, width)
+        best = (n / d).argmax(axis=1) + np.arange(0, n.size, width)
+        num[block], den[block] = n.ravel()[best], d.ravel()[best]
+    return num, den
 
 
 def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndarray:
@@ -303,57 +313,84 @@ def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndar
     ``cell_inv[weak] + cell_inv[strong]``.
 
     Each pair is solved exactly in int64 on ``table.cell_units``, in units
-    of 1/EFFICIENCY_UNITS bit/s/Hz. Its points are the origin, (s_w, 0),
-    (0, s_s) and, for every hierarchical scheme, both stream assignments
-    (weak on HE with strong on LE, and the reverse); an assignment whose HE
-    or LE stream does not decode is the origin. With d = x - y, the
-    free-disposal equal rate is
+    of 1/EFFICIENCY_UNITS bit/s/Hz. Its points are the origin, the singles
+    (s_w, 0) and (0, s_s) and, for every hierarchical scheme, both stream
+    assignments (weak on HE with strong on LE, and the reverse); an
+    assignment whose HE or LE stream does not decode is the origin, and
+    one with both coordinates > 0 is live. R* is the free-disposal equal
+    rate and R_ts = s_w s_s / (s_w + s_s) (0 when either is 0) the
+    classical one, where the time-sharing line x s_s + y s_w = s_w s_s
+    meets the diagonal.
 
-        R* = max(max_p min(x_p, y_p),
-                 max over d_p > 0 > d_q of (d_p x_q - d_q x_p) / (d_p - d_q)),
+    Gain test, O(S) per pair: the pair gains (R* > R_ts) iff some live
+    point lies strictly beyond that line, x max(s_s, 1) + y s_w > s_w s_s.
+    For s_w, s_s > 0: if no point does, the hull lies in the
+    downward-closed half-plane x s_s + y s_w <= s_w s_s, and so does the
+    region, so R* = R_ts; if one does, (R_ts, R_ts) lies on the open
+    segment between the singles, which separates that point from the
+    origin, so it is interior to the hull and R* > R_ts. When s_w or s_s
+    is 0, R_ts = 0 and the test holds for every live point, whose
+    min(x, y) > 0 is a lower bound on R*. A pair without gain keeps its
+    classical term and forms no crossing.
 
-    the best vertex or diagonal crossing. The pair gains iff R* > R_ts =
-    s_w s_s / (s_w + s_s) (0 when both are 0), and then stores the
-    correctly rounded EFFICIENCY_UNITS x den / num of R* = num / den.
+    Crossings, for the pairs that gain: the diagonal leaves the hull
+    beyond the line, at a vertex or on an edge whose ends are singles or
+    points beyond the line (a live point on or below it lies in the
+    triangle of the origin and the singles, so it is no vertex). With
+    d = x - y, let P be (s_w, 0) and the beyond points with d > 0, and Q
+    be (0, s_s) and those with d < 0. Then
 
-    Exactness: coordinates are at most 810 units, so a crossing has a
-    numerator below 1.32e6 and a denominator of at most 1620, and every
-    product formed here stays below 2.2e9. The best crossing is picked by
-    its float64 quotient: both operands are exact, correctly rounded
-    division never reverses an order, and two different crossings differ by
-    at least 1 / 1620**2 units, far above the 1e-13 units of rounding. The
-    pick's own numerator and denominator then meet the vertex and R_ts by
+        R* = max(max over beyond points of min(x, y),
+                 max over P x Q of (d_p x_q - d_q x_p) / max(d_p - d_q, 1)),
+
+    the best vertex or diagonal crossing; each term is a rate of the
+    region, so none exceeds R*. d_p - d_q is 0 only when both singles are
+    the origin, and then the numerator is 0 too. A block keeps only the
+    columns that hold a P (Q) point in some row and pads each row's other
+    cells with its single: a repeated point changes no maximum. The term
+    stored is the correctly rounded EFFICIENCY_UNITS x den / num of
+    R* = num / den.
+
+    Exactness: coordinates are at most 810 units, so every product formed
+    here, gain test included, is at most 2 x 810**2 < 1.32e6, and a
+    crossing's denominator at most 1620. The best crossing is picked by its
+    float64 quotient: both operands are exact, correctly rounded division
+    never reverses an order, and two different crossings differ by at least
+    1 / 1620**2 units, far above the 1e-13 units of rounding. The pick's
+    own numerator and denominator then meet the vertex by
     cross-multiplication.
     """
     weak_cells, strong_cells = np.asarray(weak_cells), np.asarray(strong_cells)
     units, inv = table.cell_units, table.cell_inv
-    weak_cols, strong_cols, p, q = _point_layout((units.shape[1] - 1) // 2)
+    schemes = (units.shape[1] - 1) // 2
     terms = inv[weak_cells] + inv[strong_cells]
-    step = max(1, _BLOCK_CROSSINGS // p.size)
+    step = max(1, _BLOCK_ENTRIES // units.shape[1])
     for lo in range(0, weak_cells.size, step):
-        x = units[weak_cells[lo:lo + step, None], weak_cols]
-        y = units[strong_cells[lo:lo + step, None], strong_cols]
-        x[:, 1] = y[:, 0] = 0
-        low = np.minimum(x, y)
-        live = low > 0
-        live[:, :2] = True
-        x *= live
-        y *= live
-        d = x - y
-        dp, dq = d[:, p], d[:, q]
-        apart = dp * dq < 0
-        num = np.where(apart, dp * x[:, q] - dq * x[:, p], 0)
-        den = np.where(apart, dp - dq, 1)
-        rows, best = np.arange(x.shape[0]), (num / den).argmax(axis=1)
-        num, den = np.abs(num[rows, best]), np.abs(den[rows, best])
-        vertex = low.max(axis=1)
+        x, strong = units[weak_cells[lo:lo + step]], units[strong_cells[lo:lo + step]]
+        sw, ss = x[:, :1], strong[:, :1]
+        # Point k is (x[:, k], y[:, k]): point 0 is (s_w, 0), never live,
+        # then weak on HE with strong on LE for each scheme, then weak on LE
+        # with strong on HE.
+        y = np.concatenate((0 * ss, strong[:, schemes + 1:], strong[:, 1:schemes + 1]), axis=1)
+        beyond = (x * np.maximum(ss, 1) + y * sw > sw * ss) & (x > 0) & (y > 0)
+        rows = beyond.any(axis=1).nonzero()[0]
+        if not rows.size:
+            continue
+        x, y, beyond, ss = x[rows], y[rows], beyond[rows], ss[rows]
+        sw, d = x[:, :1], x - y
+        vertex = np.where(beyond, np.minimum(x, y), 0).max(axis=1)
+        below, above = beyond & (d > 0), beyond & (d < 0)
+        p, q = below.any(axis=0), above.any(axis=0)
+        # Point 0 is never beyond, so its column pads to the singles:
+        # (x, d) = (s_w, s_w) in P and (0, -s_s) in Q.
+        p[0] = q[0] = True
+        sides = (np.where(below, x, sw).compress(p, axis=1), np.where(below, d, sw).compress(p, axis=1),
+                 np.where(above, x, 0).compress(q, axis=1), np.where(above, d, -ss).compress(q, axis=1))
+        del x, y, d, strong  # free the block's points before the crossing grid
+        num, den = _best_crossings(*sides)
         won = vertex * den > num
         num, den = np.where(won, vertex, num), np.where(won, 1, den)
-        sw, ss = x[:, 0], y[:, 1]
-        # R_ts as sw ss / max(sw + ss, 1): the same value, and 0 / 1 when
-        # neither receiver decodes a single modcod.
-        gain = num * np.maximum(sw + ss, 1) > den * sw * ss
-        np.divide(EFFICIENCY_UNITS * den, num, out=terms[lo:lo + step], where=gain)
+        terms[lo + rows] = EFFICIENCY_UNITS * den / num
     return terms
 
 

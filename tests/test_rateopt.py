@@ -271,35 +271,115 @@ def table_for(full_table: ThresholdTable, family) -> ThresholdTable:
     return full_table.subset(keep)
 
 
+def every_cell_pair(table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, list[tuple[float, float]]]:
+    """Every (weak cell, strong cell) pair of a table, weak <= strong, and
+    an SNR pair in each: a cell is represented by its lower edge, and cell
+    0 by 1 dB below the lowest threshold."""
+    edges = sorted(set(table.entries().values()))
+    snrs = [edges[0] - 1.0] + edges
+    weak, strong = np.triu_indices(len(snrs))
+    return weak, strong, [(snrs[i], snrs[j]) for i, j in zip(weak.tolist(), strong.tolist())]
+
+
+def oracle_terms(table: ThresholdTable, pairs, rates) -> list[float]:
+    """The memo term of each SNR pair from its exact (R*, R_ts): 1 / R*
+    where R* > R_ts, else the sum of the two best-single reciprocals."""
+    def inv(snr):
+        choice = table.best_single(snr)
+        return 1.0 / choice.spectral_efficiency if choice else math.inf
+
+    return [float(1 / r) if r > ts else inv(a) + inv(b) for (a, b), (r, ts) in zip(pairs, rates)]
+
+
+class TestSolveCellPairs:
+    """The batch solver against the exact oracle at the edges of its gain
+    test and of its crossings, and on every cell pair of tables that are
+    not shipped."""
+
+    @staticmethod
+    def assert_exact(table: ThresholdTable, pairs) -> list[tuple[Fraction, Fraction]]:
+        """Bit-equal terms for the given SNR pairs, solved as one batch;
+        returns the oracle's (R*, R_ts) of each."""
+        oracle = ExactPairOracle(table)
+        rates = [oracle.rates(*pair) for pair in pairs]
+        weak, strong = (table.cells([pair[k] for pair in pairs]) for k in (0, 1))
+        assert solve_cell_pairs(table, weak, strong).tolist() == oracle_terms(table, pairs, rates)
+        return rates
+
+    def test_baseline_only_table(self, single_table):
+        assert single_table.cell_units.shape[1] == 1  # no hierarchical scheme: S = 0
+        rates = self.assert_exact(single_table, every_cell_pair(single_table)[2])
+        assert all(r == ts for r, ts in rates)
+
+    def test_both_receivers_below_every_single(self, full_table):
+        """h_qpsk streams decode below the lowest single threshold, where
+        s_w = s_s = 0: a live point there gains over R_ts = 0, and its term
+        is 1 / R*, not the classical inf."""
+        table = table_for(full_table, Family.H_QPSK)
+        floor = table.lowest_single_threshold()
+        pairs = [(a, b) for a, b in every_cell_pair(table)[2] if b < floor]
+        rates = self.assert_exact(table, pairs)
+        assert all(ts == 0 for _, ts in rates) and sum(r > 0 for r, _ in rates) >= 3
+
+    @pytest.mark.parametrize("he, le, singles, snrs, rates", [
+        # s_w = 1, s_s = 3/2 and (1/2, 3/4) on the line x + y / (3/2) = 1;
+        # 1/s_w + 1/s_s and 1/R_ts round to different doubles here
+        pytest.param({F(1, 2): 0.5}, {F(3, 4): 5.0}, {(Family.QPSK, F(1, 2)): 0.0, (Family.QPSK, F(3, 4)): 6.0},
+                     (1.0, 7.0), (F(3, 5), F(3, 5)), id="point-on-the-time-sharing-line"),
+        # the same singles and (4/5, 4/5): beyond the line, on the diagonal
+        pytest.param({F(4, 5): 0.5}, {F(4, 5): 5.0}, {(Family.QPSK, F(1, 2)): 0.0, (Family.QPSK, F(3, 4)): 6.0},
+                     (1.0, 7.0), (F(4, 5), F(3, 5)), id="beyond-point-on-the-diagonal"),
+        # s_w = s_s = 1/2 and (0.9, 0.6): min 0.6 beats the crossings 9/16
+        # (towards (0, s_s)) and 1/4 (the singles) under free disposal
+        pytest.param({F(9, 10): -3.0}, {F(3, 5): -1.5}, {(Family.QPSK, F(1, 4)): -2.0},
+                     (-2.0, -1.0), (F(3, 5), F(1, 4)), id="off-diagonal-vertex"),
+    ])
+    def test_boundary_pair(self, he, le, singles, snrs, rates):
+        """One h_qpsk scheme (one bit per stream) with the given HE and LE
+        thresholds per code rate; the weak receiver decodes no LE stream,
+        so the pair's only hierarchical point is weak on HE."""
+        scheme = SchemeId(Family.H_QPSK, 0.8)
+        entries = {(scheme, Stream.HE, rate): thr for rate, thr in he.items()}
+        entries.update({(scheme, Stream.LE, rate): thr for rate, thr in le.items()})
+        table = synthetic_singles(ThresholdTable(entries), singles)
+        assert self.assert_exact(table, [snrs]) == [rates]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_cell_pair_of_random_tables(self, full_table, seed):
+        """Random subsets of the shipped schemes, with every threshold
+        jittered by up to 3 dB either way on odd seeds."""
+        rng = np.random.default_rng(seed)
+        singles = [f for f in full_table.families() if not f.hierarchical]
+        schemes = full_table.hierarchical_schemes()
+        keep = {singles[i] for i in np.flatnonzero(rng.random(len(singles)) < 0.5)}
+        keep |= {schemes[i] for i in rng.choice(len(schemes), rng.integers(1, 5), replace=False)}
+        entries = {k: v for k, v in full_table.entries().items() if (k[0].family if k[0].rho_he is None else k[0]) in keep}
+        if seed % 2:
+            entries = {k: v + rng.uniform(-3.0, 3.0) for k, v in entries.items()}
+        table = ThresholdTable(entries)
+        rates = self.assert_exact(table, every_cell_pair(table)[2])
+        assert 0 < sum(r > ts for r, ts in rates) < len(rates)
+
+
 @pytest.mark.slow
 class TestEveryCellPair:
     """Every (weak cell, strong cell) pair of the shipped tables against the
     exact oracle: 18,721 for the combined table, 10,296 for h_qpsk and
-    6,105 for h_apsk32, 35,122 in all. A cell is represented by its lower
-    edge, and cell 0 by 1 dB below the lowest threshold."""
+    6,105 for h_apsk32, 35,122 in all."""
 
     @pytest.fixture(scope="class", params=[(None, 18721), (Family.H_QPSK, 10296), (Family.H_APSK32, 6105)],
                     ids=["combined", "h_qpsk", "h_apsk32"])
     def space(self, request, full_table):
         family, size = request.param
         table = table_for(full_table, family)
-        edges = sorted(set(table.entries().values()))
-        snrs = [edges[0] - 1.0] + edges
-        weak, strong = np.triu_indices(len(snrs))
+        weak, strong, pairs = every_cell_pair(table)
         assert weak.size == size
         oracle = ExactPairOracle(table)
-        pairs = [(snrs[i], snrs[j]) for i, j in zip(weak.tolist(), strong.tolist())]
         return table, weak, strong, pairs, [oracle.rates(*pair) for pair in pairs]
 
     def test_memo_terms_equal_the_exact_oracle(self, space):
         table, weak, strong, pairs, rates = space
-
-        def inv(snr):
-            choice = table.best_single(snr)
-            return 1.0 / choice.spectral_efficiency if choice else math.inf
-
-        expected = [float(1 / r) if r > ts else inv(a) + inv(b) for (a, b), (r, ts) in zip(pairs, rates)]
-        assert solve_cell_pairs(table, weak, strong).tolist() == expected
+        assert solve_cell_pairs(table, weak, strong).tolist() == oracle_terms(table, pairs, rates)
 
     def test_float_hull_decides_alike_within_two_ulps(self, space):
         """pair_solution's 1e-9 snap sits between the float hull's roundoff
