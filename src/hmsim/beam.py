@@ -18,8 +18,8 @@ A receiver's SNR is the boresight value SNR_max minus two attenuations:
 * weather: drawn from an empirical attenuation distribution supplied as a
   tabulated CDF, sampled by inverse transform with linear interpolation.
 
-Sampling functions take a numpy Generator (or anything accepted by
-``numpy.random.default_rng``) and consume a fixed number of uniforms per
+``draw_population`` takes a numpy Generator (or anything accepted by
+``numpy.random.default_rng``) and consumes a fixed number of uniforms per
 receiver in a fixed order, so a population is a pure function of the seed.
 Callers that parallelize derive one child seed per work unit, e.g.
 ``SeedSequence(master, spawn_key=(unit,))``.
@@ -42,8 +42,6 @@ __all__ = [
     "WeatherCdf",
     "antenna_gain_rel",
     "beam_edge_angle",
-    "sample_location_attenuation",
-    "sample_weather_attenuation",
     "draw_population",
 ]
 
@@ -189,19 +187,13 @@ def beam_edge_angle(cfg: AntennaConfig) -> float:
     return 0.5 * (lo + hi)
 
 
-def sample_location_attenuation(rng, cfg: AntennaConfig, size):
-    """Location attenuation (dB), an ndarray of shape size, of receivers
-    placed uniformly over the coverage disk.
-
-    The disk radius is the ground radius under the beam edge for a
-    geostationary satellite pointing at nadir. radius = R_edge * sqrt(u)
-    is area-uniform; the off-axis angle is the exact arctan(r / altitude).
-    """
-    return _location_attenuation(np.random.default_rng(rng).random(size), cfg)
-
-
 def _location_attenuation(u, cfg: AntennaConfig):
     """Location attenuation (dB) of receivers at radius R_edge * sqrt(u).
+
+    R_edge is the ground radius under the beam edge for a geostationary
+    satellite pointing at nadir, so uniform u places receivers uniformly
+    over the coverage disk; the off-axis angle is the exact
+    arctan(r / altitude).
 
     The pattern is ``antenna_gain_rel``'s, with the same domain checks, but
     its series runs in float64 (``_j1_series_factor_f64``), about 10x
@@ -286,12 +278,6 @@ class WeatherCdf:
     def quantile(self, u):
         """Inverse CDF with linear interpolation."""
         return np.interp(u, self.cum_prob, self.attenuation_db)
-
-
-def sample_weather_attenuation(rng, cdf: WeatherCdf, size):
-    """Weather attenuation (dB), an ndarray of shape size, drawn by
-    inverse-transform sampling."""
-    return cdf.quantile(np.random.default_rng(rng).random(size))
 
 
 def draw_population(

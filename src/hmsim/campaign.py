@@ -164,9 +164,11 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     it and the child processes forked afterwards inherit it: numpy's lazily
     imported ``random`` submodule, the beam edge angle, and each table's
     cell edges, per-cell arrays and pair memo."""
-    single_families = [f for f in tables.families() if not f.hierarchical]
-    if not single_families:
+    # Every family table keeps all SINGLE rows, so this is each one's floor.
+    floor = tables.lowest_single_threshold()
+    if floor is None:
         raise ValueError("tables contain no single-stream baseline entries")
+    single_families = {f for f in tables.families() if not f.hierarchical}
     hierarchical = {s.family for s in tables.hierarchical_schemes()}
     if cfg.families:
         requested = tuple(cfg.families)
@@ -179,16 +181,15 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
         raise ValueError("no hierarchical family available to evaluate")
 
     family_tables: dict[str, ThresholdTable] = {
-        fam.token: tables.subset(set(single_families) | {fam}) for fam in requested
+        fam.token: tables.subset(single_families | {fam}) for fam in requested
     }
     if cfg.combined:
-        family_tables[COMBINED] = tables.subset(set(single_families) | set(requested))
+        family_tables[COMBINED] = tables.subset(single_families | set(requested))
 
     import numpy.random  # noqa: F401  numpy imports it on first use
     beam_edge_angle(beam)
     for table in family_tables.values():
         table.cell_inv, table.pair_memo  # cell_inv builds cell_units and the cell edges
-    floor = next(iter(family_tables.values())).lowest_single_threshold()
     return family_tables, floor, cfg, beam, weather
 
 

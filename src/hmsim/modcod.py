@@ -33,9 +33,7 @@ The shipped files live in ``hmsim/data``:
 from __future__ import annotations
 
 import csv
-import io
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -60,7 +58,6 @@ __all__ = [
     "EFFICIENCY_UNITS",
     "load_threshold_csv",
     "load_anomaly_manifest",
-    "serialize_threshold_csv",
     "signaling_bits",
     "packaged_data_path",
 ]
@@ -274,28 +271,9 @@ def _parse_rate(text: str, path: Path, line_no: int) -> Fraction:
     return DVBS2_CODE_RATES[DVBS2_CODE_RATES.index(rate)]
 
 
-_PrefixTable = tuple[list[float], list[ModcodChoice]]
-
-
-def _prefix_best(rows: Iterable[tuple[float, str, Fraction, SchemeId, Stream]]) -> _PrefixTable:
-    """(thresholds, best choices) of (threshold, scheme token, code rate,
-    scheme, stream) rows sorted by threshold, then scheme token and code
-    rate: entry k is the most efficient of the first k + 1 rows, the earlier
-    row on ties. So the best choice decodable at an SNR is entry
-    bisect_right(thresholds, snr) - 1."""
-    thresholds: list[float] = []
-    best_choice: list[ModcodChoice] = []
-    # The running best efficiency as the exact ratio cur_num / cur_den, so
-    # ties compare exactly (2 x 9/10 == 3 x 3/5).
-    cur_num, cur_den, cur_choice = -1, 1, None
-    for thr, _, rate, scheme, stream in sorted(rows, key=itemgetter(0, 1, 2)):
-        num, den = scheme.bits(stream) * rate.numerator, rate.denominator
-        if num * cur_den > cur_num * den:
-            cur_num, cur_den = num, den
-            cur_choice = ModcodChoice(scheme, stream, rate)
-        thresholds.append(thr)
-        best_choice.append(cur_choice)
-    return thresholds, best_choice
+def _efficiency_units(scheme: SchemeId, stream: Stream, rate: Fraction) -> int:
+    """The efficiency of an entry in 1/EFFICIENCY_UNITS bit/s/Hz."""
+    return scheme.bits(stream) * rate.numerator * (EFFICIENCY_UNITS // rate.denominator)
 
 
 class ThresholdTable:
@@ -304,15 +282,15 @@ class ThresholdTable:
     Construction keeps only the entries and the warnings. Each query
     structure is built on the first call that reads it and kept on the
     instance, so a table that is only loaded, merged, validated or pickled
-    never builds one: the sorted scheme list, the cell edges, the prefix
-    table that ``best_single`` bisects and three arrays indexed by cell (see
-    ``cells``). ``cell_units``, the best single, HE and LE efficiencies as
-    exact integers in 1/EFFICIENCY_UNITS bit/s/Hz, is the one per-cell
-    record of best efficiencies, built from the entries; ``cell_inv``, the
-    float reciprocals that the harmonic sums add, is derived from it; and
-    ``pair_memo`` holds solved cell pairs. These are deterministic caches,
-    so instances are safe to share across threads and processes: a race
-    only repeats work.
+    never builds one: the sorted scheme list, the cell edges and the
+    structures indexed by cell (see ``cells``). ``cell_units``, the best
+    single, HE and LE efficiencies as exact integers in 1/EFFICIENCY_UNITS
+    bit/s/Hz, is the one per-cell record of best efficiencies, built from
+    the entries; ``cell_inv``, the float reciprocals that the harmonic sums
+    add, and the single-modcod choices that ``best_single`` returns are
+    derived from it; and ``pair_memo`` holds solved cell pairs. These are
+    deterministic caches, so instances are safe to share across threads and
+    processes: a race only repeats work.
     """
 
     def __init__(
@@ -326,16 +304,6 @@ class ThresholdTable:
     @cached_property
     def _schemes(self) -> list[SchemeId]:
         return sorted({scheme for scheme, _, _ in self._entries}, key=SchemeId.sort_key)
-
-    @cached_property
-    def _single_lookup(self) -> _PrefixTable:
-        """One prefix table over every single-stream entry, so modcod
-        selection is a single bisect with no dict lookups."""
-        return _prefix_best(
-            (thr, scheme.token, rate, scheme, stream)
-            for (scheme, stream, rate), thr in self._entries.items()
-            if stream is Stream.SINGLE
-        )
 
     @cached_property
     def _edge_array(self) -> np.ndarray:
@@ -362,24 +330,36 @@ class ThresholdTable:
         best single modcod, columns 1..S the best HE stream of each scheme
         and columns S+1..2S its best LE stream. No efficiency exceeds 5 x
         9/10 bit/s/Hz, 810 units. This is the table's one per-cell record of
-        best efficiencies: ``cell_inv``, ``achievable_pairs`` and
-        ``rateopt.solve_cell_pairs`` all read it."""
+        best efficiencies: ``cell_inv``, ``best_single``,
+        ``achievable_pairs`` and ``rateopt.solve_cell_pairs`` all read it."""
         schemes, entries, n = self.hierarchical_schemes(), self._entries, len(self._entries)
         column = {(scheme, Stream.HE): 1 + i for i, scheme in enumerate(schemes)}
         column.update({(scheme, Stream.LE): 1 + len(schemes) + i for i, scheme in enumerate(schemes)})
         columns = np.fromiter((column.get((scheme, stream), 0) for scheme, stream, _ in entries), np.intp, n)
-        units = np.fromiter(
-            (scheme.bits(stream) * rate.numerator * (EFFICIENCY_UNITS // rate.denominator)
-             for scheme, stream, rate in entries),
-            np.int64,
-            n,
-        )
+        units = np.fromiter((_efficiency_units(scheme, stream, rate) for scheme, stream, rate in entries), np.int64, n)
         # An entry decodes from the cell its threshold opens (thresholds are
         # table edges), so the best per cell is a running max down the cells.
         cells = np.searchsorted(self._edge_array, np.fromiter(entries.values(), float, n), side="right")
         grid = np.zeros((self._edge_array.size + 1, 1 + 2 * len(schemes)), dtype=np.int64)
         np.maximum.at(grid, (cells, columns), units)
         return np.maximum.accumulate(grid, axis=0)
+
+    @cached_property
+    def _single_choices(self) -> list[Optional[ModcodChoice]]:
+        """The best single modcod of each cell, None where none decodes.
+
+        Of the SINGLE entries with a cell's best efficiency, ``cell_units[:,
+        0]``, it is the first in (threshold, scheme token, code rate) order,
+        so an exact tie (2 x 9/10 == 3 x 3/5) goes to the lower threshold,
+        then the scheme token. That entry decodes in the cell: every entry
+        with that efficiency has a threshold at least as high."""
+        first: dict[int, ModcodChoice] = {}
+        for scheme, stream, rate in sorted(
+            (key for key in self._entries if key[1] is Stream.SINGLE),
+            key=lambda key: (self._entries[key], key[0].token, key[2]),
+        ):
+            first.setdefault(_efficiency_units(scheme, stream, rate), ModcodChoice(scheme, stream, rate))
+        return [first.get(units) for units in self.cell_units[:, 0].tolist()]
 
     @cached_property
     def pair_memo(self) -> np.ndarray:
@@ -393,14 +373,8 @@ class ThresholdTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def threshold(self, scheme: SchemeId, stream: Stream, rate: Fraction) -> float:
-        return self._entries[(scheme, stream, rate)]
-
     def entries(self) -> dict[tuple[SchemeId, Stream, Fraction], float]:
         return dict(self._entries)
-
-    def schemes(self) -> list[SchemeId]:
-        return list(self._schemes)
 
     def hierarchical_schemes(self) -> list[SchemeId]:
         return [s for s in self._schemes if s.rho_he is not None]
@@ -412,8 +386,7 @@ class ThresholdTable:
         """Threshold (dB) of the most robust non-hierarchical modcod, or
         None without SINGLE rows: ``best_single(snr)`` is None exactly when a
         non-NaN snr is below it."""
-        thresholds = self._single_lookup[0]
-        return thresholds[0] if thresholds else None
+        return min((thr for (_, stream, _), thr in self._entries.items() if stream is Stream.SINGLE), default=None)
 
     def subset(self, families: Iterable[Family]) -> "ThresholdTable":
         """Table restricted to the given families (warnings not re-derived)."""
@@ -432,19 +405,15 @@ class ThresholdTable:
     # -- queries -------------------------------------------------------------------
 
     def best_single(self, snr_db: float) -> Optional[ModcodChoice]:
-        """Best non-hierarchical modcod decodable at snr_db (one bisect)."""
-        thresholds, choices = self._single_lookup
-        k = bisect_right(thresholds, snr_db)
-        return choices[k - 1] if k else None
+        """Best non-hierarchical modcod decodable at snr_db, None in outage."""
+        return self._single_choices[self.cell(snr_db)]
 
     def cells(self, snrs_db) -> np.ndarray:
         """Cell of each SNR: the number of distinct table thresholds at or
-        below it (NaN counts as above all of them, as in bisect_right).
+        below it (NaN counts as above all of them).
 
-        Every query of this table is a bisect_right on a list of its
-        thresholds, which returns the same index for two SNRs in one cell,
-        or a read of an array indexed by cell; so anything computed from such
-        queries is a function of the cells."""
+        Every query of this table reads a structure indexed by cell, so
+        anything computed from such queries is a function of the cells."""
         return np.searchsorted(self._edge_array, snrs_db, side="right")
 
     def cell(self, snr_db: float) -> int:
@@ -604,46 +573,6 @@ def load_threshold_csv(
     if errors:
         raise TableValidationError(f"{path}: " + "; ".join(i.message for i in errors))
     return ThresholdTable(entries, warnings=[i for i in issues if i.severity == "warning"])
-
-
-def serialize_threshold_csv(table: ThresholdTable) -> str:
-    """Canonical CSV text for a table (sorted rows, %g thresholds).
-
-    Hierarchical rho_he = 0.5 schemes whose HE and LE thresholds coincide at
-    every rate are written back as merged HE/LE rows, matching the shipped
-    file layout.
-    """
-    entries = table.entries()
-    merged: set[tuple[SchemeId, Fraction]] = set()
-    for scheme in table.schemes():
-        if scheme.rho_he != 0.5:
-            continue
-        for rate in DVBS2_CODE_RATES:
-            t_he = entries.get((scheme, Stream.HE, rate))
-            t_le = entries.get((scheme, Stream.LE, rate))
-            if t_he is not None and t_he == t_le:
-                merged.add((scheme, rate))
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["family", "rho_he", "stream", "code_rate", "threshold_db"])
-    stream_order = {Stream.HE: 0, Stream.LE: 1, Stream.SINGLE: 2}
-    rows = []
-    for (scheme, stream, rate), thr in entries.items():
-        if (scheme, rate) in merged:
-            if stream is Stream.LE:
-                continue
-            stream_tok = "HE/LE"
-            skey = -1
-        else:
-            stream_tok = stream.value
-            skey = stream_order[stream]
-        rows.append((scheme.sort_key(), skey, rate, scheme, stream_tok, thr))
-    rows.sort(key=lambda r: r[:3])
-    for _, _, rate, scheme, stream_tok, thr in rows:
-        rho_tok = "" if scheme.rho_he is None else f"{scheme.rho_he:g}"
-        writer.writerow([scheme.family.token, rho_tok, stream_tok, str(rate), f"{thr:g}"])
-    return out.getvalue()
 
 
 def signaling_bits(n_rates: int, n_hier_mods: int) -> int:

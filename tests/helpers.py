@@ -1,4 +1,4 @@
-"""Shared test oracles and reference data.
+"""Shared test oracles, fixtures and reference data.
 
 The threshold-table reference values here are typed row-by-row, matching
 the layout of the source tables, while the shipped CSV files were generated
@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import csv
+import functools
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from hmsim.constellations import Apsk32Params, Psk8Params, QpskParams
-from hmsim.modcod import DVBS2_CODE_RATES, Stream, ThresholdTable
+from hmsim.modcod import DVBS2_CODE_RATES, ModcodChoice, Stream, ThresholdTable
 
 RATES = list(DVBS2_CODE_RATES)
 
@@ -77,6 +81,62 @@ def h32apsk_reference_cells() -> dict[tuple[float, str, Fraction], float]:
     return cells
 
 
+def serialize_threshold_csv(table: ThresholdTable) -> str:
+    """Canonical CSV text for a table (sorted rows, %g thresholds).
+
+    Hierarchical rho_he = 0.5 schemes whose HE and LE thresholds coincide at
+    a rate are written back as merged HE/LE rows, matching the shipped file
+    layout.
+    """
+    entries = table.entries()
+    merged = {
+        (scheme, rate)
+        for (scheme, stream, rate), thr in entries.items()
+        if stream is Stream.HE and scheme.rho_he == 0.5 and entries.get((scheme, Stream.LE, rate)) == thr
+    }
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["family", "rho_he", "stream", "code_rate", "threshold_db"])
+    stream_order = {Stream.HE: 0, Stream.LE: 1, Stream.SINGLE: 2}
+    rows = []
+    for (scheme, stream, rate), thr in entries.items():
+        if (scheme, rate) in merged:
+            if stream is Stream.LE:
+                continue
+            stream_tok = "HE/LE"
+            skey = -1
+        else:
+            stream_tok = stream.value
+            skey = stream_order[stream]
+        rows.append((scheme.sort_key(), skey, rate, scheme, stream_tok, thr))
+    rows.sort(key=lambda r: r[:3])
+    for _, _, rate, scheme, stream_tok, thr in rows:
+        rho_tok = "" if scheme.rho_he is None else f"{scheme.rho_he:g}"
+        writer.writerow([scheme.family.token, rho_tok, stream_tok, str(rate), f"{thr:g}"])
+    return out.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def _singles_by_rank(table: ThresholdTable) -> list[tuple[float, ModcodChoice]]:
+    """A table's SINGLE entries as (threshold, choice), sorted by descending
+    exact efficiency, then by (threshold, scheme token, code rate)."""
+    rows = [
+        ((-scheme.bits(stream) * rate, thr, scheme.token, rate), thr, ModcodChoice(scheme, stream, rate))
+        for (scheme, stream, rate), thr in table.entries().items()
+        if stream is Stream.SINGLE
+    ]
+    return [(thr, choice) for _, thr, choice in sorted(rows, key=lambda row: row[0])]
+
+
+def best_single_reference(table: ThresholdTable, snr: float) -> Optional[ModcodChoice]:
+    """The best single modcod decodable at snr, from a scan of the entries:
+    the SINGLE entry at or below snr with the largest exact efficiency, an
+    exact tie going to the earlier (threshold, scheme token, code rate).
+    A NaN snr decodes every entry, as ``ThresholdTable.cells`` puts it above
+    all thresholds."""
+    return next((choice for thr, choice in _singles_by_rank(table) if not snr < thr), None)
+
+
 def equal_rate_oracle(points: list[tuple[float, float]]) -> float:
     """Independent free-disposal equal-rate solver: brute force over every
     segment between two points (and every single point), no hull.
@@ -100,25 +160,36 @@ def equal_rate_oracle(points: list[tuple[float, float]]) -> float:
     return float(best)
 
 
+@functools.lru_cache(maxsize=None)
+def _decodable_by_prefix(table: ThresholdTable) -> tuple[list[float], list[dict]]:
+    """The table's thresholds, ascending, and for each prefix length k the
+    efficiencies of the first k entries in that order, listed per (scheme,
+    stream): what a receiver decodes is the prefix its SNR bisects."""
+    rows = sorted(table.entries().items(), key=lambda kv: kv[1])
+    prefixes: list[dict] = [{}]
+    for (scheme, stream, rate), _ in rows:
+        decodable = dict(prefixes[-1])
+        decodable[scheme, stream] = decodable.get((scheme, stream), []) + [float(scheme.bits(stream) * rate)]
+        prefixes.append(decodable)
+    return [thr for _, thr in rows], prefixes
+
+
 def unpruned_points(snr_weak: float, snr_strong: float, table: ThresholdTable) -> list[tuple[float, float]]:
     """Every achievable (R1, R2) point of a receiver pair, with no pruning,
     built from the raw table entries: each decodable single modcod of
     either receiver on its own axis and, for every hierarchical scheme and
     both stream assignments, every decodable (HE rate, LE rate)
     combination. Sorted, without duplicates."""
-    decodable: dict = {}
-    for (scheme, stream, rate), thr in table.entries().items():
-        eff = float(scheme.bits(stream) * rate)
-        for receiver, snr in enumerate((snr_weak, snr_strong)):
-            if thr <= snr:
-                decodable.setdefault((scheme, stream, receiver), []).append(eff)
+    thresholds, prefixes = _decodable_by_prefix(table)
+    weak, strong = (prefixes[bisect.bisect_right(thresholds, snr)] for snr in (snr_weak, snr_strong))
     points = {(0.0, 0.0)}
-    for (scheme, stream, receiver), effs in decodable.items():
-        if stream is Stream.SINGLE:
-            points.update((e, 0.0) if receiver == 0 else (0.0, e) for e in effs)
-        elif stream is Stream.HE:
-            for le in decodable.get((scheme, Stream.LE, 1 - receiver), ()):
-                points.update((e, le) if receiver == 0 else (le, e) for e in effs)
+    for receiver, (own, other) in enumerate(((weak, strong), (strong, weak))):
+        for (scheme, stream), effs in own.items():
+            if stream is Stream.SINGLE:
+                points.update((e, 0.0) if receiver == 0 else (0.0, e) for e in effs)
+            elif stream is Stream.HE:
+                for le in other.get((scheme, Stream.LE), ()):
+                    points.update((e, le) if receiver == 0 else (le, e) for e in effs)
     return sorted(points)
 
 
@@ -187,19 +258,18 @@ class ExactPairOracle:
 
 
 def system_summary_reference(snrs, table: ThresholdTable, oracle: ExactPairOracle) -> tuple[float, float, float]:
-    """(r_hm, r_ts, gain) of a population with no memo and
-    no cell arrays: receivers sorted by (SNR, index) and paired extremes
-    first, reciprocals from ``best_single``, each pair's hierarchical term
-    1 / R* from the table's exact oracle where R* > R_ts and its classical
-    term 1/r_i + 1/r_j otherwise, and both harmonic sums accumulated
-    sequentially in pair-traversal order, as ``system_summary`` defines
-    them."""
+    """(r_hm, r_ts, gain) of a population with no memo and no cell arrays:
+    receivers sorted by (SNR, index) and paired extremes first, reciprocals
+    from ``best_single_reference``, each pair's hierarchical term 1 / R*
+    from the table's exact oracle where R* > R_ts and its classical term
+    1/r_i + 1/r_j otherwise, and both harmonic sums accumulated sequentially
+    in pair-traversal order, as ``system_summary`` defines them."""
     values = [float(s) for s in snrs]
     n = len(values)
     order = sorted(range(n), key=lambda i: (values[i], i))
     pairs = [(order[k], order[-1 - k]) for k in range(n // 2)]
     unpaired = order[n // 2] if n % 2 else None
-    singles = [table.best_single(s) for s in values]
+    singles = [best_single_reference(table, s) for s in values]
     inv = [1.0 / c.spectral_efficiency if c else math.inf for c in singles]
     ts_inv = hm_inv = 0.0
     for i, j in pairs:

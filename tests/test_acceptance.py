@@ -92,15 +92,15 @@ def test_criterion_3_threshold_table_fidelity(hqpsk_table, h32apsk_table):
     h32_cells = h32apsk_reference_cells()
     checked = 0
     for (rho, stream, rate) in rng.sample(sorted(hq_cells, key=str), 10):
-        got = hqpsk_table.threshold(SchemeId(Family.H_QPSK, rho), Stream(stream), rate)
+        got = hqpsk_table.entries()[SchemeId(Family.H_QPSK, rho), Stream(stream), rate]
         assert got == hq_cells[(rho, stream, rate)], (rho, stream, rate)
         checked += 1
     for (rho, stream, rate) in rng.sample(sorted(h32_cells, key=str), 10):
-        got = h32apsk_table.threshold(SchemeId(Family.H_APSK32, rho), Stream(stream), rate)
+        got = h32apsk_table.entries()[SchemeId(Family.H_APSK32, rho), Stream(stream), rate]
         assert got == h32_cells[(rho, stream, rate)], (rho, stream, rate)
         checked += 1
     # the known-anomaly cell is preserved verbatim and flagged on load
-    assert hqpsk_table.threshold(SchemeId(Family.H_QPSK, 0.6), Stream.LE, F(1, 2)) == 1.2
+    assert hqpsk_table.entries()[SchemeId(Family.H_QPSK, 0.6), Stream.LE, F(1, 2)] == 1.2
     assert [w.known_anomaly for w in hqpsk_table.warnings] == [True]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -14,13 +14,12 @@ from hmsim.beam import (
     antenna_gain_rel,
     beam_edge_angle,
     draw_population,
-    sample_location_attenuation,
-    sample_weather_attenuation,
     _J1_FIRST_ZERO,
     _J1_SERIES_TERMS,
     _X_MAX,
     _j1_series_factor,
     _j1_series_factor_f64,
+    _location_attenuation,
 )
 
 # J1 reference values on the main lobe [0, j1,1], 30-digit
@@ -189,13 +188,13 @@ class TestAntennaGain:
 
 class TestLocationSampling:
     def test_bounded_by_edge_level(self, default_antenna):
-        att = sample_location_attenuation(np.random.default_rng(3), default_antenna, size=200_000)
+        att = _location_attenuation(np.random.default_rng(3).random(200_000), default_antenna)
         assert att.min() >= 0.0
         assert att.max() <= default_antenna.edge_level_db + 1e-9
 
     def test_deterministic_for_seed(self, default_antenna):
-        a = sample_location_attenuation(np.random.default_rng(11), default_antenna, size=1000)
-        b = sample_location_attenuation(np.random.default_rng(11), default_antenna, size=1000)
+        a = _location_attenuation(np.random.default_rng(11).random(1000), default_antenna)
+        b = _location_attenuation(np.random.default_rng(11).random(1000), default_antenna)
         assert np.array_equal(a, b)
 
     def test_empirical_cdf_matches_ring_area_law(self, default_antenna):
@@ -216,9 +215,7 @@ class TestLocationSampling:
         att_grid = np.array([-10 * math.log10(gain(t)) for t in thetas])
         cdf_grid = (np.tan(thetas) / math.tan(theta_edge)) ** 2
 
-        samples = np.sort(
-            sample_location_attenuation(np.random.default_rng(7), cfg, size=1_000_000)
-        )
+        samples = np.sort(_location_attenuation(np.random.default_rng(7).random(1_000_000), cfg))
         model = np.interp(samples, att_grid, cdf_grid, left=0.0, right=1.0)
         empirical = np.arange(1, samples.size + 1) / samples.size
         ks = np.max(np.abs(empirical - model))
@@ -228,18 +225,16 @@ class TestLocationSampling:
 class TestWeatherSampling:
     def test_degenerate_clear_sky(self):
         cdf = WeatherCdf([(0.0, 0.0), (0.0, 1.0)])
-        draws = sample_weather_attenuation(np.random.default_rng(1), cdf, size=10_000)
+        draws = cdf.quantile(np.random.default_rng(1).random(10_000))
         assert np.all(draws == 0.0)
 
     def test_uniform_mean(self):
         cdf = WeatherCdf([(0.0, 0.0), (10.0, 1.0)])
-        draws = sample_weather_attenuation(np.random.default_rng(2), cdf, size=1_000_000)
+        draws = cdf.quantile(np.random.default_rng(2).random(1_000_000))
         assert draws.mean() == pytest.approx(5.0, abs=0.02)
 
     def test_shipped_cdf_self_consistency(self, sample_weather):
-        draws = np.sort(
-            sample_weather_attenuation(np.random.default_rng(5), sample_weather, size=1_000_000)
-        )
+        draws = np.sort(sample_weather.quantile(np.random.default_rng(5).random(1_000_000)))
         model = np.interp(draws, sample_weather.attenuation_db, sample_weather.cum_prob, left=0.0, right=1.0)
         empirical = np.arange(1, draws.size + 1) / draws.size
         assert np.max(np.abs(empirical - model)) < 0.005
@@ -299,8 +294,8 @@ class TestDrawPopulation:
     def test_snr_identity(self, default_antenna, sample_weather):
         # n location uniforms first, then n weather uniforms
         rng = np.random.default_rng(9)
-        loc = sample_location_attenuation(rng, default_antenna, size=50)
-        wx = sample_weather_attenuation(rng, sample_weather, size=50)
+        loc = _location_attenuation(rng.random(50), default_antenna)
+        wx = sample_weather.quantile(rng.random(50))
         assert (loc >= 0).all() and (wx >= 0).all()
         snrs = draw_population(50, 7.5, default_antenna, sample_weather, rng=9)
         assert np.array_equal(snrs, 7.5 - loc - wx)

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from helpers import serialize_threshold_csv
 import hmsim
 from hmsim import cli
 from hmsim.cli import main
-from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable, packaged_data_path, serialize_threshold_csv
+from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable, packaged_data_path
 from hmsim.rateopt import pair_solution
 
 

@@ -11,7 +11,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import H32APSK_RHOS, HQPSK_RHOS, RATES, h32apsk_reference_cells, hqpsk_reference_cells
+from helpers import (
+    H32APSK_RHOS,
+    HQPSK_RHOS,
+    RATES,
+    best_single_reference,
+    h32apsk_reference_cells,
+    hqpsk_reference_cells,
+    serialize_threshold_csv,
+)
 from hmsim import cli, modcod
 from hmsim.campaign import CampaignConfig, run_campaign
 from hmsim.modcod import (
@@ -26,7 +34,6 @@ from hmsim.modcod import (
     load_anomaly_manifest,
     load_threshold_csv,
     packaged_data_path,
-    serialize_threshold_csv,
     signaling_bits,
 )
 from hmsim.rateopt import achievable_pairs, pair_solution
@@ -38,6 +45,26 @@ def write_csv(tmp_path, name, rows, header="family,rho_he,stream,code_rate,thres
     path = tmp_path / name
     path.write_text("\n".join([header] + rows) + "\n")
     return path
+
+
+def probe_snrs(table: ThresholdTable) -> list[float]:
+    """Every threshold of a table, one ulp either side of it, +-inf and NaN:
+    an SNR in every cell and at both ends of each."""
+    thresholds = np.array(sorted(set(table.entries().values())))
+    return np.concatenate([
+        thresholds,
+        np.nextafter(thresholds, -np.inf),
+        np.nextafter(thresholds, np.inf),
+        [-np.inf, np.inf, np.nan],
+    ]).tolist()
+
+
+def jittered(table: ThresholdTable, seed: int, whole_db: bool) -> ThresholdTable:
+    """A copy of a table with every threshold moved by up to 1.5 dB, then
+    rounded to a whole dB if whole_db, so that thresholds tie."""
+    rng = random.Random(seed)
+    entries = {key: thr + rng.uniform(-1.5, 1.5) for key, thr in table.entries().items()}
+    return ThresholdTable({key: float(round(thr)) if whole_db else thr for key, thr in entries.items()})
 
 
 class TestShippedFiles:
@@ -53,11 +80,9 @@ class TestShippedFiles:
         assert len(hqpsk_table) == 11 * 9 * 2
 
     def test_merged_column_expands_identically(self, hqpsk_table):
-        scheme = SchemeId(Family.H_QPSK, 0.5)
+        scheme, entries = SchemeId(Family.H_QPSK, 0.5), hqpsk_table.entries()
         for rate in DVBS2_CODE_RATES:
-            assert hqpsk_table.threshold(scheme, Stream.HE, rate) == hqpsk_table.threshold(
-                scheme, Stream.LE, rate
-            )
+            assert entries[scheme, Stream.HE, rate] == entries[scheme, Stream.LE, rate]
 
     def test_hqpsk_spot_checks(self, hqpsk_table):
         cells = hqpsk_reference_cells()
@@ -65,7 +90,7 @@ class TestShippedFiles:
         sample = rng.sample(sorted(cells, key=str), 12)
         for rho, stream, rate in sample:
             expected = cells[(rho, stream, rate)]
-            got = hqpsk_table.threshold(SchemeId(Family.H_QPSK, rho), Stream(stream), rate)
+            got = hqpsk_table.entries()[SchemeId(Family.H_QPSK, rho), Stream(stream), rate]
             assert got == expected, (rho, stream, rate)
 
     def test_h32apsk_spot_checks(self, h32apsk_table):
@@ -74,15 +99,15 @@ class TestShippedFiles:
         sample = rng.sample(sorted(cells, key=str), 12)
         for rho, stream, rate in sample:
             expected = cells[(rho, stream, rate)]
-            got = h32apsk_table.threshold(SchemeId(Family.H_APSK32, rho), Stream(stream), rate)
+            got = h32apsk_table.entries()[SchemeId(Family.H_APSK32, rho), Stream(stream), rate]
             assert got == expected, (rho, stream, rate)
 
     def test_named_example_cells(self, hqpsk_table, h32apsk_table):
-        assert hqpsk_table.threshold(SchemeId(Family.H_QPSK, 0.5), Stream.HE, F(1, 4)) == -2.6
-        assert h32apsk_table.threshold(SchemeId(Family.H_APSK32, 0.9), Stream.LE, F(9, 10)) == 20.8
+        assert hqpsk_table.entries()[SchemeId(Family.H_QPSK, 0.5), Stream.HE, F(1, 4)] == -2.6
+        assert h32apsk_table.entries()[SchemeId(Family.H_APSK32, 0.9), Stream.LE, F(9, 10)] == 20.8
 
     def test_anomaly_cell_preserved_and_flagged(self, hqpsk_table):
-        assert hqpsk_table.threshold(SchemeId(Family.H_QPSK, 0.6), Stream.LE, F(1, 2)) == 1.2
+        assert hqpsk_table.entries()[SchemeId(Family.H_QPSK, 0.6), Stream.LE, F(1, 2)] == 1.2
         assert len(hqpsk_table.warnings) == 1
         warning = hqpsk_table.warnings[0]
         assert warning.known_anomaly
@@ -146,7 +171,7 @@ class TestLoaderErrors:
         table = load_threshold_csv(write_csv(tmp_path, "h.csv", [f"qpsk,,SINGLE,{text},1.0"]))
         ((_, _, rate),) = table.entries()
         assert rate == F(1, 2) and isinstance(rate, Fraction)
-        assert table.threshold(SchemeId(Family.QPSK), Stream.SINGLE, F(1, 2)) == 1.0
+        assert table.entries()[SchemeId(Family.QPSK), Stream.SINGLE, F(1, 2)] == 1.0
 
     @pytest.mark.parametrize("text,error", [
         ("abc", TableParseError), ("1/0", TableParseError), ("1/5", TableValidationError), ("", TableParseError),
@@ -235,6 +260,9 @@ class TestStreamEfficiency:
             ModcodChoice(SchemeId(Family.QPSK), Stream.HE, F(1, 2)).spectral_efficiency
 
 
+SINGLES = {Family.QPSK, Family.PSK8, Family.APSK16, Family.APSK32}
+
+
 class TestBestSingleModcod:
     def test_deep_outage(self, full_table):
         assert full_table.best_single(-10.0) is None
@@ -272,6 +300,40 @@ class TestBestSingleModcod:
             (b, Stream.SINGLE, F(3, 5)): 5.50,    # eff 1.8, lower threshold
         })
         assert table.best_single(7.0).scheme.family is Family.PSK8
+        # and when the lower threshold is the later scheme token
+        table = ThresholdTable({(a, Stream.SINGLE, F(9, 10)): 5.0, (b, Stream.SINGLE, F(3, 5)): 5.5})
+        assert table.best_single(7.0).scheme.family is Family.QPSK
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("loser,winner", [
+        ((Family.QPSK, F(9, 10)), (Family.PSK8, F(3, 5))),  # 2 x 9/10 == 3 x 3/5
+        ((Family.APSK32, F(2, 3)), (Family.APSK16, F(5, 6))),  # 5 x 2/3 == 4 x 5/6: the token, not the rate
+    ])
+    def test_tie_at_equal_threshold_breaks_to_scheme_token(self, loser, winner, reverse):
+        # whichever entry the table holds first
+        keys = [(SchemeId(family), Stream.SINGLE, rate) for family, rate in (loser, winner)]
+        table = ThresholdTable(dict.fromkeys(keys[::-1] if reverse else keys, 6.0))
+        assert table.best_single(6.0) == ModcodChoice(*keys[1])
+        assert table.best_single(6.0) == best_single_reference(table, 6.0)
+
+    @pytest.mark.parametrize("families", [
+        SINGLES | {Family.H_QPSK, Family.H_APSK32}, SINGLES | {Family.H_QPSK}, SINGLES | {Family.H_APSK32}, SINGLES,
+        {Family.H_QPSK},
+    ], ids=["full", "h_qpsk", "h_apsk32", "singles", "h_qpsk only"])
+    def test_matches_reference_on_every_cell(self, full_table, families):
+        table = full_table.subset(families)
+        snrs = probe_snrs(table)
+        assert [table.best_single(s) for s in snrs] == [best_single_reference(table, s) for s in snrs]
+
+    def test_matches_reference_on_jittered_tables(self, single_table):
+        ties = 0
+        for seed in range(40):
+            table = jittered(single_table, seed, whole_db=seed % 2 == 1)
+            snrs = probe_snrs(table)
+            assert [table.best_single(s) for s in snrs] == [best_single_reference(table, s) for s in snrs], seed
+            efficiencies = [(thr, scheme.bits(stream) * rate) for (scheme, stream, rate), thr in table.entries().items()]
+            ties += len(efficiencies) - len(set(efficiencies))
+        assert ties > 0  # some cells hold two equally efficient entries at one threshold
 
     def test_known_values(self, single_table):
         assert single_table.best_single(16.0).spectral_efficiency == pytest.approx(40 / 9)
@@ -286,19 +348,13 @@ class TestCellInv:
     @pytest.mark.parametrize("name", ["full_table", "hqpsk_table", "single_table"])
     def test_matches_best_single(self, request, name):
         table = request.getfixturevalue(name)
-        thresholds = np.array(sorted(set(table.entries().values())))
-        snrs = np.concatenate([
-            thresholds,
-            np.nextafter(thresholds, -np.inf),
-            np.nextafter(thresholds, np.inf),
-            [-np.inf, np.inf],
-        ]).tolist()
+        snrs = probe_snrs(table)
         expected = [
-            1.0 / c.spectral_efficiency if c else math.inf for c in map(table.best_single, snrs)
+            1.0 / c.spectral_efficiency if c else math.inf for c in (best_single_reference(table, s) for s in snrs)
         ]
         assert table.cell_inv[table.cells(snrs)].tolist() == expected
         assert [table.cell_inv[table.cell(s)] for s in snrs] == expected
-        assert len(table.cell_inv) == thresholds.size + 1
+        assert len(table.cell_inv) == len(set(table.entries().values())) + 1
 
 
 class TestCellUnits:
@@ -353,7 +409,7 @@ class TestTableAlgebra:
         ])
         kept = snrs >= floor
         assert kept.any() and not kept.all()
-        assert kept.tolist() == [full_table.best_single(s) is not None for s in snrs.tolist()]
+        assert kept.tolist() == [best_single_reference(full_table, s) is not None for s in snrs.tolist()]
 
 
 class TestSignalingBits:
@@ -367,16 +423,10 @@ class TestSignalingBits:
 
 
 def _count_index_builds(monkeypatch) -> dict[str, int]:
-    """Count builds of the prefix table (the one ``best_single`` bisects)
-    and of ``cell_units``, on every table in the process."""
-    calls = {"prefix": 0, "cell_units": 0}
-    build_prefix, build_units = modcod._prefix_best, ThresholdTable.cell_units.func
-
-    def counting_prefix(rows):
-        calls["prefix"] += 1
-        rows = list(rows)
-        assert {row[4] for row in rows} <= {Stream.SINGLE}  # no hierarchical prefix table
-        return build_prefix(rows)
+    """Count builds of ``cell_units``, the per-cell record every other
+    per-cell structure is derived from, on every table in the process."""
+    calls = {"cell_units": 0}
+    build_units = ThresholdTable.cell_units.func
 
     def counting_units(table):
         calls["cell_units"] += 1
@@ -384,7 +434,6 @@ def _count_index_builds(monkeypatch) -> dict[str, int]:
 
     units = functools.cached_property(counting_units)
     units.__set_name__(ThresholdTable, "cell_units")
-    monkeypatch.setattr(modcod, "_prefix_best", counting_prefix)
     monkeypatch.setattr(ThresholdTable, "cell_units", units)
     return calls
 
@@ -400,34 +449,35 @@ class TestLazyIndex:
         calls = _count_index_builds(monkeypatch)
         scenario = _default_scenario()
         tables = scenario.tables
-        tables.schemes(), tables.hierarchical_schemes(), tables.families()
-        assert calls == {"prefix": 0, "cell_units": 0}
-        assert not {"_single_lookup", "_edge_array", "cell_inv", "cell_units", "pair_memo"} & set(vars(tables))
+        tables.hierarchical_schemes(), tables.families(), tables.lowest_single_threshold()
+        assert calls == {"cell_units": 0}
+        assert not {"_single_choices", "_edge_array", "cell_inv", "cell_units", "pair_memo"} & set(vars(tables))
         first = pair_solution(3.0, 12.0, tables)
-        assert calls == {"prefix": 1, "cell_units": 1}
+        assert calls == {"cell_units": 1}
         assert pair_solution(3.0, 12.0, tables) == first
         pair_solution(-1.0, 17.5, tables)
-        assert calls == {"prefix": 1, "cell_units": 1}
+        assert calls == {"cell_units": 1}
 
     def test_campaign_indexes_only_its_subset_tables(self, monkeypatch):
         calls = _count_index_builds(monkeypatch)
         scenario = _default_scenario(grid="8", receivers=60, reps=2, families="h_qpsk,h_apsk32,combined")
         cfg = scenario.campaign_config()
         run_campaign(cfg, scenario.tables, scenario.antenna, scenario.weather)
-        # cell_units for each family table (h_qpsk, h_apsk32, combined), and
-        # the prefix table of one of them for the outage floor
+        # cell_units for each family table (h_qpsk, h_apsk32, combined); the
+        # outage floor is read from the entries of the scenario's table
         assert len(cfg.families) + 1 == 3
-        assert calls == {"prefix": 1, "cell_units": 3}
+        assert calls == {"cell_units": 3}
         # the scenario's own table was never indexed: its first query builds it
         full = scenario.tables
-        assert not {"_single_lookup", "cell_units"} & set(vars(full))
+        assert not {"_single_choices", "_edge_array", "cell_units"} & set(vars(full))
         pair_solution(3.0, 12.0, full)
-        assert calls == {"prefix": 2, "cell_units": 4}
+        assert calls == {"cell_units": 4}
 
 
 class TestPickledTable:
-    """Pool workers receive pickled tables; one pickled before its first
-    query travels without an index and builds its own."""
+    """A campaign child started by a non-fork start method receives its
+    tables pickled; one pickled before its first query travels without an
+    index and builds its own."""
 
     @pytest.mark.parametrize("queried", [False, True])
     def test_answers_match_the_original(self, full_table, queried):
@@ -441,7 +491,8 @@ class TestPickledTable:
         assert np.array_equal(copy.cell_inv, table.cell_inv)
         assert np.array_equal(copy.cell_units, table.cell_units)
         values = snrs.tolist()
-        assert [copy.best_single(s) for s in values] == [table.best_single(s) for s in values]
+        expected = [best_single_reference(table, s) for s in values]
+        assert [copy.best_single(s) for s in values] == [table.best_single(s) for s in values] == expected
         assert copy.entries() == table.entries() and copy.warnings == table.warnings
         rng = random.Random(11)
         for _ in range(1500):
