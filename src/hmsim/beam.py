@@ -103,9 +103,9 @@ class AntennaConfig:
     it must be reached on the main lobe (see ``beam_edge_angle``).
     """
 
-    diameter_m: float = 1.5
-    frequency_hz: float = 20e9
-    edge_level_db: float = 4.0
+    diameter_m: float
+    frequency_hz: float
+    edge_level_db: float
 
     def __post_init__(self):
         for name in ("diameter_m", "frequency_hz", "edge_level_db"):

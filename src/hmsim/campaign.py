@@ -66,19 +66,29 @@ COMBINED = "combined"
 
 @dataclass(frozen=True)
 class CampaignConfig:
+    """``repetitions`` draws of ``receivers`` receivers at each point of
+    ``snr_max_grid`` (dB, finite, strictly increasing), each evaluated for
+    every one of ``families`` (nonempty) and, if ``combined``, for all of
+    them together. No defaults: a scenario's are in ``cli.DEFAULT_SCENARIO``."""
+
     snr_max_grid: tuple[float, ...]
-    receivers: int = 500
-    repetitions: int = 100
-    families: tuple[Family, ...] = ()  # empty: every hierarchical family in the tables
-    combined: bool = False
-    master_seed: int = 1
-    workers: int = 1
+    receivers: int
+    repetitions: int
+    families: tuple[Family, ...]
+    combined: bool
+    master_seed: int
+    workers: int
 
     def __post_init__(self):
-        if not self.snr_max_grid:
+        grid = self.snr_max_grid
+        if not grid:
             raise ValueError("snr_max_grid must be nonempty")
-        if list(self.snr_max_grid) != sorted(self.snr_max_grid):
-            raise ValueError("snr_max_grid must be sorted")
+        if not all(math.isfinite(snr) for snr in grid):
+            raise ValueError("snr_max_grid must be finite")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("snr_max_grid must be strictly increasing")
+        if not self.families:
+            raise ValueError("families must be nonempty")
         if self.receivers < 2:
             raise ValueError("need at least two receivers")
         if self.repetitions < 1:
@@ -168,23 +178,16 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     floor = tables.lowest_single_threshold()
     if floor is None:
         raise ValueError("tables contain no single-stream baseline entries")
-    single_families = {f for f in tables.families() if not f.hierarchical}
-    hierarchical = {s.family for s in tables.hierarchical_schemes()}
-    if cfg.families:
-        requested = tuple(cfg.families)
-        for fam in requested:
-            if fam not in set(tables.families()):
-                raise ValueError(f"family {fam.token} has no entries in the loaded tables")
-    else:
-        requested = tuple(sorted(hierarchical, key=lambda f: f.token))
-    if not requested:
-        raise ValueError("no hierarchical family available to evaluate")
-
+    loaded = tables.families()
+    for fam in cfg.families:
+        if fam not in loaded:
+            raise ValueError(f"family {fam.token} has no entries in the loaded tables")
+    single_families = {f for f in loaded if not f.hierarchical}
     family_tables: dict[str, ThresholdTable] = {
-        fam.token: tables.subset(single_families | {fam}) for fam in requested
+        fam.token: tables.subset(single_families | {fam}) for fam in cfg.families
     }
     if cfg.combined:
-        family_tables[COMBINED] = tables.subset(single_families | set(requested))
+        family_tables[COMBINED] = tables.subset(single_families | set(cfg.families))
 
     import numpy.random  # noqa: F401  numpy imports it on first use
     beam_edge_angle(beam)

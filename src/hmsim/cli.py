@@ -14,7 +14,14 @@ and the campaign flags, each of which overrides one ``[campaign]`` or
 ``[output]`` key. A path in ``[tables]`` or ``[weather]`` is relative to
 the scenario file, or ``<packaged NAME>`` for the data file NAME shipped
 with the package. ``hierarchical`` takes a comma list of paths,
-``baseline`` and ``cdf`` exactly one.
+``baseline`` and ``cdf`` exactly one. A section or key that
+``DEFAULT_SCENARIO`` lacks, one under ``[DEFAULT]`` included, is an error
+naming the file, the section and the key. ``families`` takes a comma list
+of tokens: hierarchical families (``h_qpsk``, ``h_apsk32``, ...); ``all``,
+every hierarchical family in the tables; and ``combined``, one more curve
+for all the chosen families together, the only switch for that curve
+(there is no ``combined`` key). A list naming no family, empty or
+``combined`` alone, means ``all``.
 
 Exit codes: 0 success; 1 bad input, which includes a usage error (an
 unknown flag, a missing argument), an invalid scenario, table or value,
@@ -68,7 +75,6 @@ grid = 1:16:0.5
 receivers = 500
 repetitions = 100
 families = all
-combined = false
 seed = 1
 workers = 1
 
@@ -83,85 +89,28 @@ class ScenarioError(ValueError):
 
 @dataclass
 class Scenario:
+    """A loaded scenario: its data files, read and checked, and its settings."""
+
     baseline_path: Path
     hierarchical_paths: tuple[Path, ...]
-    antenna: AntennaConfig
     weather_path: Path
-    grid: tuple[float, ...]
-    receivers: int
-    repetitions: int
-    families_spec: str
-    families_where: str  # the INI key or flag families_spec came from, for messages
-    combined: bool
-    seed: int
-    workers: int
+    tables: ThresholdTable = field(repr=False)
+    weather: WeatherCdf = field(repr=False)
+    antenna: AntennaConfig
+    campaign: CampaignConfig
     out_dir: Path
     out_where: str  # the INI key or flag out_dir came from, for messages
-    tables: ThresholdTable = field(init=False, repr=False)
-    weather: WeatherCdf = field(init=False, repr=False)
-
-    def load_data(self):
-        """Load and validate every referenced file; ScenarioError on failure."""
-        try:
-            anomalies = load_anomaly_manifest()
-            table = load_threshold_csv(self.baseline_path, anomalies)
-            for path in self.hierarchical_paths:
-                table = table.merged_with(load_threshold_csv(path, anomalies))
-        except (OSError, TableParseError, TableValidationError) as exc:
-            raise ScenarioError(f"threshold tables: {exc}") from exc
-        try:
-            self.weather = WeatherCdf.from_csv(self.weather_path)
-        except (OSError, ValueError) as exc:
-            raise ScenarioError(f"weather CDF: {exc}") from exc
-        self.tables = table
-
-    def campaign_families(self) -> tuple[tuple[Family, ...], bool]:
-        """The requested families and the combined flag; ScenarioError,
-        naming the INI key or flag, for a family that is unknown, is not
-        hierarchical or has no entries in the loaded tables."""
-        tokens = [t.strip() for t in self.families_spec.split(",") if t.strip()]
-        combined = self.combined
-        loaded = self.tables.families()
-        families: list[Family] = []
-        for token in tokens:
-            if token == "all":
-                families.extend(s.family for s in self.tables.hierarchical_schemes())
-            elif token == COMBINED:
-                combined = True
-            else:
-                try:
-                    family = Family.from_token(token)
-                except ValueError:
-                    raise ScenarioError(f"{self.families_where} names an unknown modulation family {token!r}") from None
-                if not family.hierarchical:
-                    raise ScenarioError(f"{self.families_where} names family {token}, which is not hierarchical")
-                if family not in loaded:
-                    raise ScenarioError(
-                        f"{self.families_where} names family {token}, which has no entries in the loaded tables"
-                    )
-                families.append(family)
-        seen = []
-        for fam in families:
-            if fam not in seen:
-                seen.append(fam)
-        return tuple(seen), combined
 
     def campaign_config(self) -> CampaignConfig:
-        families, combined = self.campaign_families()
-        return CampaignConfig(
-            snr_max_grid=self.grid,
-            receivers=self.receivers,
-            repetitions=self.repetitions,
-            families=families,
-            combined=combined,
-            master_seed=self.seed,
-            workers=self.workers,
-        )
+        """The campaign the scenario describes, ``campaign``."""
+        return self.campaign
 
 
 def _parse_grid(text: str, where: str) -> tuple[float, ...]:
     """Grid points of 'start:stop:step' or a single value; ``where`` names
-    the INI key or flag the text came from, for the error message."""
+    the INI key or flag the text came from, for the error message. A range
+    is start + k * step, k = 0, 1, ..., rounded to 9 decimals, up to the
+    stop rounded likewise; two equal points are an error."""
     bad_spec = ScenarioError(f"{where} is not a valid grid: expected 'start:stop:step' or a single value")
     try:
         numbers = [float(part) for part in text.strip().split(":")]
@@ -177,26 +126,42 @@ def _parse_grid(text: str, where: str) -> tuple[float, ...]:
     start, stop, step = numbers
     if step <= 0 or stop < start:
         raise bad_spec
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-9:
-            break
-        values.append(round(v, 9))
+    values, k = [], 0
+    while (v := round(start + k * step, 9)) <= round(stop, 9):
+        if values and v == values[-1]:
+            raise ScenarioError(f"{where} is not a valid grid: two points round to {v:g} at 9 decimals")
+        values.append(v)
         k += 1
     return tuple(values)
 
 
-def _parse_bool(text: str) -> bool:
-    """configparser's boolean words: 1/yes/true/on and 0/no/false/off."""
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(text) from None
-
-
-_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+def _resolve_families(text: str, where: str, tables: ThresholdTable) -> tuple[tuple[Family, ...], bool]:
+    """The families a comma list of tokens names, in order without repeats,
+    and whether it names ``combined``. ``all``, or a list that names no
+    family, is every hierarchical family in ``tables``. ScenarioError,
+    located by ``where``, for a family that is unknown, is not hierarchical
+    or has no entries in ``tables``, and for a list that comes to none."""
+    loaded = tables.families()
+    every = [fam for fam in loaded if fam.hierarchical]
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    families: dict[Family, None] = {}
+    for token in tokens:
+        if token == "all":
+            families.update(dict.fromkeys(every))
+        elif token != COMBINED:
+            try:
+                family = Family.from_token(token)
+            except ValueError:
+                raise ScenarioError(f"{where} names an unknown modulation family {token!r}") from None
+            if not family.hierarchical:
+                raise ScenarioError(f"{where} names family {token}, which is not hierarchical")
+            if family not in loaded:
+                raise ScenarioError(f"{where} names family {token}, which has no entries in the loaded tables")
+            families[family] = None
+    chosen = tuple(families) or tuple(every)
+    if not chosen:
+        raise ScenarioError(f"{where} selects no family: the loaded tables have no hierarchical family")
+    return chosen, COMBINED in tokens
 
 
 # The campaign flag, without its dashes, that overrides each INI key.
@@ -216,6 +181,7 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
         file = Path(path)
         if not file.is_file():
             raise ScenarioError(f"scenario file not found: {file}")
+        known = {section: list(parser[section]) for section in parser.sections()}
         try:
             parser.read(str(file))
         except configparser.Error as exc:
@@ -224,6 +190,17 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
             raise ScenarioError(" ".join(str(exc).split())) from None
         base = file.parent
         source = str(file)
+        # Only the sections and keys of DEFAULT_SCENARIO. configparser
+        # copies the keys of [DEFAULT] into every section, so it takes none.
+        for section in [parser.default_section, *parser.sections()]:
+            if section not in known and section != parser.default_section:
+                raise ScenarioError(f"{source}: [{section}] is not a scenario section; "
+                                    f"the sections are {', '.join(known)}")
+            allowed = known.get(section, [])
+            for key in parser[section]:
+                if key not in allowed:
+                    raise ScenarioError(f"{source}: [{section}] {key} is not a scenario key; "
+                                        f"[{section}] takes {', '.join(allowed) or 'none'}")
     # A subcommand without the campaign flags (``pair``) has no such fields.
     flag_value = vars(overrides).get
 
@@ -236,12 +213,12 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
         value = parser.get(section, option)
         return value, f"{source}: [{section}] {option} = {value!r}"
 
-    def setting(section, option, kind="float", minimum=None):
+    def setting(section, option, kind=float, minimum=None):
         raw, where = text(section, option)
         try:
-            value = _PARSERS[kind](raw)
+            value = kind(raw)
         except ValueError:
-            raise ScenarioError(f"{where} is not a valid {kind}") from None
+            raise ScenarioError(f"{where} is not a valid {kind.__name__}") from None
         if minimum is not None and value < minimum:
             raise ScenarioError(f"{where} is below the minimum of {minimum}")
         return value
@@ -263,26 +240,46 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
         antenna = AntennaConfig(**antenna_fields)
     except ValueError as exc:
         raise ScenarioError(f"{source}: [antenna] {exc}") from None
-    families_spec, families_where = text("campaign", "families")
+    baseline_path = paths("tables", "baseline", single=True)[0]
+    hierarchical_paths = paths("tables", "hierarchical")
+    weather_path = paths("weather", "cdf", single=True)[0]
+    grid = _parse_grid(*text("campaign", "grid"))
+    receivers = setting("campaign", "receivers", int, 2)
+    repetitions = setting("campaign", "repetitions", int, 1)
+    seed = setting("campaign", "seed", int, 0)
+    workers = setting("campaign", "workers", int, 1)
+    try:
+        anomalies = load_anomaly_manifest()
+        tables = load_threshold_csv(baseline_path, anomalies)
+        for table_path in hierarchical_paths:
+            tables = tables.merged_with(load_threshold_csv(table_path, anomalies))
+    except (OSError, TableParseError, TableValidationError) as exc:
+        raise ScenarioError(f"threshold tables: {exc}") from exc
+    try:
+        weather = WeatherCdf.from_csv(weather_path)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"weather CDF: {exc}") from exc
+    families, combined = _resolve_families(*text("campaign", "families"), tables)
     out_text, out_where = text("output", "dir")
-    scenario = Scenario(
-        baseline_path=paths("tables", "baseline", single=True)[0],
-        hierarchical_paths=paths("tables", "hierarchical"),
+    return Scenario(
+        baseline_path=baseline_path,
+        hierarchical_paths=hierarchical_paths,
+        weather_path=weather_path,
+        tables=tables,
+        weather=weather,
         antenna=antenna,
-        weather_path=paths("weather", "cdf", single=True)[0],
-        grid=_parse_grid(*text("campaign", "grid")),
-        receivers=setting("campaign", "receivers", "int", 2),
-        repetitions=setting("campaign", "repetitions", "int", 1),
-        families_spec=families_spec,
-        families_where=families_where,
-        combined=setting("campaign", "combined", "bool"),
-        seed=setting("campaign", "seed", "int", 0),
-        workers=setting("campaign", "workers", "int", 1),
+        campaign=CampaignConfig(
+            snr_max_grid=grid,
+            receivers=receivers,
+            repetitions=repetitions,
+            families=families,
+            combined=combined,
+            master_seed=seed,
+            workers=workers,
+        ),
         out_dir=Path(out_text),
         out_where=out_where,
     )
-    scenario.load_data()
-    return scenario
 
 
 def cmd_rho(args) -> int:
@@ -363,13 +360,12 @@ def cmd_pair(args) -> int:
 
 def cmd_campaign(args) -> int:
     scenario = load_scenario(args.scenario, args)
-    cfg = scenario.campaign_config()
     out = scenario.out_dir
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"{scenario.out_where}: {exc.strerror}") from None
-    report = run_campaign(cfg, scenario.tables, scenario.antenna, scenario.weather)
+    report = run_campaign(scenario.campaign, scenario.tables, scenario.antenna, scenario.weather)
     gains = out / "gains.csv"
     gains.write_text(gains_csv_text(report))
     for token in report.family_tokens:
@@ -398,11 +394,6 @@ def cmd_validate(args) -> int:
           f"{scenario.weather.attenuation_db[-1]:g} dB")
     if scenario.tables.lowest_single_threshold() is None:
         print("FAIL: no single-stream baseline entries; campaigns cannot run", file=sys.stderr)
-        return 1
-    try:
-        scenario.campaign_families()
-    except ScenarioError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     unknown = [w for w in warnings if not w.known_anomaly]
     if unknown:

@@ -7,6 +7,7 @@ different worker counts) through a session fixture and are marked ``slow``;
 everything else is sub-minute (``pytest -m "not slow"`` skips the two).
 """
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -18,7 +19,7 @@ import pytest
 
 from helpers import build_apsk32_points, equal_rate_oracle, h32apsk_reference_cells, hqpsk_reference_cells
 from hmsim.beam import AntennaConfig, antenna_gain_rel, beam_edge_angle
-from hmsim.campaign import CampaignConfig, gain_curve, gains_csv_text, run_campaign
+from hmsim.campaign import gain_curve, gains_csv_text, run_campaign
 from hmsim.constellations import (
     ADOPTED_APSK32_TRIPLES,
     ADOPTED_QPSK_SPLITS,
@@ -42,9 +43,9 @@ def report(criterion: str, detail: str):
 
 
 @pytest.fixture(scope="session")
-def default_campaign(full_table, default_antenna, sample_weather):
+def default_campaign(full_table, default_antenna, sample_weather, campaign_config):
     """The default campaign run twice at different parallelism degrees."""
-    cfg_parallel = CampaignConfig(
+    cfg_parallel = campaign_config(
         snr_max_grid=tuple(np.round(np.arange(1.0, 16.0 + 1e-9, 0.5), 6)),
         receivers=500,
         repetitions=100,
@@ -55,7 +56,7 @@ def default_campaign(full_table, default_antenna, sample_weather):
     run_a = run_campaign(cfg_parallel, full_table, default_antenna, sample_weather)
     elapsed_a = time.perf_counter() - t0
 
-    cfg_serial = CampaignConfig(**{**cfg_parallel.__dict__, "workers": 1})
+    cfg_serial = dataclasses.replace(cfg_parallel, workers=1)
     t0 = time.perf_counter()
     run_b = run_campaign(cfg_serial, full_table, default_antenna, sample_weather)
     elapsed_b = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 """Beam model: main-lobe J1 series, edge geometry, attenuation sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ import scipy.special
 
 from hmsim.beam import (
     GEO_ALTITUDE_M,
-    AntennaConfig,
     WeatherCdf,
     antenna_gain_rel,
     beam_edge_angle,
@@ -90,10 +90,10 @@ class TestMainLobeSeries:
         assert np.abs(_j1_series_factor_f64(u) - _j1_series_factor(u)).max() <= 2.0**-50
 
     @pytest.mark.parametrize("edge_level_db", [1, 4, 10, 20, 40])
-    def test_float64_series_relative_bound_inside_the_edge(self, edge_level_db):
+    def test_float64_series_relative_bound_inside_the_edge(self, default_antenna, edge_level_db):
         # on [0, x_edge] the bracket is at least 10^(-L/20), so the stated
         # relative bound is 2^-50 * 10^(L/20)
-        cfg = AntennaConfig(edge_level_db=edge_level_db)
+        cfg = dataclasses.replace(default_antenna, edge_level_db=edge_level_db)
         x = np.linspace(0.0, math.sin(beam_edge_angle(cfg)) * cfg.aperture_factor, 1_000_001)
         u = x * x / 4.0
         exact = _j1_series_factor(u)
@@ -108,10 +108,10 @@ class TestMainLobeSeries:
         assert u < 6.0
         assert u**n / (math.factorial(n) * math.factorial(n + 1)) < 1e-30
 
-    def test_edge_angle_where_sine_rounds_past_the_null(self):
+    def test_edge_angle_where_sine_rounds_past_the_null(self, default_antenna):
         # here sin(asin(j1,1 / k)) * k lands 1 ulp above j1,1, so the
         # bisection's upper end needs the reject bound's rounding margin
-        cfg = AntennaConfig(diameter_m=0.2, frequency_hz=2.95e9)
+        cfg = dataclasses.replace(default_antenna, diameter_m=0.2, frequency_hz=2.95e9)
         k = cfg.aperture_factor
         assert math.sin(math.asin(_J1_FIRST_ZERO / k)) * k > _J1_FIRST_ZERO
         theta = beam_edge_angle(cfg)
@@ -142,29 +142,32 @@ class TestAntennaGain:
         assert got == pytest.approx(0.398, abs=1e-3)
 
     def test_doubling_diameter_halves_sine(self, default_antenna):
-        doubled = AntennaConfig(diameter_m=2 * default_antenna.diameter_m)
+        doubled = dataclasses.replace(default_antenna, diameter_m=2 * default_antenna.diameter_m)
         ratio = math.sin(beam_edge_angle(doubled)) / math.sin(beam_edge_angle(default_antenna))
         assert ratio == pytest.approx(0.5, abs=1e-9)
 
     def test_bisection_is_reproducible(self, default_antenna):
         first = beam_edge_angle(default_antenna)
         beam_edge_angle.cache_clear()
-        assert beam_edge_angle(AntennaConfig()) == first
+        assert beam_edge_angle(dataclasses.replace(default_antenna)) == first
 
-    def test_edge_levels_below_the_series_floor(self, sample_weather):
+    def test_edge_levels_below_the_series_floor(self, default_antenna, sample_weather):
         # next to the null the computed gain bottoms out near 325 dB, so a
         # deeper edge level gives that angle, 1 ulp below the null
-        floor_angle = beam_edge_angle(AntennaConfig(edge_level_db=325))
-        null = math.asin(_J1_FIRST_ZERO / AntennaConfig().aperture_factor)
+        def edge(level):
+            return dataclasses.replace(default_antenna, edge_level_db=level)
+
+        floor_angle = beam_edge_angle(edge(325))
+        null = math.asin(_J1_FIRST_ZERO / default_antenna.aperture_factor)
         assert floor_angle == np.nextafter(null, 0.0)
         for level in (326, 350, 1000, 1e6):
-            assert beam_edge_angle(AntennaConfig(edge_level_db=level)) == floor_angle
-        snrs = draw_population(2000, 10.0, AntennaConfig(edge_level_db=1000), sample_weather, 3)
+            assert beam_edge_angle(edge(level)) == floor_angle
+        snrs = draw_population(2000, 10.0, edge(1000), sample_weather, 3)
         assert np.isfinite(snrs).all()
 
-    def test_rejects_edge_level_without_a_null(self):
+    def test_rejects_edge_level_without_a_null(self, default_antenna):
         # the first null lies past 90 degrees; the gain there is -0.01 dB
-        cfg = AntennaConfig(diameter_m=0.01, frequency_hz=1e9)
+        cfg = dataclasses.replace(default_antenna, diameter_m=0.01, frequency_hz=1e9)
         assert _J1_FIRST_ZERO / cfg.aperture_factor >= 1.0
         with pytest.raises(ValueError, match="main lobe never drops 4.0 dB below boresight"):
             beam_edge_angle(cfg)
@@ -175,15 +178,15 @@ class TestAntennaGain:
         with pytest.raises(ValueError):
             antenna_gain_rel(math.pi / 2, default_antenna)
 
-    def test_config_validation(self):
+    def test_config_validation(self, default_antenna):
         with pytest.raises(ValueError):
-            AntennaConfig(edge_level_db=0.0)
+            dataclasses.replace(default_antenna, edge_level_db=0.0)
         with pytest.raises(ValueError):
-            AntennaConfig(diameter_m=-1.0)
+            dataclasses.replace(default_antenna, diameter_m=-1.0)
         for name in ("diameter_m", "frequency_hz", "edge_level_db"):
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=name):
-                    AntennaConfig(**{name: value})
+                    dataclasses.replace(default_antenna, **{name: value})
 
 
 class TestLocationSampling:

@@ -1,5 +1,6 @@
 """Campaign engine: determinism, seeding stability, oracle agreement."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 
 import hmsim
 from hmsim import campaign
-from hmsim.beam import GEO_ALTITUDE_M, AntennaConfig, WeatherCdf, antenna_gain_rel, beam_edge_angle, draw_population
+from hmsim.beam import GEO_ALTITUDE_M, WeatherCdf, antenna_gain_rel, beam_edge_angle, draw_population
 from hmsim.campaign import (
     COMBINED,
     CampaignConfig,
@@ -30,7 +31,6 @@ from hmsim.cli import main
 from hmsim.modcod import Family
 from hmsim.rateopt import system_summary
 
-TINY_EDGE = AntennaConfig(edge_level_db=1e-9)
 TWO_ATOM_WEATHER = [(0.0, 0.0), (0.0, 0.5), (6.0, 0.5), (6.0, 1.0)]
 
 
@@ -47,10 +47,10 @@ BENCHMARK_CAMPAIGNS = {
 }
 
 
-def benchmark_config(name):
+def benchmark_config(campaign_config, name):
     grid, reps, _ = BENCHMARK_CAMPAIGNS[name]
-    return CampaignConfig(snr_max_grid=grid, receivers=500, repetitions=reps,
-                          families=(Family.H_QPSK, Family.H_APSK32), master_seed=1)
+    return campaign_config(snr_max_grid=grid, receivers=500, repetitions=reps,
+                           families=(Family.H_QPSK, Family.H_APSK32), master_seed=1)
 
 
 @pytest.fixture()
@@ -79,52 +79,65 @@ def _patch_blocks(monkeypatch, parent_block, child_block):
 
 
 @pytest.fixture()
-def small_cfg():
-    return CampaignConfig(
+def small_cfg(campaign_config):
+    return campaign_config(
         snr_max_grid=(2.0, 6.0, 10.0), receivers=40, repetitions=6, master_seed=42
     )
 
 
 class TestConfigValidation:
-    def test_rejects_bad_values(self):
+    def test_rejects_bad_values(self, campaign_config):
         with pytest.raises(ValueError):
-            CampaignConfig(snr_max_grid=())
+            campaign_config(snr_max_grid=())
         with pytest.raises(ValueError):
-            CampaignConfig(snr_max_grid=(3.0, 1.0))
+            campaign_config(snr_max_grid=(3.0, 1.0))
         with pytest.raises(ValueError):
-            CampaignConfig(snr_max_grid=(1.0,), receivers=1)
+            campaign_config(snr_max_grid=(1.0,), receivers=1)
         with pytest.raises(ValueError):
-            CampaignConfig(snr_max_grid=(1.0,), repetitions=0)
+            campaign_config(snr_max_grid=(1.0,), repetitions=0)
         with pytest.raises(ValueError):
-            CampaignConfig(snr_max_grid=(1.0,), workers=0)
+            campaign_config(snr_max_grid=(1.0,), workers=0)
         with pytest.raises(ValueError):
-            CampaignConfig(snr_max_grid=(1.0,), master_seed=-1)
+            campaign_config(snr_max_grid=(1.0,), master_seed=-1)
+        # Unchecked, a repeated point runs twice and the report keeps only
+        # its last run, and a NaN point reports a gain of 0 and no outage.
+        for grid in ((5.0, 5.0), (1.0, 3.0, 3.0, 4.0)):
+            with pytest.raises(ValueError, match="snr_max_grid must be strictly increasing"):
+                campaign_config(snr_max_grid=grid)
+        for grid in ((math.nan,), (1.0, math.inf), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="snr_max_grid must be finite"):
+                campaign_config(snr_max_grid=grid)
+        with pytest.raises(ValueError, match="families must be nonempty"):
+            campaign_config(families=())
+        with pytest.raises(TypeError):  # no defaults: they are in cli.DEFAULT_SCENARIO
+            CampaignConfig(snr_max_grid=(1.0,))
 
 
 class TestEngine:
-    def test_two_receiver_oracle(self, single_table, hqpsk_table):
+    def test_two_receiver_oracle(self, single_table, hqpsk_table, default_antenna, campaign_config):
         # With a vanishing location spread and a two-atom weather CDF the
         # drawn pair is (1.2, 7.2) dB for master seed 0; the campaign gain
         # must equal the directly computed system gain, which for the
         # hierarchical-QPSK family works out to exactly 1/74.
         tables = single_table.merged_with(hqpsk_table)
         weather = WeatherCdf(TWO_ATOM_WEATHER)
-        cfg = CampaignConfig(
+        tiny_edge = dataclasses.replace(default_antenna, edge_level_db=1e-9)
+        cfg = campaign_config(
             snr_max_grid=(7.2,), receivers=2, repetitions=1,
             families=(Family.H_QPSK,), master_seed=0,
         )
-        pop = draw_population(2, 7.2, TINY_EDGE, weather, rng=np.random.SeedSequence(0, spawn_key=(0, 0)))
+        pop = draw_population(2, 7.2, tiny_edge, weather, rng=np.random.SeedSequence(0, spawn_key=(0, 0)))
         snrs = sorted(pop.tolist())
         assert snrs[0] == pytest.approx(1.2, abs=1e-6)
         assert snrs[1] == pytest.approx(7.2, abs=1e-6)
 
-        report = run_campaign(cfg, tables, TINY_EDGE, weather)
+        report = run_campaign(cfg, tables, tiny_edge, weather)
         gain = report.stats[(7.2, "h_qpsk")].mean
         assert gain == pytest.approx(1 / 74, abs=1e-12)
         assert gain == pytest.approx(system_summary(snrs, tables).gain, abs=1e-15)
 
-    def test_baseline_only_family_gains_zero(self, full_table, sample_weather, default_antenna):
-        cfg = CampaignConfig(
+    def test_baseline_only_family_gains_zero(self, full_table, sample_weather, default_antenna, campaign_config):
+        cfg = campaign_config(
             snr_max_grid=(4.0, 10.0), receivers=30, repetitions=4,
             families=(Family.QPSK,), master_seed=7,
         )
@@ -132,16 +145,17 @@ class TestEngine:
         for values in report.raw_gains.values():
             assert all(v == 0.0 for v in values if v is not None)
 
-    def test_outage_receivers_filtered_and_counted(self, full_table, sample_weather, default_antenna):
-        cfg = CampaignConfig(snr_max_grid=(1.0,), receivers=60, repetitions=5, master_seed=3)
+    def test_outage_receivers_filtered_and_counted(self, full_table, sample_weather, default_antenna,
+                                                   campaign_config):
+        cfg = campaign_config(snr_max_grid=(1.0,), receivers=60, repetitions=5, master_seed=3)
         report = run_campaign(cfg, full_table, default_antenna, sample_weather)
         stat = report.outage[1.0]
         assert stat.mean_count > 0  # at 1 dB some receivers always sit below -2.35 dB
         for values in report.raw_gains.values():
             assert all(v is not None and v >= 0.0 for v in values)
 
-    def test_total_outage_runs_excluded(self, full_table, sample_weather, default_antenna):
-        cfg = CampaignConfig(snr_max_grid=(-40.0,), receivers=5, repetitions=3, master_seed=1)
+    def test_total_outage_runs_excluded(self, full_table, sample_weather, default_antenna, campaign_config):
+        cfg = campaign_config(snr_max_grid=(-40.0,), receivers=5, repetitions=3, master_seed=1)
         report = run_campaign(cfg, full_table, default_antenna, sample_weather)
         stat = report.stats[(-40.0, "h_apsk32")]
         assert stat.excluded_runs == 3
@@ -149,8 +163,9 @@ class TestEngine:
         assert math.isnan(stat.mean)
         assert report.outage[-40.0].total_outage_runs == 3
 
-    def test_per_run_gains_match_filtered_system_gain(self, full_table, sample_weather, default_antenna):
-        cfg = CampaignConfig(
+    def test_per_run_gains_match_filtered_system_gain(self, full_table, sample_weather, default_antenna,
+                                                      campaign_config):
+        cfg = campaign_config(
             snr_max_grid=(5.0,), receivers=25, repetitions=3,
             families=(Family.H_APSK32,), master_seed=11,
         )
@@ -169,26 +184,27 @@ class TestEngine:
 class TestDeterminism:
     def test_worker_count_does_not_change_bytes(self, full_table, sample_weather, default_antenna, small_cfg):
         serial = run_campaign(small_cfg, full_table, default_antenna, sample_weather)
-        parallel_cfg = CampaignConfig(**{**small_cfg.__dict__, "workers": 2})
+        parallel_cfg = dataclasses.replace(small_cfg, workers=2)
         parallel = run_campaign(parallel_cfg, full_table, default_antenna, sample_weather)
         assert gains_csv_text(serial) == gains_csv_text(parallel)
         assert serial.stats == parallel.stats
 
-    def test_uneven_worker_blocks_do_not_change_bytes(self, full_table, sample_weather, default_antenna):
+    def test_uneven_worker_blocks_do_not_change_bytes(self, full_table, sample_weather, default_antenna,
+                                                      campaign_config):
         # workers=3 on 4 grid points: blocks (0, 3), (1,) and (2,)
-        cfg = CampaignConfig(snr_max_grid=(-1.0, 4.0, 9.0, 14.0), receivers=30, repetitions=3, master_seed=8)
+        cfg = campaign_config(snr_max_grid=(-1.0, 4.0, 9.0, 14.0), receivers=30, repetitions=3, master_seed=8)
         serial = run_campaign(cfg, full_table, default_antenna, sample_weather)
-        parallel = run_campaign(CampaignConfig(**{**cfg.__dict__, "workers": 3}), full_table, default_antenna, sample_weather)
+        parallel = run_campaign(dataclasses.replace(cfg, workers=3), full_table, default_antenna, sample_weather)
         assert gains_csv_text(serial) == gains_csv_text(parallel)
         assert serial.raw_gains == parallel.raw_gains and serial.outage == parallel.outage
 
     @pytest.mark.parametrize("workers, grid", [(2, (7.0,)), (4, (-1.0, 6.0, 13.0))],
                              ids=["one_block", "more_workers_than_points"])
     def test_more_workers_than_grid_points_do_not_change_bytes(self, full_table, sample_weather, default_antenna,
-                                                               workers, grid):
-        cfg = CampaignConfig(snr_max_grid=grid, receivers=30, repetitions=3, master_seed=8)
+                                                               workers, grid, campaign_config):
+        cfg = campaign_config(snr_max_grid=grid, receivers=30, repetitions=3, master_seed=8)
         serial = run_campaign(cfg, full_table, default_antenna, sample_weather)
-        parallel = run_campaign(CampaignConfig(**{**cfg.__dict__, "workers": workers}),
+        parallel = run_campaign(dataclasses.replace(cfg, workers=workers),
                                 full_table, default_antenna, sample_weather)
         assert gains_csv_text(serial) == gains_csv_text(parallel)
         assert serial.raw_gains == parallel.raw_gains and serial.outage == parallel.outage
@@ -196,8 +212,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers, grid, children", [(2, (7.0,), 0), (3, (-1.0, 6.0, 13.0), 2)],
                              ids=["one_block", "three_blocks"])
     def test_each_block_after_the_first_starts_one_child(self, full_table, sample_weather, default_antenna,
-                                                         started, workers, grid, children):
-        cfg = CampaignConfig(snr_max_grid=grid, receivers=30, repetitions=2, master_seed=8, workers=workers)
+                                                         started, workers, grid, children, campaign_config):
+        cfg = campaign_config(snr_max_grid=grid, receivers=30, repetitions=2, master_seed=8, workers=workers)
         assert run_campaign(cfg, full_table, default_antenna, sample_weather).stats
         assert len(started) == children
         assert multiprocessing.active_children() == []
@@ -217,11 +233,12 @@ class TestDeterminism:
         b = run_campaign(small_cfg, full_table, default_antenna, sample_weather)
         assert gains_csv_text(a) == gains_csv_text(b)
 
-    def test_extending_repetitions_preserves_earlier_runs(self, full_table, sample_weather, default_antenna):
-        base = CampaignConfig(
+    def test_extending_repetitions_preserves_earlier_runs(self, full_table, sample_weather, default_antenna,
+                                                          campaign_config):
+        base = campaign_config(
             snr_max_grid=(3.0, 8.0), receivers=20, repetitions=4, master_seed=5
         )
-        extended = CampaignConfig(
+        extended = campaign_config(
             snr_max_grid=(3.0, 8.0), receivers=20, repetitions=8, master_seed=5
         )
         short = run_campaign(base, full_table, default_antenna, sample_weather)
@@ -251,45 +268,48 @@ def deadline():
 @pytest.mark.skipif(sys.platform != "linux", reason="children inherit a patched module only when forked, as on Linux")
 @pytest.mark.usefixtures("deadline")
 class TestChildProcesses:
-    CFG = CampaignConfig(snr_max_grid=(-1.0, 6.0, 13.0), receivers=30, repetitions=2, master_seed=8, workers=3)
     CLI_CAMPAIGN = ["campaign", "--grid", "4:6:1", "--reps", "2", "--receivers", "40", "--workers", "2"]
 
-    def test_children_are_forked_on_linux(self, full_table, sample_weather, default_antenna, started):
+    @pytest.fixture()
+    def cfg(self, campaign_config):
+        return campaign_config(snr_max_grid=(-1.0, 6.0, 13.0), receivers=30, repetitions=2, master_seed=8, workers=3)
+
+    def test_children_are_forked_on_linux(self, full_table, sample_weather, default_antenna, started, cfg):
         # Python 3.14 made forkserver the Linux default, under which every
         # child would pickle the primed context and import numpy again.
         default = multiprocessing.get_start_method(allow_none=True)
         multiprocessing.set_start_method("forkserver", force=True)
         try:
-            run_campaign(self.CFG, full_table, default_antenna, sample_weather)
+            run_campaign(cfg, full_table, default_antenna, sample_weather)
         finally:
             multiprocessing.set_start_method(default, force=True)
         assert [type(p) for p in started] == [multiprocessing.get_context("fork").Process] * 2
 
     def test_child_exception_keeps_its_type(self, full_table, sample_weather, default_antenna, monkeypatch,
-                                            tmp_path, capsys):
+                                            tmp_path, capsys, cfg):
         def fail(ctx, grid_indices):
             raise ValueError(f"bad block {list(grid_indices)}")
 
         _patch_blocks(monkeypatch, campaign._run_grid_points, fail)
         with pytest.raises(ValueError, match=r"bad block \[1\]"):
-            run_campaign(self.CFG, full_table, default_antenna, sample_weather)
+            run_campaign(cfg, full_table, default_antenna, sample_weather)
         assert multiprocessing.active_children() == []
         assert main([*self.CLI_CAMPAIGN, "--out", str(tmp_path)]) == 1
         assert "error: bad block [1]" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
     def test_child_that_sends_nothing(self, full_table, sample_weather, default_antenna, monkeypatch,
-                                      tmp_path, capsys):
+                                      tmp_path, capsys, cfg):
         _patch_blocks(monkeypatch, campaign._run_grid_points, lambda ctx, grid_indices: os._exit(3))
         with pytest.raises(RuntimeError, match="campaign block 1 exited with code 3"):
-            run_campaign(self.CFG, full_table, default_antenna, sample_weather)
+            run_campaign(cfg, full_table, default_antenna, sample_weather)
         assert multiprocessing.active_children() == []
         assert main([*self.CLI_CAMPAIGN, "--out", str(tmp_path)]) == 2
         assert "campaign block 1 exited with code 3" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
     def test_block_0_failure_joins_every_child(self, full_table, sample_weather, default_antenna, monkeypatch,
-                                               started):
+                                               started, cfg):
         # The children outlast block 0, so only a join reaps them in time.
         def fail(ctx, grid_indices):
             raise ValueError("block 0 failed")
@@ -300,36 +320,37 @@ class TestChildProcesses:
 
         _patch_blocks(monkeypatch, fail, slow)
         with pytest.raises(ValueError, match="block 0 failed"):
-            run_campaign(self.CFG, full_table, default_antenna, sample_weather)
+            run_campaign(cfg, full_table, default_antenna, sample_weather)
         assert [p.exitcode for p in started] == [0, 0]
         assert multiprocessing.active_children() == []
 
-    def test_reply_larger_than_the_pipe_buffer(self, full_table, sample_weather, default_antenna):
+    def test_reply_larger_than_the_pipe_buffer(self, full_table, sample_weather, default_antenna, campaign_config):
         # Block 1's reply holds three arrays of 4,000 runs, about 96 KB, more
         # than a 64 KB pipe buffer: a parent that joined the child before
         # reading its reply would wait for ever.
-        cfg = CampaignConfig(snr_max_grid=(4.0, 9.0), receivers=2, repetitions=4000,
-                             families=(Family.H_QPSK, Family.H_APSK32), master_seed=8)
+        cfg = campaign_config(snr_max_grid=(4.0, 9.0), receivers=2, repetitions=4000,
+                              families=(Family.H_QPSK, Family.H_APSK32), master_seed=8)
         serial = run_campaign(cfg, full_table, default_antenna, sample_weather)
-        parallel = run_campaign(CampaignConfig(**{**cfg.__dict__, "workers": 2}),
+        parallel = run_campaign(dataclasses.replace(cfg, workers=2),
                                 full_table, default_antenna, sample_weather)
         assert serial.raw_gains == parallel.raw_gains and serial.outage == parallel.outage
 
 
 class TestBenchmarkCampaigns:
     @pytest.mark.parametrize("name", BENCHMARK_CAMPAIGNS)
-    def test_gains_csv_digest(self, name, full_table, sample_weather, default_antenna):
-        report = run_campaign(benchmark_config(name), full_table, default_antenna, sample_weather)
+    def test_gains_csv_digest(self, name, full_table, sample_weather, default_antenna, campaign_config):
+        report = run_campaign(benchmark_config(campaign_config, name), full_table, default_antenna, sample_weather)
         assert hashlib.sha256(gains_csv_text(report).encode()).hexdigest() == BENCHMARK_CAMPAIGNS[name][2]
 
     @pytest.mark.parametrize("name", BENCHMARK_CAMPAIGNS)
-    def test_float64_pattern_keeps_every_cell(self, name, full_table, sample_weather, default_antenna):
+    def test_float64_pattern_keeps_every_cell(self, name, full_table, sample_weather, default_antenna,
+                                              campaign_config):
         # The draw evaluates the pattern in float64; the oracle runs the same
         # uniforms through the long-double antenna_gain_rel. The SNRs may
         # differ by the draw's stated bound (beam._location_attenuation) as
         # dB, plus a rounding of log10 and of the two subtractions; every
         # receiver must stay further than that from every threshold.
-        cfg = benchmark_config(name)
+        cfg = benchmark_config(campaign_config, name)
         units = [(g, rep) for g in range(len(cfg.snr_max_grid)) for rep in range(cfg.repetitions)]
         snr_max = np.array([cfg.snr_max_grid[g] for g, _ in units])
         seeds = [np.random.SeedSequence(cfg.master_seed, spawn_key=unit) for unit in units]
@@ -360,8 +381,8 @@ class TestReportSurface:
         assert lines[0] == "snr_max_db,family,mean_gain,std_gain,excluded_runs"
         assert len(lines) - 1 == 3 * 2  # grid points x families
 
-    def test_combined_curve_rows(self, full_table, sample_weather, default_antenna):
-        cfg = CampaignConfig(
+    def test_combined_curve_rows(self, full_table, sample_weather, default_antenna, campaign_config):
+        cfg = campaign_config(
             snr_max_grid=(6.0,), receivers=20, repetitions=2,
             families=(Family.H_QPSK, Family.H_APSK32), combined=True, master_seed=2,
         )
@@ -386,8 +407,9 @@ class TestReportSurface:
         with pytest.raises(ValueError, match="baseline"):
             run_campaign(small_cfg, hqpsk_table, default_antenna, sample_weather)
 
-    def test_absent_family_rejected(self, single_table, hqpsk_table, sample_weather, default_antenna):
-        cfg = CampaignConfig(
+    def test_absent_family_rejected(self, single_table, hqpsk_table, sample_weather, default_antenna,
+                                    campaign_config):
+        cfg = campaign_config(
             snr_max_grid=(5.0,), receivers=10, repetitions=1, families=(Family.H_PSK8,), master_seed=1
         )
         with pytest.raises(ValueError, match="h_psk8"):

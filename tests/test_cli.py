@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import serialize_threshold_csv
@@ -268,19 +269,23 @@ class TestCampaign:
         assert err.startswith(f"error: {ini}: [{section}] {key} = '{value}' is not a valid")
         assert err.count(str(ini)) == 1
 
-    @pytest.mark.parametrize("value,combined", [("ture", None), ("On", True), ("no", False), ("1", True)])
-    def test_combined_takes_configparser_booleans(self, scenario_dir, tmp_path, value, combined, capsys):
-        ini = scenario_dir / "scenario.ini"
-        ini.write_text(ini.read_text().replace("seed = 9", f"seed = 9\nfamilies = h_qpsk\ncombined = {value}"))
-        out = tmp_path / "o"
-        code = main(["campaign", "--scenario", str(ini), "--grid", "3", "--out", str(out)])
-        if combined is None:
-            assert code == 1
-            assert capsys.readouterr().err == f"error: {ini}: [campaign] combined = '{value}' is not a valid bool\n"
-            assert not (out / "gains.csv").exists()
-        else:
-            assert code == 0
-            assert (",combined," in (out / "gains.csv").read_text()) == combined
+    @pytest.mark.parametrize("value,tokens", [
+        ("combined", ["h_apsk32", "h_qpsk", "combined"]),
+        ("", ["h_apsk32", "h_qpsk"]),
+        ("all", ["h_apsk32", "h_qpsk"]),
+        ("h_qpsk, combined", ["h_qpsk", "combined"]),
+        ("combined, h_qpsk, all, h_qpsk", ["h_qpsk", "h_apsk32", "combined"]),
+    ], ids=["combined_alone", "empty", "all", "one_and_combined", "repeats"])
+    def test_families_tokens(self, tmp_path, value, tokens, capsys):
+        # The combined token is the one switch for the combined curve; a list
+        # that names no family means every hierarchical family.
+        ini = tmp_path / "s.ini"
+        ini.write_text(f"[campaign]\nfamilies = {value}\n")
+        small = ["--grid", "5", "--reps", "2", "--receivers", "8"]
+        for argv, out in ((["--scenario", str(ini)], tmp_path / "ini"), (["--families", value], tmp_path / "flag")):
+            assert main(["campaign", *small, *argv, "--out", str(out)]) == 0
+            rows = (out / "gains.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[1] for row in rows] == tokens
 
     @pytest.mark.parametrize("flag,key,value,problem", [
         ("--receivers", "receivers", "1", "is below the minimum of 2"),
@@ -289,6 +294,8 @@ class TestCampaign:
         ("--seed", "seed", "-1", "is below the minimum of 0"),
         ("--grid", "grid", "1:x:2", "is not a valid grid: expected 'start:stop:step'"),
         ("--grid", "grid", "4:2:1", "is not a valid grid: expected 'start:stop:step'"),
+        ("--grid", "grid", "0:1e-9:2.5e-10", "is not a valid grid: two points round to 0 at 9 decimals"),
+        ("--grid", "grid", "0:1e-8:6e-10", "is not a valid grid: two points round to 1e-09 at 9 decimals"),
     ])
     def test_range_and_grid_errors_located(self, tmp_path, flag, key, value, problem, capsys):
         ini = tmp_path / "s.ini"
@@ -336,6 +343,10 @@ class TestCampaign:
         assert main(["campaign", "--families", value, *out]) == 1
         assert capsys.readouterr().err == f"error: --families {value} {problem}\n"
         assert not (tmp_path / "o").exists()
+        assert main(["pair", "3", "12", "--scenario", str(ini)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {ini}: [campaign] families = '{value}' {problem}\n"
+        assert captured.out == ""
 
 
 class TestValidate:
@@ -378,12 +389,21 @@ class TestValidate:
         ini.write_text(f"[campaign]\nfamilies = {value}\n")
         assert main(["validate", "--scenario", str(ini)]) == 1
         captured = capsys.readouterr()
-        assert "OK" not in captured.out
+        assert captured.out == ""
         assert captured.err == f"FAIL: {ini}: [campaign] families = '{value}' {problem}\n"
         assert main(["validate", "--families", value]) == 1
         captured = capsys.readouterr()
-        assert "OK" not in captured.out
+        assert captured.out == ""
         assert captured.err == f"FAIL: --families {value} {problem}\n"
+
+    def test_tables_without_a_hierarchical_family_fail(self, tmp_path, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text("[tables]\nhierarchical = <packaged dvbs2_single.csv>\n")
+        problem = "selects no family: the loaded tables have no hierarchical family"
+        assert main(["validate", "--scenario", str(ini)]) == 1
+        assert capsys.readouterr() == ("", f"FAIL: {ini}: [campaign] families = 'all' {problem}\n")
+        assert main(["validate", "--scenario", str(ini), "--families", "combined"]) == 1
+        assert capsys.readouterr() == ("", f"FAIL: --families combined {problem}\n")
 
     def test_missing_scenario_file(self, capsys):
         assert main(["validate", "--scenario", "/nonexistent/s.ini"]) == 1
@@ -397,13 +417,60 @@ class TestScenario:
         ini.write_text(cli.DEFAULT_SCENARIO)
         from_file = cli.load_scenario(str(ini), self.NO_FLAGS)
         default = cli.load_scenario(None, self.NO_FLAGS)
-        located = {"families_where", "out_where"}
         for f in dataclasses.fields(cli.Scenario):
-            if f.init and f.name not in located:
-                assert getattr(from_file, f.name) == getattr(default, f.name), f.name
-        assert from_file.families_where == f"{ini}: [campaign] families = 'all'"
-        assert default.families_where == "default scenario: [campaign] families = 'all'"
+            ours, theirs = getattr(from_file, f.name), getattr(default, f.name)
+            if f.name == "tables":
+                assert (ours.entries(), ours.warnings) == (theirs.entries(), theirs.warnings)
+            elif f.name == "weather":
+                assert np.array_equal(ours.attenuation_db, theirs.attenuation_db)
+                assert np.array_equal(ours.cum_prob, theirs.cum_prob)
+            elif f.name != "out_where":
+                assert ours == theirs, f.name
+        assert from_file.out_where == f"{ini}: [output] dir = 'out'"
+        assert default.out_where == "default scenario: [output] dir = 'out'"
         assert default.baseline_path == packaged_data_path("dvbs2_single.csv")
+        assert default.campaign.families == (Family.H_APSK32, Family.H_QPSK)
+        assert not default.campaign.combined
+
+    @pytest.mark.parametrize("text,problem", [
+        ("[campaign]\nrecievers = 10\n",
+         "[campaign] recievers is not a scenario key; "
+         "[campaign] takes grid, receivers, repetitions, families, seed, workers"),
+        ("[campaign]\ncombined = on\n",
+         "[campaign] combined is not a scenario key; "
+         "[campaign] takes grid, receivers, repetitions, families, seed, workers"),
+        ("[antenna]\ndiameter_m = 2\nedge_level = 3\n",
+         "[antenna] edge_level is not a scenario key; [antenna] takes diameter_m, frequency_hz, edge_level_db"),
+        ("[antena]\n",
+         "[antena] is not a scenario section; the sections are tables, antenna, weather, campaign, output"),
+        ("[DEFAULT]\nseed = 3\n", "[DEFAULT] seed is not a scenario key; [DEFAULT] takes none"),
+    ], ids=["misspelled_key", "combined_key", "second_key", "misspelled_section", "default_section"])
+    def test_unknown_section_or_key_located(self, tmp_path, text, problem, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text(text)
+        with pytest.raises(cli.ScenarioError) as exc:
+            cli.load_scenario(str(ini), self.NO_FLAGS)
+        assert str(exc.value) == f"{ini}: {problem}"
+        assert main(["validate", "--scenario", str(ini)]) == 1
+        assert capsys.readouterr() == ("", f"FAIL: {ini}: {problem}\n")
+        out = tmp_path / "o"
+        campaign = ["campaign", "--grid", "5", "--reps", "2", "--receivers", "8", "--out", str(out)]
+        for argv in (["pair", "3", "12"], campaign):
+            assert main([*argv, "--scenario", str(ini)]) == 1
+            assert capsys.readouterr() == ("", f"error: {ini}: {problem}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,points", [
+        ("1:16:0.5", [round(1 + 0.5 * k, 9) for k in range(31)]),
+        ("-2.4:-1.5:0.05", [round(-2.4 + 0.05 * k, 9) for k in range(19)]),
+        ("1:16:5", [1.0, 6.0, 11.0, 16.0]),
+        ("-2.4:-1.5:0.3", [-2.4, -2.1, -1.8, -1.5]),
+        ("0:1e-9:1e-9", [0.0, 1e-9]),
+        ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+        ("7.25", [7.25]),
+    ])
+    def test_grid_points(self, text, points):
+        assert cli._parse_grid(text, "--grid") == tuple(points)
 
     @pytest.mark.parametrize("section,key,value,problem", [
         ("tables", "baseline", "a.csv, b.csv", "names 2 paths, expected exactly one"),
