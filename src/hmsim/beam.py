@@ -18,10 +18,11 @@ A receiver's SNR is the boresight value SNR_max minus two attenuations:
 * weather: drawn from an empirical attenuation distribution supplied as a
   tabulated CDF, sampled by inverse transform with linear interpolation.
 
-``draw_population`` takes a numpy Generator (or anything accepted by
-``numpy.random.default_rng``) and consumes a fixed number of uniforms per
-receiver in a fixed order, so a population is a pure function of the seed.
-Callers that parallelize derive one child seed per work unit, e.g.
+``draw_population`` draws many populations at once, one per boresight
+SNR, each from its own numpy Generator (or anything accepted by
+``numpy.random.default_rng``). Each consumes a fixed number of uniforms
+per receiver in a fixed order, so a population is a pure function of its
+seed. Callers that parallelize derive one child seed per work unit, e.g.
 ``SeedSequence(master, spawn_key=(unit,))``.
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -68,31 +69,26 @@ _J1_SERIES_COEFFS = [
 ]
 
 
-def _j1_series_factor(x2_over_4):
-    """sum_k (-1)^k u^k / (k!(k+1)!) by Horner; J1(x) = (x/2) * this."""
-    u = np.asarray(x2_over_4, dtype=np.longdouble)
-    acc = np.full_like(u, _J1_SERIES_COEFFS[-1])
-    # In place: one array for the whole series, so large batches do not
-    # churn the heap.
-    for c in reversed(_J1_SERIES_COEFFS[:-1]):
-        acc *= u
-        acc += c
-    return acc.astype(float)
-
-
 # The population draw's copy of the series: the same terms rounded to
 # float64, for the bound stated in _location_attenuation.
-_J1_SERIES_COEFFS_F64 = [float(c) for c in _J1_SERIES_COEFFS]
+_J1_SERIES_COEFFS_F64 = [np.float64(c) for c in _J1_SERIES_COEFFS]
 
 
-def _j1_series_factor_f64(x2_over_4):
-    """_j1_series_factor by the same in-place Horner in float64."""
-    u = np.asarray(x2_over_4, dtype=float)
-    acc = np.full_like(u, _J1_SERIES_COEFFS_F64[-1])
-    for c in reversed(_J1_SERIES_COEFFS_F64[:-1]):
+def _j1_series_factor(x2_over_4, coeffs=_J1_SERIES_COEFFS):
+    """sum_k (-1)^k u^k / (k!(k+1)!) by Horner, in the precision of the
+    coefficient list (long double by default), as float64; J1(x) = (x/2) *
+    this."""
+    u = np.asarray(x2_over_4, dtype=type(coeffs[0]))
+    acc = np.full_like(u, coeffs[-1])
+    # In place: one array for the whole series, so large batches do not
+    # churn the heap.
+    for c in reversed(coeffs[:-1]):
         acc *= u
         acc += c
-    return acc
+    return acc.astype(float, copy=False)
+
+
+_j1_series_factor_f64 = partial(_j1_series_factor, coeffs=_J1_SERIES_COEFFS_F64)
 
 
 @dataclass(frozen=True)
@@ -282,31 +278,25 @@ class WeatherCdf:
 
 def draw_population(
     n: int,
-    snr_max_db,
+    snr_max_db: Sequence[float],
     cfg: AntennaConfig,
     cdf: WeatherCdf,
-    rng,
+    rng: Sequence,
 ) -> np.ndarray:
-    """Draw n receiver SNRs (dB): SNR_max - location - weather attenuation.
+    """Draw R populations of n receiver SNRs (dB), SNR_max - location -
+    weather attenuation, as the rows of an (R, n) array: row i has the
+    boresight SNR snr_max_db[i] and is drawn from rng[i], a generator or
+    anything accepted by ``numpy.random.default_rng``.
 
-    Consumes exactly n location uniforms then n weather uniforms from the
-    generator, so the population is bit-reproducible from the seed
-    regardless of how callers schedule the surrounding work.
-
-    Many populations at once: with snr_max_db a 1-D array of R boresight
-    SNRs and rng a sequence of R generators (or seeds), row i of the
-    (R, n) result is the population of snr_max_db[i] drawn from rng[i],
-    bit for bit the one-row call. Each row's generator still draws its own
-    uniforms; the pattern and the weather quantile are then evaluated once
-    for all rows.
+    Each row's generator draws exactly n location uniforms then n weather
+    uniforms, so a row is bit-reproducible from its seed whatever rows it
+    is drawn with; the pattern and the weather quantile are then evaluated
+    once for all rows.
     """
     if n < 1:
         raise ValueError("need at least one receiver")
-    snr_max = np.asarray(snr_max_db, dtype=float)
-    generators = [rng] if snr_max.ndim == 0 else rng
     # Per row: its n location uniforms, then its n weather uniforms.
-    u = np.empty((len(generators), 2, n))
-    for generator, row in zip(generators, u):
+    u = np.empty((len(rng), 2, n))
+    for generator, row in zip(rng, u):
         np.random.default_rng(generator).random(out=row)
-    snrs = snr_max[..., None] - _location_attenuation(u[:, 0], cfg) - cdf.quantile(u[:, 1])
-    return snrs[0] if snr_max.ndim == 0 else snrs
+    return np.asarray(snr_max_db, dtype=float)[:, None] - _location_attenuation(u[:, 0], cfg) - cdf.quantile(u[:, 1])

@@ -7,11 +7,13 @@ once with all families combined). The same population is used for every
 family at a given (grid point, repetition) - the curves are paired
 comparisons on a common system draw.
 
-Receivers that cannot decode any single-stream modcod (SNR below the
-baseline's lowest single threshold) are not servable by the classical
-baseline at all; they are removed from the run and counted, since the
-relative gain is undefined against a zero baseline. A run is excluded
-(gain recorded as missing) only when the whole population is in outage.
+Receivers that decode no single-stream modcod (an inf ``cell_inv``, see
+``rateopt.system_summaries``) are not servable by the classical baseline
+at all; ``system_summaries`` leaves them out of the run and counts them,
+since the relative gain is undefined against a zero baseline. Every family
+table keeps every single-stream row, so each family counts the same
+receivers. A run is excluded (gain recorded as missing) only when the
+whole population is in outage.
 
 Each process evaluates its (grid point, repetition) units as one array
 program over (units x receivers) arrays, in chunks of whole units of at
@@ -141,10 +143,10 @@ _CHUNK_RECEIVERS = 1 << 12
 def _run_grid_points(ctx, grid_indices: Sequence[int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The units of the given grid points, in chunks of whole units of at
     most ``_CHUNK_RECEIVERS`` receivers (at least one unit): the receivers
-    dropped as unservable, and each family's gains (NaN: run excluded),
+    left out as unservable, and each family's gains (NaN: run excluded),
     as (grid points, repetitions) arrays. ``ctx`` is a
     ``_primed_context``."""
-    family_tables, floor, cfg, beam, weather = ctx
+    family_tables, cfg, beam, weather = ctx
     units = [(g, rep) for g in grid_indices for rep in range(cfg.repetitions)]
     dropped = np.empty(len(units), dtype=np.intp)
     gains = {token: np.empty(len(units)) for token in family_tables}
@@ -158,31 +160,27 @@ def _run_grid_points(ctx, grid_indices: Sequence[int]) -> tuple[np.ndarray, dict
             weather,
             rng=[np.random.SeedSequence(cfg.master_seed, spawn_key=unit) for unit in chunk],
         )
-        dropped[lo:lo + step] = (snrs < floor).sum(axis=1)
         for token, table in family_tables.items():
-            gains[token][lo:lo + step] = system_summaries(snrs, table, dropped[lo:lo + step])[2]
+            _, _, gains[token][lo:lo + step], dropped[lo:lo + step] = system_summaries(snrs, table)
     shape = (len(grid_indices), cfg.repetitions)
     return dropped.reshape(shape), {token: g.reshape(shape) for token, g in gains.items()}
 
 
 def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaConfig, weather: WeatherCdf):
     """The context of ``_run_grid_points``: each evaluated family's table,
-    keyed by token in report order, the single-stream floor below which
-    receivers are dropped, then cfg, beam and weather.
+    keyed by token in report order, then cfg, beam and weather.
 
     Everything a block reads is built here, once, so that no block rebuilds
     it and the child processes forked afterwards inherit it: numpy's lazily
     imported ``random`` submodule, the beam edge angle, and each table's
     cell edges, per-cell arrays and pair memo."""
-    # Every family table keeps all SINGLE rows, so this is each one's floor.
-    floor = tables.lowest_single_threshold()
-    if floor is None:
-        raise ValueError("tables contain no single-stream baseline entries")
     loaded = tables.families()
+    single_families = {f for f in loaded if not f.hierarchical}
+    if not single_families:
+        raise ValueError("tables contain no single-stream baseline entries")
     for fam in cfg.families:
         if fam not in loaded:
             raise ValueError(f"family {fam.token} has no entries in the loaded tables")
-    single_families = {f for f in loaded if not f.hierarchical}
     family_tables: dict[str, ThresholdTable] = {
         fam.token: tables.subset(single_families | {fam}) for fam in cfg.families
     }
@@ -193,7 +191,7 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     beam_edge_angle(beam)
     for table in family_tables.values():
         table.cell_inv, table.pair_memo  # cell_inv builds cell_units and the cell edges
-    return family_tables, floor, cfg, beam, weather
+    return family_tables, cfg, beam, weather
 
 
 def _run_child_block(ctx, grid_indices: Sequence[int], sender) -> None:

@@ -235,17 +235,15 @@ def packaged_data_path(name: str) -> Path:
     return Path(resources.files("hmsim").joinpath("data", name))
 
 
-def load_anomaly_manifest(path: Union[str, Path, None] = None) -> dict[AnomalyKey, str]:
-    """Load the known-anomalies manifest (default: the shipped one).
+def load_anomaly_manifest() -> dict[AnomalyKey, str]:
+    """Load the shipped known-anomalies manifest.
 
     Each row names a table cell whose printed value is preserved verbatim
     even though it breaks an expected monotonic pattern. Keys are
     (family token, rho_he, stream, code rate).
     """
-    if path is None:
-        path = packaged_data_path("known_anomalies.csv")
     manifest: dict[AnomalyKey, str] = {}
-    with open(path, newline="") as fh:
+    with open(packaged_data_path("known_anomalies.csv"), newline="") as fh:
         for row in csv.DictReader(fh):
             rho = float(row["rho_he"]) if row["rho_he"] else None
             key = (row["family"], rho, row["stream"], Fraction(row["code_rate"]))
@@ -315,8 +313,9 @@ class ThresholdTable:
     @cached_property
     def cell_inv(self) -> np.ndarray:
         """1 / (best single-modcod efficiency) per cell, and inf in a cell
-        where no single modcod decodes: a receiver that gets nothing pins
-        every harmonic sum it enters at rate 0."""
+        where no single modcod decodes. That inf is the one outage rule:
+        ``rateopt.system_summaries`` leaves such receivers out and counts
+        them, and a pair that holds one has classical rate 0."""
         # units / EFFICIENCY_UNITS is the exact ratio rounded once, so it is
         # the ModcodChoice.spectral_efficiency of the cell's best choice.
         with np.errstate(divide="ignore"):
@@ -381,12 +380,6 @@ class ThresholdTable:
 
     def families(self) -> list[Family]:
         return sorted({s.family for s in self._schemes}, key=lambda f: f.token)
-
-    def lowest_single_threshold(self) -> Optional[float]:
-        """Threshold (dB) of the most robust non-hierarchical modcod, or
-        None without SINGLE rows: ``best_single(snr)`` is None exactly when a
-        non-NaN snr is below it."""
-        return min((thr for (_, stream, _), thr in self._entries.items() if stream is Stream.SINGLE), default=None)
 
     def subset(self, families: Iterable[Family]) -> "ThresholdTable":
         """Table restricted to the given families (warnings not re-derived)."""

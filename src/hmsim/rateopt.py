@@ -18,12 +18,12 @@ populations are paired on their sorted cells, lowest with highest, and
 aggregated on arrays indexed by cell: ``ThresholdTable.cell_inv`` for
 single modcods and ``ThresholdTable.pair_memo`` for solved pairs. There
 is one aggregation path, ``system_summaries``: it takes many populations
-as the rows of one array, with a count of weakest receivers to leave out
-of each, and ``system_summary`` is its one-row case that leaves out
-none. A receiver that decodes nothing has reciprocal inf and pins the
-harmonic aggregate at 0; callers that want to serve a degraded
-population must leave such receivers out (the campaign engine does, and
-reports how many it dropped).
+as the rows of one array. A receiver that decodes no single modcod has
+reciprocal inf in ``cell_inv``; that inf is the one outage rule.
+``system_summaries`` leaves such receivers out of the population they
+belong to and returns how many it left out of each; the campaign reports
+those counts. A pair (``pair_solution``) keeps them: its classical rate
+is then 0.
 
 There are two pair solvers, and both take a cell's best efficiencies from
 one per-cell array, ``ThresholdTable.cell_units``: the best single, HE
@@ -63,8 +63,6 @@ __all__ = [
     "pair_solution",
     "solve_cell_pairs",
     "system_summaries",
-    "system_summary",
-    "SystemSummary",
 ]
 
 
@@ -394,19 +392,17 @@ def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndar
     return terms
 
 
-@dataclass(frozen=True)
-class SystemSummary:
-    r_hm: float
-    r_ts: float
-    gain: float
-
-
-def system_summaries(snrs, table: ThresholdTable, dropped) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def system_summaries(snrs, table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Hierarchical vs classical time sharing for each row of an (R, n)
-    array of receiver SNRs, each pair at its free-disposal equal rate (see
-    ``equal_rate_point``): the arrays r_hm, r_ts and gain, one entry per
-    row. Row i leaves out its ``dropped[i]`` weakest receivers, and a row
-    that leaves out all n reads NaN in all three.
+    array of receiver SNRs, n >= 1, each pair at its free-disposal equal
+    rate (see ``equal_rate_point``): the arrays r_hm, r_ts, gain and
+    outage, one entry per row.
+
+    A receiver whose cell has an inf ``table.cell_inv`` decodes no single
+    modcod. Row i leaves out its ``outage[i]`` such receivers, and a row
+    that leaves out all n reads NaN in r_hm, r_ts and gain. The inf cells
+    are the lowest ones, so they come first in each sorted row, and every
+    served receiver has a finite reciprocal: r_ts > 0.
 
     Each row pairs its receivers on their sorted cells (see
     ``table.cells``), which never decrease as the SNR rises. With k
@@ -425,26 +421,23 @@ def system_summaries(snrs, table: ThresholdTable, dropped) -> tuple[np.ndarray, 
     rounded 1 / r_hm of the exact equal rate, or the classical term itself
     where hierarchy gains nothing. So "no gain anywhere" yields r_hm ==
     r_ts bit for bit.
-
-    A served receiver that decodes no single modcod (reciprocal inf)
-    forces r_ts to 0. It forces r_hm to 0 too unless hierarchical points
-    serve its pair: a receiver that decodes only an HE or LE stream still
-    gets a positive pair rate, and then gain = inf.
     """
     # Sorted SNRs give sorted cells, and searchsorted runs faster on them.
     cells = table.cells(np.sort(snrs, axis=1))
     rows, n = cells.shape
-    dropped = np.asarray(dropped)
-    served = n - dropped
+    if not n:
+        raise ValueError("need at least one receiver")
+    inv = table.cell_inv
+    outage = np.isinf(inv)[cells].sum(axis=1)
+    served = n - outage
     # Term column j of each row: pair j, then the unpaired receiver, then
     # zero padding; at least one column, which a row that leaves out every
     # receiver sums to 0. Index arrays are (rows, columns).
     j = np.arange(max(1, int((served.max() + 1) // 2)))
-    weak_at, strong_at = dropped[:, None] + j, n - 1 - j
+    weak_at, strong_at = outage[:, None] + j, n - 1 - j
     paired, unpaired = weak_at < strong_at, weak_at == strong_at
     weak = np.take_along_axis(cells, np.minimum(weak_at, n - 1), axis=1)
     strong = cells[:, strong_at]
-    inv = table.cell_inv
     weak_inv = inv[weak]
     memo = table.pair_memo
     hm = memo[weak, strong]
@@ -464,19 +457,4 @@ def system_summaries(snrs, table: ThresholdTable, dropped) -> tuple[np.ndarray, 
     some = served > 0
     r_ts = np.divide(1.0, ts_inv, out=np.full(rows, np.nan), where=some)
     r_hm = np.maximum(np.divide(1.0, hm_inv, out=np.full(rows, np.nan), where=some), r_ts)
-    # _relative_gain per row: r_hm > r_ts == 0 is +inf, r_hm == 0 is 0.
-    with np.errstate(divide="ignore"):
-        gain = np.divide(r_hm - r_ts, r_ts, out=np.where(some, 0.0, np.nan), where=r_hm > 0)
-    return r_hm, r_ts, gain
-
-
-def system_summary(snrs: Sequence[float], table: ThresholdTable) -> SystemSummary:
-    """``system_summaries`` of one population with no receiver left out.
-
-    Receivers that decode no single modcod stay in: the campaign drops
-    them before it aggregates, a library caller may filter them first."""
-    snrs = np.asarray(snrs, dtype=float)
-    if not snrs.size:
-        raise ValueError("need at least one receiver")
-    r_hm, r_ts, gain = system_summaries(snrs[None], table, [0])
-    return SystemSummary(r_hm=float(r_hm[0]), r_ts=float(r_ts[0]), gain=float(gain[0]))
+    return r_hm, r_ts, (r_hm - r_ts) / r_ts, outage

@@ -16,12 +16,13 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from hmsim.constellations import Apsk32Params, Psk8Params, QpskParams
 from hmsim.modcod import DVBS2_CODE_RATES, ModcodChoice, Stream, ThresholdTable
+from hmsim.rateopt import system_summaries
 
 RATES = list(DVBS2_CODE_RATES)
 
@@ -257,24 +258,43 @@ class ExactPairOracle:
         return best, (sw * ss / (sw + ss) if sw + ss else zero)
 
 
-def system_summary_reference(snrs, table: ThresholdTable, oracle: ExactPairOracle) -> tuple[float, float, float]:
-    """(r_hm, r_ts, gain) of a population with no memo and no cell arrays:
-    receivers sorted by (SNR, index) and paired extremes first, reciprocals
-    from ``best_single_reference``, each pair's hierarchical term 1 / R*
-    from the table's exact oracle where R* > R_ts and its classical term
-    1/r_i + 1/r_j otherwise, and both harmonic sums accumulated sequentially
-    in pair-traversal order, as ``system_summary`` defines them."""
-    values = [float(s) for s in snrs]
-    n = len(values)
-    order = sorted(range(n), key=lambda i: (values[i], i))
+class RowSummary(NamedTuple):
+    r_hm: float
+    r_ts: float
+    gain: float
+    outage: int
+
+
+def row_summary(snrs, table: ThresholdTable) -> RowSummary:
+    """``system_summaries`` of one population, the one-row call."""
+    r_hm, r_ts, gain, outage = system_summaries(np.asarray(snrs, dtype=float)[None], table)
+    return RowSummary(float(r_hm[0]), float(r_ts[0]), float(gain[0]), int(outage[0]))
+
+
+def system_summary_reference(snrs, table: ThresholdTable, oracle: ExactPairOracle) -> RowSummary:
+    """(r_hm, r_ts, gain, outage) of a population with no memo and no cell
+    arrays: receivers without a single modcod (``best_single_reference``)
+    left out and counted, the rest sorted by (SNR, index) and paired
+    extremes first, reciprocals from ``best_single_reference``, each pair's
+    hierarchical term 1 / R* from the table's exact oracle where R* > R_ts
+    and its classical term 1/r_i + 1/r_j otherwise, and both harmonic sums
+    accumulated sequentially in pair-traversal order, as
+    ``system_summaries`` defines them. NaN rates and gain when every
+    receiver is left out."""
+    singles = [(float(s), best_single_reference(table, float(s))) for s in snrs]
+    served = [(s, c) for s, c in singles if c is not None]
+    outage = len(singles) - len(served)
+    if not served:
+        return RowSummary(math.nan, math.nan, math.nan, outage)
+    n = len(served)
+    order = sorted(range(n), key=lambda i: (served[i][0], i))
     pairs = [(order[k], order[-1 - k]) for k in range(n // 2)]
     unpaired = order[n // 2] if n % 2 else None
-    singles = [best_single_reference(table, s) for s in values]
-    inv = [1.0 / c.spectral_efficiency if c else math.inf for c in singles]
+    inv = [1.0 / c.spectral_efficiency for _, c in served]
     ts_inv = hm_inv = 0.0
     for i, j in pairs:
         pair_inv = inv[i] + inv[j]
-        r_star, r_ts = oracle.rates(values[i], values[j])
+        r_star, r_ts = oracle.rates(served[i][0], served[j][0])
         ts_inv += pair_inv
         hm_inv += float(1 / r_star) if r_star > r_ts else pair_inv
     if unpaired is not None:
@@ -282,11 +302,7 @@ def system_summary_reference(snrs, table: ThresholdTable, oracle: ExactPairOracl
         hm_inv += inv[unpaired]
     r_ts = 1.0 / ts_inv
     r_hm = max(1.0 / hm_inv, r_ts)
-    if r_ts == 0.0:
-        gain = 0.0 if r_hm == 0.0 else math.inf
-    else:
-        gain = (r_hm - r_ts) / r_ts
-    return r_hm, r_ts, gain
+    return RowSummary(r_hm, r_ts, (r_hm - r_ts) / r_ts, outage)
 
 
 # Constellation geometry: the symbol sets whose quadrant barycenters the

@@ -162,7 +162,7 @@ class TestAntennaGain:
         assert floor_angle == np.nextafter(null, 0.0)
         for level in (326, 350, 1000, 1e6):
             assert beam_edge_angle(edge(level)) == floor_angle
-        snrs = draw_population(2000, 10.0, edge(1000), sample_weather, 3)
+        snrs = draw_population(2000, [10.0], edge(1000), sample_weather, [3])[0]
         assert np.isfinite(snrs).all()
 
     def test_rejects_edge_level_without_a_null(self, default_antenna):
@@ -284,14 +284,14 @@ class TestWeatherSampling:
 
 class TestDrawPopulation:
     def test_shape_and_bounds(self, default_antenna, sample_weather):
-        snrs = draw_population(500, 10.0, default_antenna, sample_weather, rng=123)
-        assert snrs.shape == (500,)
+        snrs = draw_population(500, [10.0], default_antenna, sample_weather, rng=[123])
+        assert snrs.shape == (1, 500)
         assert snrs.dtype == np.float64
         assert (snrs <= 10.0).all()
 
     def test_clear_sky_band(self, default_antenna):
         clear = WeatherCdf([(0.0, 0.0), (0.0, 1.0)])
-        snrs = draw_population(300, 10.0, default_antenna, clear, rng=5)
+        snrs = draw_population(300, [10.0], default_antenna, clear, rng=[5])
         assert ((6.0 - 1e-9 <= snrs) & (snrs <= 10.0)).all()
 
     def test_snr_identity(self, default_antenna, sample_weather):
@@ -300,12 +300,12 @@ class TestDrawPopulation:
         loc = _location_attenuation(rng.random(50), default_antenna)
         wx = sample_weather.quantile(rng.random(50))
         assert (loc >= 0).all() and (wx >= 0).all()
-        snrs = draw_population(50, 7.5, default_antenna, sample_weather, rng=9)
-        assert np.array_equal(snrs, 7.5 - loc - wx)
+        snrs = draw_population(50, [7.5], default_antenna, sample_weather, rng=[9])
+        assert np.array_equal(snrs, [7.5 - loc - wx])
 
     def test_bit_reproducible(self, default_antenna, sample_weather):
-        a = draw_population(100, 5.0, default_antenna, sample_weather, rng=np.random.SeedSequence(77))
-        b = draw_population(100, 5.0, default_antenna, sample_weather, rng=np.random.SeedSequence(77))
+        a = draw_population(100, [5.0], default_antenna, sample_weather, rng=[np.random.SeedSequence(77)])
+        b = draw_population(100, [5.0], default_antenna, sample_weather, rng=[np.random.SeedSequence(77)])
         assert a.tobytes() == b.tobytes()
 
     def test_rows_equal_one_row_draws(self, default_antenna, sample_weather):
@@ -314,8 +314,8 @@ class TestDrawPopulation:
         rows = draw_population(70, snr_max, default_antenna, sample_weather, rng=seeds)
         assert rows.shape == (4, 70)
         for row, snr, seed in zip(rows, snr_max.tolist(), seeds):
-            assert row.tobytes() == draw_population(70, snr, default_antenna, sample_weather, rng=seed).tobytes()
+            assert row.tobytes() == draw_population(70, [snr], default_antenna, sample_weather, rng=[seed]).tobytes()
 
     def test_rejects_empty(self, default_antenna, sample_weather):
         with pytest.raises(ValueError):
-            draw_population(0, 5.0, default_antenna, sample_weather, rng=1)
+            draw_population(0, [5.0], default_antenna, sample_weather, rng=[1])

@@ -16,12 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import best_single_reference, row_summary
 import hmsim
 from hmsim import campaign
 from hmsim.beam import GEO_ALTITUDE_M, WeatherCdf, antenna_gain_rel, beam_edge_angle, draw_population
 from hmsim.campaign import (
     COMBINED,
     CampaignConfig,
+    OutageStat,
     curve_csv_text,
     gain_curve,
     gains_csv_text,
@@ -29,7 +31,6 @@ from hmsim.campaign import (
 )
 from hmsim.cli import main
 from hmsim.modcod import Family
-from hmsim.rateopt import system_summary
 
 TWO_ATOM_WEATHER = [(0.0, 0.0), (0.0, 0.5), (6.0, 0.5), (6.0, 1.0)]
 
@@ -126,7 +127,7 @@ class TestEngine:
             snr_max_grid=(7.2,), receivers=2, repetitions=1,
             families=(Family.H_QPSK,), master_seed=0,
         )
-        pop = draw_population(2, 7.2, tiny_edge, weather, rng=np.random.SeedSequence(0, spawn_key=(0, 0)))
+        pop = draw_population(2, [7.2], tiny_edge, weather, rng=[np.random.SeedSequence(0, spawn_key=(0, 0))])[0]
         snrs = sorted(pop.tolist())
         assert snrs[0] == pytest.approx(1.2, abs=1e-6)
         assert snrs[1] == pytest.approx(7.2, abs=1e-6)
@@ -134,7 +135,7 @@ class TestEngine:
         report = run_campaign(cfg, tables, tiny_edge, weather)
         gain = report.stats[(7.2, "h_qpsk")].mean
         assert gain == pytest.approx(1 / 74, abs=1e-12)
-        assert gain == pytest.approx(system_summary(snrs, tables).gain, abs=1e-15)
+        assert gain == pytest.approx(row_summary(snrs, tables).gain, abs=1e-15)
 
     def test_baseline_only_family_gains_zero(self, full_table, sample_weather, default_antenna, campaign_config):
         cfg = campaign_config(
@@ -147,12 +148,19 @@ class TestEngine:
 
     def test_outage_receivers_filtered_and_counted(self, full_table, sample_weather, default_antenna,
                                                    campaign_config):
-        cfg = campaign_config(snr_max_grid=(1.0,), receivers=60, repetitions=5, master_seed=3)
+        # from total outage to full service; each run's count is checked
+        # against best_single_reference on the populations the campaign draws
+        cfg = campaign_config(snr_max_grid=(-8.0, -2.0, 1.0, 12.0), receivers=60, repetitions=5, master_seed=3)
         report = run_campaign(cfg, full_table, default_antenna, sample_weather)
-        stat = report.outage[1.0]
-        assert stat.mean_count > 0  # at 1 dB some receivers always sit below -2.35 dB
-        for values in report.raw_gains.values():
-            assert all(v is not None and v >= 0.0 for v in values)
+        for g, snr_max in enumerate(cfg.snr_max_grid):
+            seeds = [np.random.SeedSequence(3, spawn_key=(g, rep)) for rep in range(5)]
+            pops = draw_population(60, [snr_max] * 5, default_antenna, sample_weather, rng=seeds)
+            counts = [sum(best_single_reference(full_table, s) is None for s in pop.tolist()) for pop in pops]
+            assert report.outage[snr_max] == OutageStat(sum(counts) / 5, max(counts), counts.count(60))
+        assert report.outage[-8.0].total_outage_runs == 5 and report.outage[12.0].max_count == 0
+        assert report.outage[1.0].mean_count > 0  # at 1 dB some receivers always sit below -2.35 dB
+        for token in report.family_tokens:
+            assert all(v is not None and v >= 0.0 for v in report.raw_gains[(1.0, token)])
 
     def test_total_outage_runs_excluded(self, full_table, sample_weather, default_antenna, campaign_config):
         cfg = campaign_config(snr_max_grid=(-40.0,), receivers=5, repetitions=3, master_seed=1)
@@ -173,11 +181,11 @@ class TestEngine:
         sub = full_table.subset({Family.QPSK, Family.PSK8, Family.APSK16, Family.APSK32, Family.H_APSK32})
         for rep in range(3):
             pop = draw_population(
-                25, 5.0, default_antenna, sample_weather,
-                rng=np.random.SeedSequence(11, spawn_key=(0, rep)),
-            )
+                25, [5.0], default_antenna, sample_weather,
+                rng=[np.random.SeedSequence(11, spawn_key=(0, rep))],
+            )[0]
             served = [s for s in pop.tolist() if full_table.best_single(s)]
-            expected = system_summary(served, sub).gain
+            expected = row_summary(served, sub).gain
             assert report.raw_gains[(5.0, "h_apsk32")][rep] == expected
 
 

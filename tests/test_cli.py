@@ -296,6 +296,7 @@ class TestCampaign:
         ("--grid", "grid", "4:2:1", "is not a valid grid: expected 'start:stop:step'"),
         ("--grid", "grid", "0:1e-9:2.5e-10", "is not a valid grid: two points round to 0 at 9 decimals"),
         ("--grid", "grid", "0:1e-8:6e-10", "is not a valid grid: two points round to 1e-09 at 9 decimals"),
+        ("--grid", "grid", "0:100:1e-6", "is not a valid grid: more than 10,000 points"),
     ])
     def test_range_and_grid_errors_located(self, tmp_path, flag, key, value, problem, capsys):
         ini = tmp_path / "s.ini"
@@ -471,6 +472,13 @@ class TestScenario:
     ])
     def test_grid_points(self, text, points):
         assert cli._parse_grid(text, "--grid") == tuple(points)
+
+    def test_grid_point_bound(self):
+        assert cli._MAX_GRID_POINTS == 10_000
+        assert cli._parse_grid("0:9999:1", "--grid") == tuple(float(k) for k in range(10_000))
+        for text in ("0:10000:1", "-5:5:0.001", "0:100:1e-6", "0:1e300:1"):
+            with pytest.raises(cli.ScenarioError, match=r"^\[campaign\] grid is not a valid grid: more than 10,000 points$"):
+                cli._parse_grid(text, "[campaign] grid")
 
     @pytest.mark.parametrize("section,key,value,problem", [
         ("tables", "baseline", "a.csv, b.csv", "names 2 paths, expected exactly one"),

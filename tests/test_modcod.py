@@ -394,12 +394,12 @@ class TestTableAlgebra:
     def test_merge_disjoint(self, single_table, hqpsk_table):
         merged = single_table.merged_with(hqpsk_table)
         assert len(merged) == len(single_table) + len(hqpsk_table)
-        assert merged.lowest_single_threshold() == single_table.lowest_single_threshold() == -2.35
-        assert hqpsk_table.lowest_single_threshold() is None
+        for table in (merged, single_table):
+            assert table.best_single(-2.35) is not None and table.best_single(np.nextafter(-2.35, -np.inf)) is None
+        assert np.isinf(hqpsk_table.cell_inv).all()
 
-    def test_floor_filter_matches_best_single(self, full_table):
+    def test_inf_reciprocal_marks_outage(self, full_table):
         # SNRs exactly at, and one ulp either side of, every threshold
-        floor = full_table.lowest_single_threshold()
         thresholds = np.array(sorted(set(full_table.entries().values())))
         snrs = np.concatenate([
             thresholds,
@@ -407,9 +407,9 @@ class TestTableAlgebra:
             np.nextafter(thresholds, np.inf),
             np.random.default_rng(5).uniform(-8.0, 20.0, 2000),
         ])
-        kept = snrs >= floor
-        assert kept.any() and not kept.all()
-        assert kept.tolist() == [best_single_reference(full_table, s) is not None for s in snrs.tolist()]
+        outage = np.isinf(full_table.cell_inv[full_table.cells(snrs)])
+        assert outage.any() and not outage.all()
+        assert outage.tolist() == [best_single_reference(full_table, s) is None for s in snrs.tolist()]
 
 
 class TestSignalingBits:
@@ -449,7 +449,7 @@ class TestLazyIndex:
         calls = _count_index_builds(monkeypatch)
         scenario = _default_scenario()
         tables = scenario.tables
-        tables.hierarchical_schemes(), tables.families(), tables.lowest_single_threshold()
+        tables.hierarchical_schemes(), tables.families()
         assert calls == {"cell_units": 0}
         assert not {"_single_choices", "_edge_array", "cell_inv", "cell_units", "pair_memo"} & set(vars(tables))
         first = pair_solution(3.0, 12.0, tables)

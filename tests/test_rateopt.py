@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ExactPairOracle, equal_rate_oracle, system_summary_reference, unpruned_points
+from helpers import (
+    ExactPairOracle,
+    best_single_reference,
+    equal_rate_oracle,
+    row_summary,
+    system_summary_reference,
+    unpruned_points,
+)
 from hmsim.modcod import Family, ModcodChoice, SchemeId, Stream, ThresholdTable
 from hmsim.rateopt import (
     RatePair,
@@ -20,7 +27,6 @@ from hmsim.rateopt import (
     rate_region_hull,
     solve_cell_pairs,
     system_summaries,
-    system_summary,
 )
 
 F = Fraction
@@ -316,8 +322,7 @@ class TestSolveCellPairs:
         s_w = s_s = 0: a live point there gains over R_ts = 0, and its term
         is 1 / R*, not the classical inf."""
         table = table_for(full_table, Family.H_QPSK)
-        floor = table.lowest_single_threshold()
-        pairs = [(a, b) for a, b in every_cell_pair(table)[2] if b < floor]
+        pairs = [(a, b) for a, b in every_cell_pair(table)[2] if best_single_reference(table, b) is None]
         rates = self.assert_exact(table, pairs)
         assert all(ts == 0 for _, ts in rates) and sum(r > 0 for r, _ in rates) >= 3
 
@@ -404,7 +409,8 @@ def snr_for_efficiency(table: ThresholdTable, eff: float) -> float:
     """A table threshold at which the best single modcod has efficiency
     eff, or the double just below the lowest one for eff = 0."""
     if eff == 0:
-        return float(np.nextafter(table.lowest_single_threshold(), -np.inf))
+        floor = min(thr for (_, stream, _), thr in table.entries().items() if stream is Stream.SINGLE)
+        return float(np.nextafter(floor, -np.inf))
     for thr in sorted(set(table.entries().values())):
         choice = table.best_single(thr)
         if choice is not None and choice.spectral_efficiency == eff:
@@ -413,13 +419,14 @@ def snr_for_efficiency(table: ThresholdTable, eff: float) -> float:
 
 
 class TestAggregates:
-    """Classical time sharing composes single-modcod rates harmonically,
-    and a receiver that decodes nothing pins the aggregate at 0."""
+    """Classical time sharing composes single-modcod rates harmonically.
+    A receiver that decodes nothing pins a pair's classical rate at 0, and
+    a population leaves it out and counts it."""
 
     def test_examples(self, full_table):
         for rates, expected in [([1, 1], 0.5), ([2, 1, 2], 0.5), ([2, 2], 1.0), ([1, 2, 4, 4], 0.5), ([2], 2.0)]:
             snrs = [snr_for_efficiency(full_table, r) for r in rates]
-            assert system_summary(snrs, full_table).r_ts == pytest.approx(expected, abs=1e-15)
+            assert row_summary(snrs, full_table).r_ts == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize(
         "r1,r2,expected", [(2, 2, 1.0), (2, 3, 1.2), (0, 3, 0.0), (1, 2, 2 / 3)]
@@ -430,12 +437,14 @@ class TestAggregates:
 
     def test_zero_dominates(self, full_table):
         snrs = [snr_for_efficiency(full_table, r) for r in (1, 0, 3)]
-        assert system_summary(snrs, full_table).r_ts == 0.0
-        assert system_summary(snrs[1:2], full_table).r_ts == 0.0
+        assert pair_solution(snrs[1], snrs[2], full_table).r_ts == 0.0
+        assert row_summary(snrs, full_table) == row_summary(snrs[::2], full_table)._replace(outage=1)
+        alone = row_summary(snrs[1:2], full_table)
+        assert np.isnan(alone[:3]).all() and alone.outage == 1
 
     def test_empty_rejected(self, full_table):
-        with pytest.raises(ValueError):
-            system_summary([], full_table)
+        with pytest.raises(ValueError, match="at least one receiver"):
+            system_summaries(np.empty((3, 0)), full_table)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -443,41 +452,47 @@ class TestAggregates:
 
 
 class TestSystemGain:
-    def test_total_outage_is_zero_gain(self, full_table):
-        assert system_summary([-10.0, -10.0, -10.0, -10.0], full_table).gain == 0.0
+    def test_total_outage_reads_nan(self, full_table):
+        summary = row_summary([-10.0, -10.0, -10.0, -10.0], full_table)
+        assert np.isnan(summary[:3]).all() and summary.outage == 4
 
     def test_gain_nonnegative_when_baseline_positive(self, full_table):
         rng = random.Random(99)
         for _ in range(60):
             n = rng.choice([2, 3, 5, 8])
             snrs = [rng.uniform(-2.3, 18.0) for _ in range(n)]
-            summary = system_summary(snrs, full_table)
-            assert summary.r_ts > 0
+            summary = row_summary(snrs, full_table)
+            assert summary.r_ts > 0 and summary.outage == 0
             assert summary.gain >= 0.0
 
     def test_permutation_invariance(self, full_table):
         rng = random.Random(7)
         snrs = [rng.uniform(-1, 15) for _ in range(9)]
-        base = system_summary(snrs, full_table).gain
+        base = row_summary(snrs, full_table).gain
         for _ in range(5):
             shuffled = snrs[:]
             rng.shuffle(shuffled)
-            assert system_summary(shuffled, full_table).gain == pytest.approx(base, abs=1e-12)
+            assert row_summary(shuffled, full_table).gain == pytest.approx(base, abs=1e-12)
 
-    def test_partial_outage_served_by_hierarchy(self, full_table):
+    def test_partial_outage_left_out_and_counted(self, full_table):
         # the weak receiver decodes HE streams but no single modcod: the
-        # baseline is 0, while h_qpsk rho=0.9 (HE 2/5 + LE 3/5) serves the
-        # pair at 0.4 under free disposal
-        summary = system_summary([-3.0, 10.0], full_table)
-        assert summary.r_ts == 0.0
-        assert summary.r_hm == pytest.approx(0.4, abs=1e-15)
-        assert summary.gain == float("inf")
+        # population leaves it out and counts it, and serves the strong
+        # receiver alone
+        summary = row_summary([-3.0, 10.0], full_table)
+        assert summary == row_summary([10.0], full_table)._replace(outage=1)
+        assert summary.gain == 0.0
+        # the pair keeps it: its baseline is 0, while h_qpsk rho=0.9 (HE
+        # 2/5 + LE 3/5) serves it at 0.4 under free disposal
+        pair = pair_solution(-3.0, 10.0, full_table)
+        assert pair.r_ts == 0.0
+        assert pair.r_hm == pytest.approx(0.4, abs=1e-15)
+        assert pair.gain == float("inf")
 
     def test_matches_manual_composition(self, full_table):
         rng = random.Random(4242)
         for _ in range(20):
             snrs = [rng.uniform(-1, 16) for _ in range(7)]
-            summary = system_summary(snrs, full_table)
+            summary = row_summary(snrs, full_table)
             rates = [full_table.best_single(s).spectral_efficiency for s in snrs]
             ranked = sorted(snrs)
             hm = [pair_solution(ranked[k], ranked[-1 - k], full_table).r_hm for k in range(3)]
@@ -488,11 +503,11 @@ class TestSystemGain:
 
     def test_two_receiver_case_reduces_to_pair(self, full_table):
         sol = pair_solution(1.0, 7.0, full_table)
-        assert system_summary([7.0, 1.0], full_table).gain == pytest.approx(sol.gain, abs=1e-12)
+        assert row_summary([7.0, 1.0], full_table).gain == pytest.approx(sol.gain, abs=1e-12)
 
 
 class TestPairMemo:
-    """system_summary solves each (weak cell, strong cell) pair once per
+    """system_summaries solves each (weak cell, strong cell) pair once per
     table and reads the answer back for every later pair in that cell."""
 
     @staticmethod
@@ -517,37 +532,43 @@ class TestPairMemo:
     @pytest.mark.parametrize("family", [None, Family.H_QPSK, Family.H_APSK32], ids=["full", "h_qpsk", "h_apsk32"])
     def test_bit_equal_to_memo_free_reference(self, full_table, family):
         table = table_for(full_table, family)  # a fresh table: the memo starts cold
-        populations = self.populations(table)
+        # and one population wholly in outage, which reads NaN
+        populations = self.populations(table) + [[-8.0] * 3]
         oracle = ExactPairOracle(table)
         expected = [system_summary_reference(snrs, table, oracle) for snrs in populations]
-        # r_ts == 0: some population holds a receiver in outage
-        assert any(e[1] == 0.0 for e in expected) and any(len(p) % 2 for p in populations)
+        # some populations leave out part or all of their receivers
+        assert any(0 < e.outage < len(p) for e, p in zip(expected, populations))
+        assert any(e.outage == len(p) for e, p in zip(expected, populations))
+        assert any(len(p) % 2 for p in populations)
         for order in (range(len(populations)), reversed(range(len(populations)))):
             for k in order:
-                s = system_summary(populations[k], table)
-                assert (s.r_hm, s.r_ts, s.gain) == expected[k], populations[k]
+                got = row_summary(populations[k], table)
+                assert np.array_equal(got, expected[k], equal_nan=True), populations[k]
         assert not np.isnan(table.pair_memo).all()
 
     @pytest.mark.parametrize("family", [None, Family.H_QPSK, Family.H_APSK32], ids=["full", "h_qpsk", "h_apsk32"])
     def test_batch_rows_equal_system_summary_of_the_served(self, full_table, family):
-        """One batch of rows that leave out different counts of weakest
-        receivers (none, all, the outage count, odd and even served counts)
-        equals system_summary of each row's served SNRs bit for bit; the
-        batch starts on a cold memo."""
+        """One batch of rows with different counts of receivers that decode
+        no single modcod (none, all, odd and even served counts) leaves
+        them out and counts them, and equals the one-row call on each row's
+        served SNRs bit for bit; the batch starts on a cold memo."""
         rng = np.random.default_rng(2)
         n, table = 40, table_for(full_table, family)
-        snrs = rng.choice(self.snr_pool(table, rng), size=(60, n))
-        outage = (snrs < table.lowest_single_threshold()).sum(axis=1)
-        dropped = np.concatenate([[0, n, n - 1, n - 2, 1, 2], outage[6:30], rng.integers(0, n + 1, 30)])
-        assert {(n - k) % 2 for k in dropped} == {0, 1} and 0 < outage.max() < n
-        r_hm, r_ts, gain = system_summaries(snrs, table, dropped)
+        pool = np.array(self.snr_pool(table, rng))
+        out = np.array([best_single_reference(table, s) is None for s in pool.tolist()])
+        counts = np.concatenate([[0, n, n - 1, n - 2, 1, 2], rng.integers(0, n + 1, 54)])
+        assert {(n - k) % 2 for k in counts} == {0, 1}
+        snrs = np.array([rng.permutation(np.concatenate([rng.choice(pool[out], k), rng.choice(pool[~out], n - k)]))
+                         for k in counts])
+        r_hm, r_ts, gain, outage = system_summaries(snrs, table)
+        assert outage.tolist() == counts.tolist()
         reference = table_for(full_table, family)
-        for row, k, *got in zip(snrs, dropped, r_hm, r_ts, gain):
+        for row, k, *got in zip(snrs, counts, r_hm, r_ts, gain):
+            served = [s for s in row.tolist() if best_single_reference(table, s) is not None]
             if k == n:
-                assert np.isnan(got).all()
+                assert not served and np.isnan(got).all()
             else:
-                s = system_summary(np.sort(row)[k:], reference)
-                assert tuple(got) == (s.r_hm, s.r_ts, s.gain), (row, k)
+                assert tuple(got) == row_summary(served, reference)[:3], (row, k)
 
     def test_one_solve_per_cell_pair(self, full_table, monkeypatch):
         table = full_table.subset(full_table.families())
@@ -557,11 +578,11 @@ class TestPairMemo:
             return solve_cell_pairs(table, weak_cells, strong_cells)
         monkeypatch.setattr("hmsim.rateopt.solve_cell_pairs", counting)
         # 3.0 and 3.01 share a cell, 9.0 and 9.02 too: 40 pairs, one solve
-        system_summary([3.0, 3.01] * 20 + [9.0, 9.02] * 20, table)
+        row_summary([3.0, 3.01] * 20 + [9.0, 9.02] * 20, table)
         assert solved == [(table.cell(3.0), table.cell(9.0))]
-        system_summary([3.005, 9.01], table)
+        row_summary([3.005, 9.01], table)
         assert len(solved) == 1
         # two new cell pairs, one of them twice, and a solved one: one batch
-        system_summary([-1.0, -1.0, 0.5, 3.0, 3.01, 9.0, 9.02, 14.0, 17.5, 17.5], table)
+        row_summary([-1.0, -1.0, 0.5, 3.0, 3.01, 9.0, 9.02, 14.0, 17.5, 17.5], table)
         cell = table.cell
         assert solved[1:] == [(cell(-1.0), cell(17.5)), (cell(0.5), cell(14.0))]
