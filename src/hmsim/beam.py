@@ -286,7 +286,8 @@ def draw_population(
     """Draw R populations of n receiver SNRs (dB), SNR_max - location -
     weather attenuation, as the rows of an (R, n) array: row i has the
     boresight SNR snr_max_db[i] and is drawn from rng[i], a generator or
-    anything accepted by ``numpy.random.default_rng``.
+    anything accepted by ``numpy.random.default_rng``. Both must hold R
+    entries; otherwise ValueError names both.
 
     Each row's generator draws exactly n location uniforms then n weather
     uniforms, so a row is bit-reproducible from its seed whatever rows it
@@ -295,8 +296,12 @@ def draw_population(
     """
     if n < 1:
         raise ValueError("need at least one receiver")
+    snr_max_db = np.asarray(snr_max_db, dtype=float)
+    if snr_max_db.shape != (len(rng),):
+        raise ValueError(f"need one boresight SNR per generator: snr_max_db has shape {snr_max_db.shape}, "
+                         f"rng has {len(rng)} generators")
     # Per row: its n location uniforms, then its n weather uniforms.
     u = np.empty((len(rng), 2, n))
     for generator, row in zip(rng, u):
         np.random.default_rng(generator).random(out=row)
-    return np.asarray(snr_max_db, dtype=float)[:, None] - _location_attenuation(u[:, 0], cfg) - cdf.quantile(u[:, 1])
+    return snr_max_db[:, None] - _location_attenuation(u[:, 0], cfg) - cdf.quantile(u[:, 1])

@@ -8,34 +8,44 @@ family at a given (grid point, repetition) - the curves are paired
 comparisons on a common system draw.
 
 Receivers that decode no single-stream modcod (an inf ``cell_inv``, see
-``rateopt.system_summaries``) are not servable by the classical baseline
-at all; ``system_summaries`` leaves them out of the run and counts them,
-since the relative gain is undefined against a zero baseline. Every family
-table keeps every single-stream row, so each family counts the same
-receivers. A run is excluded (gain recorded as missing) only when the
-whole population is in outage.
+``rateopt.system_summaries``) are not servable by the classical baseline at
+all; they are left out of the run and counted, since the relative gain is
+undefined against a zero baseline. Every family table keeps every
+single-stream row, so each family leaves out the same receivers, and the
+campaign counts them once (``_primed_context`` checks that the tables
+agree). A run is excluded (gain recorded as missing) only when the whole
+population is in outage.
 
 Each process evaluates its (grid point, repetition) units as one array
-program over (units x receivers) arrays, in chunks of whole units of at
-most ``_CHUNK_RECEIVERS`` receivers: one population draw and one
-``system_summaries`` call per family for each chunk. With W workers the
-grid is split into B = min(W, grid points) interleaved blocks of grid
-points (block b takes points b, b + W, ...), which spreads the costlier
-high-SNR points, and the results are put back in grid order. The parent
-process first builds everything a block reads (see ``_primed_context``):
-numpy's lazily imported ``random`` submodule, the beam edge angle and each
-family table's query structures. It then starts one child process for each
-of blocks 1 to B - 1, forked on Linux so that it inherits the primed
-context without pickling, and runs block 0 itself while they run the
-others. Each child sends back its block's result, or the exception it
-raised, over a one-way pipe. With one block, at workers=1 or on a
-one-point grid, no child is started and ``multiprocessing`` is not
-imported.
+program, in spans of whole units of at most ``_SPAN_RECEIVERS``
+receivers and three passes per span. First, each chunk of at most
+``_CHUNK_RECEIVERS`` receivers is drawn, sorted once and searched once
+in the edges of the union table, which holds every evaluated family and
+so refines every family table's cells; the chunk's outage is counted on
+those cells, and a lookup table per family turns them into that family's
+cells, kept in one uint8 buffer per family. Then each family makes one
+``rateopt.system_summaries`` call on the span, which solves all of the
+span's cold cell pairs in one ``solve_cell_pairs`` call and sums each
+unit from the warm memo, in row blocks bounded by entries.
+
+With W workers the grid is split into B = min(W, grid points)
+interleaved blocks of grid points (block b takes points b, b + W, ...),
+which spreads the costlier high-SNR points, and the results are put back
+in grid order. The parent process first builds everything a block reads
+(see ``_primed_context``): numpy's lazily imported ``random`` submodule,
+the beam edge angle, the lookup tables and each family table's query
+structures. It then starts one child process for each of blocks 1 to
+B - 1, forked on Linux so that it inherits the primed context without
+pickling, and runs block 0 itself while they run the others. Each child
+sends back its block's result, or the exception it raised, over a
+one-way pipe. With one block, at workers=1 or on a one-point grid, no
+child is started and ``multiprocessing`` is not imported.
 
 Determinism: the population for grid index g, repetition r is drawn from
 its own generator, ``SeedSequence(master_seed, spawn_key=(g, r))``, and
-every unit's sums run in the same order whatever chunk it sits in, so
-results are bit-identical for any worker count and any chunk size.
+every unit's sums run in the same order whatever chunk or span it sits
+in, so results are bit-identical for any worker count, chunk size and
+span size.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -130,7 +140,7 @@ class SimulationReport:
     raw_gains: dict[tuple[float, str], tuple[Optional[float], ...]]
 
 
-# Receivers per chunk of units drawn and aggregated as one array program:
+# Receivers per chunk of units drawn and searched as one array program:
 # (units x receivers) float64 arrays of 32 KB, a few hundred KB in all.
 # Larger chunks are slower and less steady: glibc's malloc hands the free
 # top of its heap back to the kernel once it passes a threshold of a few
@@ -139,41 +149,84 @@ class SimulationReport:
 # campaign, whose cost moved with the host from one run to the next.
 _CHUNK_RECEIVERS = 1 << 12
 
+# Receivers per span of units whose cells are kept for one cold solve and
+# the sums: one (units x receivers) buffer of cells per family, uint8 while
+# the tables have fewer than 256 cells (the shipped ones have at most 193),
+# so 256 KB each, allocated once per block whatever the campaign's size.
+_SPAN_RECEIVERS = 1 << 18
 
-def _run_grid_points(ctx, grid_indices: Sequence[int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The units of the given grid points, in chunks of whole units of at
-    most ``_CHUNK_RECEIVERS`` receivers (at least one unit): the receivers
-    left out as unservable, and each family's gains (NaN: run excluded),
-    as (grid points, repetitions) arrays. ``ctx`` is a
-    ``_primed_context``."""
-    family_tables, cfg, beam, weather = ctx
+
+class _Context(NamedTuple):
+    """What ``_run_grid_points`` reads, built by ``_primed_context``.
+
+    ``tables`` holds each evaluated family's table, keyed by token in report
+    order. ``union`` holds the entries of every evaluated family, so its
+    cells refine each family table's cells: ``luts[token][c]`` is the cell
+    of that family's table for any SNR in union cell c. ``outage`` is True
+    in the union cells where no single modcod decodes, the same in every
+    family table."""
+
+    tables: dict[str, ThresholdTable]
+    union: ThresholdTable
+    luts: dict[str, np.ndarray]
+    outage: np.ndarray
+    cfg: CampaignConfig
+    beam: AntennaConfig
+    weather: WeatherCdf
+
+
+def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The units of the given grid points: the receivers left out as
+    unservable, and each family's gains (NaN: run excluded), as (grid
+    points, repetitions) arrays.
+
+    The units run in spans of at most ``_SPAN_RECEIVERS`` receivers, each
+    drawn in chunks of at most ``_CHUNK_RECEIVERS`` (both at least one
+    unit). Each chunk is sorted and searched once in the union table's
+    edges; its outage is counted once on those cells, and each family's
+    cells are looked up from them into the span's buffer. Each family then
+    sums the whole span in one ``system_summaries`` call, which makes one
+    cold solve."""
+    cfg = ctx.cfg
     units = [(g, rep) for g in grid_indices for rep in range(cfg.repetitions)]
     dropped = np.empty(len(units), dtype=np.intp)
-    gains = {token: np.empty(len(units)) for token in family_tables}
-    step = max(1, _CHUNK_RECEIVERS // cfg.receivers)
-    for lo in range(0, len(units), step):
-        chunk = units[lo:lo + step]
-        snrs = draw_population(
-            cfg.receivers,
-            np.array([cfg.snr_max_grid[g] for g, _ in chunk]),
-            beam,
-            weather,
-            rng=[np.random.SeedSequence(cfg.master_seed, spawn_key=unit) for unit in chunk],
-        )
-        for token, table in family_tables.items():
-            _, _, gains[token][lo:lo + step], dropped[lo:lo + step] = system_summaries(snrs, table)
+    gains = {token: np.empty(len(units)) for token in ctx.tables}
+    span = max(1, _SPAN_RECEIVERS // cfg.receivers)
+    chunk = min(span, max(1, _CHUNK_RECEIVERS // cfg.receivers))
+    cells = {token: np.empty((min(span, len(units)), cfg.receivers), lut.dtype) for token, lut in ctx.luts.items()}
+    for lo in range(0, len(units), span):
+        hi = min(lo + span, len(units))
+        for first in range(lo, hi, chunk):
+            part = units[first:min(first + chunk, hi)]
+            snrs = draw_population(
+                cfg.receivers,
+                np.array([cfg.snr_max_grid[g] for g, _ in part]),
+                ctx.beam,
+                ctx.weather,
+                rng=[np.random.SeedSequence(cfg.master_seed, spawn_key=unit) for unit in part],
+            )
+            # Sorted SNRs give sorted cells, and searchsorted runs faster on them.
+            snrs.sort(axis=1)
+            union_cells = ctx.union.cells(snrs)
+            dropped[first:first + len(part)] = ctx.outage[union_cells].sum(axis=1)
+            for token, lut in ctx.luts.items():
+                cells[token][first - lo:first - lo + len(part)] = lut[union_cells]
+        for token, table in ctx.tables.items():
+            _, _, gains[token][lo:hi] = system_summaries(cells[token][:hi - lo], dropped[lo:hi], table)
     shape = (len(grid_indices), cfg.repetitions)
     return dropped.reshape(shape), {token: g.reshape(shape) for token, g in gains.items()}
 
 
-def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaConfig, weather: WeatherCdf):
-    """The context of ``_run_grid_points``: each evaluated family's table,
-    keyed by token in report order, then cfg, beam and weather.
+def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaConfig, weather: WeatherCdf) -> _Context:
+    """The context of ``_run_grid_points`` (see ``_Context``).
 
     Everything a block reads is built here, once, so that no block rebuilds
     it and the child processes forked afterwards inherit it: numpy's lazily
-    imported ``random`` submodule, the beam edge angle, and each table's
-    cell edges, per-cell arrays and pair memo."""
+    imported ``random`` submodule, the beam edge angle, the union table's
+    edges, each family's cell lookup, and each table's per-cell arrays and
+    pair memo. The outage count of a receiver is taken once, from its union
+    cell, for every family; this checks that every family table leaves out
+    the same union cells, and raises ValueError where one does not."""
     loaded = tables.families()
     single_families = {f for f in loaded if not f.hierarchical}
     if not single_families:
@@ -184,14 +237,30 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     family_tables: dict[str, ThresholdTable] = {
         fam.token: tables.subset(single_families | {fam}) for fam in cfg.families
     }
+    union = tables.subset(single_families | set(cfg.families))
     if cfg.combined:
-        family_tables[COMBINED] = tables.subset(single_families | set(cfg.families))
+        family_tables[COMBINED] = union
 
     import numpy.random  # noqa: F401  numpy imports it on first use
     beam_edge_angle(beam)
+    edges = union.edges
+    # A union cell's family cell is that of its lowest SNR, its lower edge.
+    dtype = np.min_scalar_type(edges.size)
+    luts = {token: np.concatenate(([0], table.cells(edges))).astype(dtype) for token, table in family_tables.items()}
     for table in family_tables.values():
-        table.cell_inv, table.pair_memo  # cell_inv builds cell_units and the cell edges
-    return family_tables, cfg, beam, weather
+        table.pair_memo  # the blocks fill it
+    # cell_inv builds cell_units, which the cold solves read.
+    left_out = {token: np.isinf(table.cell_inv)[luts[token]] for token, table in family_tables.items()}
+    first, outage = next(iter(left_out.items()))
+    for token, cells in left_out.items():
+        if not np.array_equal(cells, outage):
+            # Union cell 0 lies below every threshold, out in every table.
+            lower = edges[np.flatnonzero(cells != outage)[0] - 1]
+            raise ValueError(
+                f"the {first} and {token} tables disagree on outage at SNRs from {lower:g} dB: "
+                "every family table must keep every single-stream entry"
+            )
+    return _Context(family_tables, union, luts, outage, cfg, beam, weather)
 
 
 def _run_child_block(ctx, grid_indices: Sequence[int], sender) -> None:
@@ -251,7 +320,7 @@ def run_campaign(
     combined evaluation over all requested families when configured.
     """
     ctx = _primed_context(cfg, tables, beam, weather)
-    tokens = tuple(ctx[0])
+    tokens = tuple(ctx.tables)
     grid = range(len(cfg.snr_max_grid))
     blocks = [grid[w::cfg.workers] for w in range(min(cfg.workers, len(grid)))]
     children = []

@@ -304,18 +304,20 @@ class ThresholdTable:
         return sorted({scheme for scheme, _, _ in self._entries}, key=SchemeId.sort_key)
 
     @cached_property
-    def _edge_array(self) -> np.ndarray:
+    def edges(self) -> np.ndarray:
         """The distinct thresholds, ascending: each first of a run of equal
-        sorted values, as np.unique keeps it (thresholds are finite)."""
+        sorted values, as np.unique keeps it (thresholds are finite). Cell c
+        holds the SNRs from ``edges[c - 1]`` up to below ``edges[c]``."""
         edges = np.sort(np.fromiter(self._entries.values(), float, len(self._entries)))
         return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
     @cached_property
     def cell_inv(self) -> np.ndarray:
         """1 / (best single-modcod efficiency) per cell, and inf in a cell
-        where no single modcod decodes. That inf is the one outage rule:
-        ``rateopt.system_summaries`` leaves such receivers out and counts
-        them, and a pair that holds one has classical rate 0."""
+        where no single modcod decodes. That inf is the one outage rule: a
+        population leaves such receivers out (``rateopt.system_summaries``)
+        and the campaign counts them, and a pair that holds one has
+        classical rate 0."""
         # units / EFFICIENCY_UNITS is the exact ratio rounded once, so it is
         # the ModcodChoice.spectral_efficiency of the cell's best choice.
         with np.errstate(divide="ignore"):
@@ -338,8 +340,8 @@ class ThresholdTable:
         units = np.fromiter((_efficiency_units(scheme, stream, rate) for scheme, stream, rate in entries), np.int64, n)
         # An entry decodes from the cell its threshold opens (thresholds are
         # table edges), so the best per cell is a running max down the cells.
-        cells = np.searchsorted(self._edge_array, np.fromiter(entries.values(), float, n), side="right")
-        grid = np.zeros((self._edge_array.size + 1, 1 + 2 * len(schemes)), dtype=np.int64)
+        cells = np.searchsorted(self.edges, np.fromiter(entries.values(), float, n), side="right")
+        grid = np.zeros((self.edges.size + 1, 1 + 2 * len(schemes)), dtype=np.int64)
         np.maximum.at(grid, (cells, columns), units)
         return np.maximum.accumulate(grid, axis=0)
 
@@ -364,7 +366,7 @@ class ThresholdTable:
     def pair_memo(self) -> np.ndarray:
         """(weak cell, strong cell) -> a pair's hierarchical reciprocal term,
         NaN until ``rateopt.system_summaries`` has it solved."""
-        n = self._edge_array.size + 1
+        n = self.edges.size + 1
         return np.full((n, n), np.nan)
 
     # -- basic container surface -------------------------------------------------
@@ -407,7 +409,7 @@ class ThresholdTable:
 
         Every query of this table reads a structure indexed by cell, so
         anything computed from such queries is a function of the cells."""
-        return np.searchsorted(self._edge_array, snrs_db, side="right")
+        return np.searchsorted(self.edges, snrs_db, side="right")
 
     def cell(self, snr_db: float) -> int:
         """Cell of one SNR (see ``cells``)."""

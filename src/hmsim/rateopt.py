@@ -17,13 +17,16 @@ reciprocal depends on the SNRs only through their table cells (see
 populations are paired on their sorted cells, lowest with highest, and
 aggregated on arrays indexed by cell: ``ThresholdTable.cell_inv`` for
 single modcods and ``ThresholdTable.pair_memo`` for solved pairs. There
-is one aggregation path, ``system_summaries``: it takes many populations
-as the rows of one array. A receiver that decodes no single modcod has
-reciprocal inf in ``cell_inv``; that inf is the one outage rule.
-``system_summaries`` leaves such receivers out of the population they
-belong to and returns how many it left out of each; the campaign reports
-those counts. A pair (``pair_solution``) keeps them: its classical rate
-is then 0.
+is one pairing and summing path, ``system_summaries``: it takes many
+populations as the rows of one array of sorted cells, marks all their
+cell pairs, solves the cold ones in one ``solve_cell_pairs`` call and
+sums the rows from the warm memo in blocks bounded by entries. A
+receiver that decodes no single modcod has reciprocal inf in
+``cell_inv``; that inf is the one outage rule. Such receivers sit first
+in each sorted row, the caller passes their count per row, and
+``system_summaries`` leaves them out; the campaign counts them once for
+all its tables. A pair (``pair_solution``) keeps them: its classical
+rate is then 0.
 
 There are two pair solvers, and both take a cell's best efficiencies from
 one per-cell array, ``ThresholdTable.cell_units``: the best single, HE
@@ -278,11 +281,12 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
     return PairSolution(r_hm=r_hm, r_ts=r_ts, schedule=solution.schedule)
 
 
-# Entries per int64 temporary of solve_cell_pairs: a block's points
+# Entries per temporary of a block: in solve_cell_pairs, a block's points
 # (pairs x (1 + 2 S)) in the gain test and its crossings (pairs x |P| x |Q|)
-# in _best_crossings, 32 KB each. A block's temporaries then total about
-# 0.3 MB and stay within the heap that glibc keeps mapped between blocks
-# (see campaign._CHUNK_RECEIVERS).
+# in _best_crossings, int64 and 32 KB each; in system_summaries, a block's
+# rows x term columns. A block's temporaries then total about 0.3 MB and
+# stay within the heap that glibc keeps mapped between blocks (see
+# campaign._CHUNK_RECEIVERS).
 _BLOCK_ENTRIES = 1 << 12
 
 
@@ -392,69 +396,80 @@ def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndar
     return terms
 
 
-def system_summaries(snrs, table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pairing(cells, outage) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairing rule of ``system_summaries`` on a block of rows, as
+    (rows, columns) arrays: for each row and term column j, the weak and
+    strong cell of pair j and whether column j holds a pair or the unpaired
+    receiver. Term column j of a row is pair j, then the unpaired receiver,
+    then zero padding; there is at least one column, which a row that
+    leaves out every receiver sums to 0."""
+    n = cells.shape[1]
+    j = np.arange(max(1, int(n - outage.min() + 1) // 2))
+    weak_at, strong_at = outage[:, None] + j, n - 1 - j
+    weak = np.take_along_axis(cells, np.minimum(weak_at, n - 1), axis=1)
+    return weak, cells[:, strong_at], weak_at < strong_at, weak_at == strong_at
+
+
+def system_summaries(cells, outage, table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hierarchical vs classical time sharing for each row of an (R, n)
-    array of receiver SNRs, n >= 1, each pair at its free-disposal equal
-    rate (see ``equal_rate_point``): the arrays r_hm, r_ts, gain and
-    outage, one entry per row.
+    array of receiver cells of ``table`` (see ``table.cells``), n >= 1, each
+    pair at its free-disposal equal rate (see ``equal_rate_point``): the
+    arrays r_hm, r_ts and gain, one entry per row.
 
-    A receiver whose cell has an inf ``table.cell_inv`` decodes no single
-    modcod. Row i leaves out its ``outage[i]`` such receivers, and a row
-    that leaves out all n reads NaN in r_hm, r_ts and gain. The inf cells
-    are the lowest ones, so they come first in each sorted row, and every
-    served receiver has a finite reciprocal: r_ts > 0.
+    Each row is sorted and starts with its ``outage[i]`` cells whose
+    ``table.cell_inv`` is inf: those receivers decode no single modcod and
+    are left out, and a row that leaves out all n reads NaN. The inf cells
+    are the lowest ones, so sorted SNRs give such rows. Every served
+    receiver has a finite reciprocal, so r_ts > 0.
 
-    Each row pairs its receivers on their sorted cells (see
-    ``table.cells``), which never decrease as the SNR rises. With k
-    receivers left out, the served cells are ``cells[k:]``, and pair j is
-    weak cell ``k + j`` with strong cell ``n - 1 - j`` while ``k + j < n - 1
-    - j``; for an odd served count the median cell ``k + j == n - 1 - j``
-    is left unpaired. This is the weakest-with-strongest rule on SNRs,
-    since every term is a function of the cells. Both harmonic sums run
-    over the pairs in that order, then the unpaired receiver: one
-    ``np.add.accumulate`` along each row, whose columns past the row's
-    last term hold +0.0, which changes no sum's bits. The classical term of
-    a pair is the sum of its two cells' ``table.cell_inv`` entries. Its
-    hierarchical term is read from ``table.pair_memo``. The (weak cell,
-    strong cell) pairs of all rows not yet solved on this table go, each
-    once, to one ``solve_cell_pairs`` call, which stores the correctly
-    rounded 1 / r_hm of the exact equal rate, or the classical term itself
-    where hierarchy gains nothing. So "no gain anywhere" yields r_hm ==
-    r_ts bit for bit.
+    With k receivers left out, the served cells are ``cells[k:]``, and pair
+    j is weak cell ``k + j`` with strong cell ``n - 1 - j`` while ``k + j <
+    n - 1 - j``; for an odd served count the median cell ``k + j == n - 1 -
+    j`` is left unpaired. Cells never decrease as the SNR rises and every
+    term is a function of the cells, so this is the weakest-with-strongest
+    rule on SNRs. The classical term of a pair is the sum of its two cells'
+    ``table.cell_inv`` entries. Its hierarchical term is read from
+    ``table.pair_memo``, which stores the correctly rounded 1 / r_hm of the
+    exact equal rate, or the classical term itself where hierarchy gains
+    nothing; so "no gain anywhere" yields r_hm == r_ts bit for bit.
+
+    Three passes. The first and the last run over blocks of at most
+    ``_BLOCK_ENTRIES`` rows x term columns (at least one row), so their
+    temporaries do not grow with R. First the (weak cell, strong cell)
+    pairs of every row are marked on one bool grid. Then the marked pairs
+    not yet in the memo go, each once, to one ``solve_cell_pairs`` call.
+    Last, both harmonic sums of each row run over its pairs in order, then
+    the unpaired receiver: one ``np.add.accumulate`` along each row, whose
+    columns past the row's last term hold +0.0, which changes no sum's
+    bits. So a row's sums do not depend on the rows it is summed with.
     """
-    # Sorted SNRs give sorted cells, and searchsorted runs faster on them.
-    cells = table.cells(np.sort(snrs, axis=1))
     rows, n = cells.shape
     if not n:
         raise ValueError("need at least one receiver")
-    inv = table.cell_inv
-    outage = np.isinf(inv)[cells].sum(axis=1)
     served = n - outage
-    # Term column j of each row: pair j, then the unpaired receiver, then
-    # zero padding; at least one column, which a row that leaves out every
-    # receiver sums to 0. Index arrays are (rows, columns).
-    j = np.arange(max(1, int((served.max() + 1) // 2)))
-    weak_at, strong_at = outage[:, None] + j, n - 1 - j
-    paired, unpaired = weak_at < strong_at, weak_at == strong_at
-    weak = np.take_along_axis(cells, np.minimum(weak_at, n - 1), axis=1)
-    strong = cells[:, strong_at]
-    weak_inv = inv[weak]
+    step = max(1, _BLOCK_ENTRIES // max(1, int(served.max() + 1) // 2))
+    blocks = [slice(lo, lo + step) for lo in range(0, rows, step)]
     memo = table.pair_memo
-    hm = memo[weak, strong]
-    todo = paired & np.isnan(hm)
-    if todo.any():
+    cold = np.zeros(memo.shape, dtype=bool)
+    for block in blocks:
+        weak, strong, paired, _ = _pairing(cells[block], outage[block])
+        cold[weak[paired], strong[paired]] = True
+    cold &= np.isnan(memo)
+    if cold.any():
         # Each cold pair once, in row-major (weak, strong) order.
-        cold = np.zeros(memo.shape, dtype=bool)
-        cold[weak[todo], strong[todo]] = True
         a, b = np.nonzero(cold)
         memo[a, b] = solve_cell_pairs(table, a, b)
-        hm = memo[weak, strong]
-    alone = np.where(unpaired, weak_inv, 0.0)
-    # add.accumulate adds in sequence, so the bits do not depend on numpy's
-    # pairwise summation.
-    ts_inv = np.add.accumulate(np.where(paired, weak_inv + inv[strong], alone), axis=1)[:, -1]
-    hm_inv = np.add.accumulate(np.where(paired, hm, alone), axis=1)[:, -1]
+    inv = table.cell_inv
+    ts_inv, hm_inv = np.empty(rows), np.empty(rows)
+    for block in blocks:
+        weak, strong, paired, unpaired = _pairing(cells[block], outage[block])
+        weak_inv = inv[weak]
+        alone = np.where(unpaired, weak_inv, 0.0)
+        # add.accumulate adds in sequence, so the bits do not depend on
+        # numpy's pairwise summation.
+        ts_inv[block] = np.add.accumulate(np.where(paired, weak_inv + inv[strong], alone), axis=1)[:, -1]
+        hm_inv[block] = np.add.accumulate(np.where(paired, memo[weak, strong], alone), axis=1)[:, -1]
     some = served > 0
     r_ts = np.divide(1.0, ts_inv, out=np.full(rows, np.nan), where=some)
     r_hm = np.maximum(np.divide(1.0, hm_inv, out=np.full(rows, np.nan), where=some), r_ts)
-    return r_hm, r_ts, (r_hm - r_ts) / r_ts, outage
+    return r_hm, r_ts, (r_hm - r_ts) / r_ts

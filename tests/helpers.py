@@ -265,9 +265,18 @@ class RowSummary(NamedTuple):
     outage: int
 
 
+def snr_summaries(snrs, table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """r_hm, r_ts, gain and outage of each row of an (R, n) SNR array:
+    ``system_summaries`` on the rows' sorted cells, each row leaving out its
+    receivers in cells with an inf ``table.cell_inv``, and their count."""
+    cells = table.cells(np.sort(snrs, axis=1))
+    outage = np.isinf(table.cell_inv)[cells].sum(axis=1)
+    return (*system_summaries(cells, outage, table), outage)
+
+
 def row_summary(snrs, table: ThresholdTable) -> RowSummary:
-    """``system_summaries`` of one population, the one-row call."""
-    r_hm, r_ts, gain, outage = system_summaries(np.asarray(snrs, dtype=float)[None], table)
+    """``snr_summaries`` of one population, the one-row call."""
+    r_hm, r_ts, gain, outage = snr_summaries(np.asarray(snrs, dtype=float)[None], table)
     return RowSummary(float(r_hm[0]), float(r_ts[0]), float(gain[0]), int(outage[0]))
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from helpers import best_single_reference, row_summary
 import hmsim
-from hmsim import campaign
+from hmsim import campaign, rateopt
 from hmsim.beam import GEO_ALTITUDE_M, WeatherCdf, antenna_gain_rel, beam_edge_angle, draw_population
 from hmsim.campaign import (
     COMBINED,
@@ -30,7 +30,7 @@ from hmsim.campaign import (
     run_campaign,
 )
 from hmsim.cli import main
-from hmsim.modcod import Family
+from hmsim.modcod import Family, Stream, ThresholdTable
 
 TWO_ATOM_WEATHER = [(0.0, 0.0), (0.0, 0.5), (6.0, 0.5), (6.0, 1.0)]
 
@@ -226,15 +226,54 @@ class TestDeterminism:
         assert len(started) == children
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("chunk", [1, 160], ids=["one_unit", "split_grid_point"])
+    @pytest.mark.parametrize("chunk, span, entries", [(1, None, None), (160, None, None), (None, 1, 1), (160, 80, 1)],
+                             ids=["one_unit", "split_grid_point", "one_unit_spans_one_entry_blocks",
+                                  "spans_split_chunks"])
     def test_chunk_size_does_not_change_gains(self, full_table, sample_weather, default_antenna, small_cfg,
-                                              monkeypatch, chunk):
+                                              monkeypatch, chunk, span, entries):
         # Units of 40 receivers: one unit per chunk, or four, so that chunks
-        # split the 6 repetitions of a grid point and span two points. The
-        # default chunk holds all 18 units.
+        # split the 6 repetitions of a grid point and span two points; spans
+        # of one unit summed one row at a time, or of two units, which split
+        # the four-unit chunks. The defaults hold all 18 units in one chunk,
+        # one span and a few sum blocks.
         default = run_campaign(small_cfg, full_table, default_antenna, sample_weather)
-        monkeypatch.setattr(campaign, "_CHUNK_RECEIVERS", chunk)
-        assert run_campaign(small_cfg, full_table, default_antenna, sample_weather).raw_gains == default.raw_gains
+        for module, name, value in ((campaign, "_CHUNK_RECEIVERS", chunk), (campaign, "_SPAN_RECEIVERS", span),
+                                    (rateopt, "_BLOCK_ENTRIES", entries)):
+            if value is not None:
+                monkeypatch.setattr(module, name, value)
+        small = run_campaign(small_cfg, full_table, default_antenna, sample_weather)
+        assert small.raw_gains == default.raw_gains and small.outage == default.outage
+
+    @pytest.mark.parametrize("small_blocks", [False, True], ids=["default_blocks", "one_unit_spans"])
+    def test_each_unit_equals_the_one_row_call(self, full_table, sample_weather, default_antenna, campaign_config,
+                                               monkeypatch, small_blocks):
+        # From total outage through partial outage to full service (40 dB
+        # clears the weather CDF's deepest fade, 30 dB), every family and the
+        # combined table: each unit's gain and outage count, bit for bit, are
+        # those of system_summaries on its drawn row alone, on a fresh table
+        # of the same entries.
+        if small_blocks:
+            monkeypatch.setattr(campaign, "_SPAN_RECEIVERS", 1)
+            monkeypatch.setattr(rateopt, "_BLOCK_ENTRIES", 1)
+        cfg = campaign_config(snr_max_grid=(-8.0, -2.4, -1.8, 1.0, 40.0), receivers=60, repetitions=4,
+                              families=(Family.H_QPSK, Family.H_APSK32), combined=True, master_seed=3)
+        ctx = campaign._primed_context(cfg, full_table, default_antenna, sample_weather)
+        dropped, gains = campaign._run_grid_points(ctx, range(len(cfg.snr_max_grid)))
+        singles = {f for f in full_table.families() if not f.hierarchical}
+        fresh = {fam.token: full_table.subset(singles | {fam}) for fam in cfg.families}
+        fresh[COMBINED] = full_table.subset(singles | set(cfg.families))
+        assert list(gains) == list(fresh)
+        for g, snr_max in enumerate(cfg.snr_max_grid):
+            for rep in range(cfg.repetitions):
+                row = draw_population(cfg.receivers, [snr_max], default_antenna, sample_weather,
+                                      rng=[np.random.SeedSequence(3, spawn_key=(g, rep))])[0]
+                for token, table in fresh.items():
+                    expected = row_summary(row, table)
+                    got = gains[token][g, rep]
+                    assert got == expected.gain or math.isnan(got) and math.isnan(expected.gain), (g, rep, token)
+                    assert dropped[g, rep] == expected.outage
+        assert dropped[0].tolist() == [cfg.receivers] * 4 and dropped[-1].tolist() == [0] * 4
+        assert ((0 < dropped) & (dropped < cfg.receivers)).any()
 
     def test_same_seed_same_report(self, full_table, sample_weather, default_antenna, small_cfg):
         a = run_campaign(small_cfg, full_table, default_antenna, sample_weather)
@@ -466,6 +505,40 @@ class TestPrimedContext:
         assert set(grown["attributes"]) == {"h_apsk32", "h_qpsk"}
         assert all(new == [] for new in grown["attributes"].values())
         assert grown["edge_angle_misses"] == 0
+
+    def test_family_luts_give_each_tables_cells(self, full_table, sample_weather, default_antenna, campaign_config):
+        # Every threshold, the doubles either side of it, both infinities and
+        # NaN: a family's cell is its lookup of the union cell.
+        cfg = campaign_config(families=(Family.H_QPSK, Family.H_APSK32), combined=True)
+        ctx = campaign._primed_context(cfg, full_table, default_antenna, sample_weather)
+        thresholds = np.array(sorted(set(full_table.entries().values())))
+        snrs = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf),
+                               [-np.inf, np.inf, np.nan]])
+        assert np.array_equal(ctx.union.edges, thresholds)
+        assert list(ctx.luts) == ["h_qpsk", "h_apsk32", COMBINED]
+        for token, lut in ctx.luts.items():
+            assert lut.dtype == np.uint8
+            assert np.array_equal(lut[ctx.union.cells(snrs)], ctx.tables[token].cells(snrs)), token
+        assert ctx.outage.tolist() == np.isinf(ctx.tables[COMBINED].cell_inv).tolist()
+
+    def test_tables_that_disagree_on_outage_are_rejected(self, full_table, sample_weather, default_antenna,
+                                                          campaign_config, monkeypatch):
+        # An h_apsk32 table without the lowest single modcod, qpsk 1/4 at
+        # -2.35 dB, would count receivers from there up to the next single
+        # threshold as out, while the h_qpsk table serves them.
+        subset = ThresholdTable.subset
+
+        def without_qpsk_quarter(table, families):
+            entries = subset(table, families).entries()
+            if Family.H_QPSK not in families:
+                lowest = min((key for key in entries if key[1] is Stream.SINGLE), key=entries.get)
+                del entries[lowest]
+            return ThresholdTable(entries)
+
+        monkeypatch.setattr(ThresholdTable, "subset", without_qpsk_quarter)
+        cfg = campaign_config(snr_max_grid=(0.0,), families=(Family.H_QPSK, Family.H_APSK32))
+        with pytest.raises(ValueError, match="the h_qpsk and h_apsk32 tables disagree on outage at SNRs from -2.35 dB"):
+            run_campaign(cfg, full_table, default_antenna, sample_weather)
 
     def test_no_hmsim_command_imports_numpy_ma(self, tmp_path):
         # numpy imports numpy.ma lazily, in np.unique among others, which

@@ -15,6 +15,7 @@ from helpers import (
     best_single_reference,
     equal_rate_oracle,
     row_summary,
+    snr_summaries,
     system_summary_reference,
     unpruned_points,
 )
@@ -444,7 +445,7 @@ class TestAggregates:
 
     def test_empty_rejected(self, full_table):
         with pytest.raises(ValueError, match="at least one receiver"):
-            system_summaries(np.empty((3, 0)), full_table)
+            system_summaries(np.empty((3, 0), dtype=np.intp), np.zeros(3, dtype=np.intp), full_table)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -560,7 +561,7 @@ class TestPairMemo:
         assert {(n - k) % 2 for k in counts} == {0, 1}
         snrs = np.array([rng.permutation(np.concatenate([rng.choice(pool[out], k), rng.choice(pool[~out], n - k)]))
                          for k in counts])
-        r_hm, r_ts, gain, outage = system_summaries(snrs, table)
+        r_hm, r_ts, gain, outage = snr_summaries(snrs, table)
         assert outage.tolist() == counts.tolist()
         reference = table_for(full_table, family)
         for row, k, *got in zip(snrs, counts, r_hm, r_ts, gain):
