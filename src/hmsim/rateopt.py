@@ -403,11 +403,15 @@ def _pairing(cells, outage) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     receiver. Term column j of a row is pair j, then the unpaired receiver,
     then zero padding; there is at least one column, which a row that
     leaves out every receiver sums to 0."""
-    n = cells.shape[1]
-    j = np.arange(max(1, int(n - outage.min() + 1) // 2))
+    rows, n = cells.shape
+    width = max(1, int(n - outage.min() + 1) // 2)
+    j = np.arange(width)
     weak_at, strong_at = outage[:, None] + j, n - 1 - j
-    weak = np.take_along_axis(cells, np.minimum(weak_at, n - 1), axis=1)
-    return weak, cells[:, strong_at], weak_at < strong_at, weak_at == strong_at
+    # Cell c of row r is entry r * n + c of the flattened rows; the strong
+    # cells of pairs 0, 1, ... are the row's cells from the last backwards.
+    flat = np.minimum(weak_at, n - 1)
+    flat += np.arange(0, rows * n, n)[:, None]
+    return cells.ravel()[flat], cells[:, ::-1][:, :width], weak_at < strong_at, weak_at == strong_at
 
 
 def system_summaries(cells, outage, table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

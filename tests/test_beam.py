@@ -321,7 +321,8 @@ class TestDrawPopulation:
             draw_population(0, [5.0], default_antenna, sample_weather, rng=[1])
 
     @pytest.mark.parametrize("snr_max, generators, shape", [([1.0], 3, r"\(1,\)"), ([1.0, 2.0], 3, r"\(2,\)"),
-                                                          ([1.0, 2.0, 3.0], 2, r"\(3,\)"), ([[1.0, 2.0]], 2, r"\(1, 2\)")])
+                                                          ([1.0, 2.0, 3.0], 2, r"\(3,\)"), ([[1.0, 2.0]], 2, r"\(1, 2\)")],
+                             ids=["one_for_three", "two_for_three", "three_for_two", "two_dimensional"])
     def test_rejects_one_snr_per_generator_mismatch(self, default_antenna, sample_weather, snr_max, generators, shape):
         # One SNR for three generators once drew three rows from that SNR,
         # and two for three failed in numpy's broadcasting.
