@@ -412,7 +412,18 @@ def cmd_validate(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """A usage error exits 1, like any other bad input, not argparse's 2."""
+    """A usage error exits 1, like any other bad input, not argparse's 2.
+
+    argparse reads a separate value that starts with '-' as an option
+    unless it is a lone negative number, so ``--grid -2.4:-1.5:0.3`` is
+    joined into ``--grid=-2.4:-1.5:0.3`` first."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in reversed(range(len(args) - 1)):
+            if args[i] == "--grid" and re.match(r"-[\d.]", args[i + 1]):
+                args[i:i + 2] = [f"--grid={args[i + 1]}"]
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)

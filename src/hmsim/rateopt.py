@@ -28,21 +28,21 @@ in each sorted row, the caller passes their count per row, and
 all its tables. A pair (``pair_solution``) keeps them: its classical
 rate is then 0.
 
-There are two pair solvers, and both take a cell's best efficiencies from
-one per-cell array, ``ThresholdTable.cell_units``: the best single, HE
-and LE efficiencies in integer units of 1/180 bit/s/Hz
-(``modcod.EFFICIENCY_UNITS``). ``solve_cell_pairs`` is the population
-path: it solves a batch of cell pairs exactly in those units, without
-building points or schedules. It first tests each pair against its
-classical time-sharing line, which decides in O(S) whether hierarchy
-gains at all, and crosses the diagonal only for the pairs that gain,
-between points below it and points above it; no coordinate exceeds 810
-units and no product 1.32e6, so int64 is exact. ``pair_solution`` is the
-float hull that ``hmsim pair`` prints, with its schedule and the
-provenance of each point (``achievable_pairs``, whose single-modcod
-points and their provenance come from ``ThresholdTable.best_single``);
-on the shipped tables it decides gain alike and its rate is within 2
-ulps of the exact one.
+Both pair answers take a cell's best efficiencies from one per-cell
+array, ``ThresholdTable.cell_units``: the best single, HE and LE
+efficiencies in integer units of 1/180 bit/s/Hz
+(``modcod.EFFICIENCY_UNITS``). ``solve_cell_pairs`` solves a batch of cell
+pairs exactly in those units, without building points or schedules. It
+first tests each pair against its classical time-sharing line, which
+decides in O(S) whether hierarchy gains at all, and crosses the diagonal
+only for the pairs that gain, between points below it and points above
+it; no coordinate exceeds 810 units and no product 1.32e6, so int64 is
+exact. It is the one place that decides whether a pair gains, for a
+population and for ``pair_solution`` alike. ``pair_solution`` adds what
+``hmsim pair`` prints: the float hull's rate where the pair gains, and
+the schedule and the provenance of each point (``achievable_pairs``,
+whose single-modcod points and their provenance come from
+``ThresholdTable.best_single``).
 """
 
 from __future__ import annotations
@@ -117,10 +117,6 @@ class PairSolution:
     r_hm: float
     r_ts: float
     schedule: TimeShare
-
-    def __post_init__(self):
-        if not self.r_hm >= self.r_ts >= 0.0:
-            raise ValueError(f"require r_hm >= r_ts >= 0, got {self.r_hm} < {self.r_ts}")
 
     @property
     def gain(self) -> float:
@@ -260,24 +256,21 @@ def equal_rate_point(pairs: Sequence[RatePair]) -> EqualRateSolution:
 
 
 def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> PairSolution:
-    """Solve one receiver pair in floats, with the schedule and provenance
-    that ``hmsim pair`` prints: hierarchical equal-rate value vs the
-    classical time-sharing baseline. Populations use ``solve_cell_pairs``.
+    """Solve one receiver pair with the schedule and provenance that
+    ``hmsim pair`` prints: hierarchical equal-rate value vs the classical
+    time-sharing baseline. Populations use ``solve_cell_pairs``.
 
-    The classical mix of the two single points is in the hull, so r_hm >=
-    r_ts holds mathematically, but the hull crossing and the harmonic mean
-    round differently. A hull rate within 1e-9 of r_ts (relative) is that
-    roundoff and snaps to r_ts. Checked against the exact solution on every
-    cell pair of the shipped tables, the roundoff on pairs without gain is
-    at most 3.3e-16 and the smallest genuine gain is 8.1e-4, both relative
-    to r_ts; the snap decides as the exact solver does, and r_hm is within 2
-    ulps of the exact rate."""
-    inv = table.cell_inv
-    r_ts = float(1.0 / (inv[table.cell(snr_weak)] + inv[table.cell(snr_strong)]))
+    The pair gains where ``solve_cell_pairs`` returns a term other than the
+    classical ``cell_inv[weak] + cell_inv[strong]``, as in the population
+    memo. There r_hm is the float hull's rate, and at least r_ts; on the
+    shipped tables it is within 2 ulps of the exact rate. Elsewhere r_hm is
+    r_ts."""
     solution = equal_rate_point(achievable_pairs(snr_weak, snr_strong, table))
-    r_hm = solution.rate
-    if r_hm <= r_ts * (1.0 + 1e-9):
-        r_hm = r_ts
+    weak, strong = table.cell(snr_weak), table.cell(snr_strong)
+    classical = table.cell_inv[weak] + table.cell_inv[strong]
+    r_ts = float(1.0 / classical)
+    gains = solve_cell_pairs(table, [weak], [strong])[0] != classical
+    r_hm = max(solution.rate, r_ts) if gains else r_ts
     return PairSolution(r_hm=r_hm, r_ts=r_ts, schedule=solution.schedule)
 
 

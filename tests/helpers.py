@@ -143,12 +143,21 @@ def equal_rate_oracle(points: list[tuple[float, float]]) -> float:
     segment between two points (and every single point), no hull.
 
     Free disposal makes the region the downward closure of the hull of the
-    points, which is the hull of the points, their axis projections (x, 0)
-    and (0, y), and the origin. Any point of that hull lies on a segment
-    between two of those points, so the diagonal's exit point does too.
+    points. A point that another one dominates, no larger in either
+    coordinate, lies in that one's closure, so only the undominated points
+    are kept. The region is then the hull of those points, their axis
+    projections (x, 0) and (0, y), and the origin. Any point of that hull
+    lies on a segment between two of those points, so the diagonal's exit
+    point does too.
     """
-    pts = [(0.0, 0.0)] + [q for x, y in points for q in ((x, y), (x, 0.0), (0.0, y))]
-    xy = np.unique(np.array(pts, dtype=float), axis=0)
+    xy = np.array([(0.0, 0.0), *points], dtype=float)
+    # By x descending, then y descending: a point is undominated iff its y
+    # exceeds that of every point before it.
+    xy = xy[np.lexsort((-xy[:, 1], -xy[:, 0]))]
+    undominated = np.ones(len(xy), dtype=bool)
+    undominated[1:] = xy[1:, 1] > np.maximum.accumulate(xy[:-1, 1])
+    xy = xy[undominated]
+    xy = np.concatenate([[(0.0, 0.0)], xy, xy * (1.0, 0.0), xy * (0.0, 1.0)])
     x, d = xy[:, 0], xy[:, 0] - xy[:, 1]
     best = x[d == 0.0].max()
     d1, d2 = d[:, None], d[None, :]

@@ -244,6 +244,19 @@ class TestCampaign:
         assert "inf" in capsys.readouterr().err
         assert not (tmp_path / "o" / "gains.csv").exists()
 
+    @pytest.mark.parametrize("command", ["campaign", "validate"])
+    def test_negative_grid_range_in_either_spelling(self, command, capsys):
+        # a range that starts below zero, as its own argument or after '='
+        grids = [
+            cli.load_scenario(None, cli.build_parser().parse_args([command, *grid])).campaign_config().snr_max_grid
+            for grid in (["--grid", "-2.4:-1.5:0.3"], ["--grid=-2.4:-1.5:0.3"])
+        ]
+        assert grids[0] == grids[1] == (-2.4, -2.1, -1.8, -1.5)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--grid", "--reps", "3"])
+        assert exc.value.code == 1
+        assert "argument --grid: expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_antenna_rejected(self, tmp_path, value, capsys):
         ini = tmp_path / "s.ini"

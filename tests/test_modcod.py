@@ -36,7 +36,7 @@ from hmsim.modcod import (
     packaged_data_path,
     signaling_bits,
 )
-from hmsim.rateopt import achievable_pairs, pair_solution
+from hmsim.rateopt import achievable_pairs, pair_solution, solve_cell_pairs
 
 F = Fraction
 
@@ -463,8 +463,7 @@ class TestLazyIndex:
         scenario = _default_scenario(grid="8", receivers=60, reps=2, families="h_qpsk,h_apsk32,combined")
         cfg = scenario.campaign_config()
         run_campaign(cfg, scenario.tables, scenario.antenna, scenario.weather)
-        # cell_units for each family table (h_qpsk, h_apsk32, combined); the
-        # outage floor is read from the entries of the scenario's table
+        # cell_units for each family table: h_qpsk, h_apsk32 and combined
         assert len(cfg.families) + 1 == 3
         assert calls == {"cell_units": 3}
         # the scenario's own table was never indexed: its first query builds it
@@ -481,6 +480,9 @@ class TestPickledTable:
 
     @pytest.mark.parametrize("queried", [False, True])
     def test_answers_match_the_original(self, full_table, queried):
+        """Every answer of a table is a function of its cell arrays and its
+        schemes: compare those, each cell's best single and every cell
+        pair's term, then the pair answers of one SNR pair per weak cell."""
         table = full_table.subset(full_table.families())
         if queried:
             pair_solution(3.0, 12.0, table)
@@ -490,16 +492,21 @@ class TestPickledTable:
         assert np.array_equal(copy.cells(snrs), table.cells(snrs))
         assert np.array_equal(copy.cell_inv, table.cell_inv)
         assert np.array_equal(copy.cell_units, table.cell_units)
+        assert copy.hierarchical_schemes() == table.hierarchical_schemes()
         values = snrs.tolist()
         expected = [best_single_reference(table, s) for s in values]
         assert [copy.best_single(s) for s in values] == [table.best_single(s) for s in values] == expected
+        weak, strong = np.triu_indices(table.cell_inv.size)
+        assert solve_cell_pairs(copy, weak, strong).tolist() == solve_cell_pairs(table, weak, strong).tolist()
         assert copy.entries() == table.entries() and copy.warnings == table.warnings
-        rng = random.Random(11)
-        for _ in range(1500):
-            weak, strong = sorted(rng.sample(values, 2))
-            points = achievable_pairs(weak, strong, copy)
-            assert points == achievable_pairs(weak, strong, table)
+        # a cell's lower edge stands for it, and 1 dB below the lowest
+        # threshold for cell 0
+        cell_snrs = [thresholds[0] - 1.0] + thresholds.tolist()
+        top = cell_snrs[-1]
+        for weak_snr in cell_snrs:
+            points = achievable_pairs(weak_snr, top, copy)
+            assert points == achievable_pairs(weak_snr, top, table)
             assert [str(p) for point in points for p in point.provenance] == [
-                str(p) for point in achievable_pairs(weak, strong, table) for p in point.provenance
+                str(p) for point in achievable_pairs(weak_snr, top, table) for p in point.provenance
             ]
-            assert pair_solution(weak, strong, copy) == pair_solution(weak, strong, table)
+            assert pair_solution(weak_snr, top, copy) == pair_solution(weak_snr, top, table)
