@@ -24,9 +24,11 @@ in the edges of the union table, which holds every evaluated family and
 so refines every family table's cells; the chunk's outage is counted on
 those cells, and a lookup table per family turns them into that family's
 cells, kept in one uint8 buffer per family. Then each family makes one
-``rateopt.system_summaries`` call on the span, which solves all of the
-span's cold cell pairs in one ``solve_cell_pairs`` call and sums each
-unit from the warm memo, in row blocks bounded by entries.
+``rateopt.system_summaries`` call on the span, which solves each of the
+span's cell pairs once, in one ``solve_cell_pairs`` call, and sums each
+unit from those terms, in row blocks bounded by entries. A unit's
+receivers are paired max-spread, lowest cell with highest, the model's
+rule, so the reported gain is a lower bound on the best pairing's.
 
 With W workers the grid is split into B = min(W, grid points)
 interleaved blocks of grid points (block b takes points b, b + W, ...),
@@ -149,7 +151,7 @@ class SimulationReport:
 # campaign, whose cost moved with the host from one run to the next.
 _CHUNK_RECEIVERS = 1 << 12
 
-# Receivers per span of units whose cells are kept for one cold solve and
+# Receivers per span of units whose cells are kept for one pair solve and
 # the sums: one (units x receivers) buffer of cells per family, uint8 while
 # the tables have fewer than 256 cells (the shipped ones have at most 193),
 # so 256 KB each, allocated once per block whatever the campaign's size.
@@ -186,7 +188,7 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
     edges; its outage is counted once on those cells, and each family's
     cells are looked up from them into the span's buffer. Each family then
     sums the whole span in one ``system_summaries`` call, which makes one
-    cold solve."""
+    pair solve."""
     cfg = ctx.cfg
     units = [(g, rep) for g in grid_indices for rep in range(cfg.repetitions)]
     dropped = np.empty(len(units), dtype=np.intp)
@@ -223,10 +225,10 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     Everything a block reads is built here, once, so that no block rebuilds
     it and the child processes forked afterwards inherit it: numpy's lazily
     imported ``random`` submodule, the beam edge angle, the union table's
-    edges, each family's cell lookup, and each table's per-cell arrays and
-    pair memo. The outage count of a receiver is taken once, from its union
-    cell, for every family; this checks that every family table leaves out
-    the same union cells, and raises ValueError where one does not."""
+    edges, each family's cell lookup, and each table's per-cell arrays. The
+    outage count of a receiver is taken once, from its union cell, for
+    every family; this checks that every family table leaves out the same
+    union cells, and raises ValueError where one does not."""
     loaded = tables.families()
     single_families = {f for f in loaded if not f.hierarchical}
     if not single_families:
@@ -247,9 +249,7 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     # A union cell's family cell is that of its lowest SNR, its lower edge.
     dtype = np.min_scalar_type(edges.size)
     luts = {token: np.concatenate(([0], table.cells(edges))).astype(dtype) for token, table in family_tables.items()}
-    for table in family_tables.values():
-        table.pair_memo  # the blocks fill it
-    # cell_inv builds cell_units, which the cold solves read.
+    # cell_inv builds cell_units, which the pair solves read.
     left_out = {token: np.isinf(table.cell_inv)[luts[token]] for token, table in family_tables.items()}
     first, outage = next(iter(left_out.items()))
     for token, cells in left_out.items():

@@ -416,13 +416,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     argparse reads a separate value that starts with '-' as an option
     unless it is a lone negative number, so ``--grid -2.4:-1.5:0.3`` is
-    joined into ``--grid=-2.4:-1.5:0.3`` first."""
+    joined into ``--grid=-2.4:-1.5:0.3`` first, and so is any abbreviation
+    of ``--grid`` (``--gri``, ``--g``), which argparse then resolves."""
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
         for i in reversed(range(len(args) - 1)):
-            if args[i] == "--grid" and re.match(r"-[\d.]", args[i + 1]):
-                args[i:i + 2] = [f"--grid={args[i + 1]}"]
+            if len(args[i]) > 2 and "--grid".startswith(args[i]) and re.match(r"-[\d.]", args[i + 1]):
+                args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
         return super().parse_known_args(args, namespace)
 
     def error(self, message):

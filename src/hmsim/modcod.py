@@ -286,9 +286,8 @@ class ThresholdTable:
     bit/s/Hz, is the one per-cell record of best efficiencies, built from
     the entries; ``cell_inv``, the float reciprocals that the harmonic sums
     add, and the single-modcod choices that ``best_single`` returns are
-    derived from it; and ``pair_memo`` holds solved cell pairs. These are
-    deterministic caches, so instances are safe to share across threads and
-    processes: a race only repeats work.
+    derived from it. These are deterministic caches, so instances are safe
+    to share across threads and processes: a race only repeats work.
     """
 
     def __init__(
@@ -361,13 +360,6 @@ class ThresholdTable:
         ):
             first.setdefault(_efficiency_units(scheme, stream, rate), ModcodChoice(scheme, stream, rate))
         return [first.get(units) for units in self.cell_units[:, 0].tolist()]
-
-    @cached_property
-    def pair_memo(self) -> np.ndarray:
-        """(weak cell, strong cell) -> a pair's hierarchical reciprocal term,
-        NaN until ``rateopt.system_summaries`` has it solved."""
-        n = self.edges.size + 1
-        return np.full((n, n), np.nan)
 
     # -- basic container surface -------------------------------------------------
 

@@ -16,17 +16,17 @@ reciprocal depends on the SNRs only through their table cells (see
 ``ThresholdTable.cells``), and cells never decrease as the SNR rises, so
 populations are paired on their sorted cells, lowest with highest, and
 aggregated on arrays indexed by cell: ``ThresholdTable.cell_inv`` for
-single modcods and ``ThresholdTable.pair_memo`` for solved pairs. There
-is one pairing and summing path, ``system_summaries``: it takes many
-populations as the rows of one array of sorted cells, marks all their
-cell pairs, solves the cold ones in one ``solve_cell_pairs`` call and
-sums the rows from the warm memo in blocks bounded by entries. A
-receiver that decodes no single modcod has reciprocal inf in
-``cell_inv``; that inf is the one outage rule. Such receivers sit first
-in each sorted row, the caller passes their count per row, and
-``system_summaries`` leaves them out; the campaign counts them once for
-all its tables. A pair (``pair_solution``) keeps them: its classical
-rate is then 0.
+single modcods and a grid of solved pair terms. The reported gain is
+that of this max-spread pairing, a lower bound on the best pairing's.
+There is one pairing and summing path, ``system_summaries``: it takes
+many populations as the rows of one array of sorted cells, marks all
+their cell pairs, solves each once in one ``solve_cell_pairs`` call and
+sums the rows from those terms in blocks bounded by entries. A receiver
+that decodes no single modcod has reciprocal inf in ``cell_inv``; that
+inf is the one outage rule. Such receivers sit first in each sorted row,
+the caller passes their count per row, and ``system_summaries`` leaves
+them out; the campaign counts them once for all its tables. A pair
+(``pair_solution``) keeps them: its classical rate is then 0.
 
 Both pair answers take a cell's best efficiencies from one per-cell
 array, ``ThresholdTable.cell_units``: the best single, HE and LE
@@ -261,16 +261,15 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
     time-sharing baseline. Populations use ``solve_cell_pairs``.
 
     The pair gains where ``solve_cell_pairs`` returns a term other than the
-    classical ``cell_inv[weak] + cell_inv[strong]``, as in the population
-    memo. There r_hm is the float hull's rate, and at least r_ts; on the
-    shipped tables it is within 2 ulps of the exact rate. Elsewhere r_hm is
-    r_ts."""
+    classical ``cell_inv[weak] + cell_inv[strong]``, as in a population.
+    There r_hm is the float hull's rate; on the shipped tables it is within
+    2 ulps of the exact rate, above r_ts. Elsewhere r_hm is r_ts."""
     solution = equal_rate_point(achievable_pairs(snr_weak, snr_strong, table))
     weak, strong = table.cell(snr_weak), table.cell(snr_strong)
     classical = table.cell_inv[weak] + table.cell_inv[strong]
     r_ts = float(1.0 / classical)
     gains = solve_cell_pairs(table, [weak], [strong])[0] != classical
-    r_hm = max(solution.rate, r_ts) if gains else r_ts
+    r_hm = solution.rate if gains else r_ts
     return PairSolution(r_hm=r_hm, r_ts=r_ts, schedule=solution.schedule)
 
 
@@ -353,7 +352,13 @@ def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndar
     never reverses an order, and two different crossings differ by at least
     1 / 1620**2 units, far above the 1e-13 units of rounding. The pick's
     own numerator and denominator then meet the vertex by
-    cross-multiplication.
+    cross-multiplication. These bounds also keep a term that gains strictly
+    below its classical float term: R* and R_ts have denominators of at
+    most 1620, so R* > R_ts gives R* - R_ts >= 1 / 1620**2 units, and with
+    R* <= 810 units 1 / R* lies a relative 1 / (1620**2 x 810), 4.7e-10,
+    or more below 1 / R_ts (inf where s_w or s_s is 0), far above the few
+    ulps of either term's rounding. Rounded addition keeps order, so the
+    sums keep r_hm >= r_ts.
     """
     weak_cells, strong_cells = np.asarray(weak_cells), np.asarray(strong_cells)
     units, inv = table.cell_units, table.cell_inv
@@ -425,20 +430,22 @@ def system_summaries(cells, outage, table: ThresholdTable) -> tuple[np.ndarray, 
     j`` is left unpaired. Cells never decrease as the SNR rises and every
     term is a function of the cells, so this is the weakest-with-strongest
     rule on SNRs. The classical term of a pair is the sum of its two cells'
-    ``table.cell_inv`` entries. Its hierarchical term is read from
-    ``table.pair_memo``, which stores the correctly rounded 1 / r_hm of the
+    ``table.cell_inv`` entries. Its hierarchical term is the one
+    ``solve_cell_pairs`` returns: the correctly rounded 1 / r_hm of the
     exact equal rate, or the classical term itself where hierarchy gains
-    nothing; so "no gain anywhere" yields r_hm == r_ts bit for bit.
+    nothing; so "no gain anywhere" yields r_hm == r_ts bit for bit, and
+    r_hm >= r_ts always (see the exactness note of ``solve_cell_pairs``).
 
     Three passes. The first and the last run over blocks of at most
     ``_BLOCK_ENTRIES`` rows x term columns (at least one row), so their
     temporaries do not grow with R. First the (weak cell, strong cell)
     pairs of every row are marked on one bool grid. Then the marked pairs
-    not yet in the memo go, each once, to one ``solve_cell_pairs`` call.
-    Last, both harmonic sums of each row run over its pairs in order, then
-    the unpaired receiver: one ``np.add.accumulate`` along each row, whose
-    columns past the row's last term hold +0.0, which changes no sum's
-    bits. So a row's sums do not depend on the rows it is summed with.
+    go, each once, to one ``solve_cell_pairs`` call, whose terms fill a
+    grid of the same shape. Last, both harmonic sums of each row run over
+    its pairs in order, then the unpaired receiver: one
+    ``np.add.accumulate`` along each row, whose columns past the row's last
+    term hold +0.0, which changes no sum's bits. So a row's sums do not
+    depend on the rows it is summed with.
     """
     rows, n = cells.shape
     if not n:
@@ -446,17 +453,15 @@ def system_summaries(cells, outage, table: ThresholdTable) -> tuple[np.ndarray, 
     served = n - outage
     step = max(1, _BLOCK_ENTRIES // max(1, int(served.max() + 1) // 2))
     blocks = [slice(lo, lo + step) for lo in range(0, rows, step)]
-    memo = table.pair_memo
-    cold = np.zeros(memo.shape, dtype=bool)
+    inv = table.cell_inv
+    marked = np.zeros((inv.size, inv.size), dtype=bool)
     for block in blocks:
         weak, strong, paired, _ = _pairing(cells[block], outage[block])
-        cold[weak[paired], strong[paired]] = True
-    cold &= np.isnan(memo)
-    if cold.any():
-        # Each cold pair once, in row-major (weak, strong) order.
-        a, b = np.nonzero(cold)
-        memo[a, b] = solve_cell_pairs(table, a, b)
-    inv = table.cell_inv
+        marked[weak[paired], strong[paired]] = True
+    # Each marked pair once, in row-major (weak, strong) order.
+    a, b = np.nonzero(marked)
+    terms = np.zeros(marked.shape)
+    terms[a, b] = solve_cell_pairs(table, a, b)
     ts_inv, hm_inv = np.empty(rows), np.empty(rows)
     for block in blocks:
         weak, strong, paired, unpaired = _pairing(cells[block], outage[block])
@@ -465,8 +470,8 @@ def system_summaries(cells, outage, table: ThresholdTable) -> tuple[np.ndarray, 
         # add.accumulate adds in sequence, so the bits do not depend on
         # numpy's pairwise summation.
         ts_inv[block] = np.add.accumulate(np.where(paired, weak_inv + inv[strong], alone), axis=1)[:, -1]
-        hm_inv[block] = np.add.accumulate(np.where(paired, memo[weak, strong], alone), axis=1)[:, -1]
+        hm_inv[block] = np.add.accumulate(np.where(paired, terms[weak, strong], alone), axis=1)[:, -1]
     some = served > 0
     r_ts = np.divide(1.0, ts_inv, out=np.full(rows, np.nan), where=some)
-    r_hm = np.maximum(np.divide(1.0, hm_inv, out=np.full(rows, np.nan), where=some), r_ts)
+    r_hm = np.divide(1.0, hm_inv, out=np.full(rows, np.nan), where=some)
     return r_hm, r_ts, (r_hm - r_ts) / r_ts

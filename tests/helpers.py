@@ -290,12 +290,12 @@ def row_summary(snrs, table: ThresholdTable) -> RowSummary:
 
 
 def system_summary_reference(snrs, table: ThresholdTable, oracle: ExactPairOracle) -> RowSummary:
-    """(r_hm, r_ts, gain, outage) of a population with no memo and no cell
-    arrays: receivers without a single modcod (``best_single_reference``)
-    left out and counted, the rest sorted by (SNR, index) and paired
-    extremes first, reciprocals from ``best_single_reference``, each pair's
-    hierarchical term 1 / R* from the table's exact oracle where R* > R_ts
-    and its classical term 1/r_i + 1/r_j otherwise, and both harmonic sums
+    """(r_hm, r_ts, gain, outage) of a population with no cell arrays:
+    receivers without a single modcod (``best_single_reference``) left out
+    and counted, the rest sorted by (SNR, index) and paired extremes first,
+    reciprocals from ``best_single_reference``, each pair's hierarchical
+    term 1 / R* from the table's exact oracle where R* > R_ts and its
+    classical term 1/r_i + 1/r_j otherwise, and both harmonic sums
     accumulated sequentially in pair-traversal order, as
     ``system_summaries`` defines them. NaN rates and gain when every
     receiver is left out."""
@@ -319,7 +319,7 @@ def system_summary_reference(snrs, table: ThresholdTable, oracle: ExactPairOracl
         ts_inv += inv[unpaired]
         hm_inv += inv[unpaired]
     r_ts = 1.0 / ts_inv
-    r_hm = max(1.0 / hm_inv, r_ts)
+    r_hm = 1.0 / hm_inv
     return RowSummary(r_hm, r_ts, (r_hm - r_ts) / r_ts, outage)
 
 

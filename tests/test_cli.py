@@ -246,12 +246,14 @@ class TestCampaign:
 
     @pytest.mark.parametrize("command", ["campaign", "validate"])
     def test_negative_grid_range_in_either_spelling(self, command, capsys):
-        # a range that starts below zero, as its own argument or after '='
-        grids = [
+        # a range that starts below zero, as its own argument or after '=',
+        # after --grid or an abbreviation of it
+        grids = {
             cli.load_scenario(None, cli.build_parser().parse_args([command, *grid])).campaign_config().snr_max_grid
-            for grid in (["--grid", "-2.4:-1.5:0.3"], ["--grid=-2.4:-1.5:0.3"])
-        ]
-        assert grids[0] == grids[1] == (-2.4, -2.1, -1.8, -1.5)
+            for grid in (["--grid", "-2.4:-1.5:0.3"], ["--grid=-2.4:-1.5:0.3"], ["--gri", "-2.4:-1.5:0.3"],
+                         ["--g", "-2.4:-1.5:0.3"])
+        }
+        assert grids == {(-2.4, -2.1, -1.8, -1.5)}
         with pytest.raises(SystemExit) as exc:
             main([command, "--grid", "--reps", "3"])
         assert exc.value.code == 1

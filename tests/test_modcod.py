@@ -451,7 +451,7 @@ class TestLazyIndex:
         tables = scenario.tables
         tables.hierarchical_schemes(), tables.families()
         assert calls == {"cell_units": 0}
-        assert not {"_single_choices", "edges", "cell_inv", "cell_units", "pair_memo"} & set(vars(tables))
+        assert not {"_single_choices", "edges", "cell_inv", "cell_units"} & set(vars(tables))
         first = pair_solution(3.0, 12.0, tables)
         assert calls == {"cell_units": 1}
         assert pair_solution(3.0, 12.0, tables) == first
