@@ -245,7 +245,7 @@ class WeatherCdf:
     def from_csv(cls, path: Union[str, Path]) -> "WeatherCdf":
         """Load from a CSV with header ``attenuation_db,cum_prob``."""
         path = Path(path)
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -10,23 +10,21 @@ comparisons on a common system draw.
 Receivers that decode no single-stream modcod (an inf ``cell_inv``, see
 ``rateopt.system_summaries``) are not servable by the classical baseline at
 all; they are left out of the run and counted, since the relative gain is
-undefined against a zero baseline. Every family table keeps every
-single-stream row, so each family leaves out the same receivers, and the
-campaign counts them once (``_primed_context`` checks that the tables
-agree). A run is excluded (gain recorded as missing) only when the whole
-population is in outage.
+undefined against a zero baseline. Every family table holds all the
+single-stream entries, so each family's ``system_summaries`` call counts
+the same receivers. A run is excluded (gain recorded as missing) only when
+the whole population is in outage.
 
 Each process evaluates its (grid point, repetition) units as one array
 program, in spans of whole units of at most ``_SPAN_RECEIVERS``
-receivers and three passes per span. First, each chunk of at most
-``_CHUNK_RECEIVERS`` receivers is drawn, sorted once and searched once
-in the edges of the union table, which holds every evaluated family and
-so refines every family table's cells; the chunk's outage is counted on
-those cells, and a lookup table per family turns them into that family's
+receivers. First, each chunk of at most ``_CHUNK_RECEIVERS`` receivers
+is drawn, sorted once and searched once in the edges of the union table,
+which holds every evaluated family and so refines every family table's
+cells; a lookup table per family turns those cells into that family's
 cells, kept in one uint8 buffer per family. Then each family makes one
-``rateopt.system_summaries`` call on the span, which solves each of the
-span's cell pairs once, in one ``solve_cell_pairs`` call, and sums each
-unit from those terms, in row blocks bounded by entries. A unit's
+``rateopt.system_summaries`` call on the span, which counts each unit's
+outage, solves each of the span's cell pairs once, in one
+``solve_cell_pairs`` call, and sums each unit from those terms. A unit's
 receivers are paired max-spread, lowest cell with highest, the model's
 rule, so the reported gain is a lower bound on the best pairing's.
 
@@ -164,14 +162,11 @@ class _Context(NamedTuple):
     ``tables`` holds each evaluated family's table, keyed by token in report
     order. ``union`` holds the entries of every evaluated family, so its
     cells refine each family table's cells: ``luts[token][c]`` is the cell
-    of that family's table for any SNR in union cell c. ``outage`` is True
-    in the union cells where no single modcod decodes, the same in every
-    family table."""
+    of that family's table for any SNR in union cell c."""
 
     tables: dict[str, ThresholdTable]
     union: ThresholdTable
     luts: dict[str, np.ndarray]
-    outage: np.ndarray
     cfg: CampaignConfig
     beam: AntennaConfig
     weather: WeatherCdf
@@ -185,10 +180,10 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
     The units run in spans of at most ``_SPAN_RECEIVERS`` receivers, each
     drawn in chunks of at most ``_CHUNK_RECEIVERS`` (both at least one
     unit). Each chunk is sorted and searched once in the union table's
-    edges; its outage is counted once on those cells, and each family's
-    cells are looked up from them into the span's buffer. Each family then
-    sums the whole span in one ``system_summaries`` call, which makes one
-    pair solve."""
+    edges, and each family's cells are looked up from those cells into the
+    span's buffer. Each family then sums the whole span in one
+    ``system_summaries`` call, which makes one pair solve and counts the
+    receivers left out, the same for every family."""
     cfg = ctx.cfg
     units = [(g, rep) for g in grid_indices for rep in range(cfg.repetitions)]
     dropped = np.empty(len(units), dtype=np.intp)
@@ -210,11 +205,10 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
             # Sorted SNRs give sorted cells, and searchsorted runs faster on them.
             snrs.sort(axis=1)
             union_cells = ctx.union.cells(snrs)
-            dropped[first:first + len(part)] = ctx.outage[union_cells].sum(axis=1)
             for token, lut in ctx.luts.items():
                 cells[token][first - lo:first - lo + len(part)] = lut[union_cells]
         for token, table in ctx.tables.items():
-            _, _, gains[token][lo:hi] = system_summaries(cells[token][:hi - lo], dropped[lo:hi], table)
+            _, _, gains[token][lo:hi], dropped[lo:hi] = system_summaries(cells[token][:hi - lo], table)
     shape = (len(grid_indices), cfg.repetitions)
     return dropped.reshape(shape), {token: g.reshape(shape) for token, g in gains.items()}
 
@@ -225,10 +219,7 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     Everything a block reads is built here, once, so that no block rebuilds
     it and the child processes forked afterwards inherit it: numpy's lazily
     imported ``random`` submodule, the beam edge angle, the union table's
-    edges, each family's cell lookup, and each table's per-cell arrays. The
-    outage count of a receiver is taken once, from its union cell, for
-    every family; this checks that every family table leaves out the same
-    union cells, and raises ValueError where one does not."""
+    edges, each family's cell lookup, and each table's per-cell arrays."""
     loaded = tables.families()
     single_families = {f for f in loaded if not f.hierarchical}
     if not single_families:
@@ -249,18 +240,9 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     # A union cell's family cell is that of its lowest SNR, its lower edge.
     dtype = np.min_scalar_type(edges.size)
     luts = {token: np.concatenate(([0], table.cells(edges))).astype(dtype) for token, table in family_tables.items()}
-    # cell_inv builds cell_units, which the pair solves read.
-    left_out = {token: np.isinf(table.cell_inv)[luts[token]] for token, table in family_tables.items()}
-    first, outage = next(iter(left_out.items()))
-    for token, cells in left_out.items():
-        if not np.array_equal(cells, outage):
-            # Union cell 0 lies below every threshold, out in every table.
-            lower = edges[np.flatnonzero(cells != outage)[0] - 1]
-            raise ValueError(
-                f"the {first} and {token} tables disagree on outage at SNRs from {lower:g} dB: "
-                "every family table must keep every single-stream entry"
-            )
-    return _Context(family_tables, union, luts, outage, cfg, beam, weather)
+    for table in family_tables.values():
+        table.cell_inv  # builds cell_units, which the pair solves read
+    return _Context(family_tables, union, luts, cfg, beam, weather)
 
 
 def _run_child_block(ctx, grid_indices: Sequence[int], sender) -> None:

@@ -87,6 +87,22 @@ class ScenarioError(ValueError):
     pass
 
 
+def _read(reader, path, *args):
+    """``reader(path, *args)``; a file that is not UTF-8 is a ScenarioError naming it."""
+    try:
+        return reader(path, *args)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _write(path: Path, text: str, where: str = "") -> None:
+    """Write an output file; a failure is a ScenarioError located by ``where`` or ``path``."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ScenarioError(f"{where or path}: {exc.strerror}") from None
+
+
 @dataclass
 class Scenario:
     """A loaded scenario: its data files, read and checked, and its settings."""
@@ -191,7 +207,7 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
             raise ScenarioError(f"scenario file not found: {file}")
         known = {section: list(parser[section]) for section in parser.sections()}
         try:
-            parser.read(str(file))
+            _read(parser.read, str(file), "utf-8")
         except configparser.Error as exc:
             # A missing section header or a duplicate key; configparser's
             # message names the file and the line, over several lines.
@@ -258,13 +274,13 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
     workers = setting("campaign", "workers", int, 1)
     try:
         anomalies = load_anomaly_manifest()
-        tables = load_threshold_csv(baseline_path, anomalies)
+        tables = _read(load_threshold_csv, baseline_path, anomalies)
         for table_path in hierarchical_paths:
-            tables = tables.merged_with(load_threshold_csv(table_path, anomalies))
-    except (OSError, TableParseError, TableValidationError) as exc:
+            tables = tables.merged_with(_read(load_threshold_csv, table_path, anomalies))
+    except (OSError, ScenarioError, TableParseError, TableValidationError) as exc:
         raise ScenarioError(f"threshold tables: {exc}") from exc
     try:
-        weather = WeatherCdf.from_csv(weather_path)
+        weather = _read(WeatherCdf.from_csv, weather_path)
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"weather CDF: {exc}") from exc
     families, combined = _resolve_families(*text("campaign", "families"), tables)
@@ -340,10 +356,7 @@ def cmd_pair(args) -> int:
         for p in rate_region_hull(achievable_pairs(snr_weak, snr_strong, table)):
             desc = p.describe().split(" via ", 1)[1]
             lines.append(f"{p.r1:.10g},{p.r2:.10g},\"{desc}\"")
-        try:
-            Path(args.dump_hull).write_text("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise ScenarioError(f"--dump-hull {args.dump_hull}: {exc.strerror}") from None
+        _write(Path(args.dump_hull), "\n".join(lines) + "\n", f"--dump-hull {args.dump_hull}")
 
     for label, snr in (("weak", snr_weak), ("strong", snr_strong)):
         best = table.best_single(snr)
@@ -375,9 +388,9 @@ def cmd_campaign(args) -> int:
         raise ScenarioError(f"{scenario.out_where}: {exc.strerror}") from None
     report = run_campaign(scenario.campaign, scenario.tables, scenario.antenna, scenario.weather)
     gains = out / "gains.csv"
-    gains.write_text(gains_csv_text(report))
+    _write(gains, gains_csv_text(report))
     for token in report.family_tokens:
-        (out / f"curve_{token}.csv").write_text(curve_csv_text(report, token))
+        _write(out / f"curve_{token}.csv", curve_csv_text(report, token))
     total_excluded = sum(s.total_outage_runs for s in report.outage.values())
     worst_outage = max(s.max_count for s in report.outage.values())
     print(f"wrote {gains} ({len(report.config.snr_max_grid)} grid points x {len(report.family_tokens)} curves)")

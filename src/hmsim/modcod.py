@@ -313,9 +313,9 @@ class ThresholdTable:
     @cached_property
     def cell_inv(self) -> np.ndarray:
         """1 / (best single-modcod efficiency) per cell, and inf in a cell
-        where no single modcod decodes. That inf is the one outage rule: a
-        population leaves such receivers out (``rateopt.system_summaries``)
-        and the campaign counts them, and a pair that holds one has
+        where no single modcod decodes. That inf is the one outage rule:
+        ``rateopt.system_summaries`` leaves such receivers out of a
+        population and counts them, and a pair that holds one has
         classical rate 0."""
         # units / EFFICIENCY_UNITS is the exact ratio rounded once, so it is
         # the ModcodChoice.spectral_efficiency of the cell's best choice.
@@ -491,7 +491,7 @@ def load_threshold_csv(
     # One SchemeId per (family, rho_he) spelling, so the rows of a scheme
     # share it and each spelling is parsed and checked once.
     schemes: dict[tuple[str, str], SchemeId] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -19,14 +19,14 @@ aggregated on arrays indexed by cell: ``ThresholdTable.cell_inv`` for
 single modcods and a grid of solved pair terms. The reported gain is
 that of this max-spread pairing, a lower bound on the best pairing's.
 There is one pairing and summing path, ``system_summaries``: it takes
-many populations as the rows of one array of sorted cells, marks all
-their cell pairs, solves each once in one ``solve_cell_pairs`` call and
-sums the rows from those terms in blocks bounded by entries. A receiver
+many populations as the rows of one array of sorted cells, pairs each
+block of rows once, solves each distinct cell pair once in one
+``solve_cell_pairs`` call and sums the rows from those terms. A receiver
 that decodes no single modcod has reciprocal inf in ``cell_inv``; that
 inf is the one outage rule. Such receivers sit first in each sorted row,
-the caller passes their count per row, and ``system_summaries`` leaves
-them out; the campaign counts them once for all its tables. A pair
-(``pair_solution``) keeps them: its classical rate is then 0.
+and ``system_summaries`` counts them, leaves them out and returns their
+count. A pair (``pair_solution``) keeps them: its classical rate is then
+0.
 
 Both pair answers take a cell's best efficiencies from one per-cell
 array, ``ThresholdTable.cell_units``: the best single, HE and LE
@@ -278,7 +278,8 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
 # in _best_crossings, int64 and 32 KB each; in system_summaries, a block's
 # rows x term columns. A block's temporaries then total about 0.3 MB and
 # stay within the heap that glibc keeps mapped between blocks (see
-# campaign._CHUNK_RECEIVERS).
+# campaign._CHUNK_RECEIVERS); only its pairing, as large as its cells, is
+# kept for the sums.
 _BLOCK_ENTRIES = 1 << 12
 
 
@@ -394,13 +395,13 @@ def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndar
     return terms
 
 
-def _pairing(cells, outage) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The pairing rule of ``system_summaries`` on a block of rows, as
-    (rows, columns) arrays: for each row and term column j, the weak and
-    strong cell of pair j and whether column j holds a pair or the unpaired
-    receiver. Term column j of a row is pair j, then the unpaired receiver,
-    then zero padding; there is at least one column, which a row that
-    leaves out every receiver sums to 0."""
+def _pairing(cells, outage, none) -> tuple[np.ndarray, np.ndarray]:
+    """The pairing rule of ``system_summaries`` on a block of rows: the weak
+    and the strong cell of each row's term columns, as (rows, columns)
+    arrays of the dtype of ``cells``, which must hold the sentinel cell
+    ``none``. Term column j of a row is pair j, then the unpaired receiver
+    (weak cell, ``none``), then padding (``none``, ``none``); there is at
+    least one column, which a row that leaves out every receiver pads."""
     rows, n = cells.shape
     width = max(1, int(n - outage.min() + 1) // 2)
     j = np.arange(width)
@@ -409,20 +410,21 @@ def _pairing(cells, outage) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     # cells of pairs 0, 1, ... are the row's cells from the last backwards.
     flat = np.minimum(weak_at, n - 1)
     flat += np.arange(0, rows * n, n)[:, None]
-    return cells.ravel()[flat], cells[:, ::-1][:, :width], weak_at < strong_at, weak_at == strong_at
+    weak = np.where(weak_at <= strong_at, cells.ravel()[flat], none)
+    return weak, np.where(weak_at < strong_at, cells[:, ::-1][:, :width], none)
 
 
-def system_summaries(cells, outage, table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def system_summaries(cells, table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Hierarchical vs classical time sharing for each row of an (R, n)
-    array of receiver cells of ``table`` (see ``table.cells``), n >= 1, each
-    pair at its free-disposal equal rate (see ``equal_rate_point``): the
-    arrays r_hm, r_ts and gain, one entry per row.
+    array of sorted receiver cells of ``table`` (see ``table.cells``), n >=
+    1, each pair at its free-disposal equal rate (see ``equal_rate_point``):
+    the arrays r_hm, r_ts, gain and outage, one entry per row.
 
-    Each row is sorted and starts with its ``outage[i]`` cells whose
-    ``table.cell_inv`` is inf: those receivers decode no single modcod and
-    are left out, and a row that leaves out all n reads NaN. The inf cells
-    are the lowest ones, so sorted SNRs give such rows. Every served
-    receiver has a finite reciprocal, so r_ts > 0.
+    A row's outage is its count of leading cells with an inf
+    ``table.cell_inv`` (the inf cells are the lowest, as ``cell_units`` is
+    a running maximum down the cells): those receivers decode no single
+    modcod and are left out, and a row that leaves out all n reads NaN.
+    Every served receiver has a finite reciprocal, so r_ts > 0.
 
     With k receivers left out, the served cells are ``cells[k:]``, and pair
     j is weak cell ``k + j`` with strong cell ``n - 1 - j`` while ``k + j <
@@ -436,42 +438,44 @@ def system_summaries(cells, outage, table: ThresholdTable) -> tuple[np.ndarray, 
     nothing; so "no gain anywhere" yields r_hm == r_ts bit for bit, and
     r_hm >= r_ts always (see the exactness note of ``solve_cell_pairs``).
 
-    Three passes. The first and the last run over blocks of at most
-    ``_BLOCK_ENTRIES`` rows x term columns (at least one row), so their
-    temporaries do not grow with R. First the (weak cell, strong cell)
-    pairs of every row are marked on one bool grid. Then the marked pairs
-    go, each once, to one ``solve_cell_pairs`` call, whose terms fill a
-    grid of the same shape. Last, both harmonic sums of each row run over
-    its pairs in order, then the unpaired receiver: one
-    ``np.add.accumulate`` along each row, whose columns past the row's last
-    term hold +0.0, which changes no sum's bits. So a row's sums do not
-    depend on the rows it is summed with.
+    Each block of at most ``_BLOCK_ENTRIES`` rows x term columns (at least
+    one row) is paired once, by ``_pairing`` with the sentinel cell ``none
+    = cell_inv.size``, and its cell pairs are marked on one (none + 1) x
+    (none + 1) bool grid. The marked pairs of cells go, each once, to one
+    ``solve_cell_pairs`` call, whose terms fill a float grid of that shape
+    with ``padded`` (``cell_inv``, then 0.0) in column ``none``. A row's
+    classical and hierarchical sums are ``np.add.accumulate`` of
+    ``padded[weak] + padded[strong]`` and of ``terms[weak, strong]`` along
+    its term columns; padding adds +0.0, which changes no sum's bits, so a
+    row's sums do not depend on the rows it is summed with.
     """
     rows, n = cells.shape
     if not n:
         raise ValueError("need at least one receiver")
+    inv = table.cell_inv
+    none = inv.size
+    # Widen the cells so that they hold the sentinel: uint8 does not hold 256.
+    cells = cells.astype(np.result_type(cells.dtype, np.min_scalar_type(none)), copy=False)
+    outage = (cells < np.count_nonzero(np.isinf(inv))).sum(axis=1)
     served = n - outage
     step = max(1, _BLOCK_ENTRIES // max(1, int(served.max() + 1) // 2))
     blocks = [slice(lo, lo + step) for lo in range(0, rows, step)]
-    inv = table.cell_inv
-    marked = np.zeros((inv.size, inv.size), dtype=bool)
-    for block in blocks:
-        weak, strong, paired, _ = _pairing(cells[block], outage[block])
-        marked[weak[paired], strong[paired]] = True
-    # Each marked pair once, in row-major (weak, strong) order.
-    a, b = np.nonzero(marked)
+    pairings = [_pairing(cells[block], outage[block], none) for block in blocks]
+    marked = np.zeros((none + 1, none + 1), dtype=bool)
+    for weak, strong in pairings:
+        marked[weak, strong] = True
+    # Each marked pair of cells once, in row-major (weak, strong) order.
+    a, b = np.nonzero(marked[:none, :none])
     terms = np.zeros(marked.shape)
     terms[a, b] = solve_cell_pairs(table, a, b)
+    padded = terms[:, none] = np.append(inv, 0.0)
     ts_inv, hm_inv = np.empty(rows), np.empty(rows)
-    for block in blocks:
-        weak, strong, paired, unpaired = _pairing(cells[block], outage[block])
-        weak_inv = inv[weak]
-        alone = np.where(unpaired, weak_inv, 0.0)
+    for block, (weak, strong) in zip(blocks, pairings):
         # add.accumulate adds in sequence, so the bits do not depend on
         # numpy's pairwise summation.
-        ts_inv[block] = np.add.accumulate(np.where(paired, weak_inv + inv[strong], alone), axis=1)[:, -1]
-        hm_inv[block] = np.add.accumulate(np.where(paired, terms[weak, strong], alone), axis=1)[:, -1]
+        ts_inv[block] = np.add.accumulate(padded[weak] + padded[strong], axis=1)[:, -1]
+        hm_inv[block] = np.add.accumulate(terms[weak, strong], axis=1)[:, -1]
     some = served > 0
     r_ts = np.divide(1.0, ts_inv, out=np.full(rows, np.nan), where=some)
     r_hm = np.divide(1.0, hm_inv, out=np.full(rows, np.nan), where=some)
-    return r_hm, r_ts, (r_hm - r_ts) / r_ts
+    return r_hm, r_ts, (r_hm - r_ts) / r_ts, outage

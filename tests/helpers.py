@@ -276,11 +276,8 @@ class RowSummary(NamedTuple):
 
 def snr_summaries(snrs, table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """r_hm, r_ts, gain and outage of each row of an (R, n) SNR array:
-    ``system_summaries`` on the rows' sorted cells, each row leaving out its
-    receivers in cells with an inf ``table.cell_inv``, and their count."""
-    cells = table.cells(np.sort(snrs, axis=1))
-    outage = np.isinf(table.cell_inv)[cells].sum(axis=1)
-    return (*system_summaries(cells, outage, table), outage)
+    ``system_summaries`` on the rows' sorted cells."""
+    return system_summaries(table.cells(np.sort(snrs, axis=1)), table)
 
 
 def row_summary(snrs, table: ThresholdTable) -> RowSummary:

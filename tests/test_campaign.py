@@ -30,7 +30,7 @@ from hmsim.campaign import (
     run_campaign,
 )
 from hmsim.cli import main
-from hmsim.modcod import Family, Stream, ThresholdTable
+from hmsim.modcod import Family
 
 TWO_ATOM_WEATHER = [(0.0, 0.0), (0.0, 0.5), (6.0, 0.5), (6.0, 1.0)]
 
@@ -519,26 +519,6 @@ class TestPrimedContext:
         for token, lut in ctx.luts.items():
             assert lut.dtype == np.uint8
             assert np.array_equal(lut[ctx.union.cells(snrs)], ctx.tables[token].cells(snrs)), token
-        assert ctx.outage.tolist() == np.isinf(ctx.tables[COMBINED].cell_inv).tolist()
-
-    def test_tables_that_disagree_on_outage_are_rejected(self, full_table, sample_weather, default_antenna,
-                                                          campaign_config, monkeypatch):
-        # An h_apsk32 table without the lowest single modcod, qpsk 1/4 at
-        # -2.35 dB, would count receivers from there up to the next single
-        # threshold as out, while the h_qpsk table serves them.
-        subset = ThresholdTable.subset
-
-        def without_qpsk_quarter(table, families):
-            entries = subset(table, families).entries()
-            if Family.H_QPSK not in families:
-                lowest = min((key for key in entries if key[1] is Stream.SINGLE), key=entries.get)
-                del entries[lowest]
-            return ThresholdTable(entries)
-
-        monkeypatch.setattr(ThresholdTable, "subset", without_qpsk_quarter)
-        cfg = campaign_config(snr_max_grid=(0.0,), families=(Family.H_QPSK, Family.H_APSK32))
-        with pytest.raises(ValueError, match="the h_qpsk and h_apsk32 tables disagree on outage at SNRs from -2.35 dB"):
-            run_campaign(cfg, full_table, default_antenna, sample_weather)
 
     def test_no_hmsim_command_imports_numpy_ma(self, tmp_path):
         # numpy imports numpy.ma lazily, in np.unique among others, which

@@ -338,6 +338,13 @@ class TestCampaign:
         assert main(["campaign", *small, "--scenario", str(ini)]) == 1
         assert capsys.readouterr().err == f"error: {ini}: [output] dir = '{taken}': File exists\n"
 
+    @pytest.mark.parametrize("name", ["gains.csv", "curve_h_qpsk.csv"])
+    def test_unwritable_report_located(self, scenario_dir, tmp_path, name, capsys):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main(["campaign", "--scenario", str(scenario_dir / "scenario.ini"), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {out / name}: Is a directory\n")
+
     def test_unknown_family_is_validation_error(self, scenario_dir, capsys):
         code = main([
             "campaign", "--scenario", str(scenario_dir / "scenario.ini"), "--families", "h_psk8",
@@ -420,6 +427,26 @@ class TestValidate:
         assert capsys.readouterr() == ("", f"FAIL: {ini}: [campaign] families = 'all' {problem}\n")
         assert main(["validate", "--scenario", str(ini), "--families", "combined"]) == 1
         assert capsys.readouterr() == ("", f"FAIL: --families combined {problem}\n")
+
+    @pytest.mark.parametrize("kind,prefix", [
+        ("scenario", ""), ("baseline", "threshold tables: "), ("hierarchical", "threshold tables: "),
+        ("weather", "weather CDF: "),
+    ], ids=["scenario", "baseline", "hierarchical", "weather"])
+    def test_file_that_is_not_utf8_located(self, scenario_dir, kind, prefix, capsys):
+        ini = scenario_dir / "scenario.ini"
+        baseline = scenario_dir / "single.csv"
+        baseline.write_bytes(packaged_data_path("dvbs2_single.csv").read_bytes())
+        ini.write_text(ini.read_text().replace(str(packaged_data_path("dvbs2_single.csv")), baseline.name))
+        path = {"scenario": ini, "baseline": baseline, "hierarchical": scenario_dir / "hq08.csv",
+                "weather": scenario_dir / "wx.csv"}[kind]
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        message = f"{prefix}{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position "
+        assert main(["validate", "--scenario", str(ini)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"FAIL: {message}")
+        assert main(["campaign", "--scenario", str(ini)]) == 1
+        assert capsys.readouterr() == ("", captured.err.replace("FAIL:", "error:", 1))
+        assert not (scenario_dir / "out").exists()
 
     def test_missing_scenario_file(self, capsys):
         assert main(["validate", "--scenario", "/nonexistent/s.ini"]) == 1

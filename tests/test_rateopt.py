@@ -19,7 +19,8 @@ from helpers import (
     system_summary_reference,
     unpruned_points,
 )
-from hmsim.modcod import Family, ModcodChoice, SchemeId, Stream, ThresholdTable
+from hmsim.campaign import run_campaign
+from hmsim.modcod import DVBS2_CODE_RATES, Family, ModcodChoice, SchemeId, Stream, ThresholdTable
 from hmsim.rateopt import (
     RatePair,
     achievable_pairs,
@@ -459,7 +460,7 @@ class TestAggregates:
 
     def test_empty_rejected(self, full_table):
         with pytest.raises(ValueError, match="at least one receiver"):
-            system_summaries(np.empty((3, 0), dtype=np.intp), np.zeros(3, dtype=np.intp), full_table)
+            system_summaries(np.empty((3, 0), dtype=np.intp), full_table)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -581,6 +582,50 @@ class TestPairMemo:
                 assert not served and np.isnan(got).all()
             else:
                 assert tuple(got) == row_summary(served, table)[:3], (row, k)
+
+    @staticmethod
+    def wide_table(single_table: ThresholdTable) -> ThresholdTable:
+        """The shipped singles and eleven synthetic h_psk8 schemes with 227
+        more distinct thresholds: 255 in all, so 256 cells, whose sentinel
+        cell 256 does not fit the uint8 cells that a campaign passes."""
+        rng = np.random.default_rng(3)
+        schemes = [SchemeId(Family.H_PSK8, rho) for rho in np.linspace(0.5, 0.9, 11).round(2).tolist()]
+        keys = [(scheme, stream, rate) for scheme in schemes for stream in (Stream.HE, Stream.LE)
+                for rate in DVBS2_CODE_RATES]
+        pool = np.linspace(-4.0, 19.0, 227).round(4) + 5e-5
+        thresholds = rng.permutation(np.concatenate([pool, rng.choice(pool, len(keys) - pool.size)]))
+        table = single_table.merged_with(ThresholdTable(dict(zip(keys, thresholds.tolist()))))
+        assert table.cell_inv.size == 256
+        return table
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["shipped", "256_cells"])
+    def test_uint8_and_intp_cells_agree(self, full_table, single_table, sample_weather, default_antenna,
+                                        campaign_config, wide):
+        """The same bits from uint8 cells, as a campaign passes them, and
+        intp cells, from total outage through partial outage to full
+        service, with the outage of each row its inf cells; and a campaign
+        on the 256-cell table excludes no run that has a served receiver."""
+        table = self.wide_table(single_table) if wide else full_table
+        rng = np.random.default_rng(4)
+        lows, highs = rng.uniform(-8.0, 21.0, (2, 90, 1))
+        snrs = np.sort(lows + (np.maximum(lows, highs) - lows) * rng.random((90, 31)), axis=1)
+        snrs[:3] = np.linspace(-8.0, -2.4, 31)
+        snrs[3:6] = np.linspace(16.1, 21.0, 31)
+        cells = table.cells(snrs)
+        assert cells.dtype == np.intp and cells.max() <= 255
+        summaries = system_summaries(cells, table)
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                   for a, b in zip(summaries, system_summaries(cells.astype(np.uint8), table)))
+        outage = summaries[3]
+        assert outage.tolist() == np.isinf(table.cell_inv)[cells].sum(axis=1).tolist()
+        assert outage[:3].tolist() == [31] * 3 and outage[3:6].tolist() == [0] * 3
+        assert ((0 < outage) & (outage < 31)).any()
+        assert np.isnan(summaries[2][outage == 31]).all() and (summaries[2][outage < 31] >= 0).all()
+        if wide:
+            cfg = campaign_config(snr_max_grid=(2.0, 12.0), receivers=40, repetitions=3, families=(Family.H_PSK8,),
+                                  combined=False, master_seed=2)
+            report = run_campaign(cfg, table, default_antenna, sample_weather)
+            assert all(stat.excluded_runs == 0 for stat in report.stats.values())
 
     def test_one_solve_per_cell_pair(self, full_table, monkeypatch):
         solved = []
