@@ -9,12 +9,12 @@ A receiver's SNR is the boresight value SNR_max minus two attenuations:
   x = sin(theta) * pi * D / lambda. The edge must come before the first
   null x = j1,1 = 3.8317, so the pattern is only ever evaluated on its
   main lobe, by a short power series; an angle past the null (beyond a
-  1e-12 relative rounding margin) raises ValueError. The series runs at
-  two precisions. ``antenna_gain_rel``, and through it ``beam_edge_angle``,
-  sums it in long double, which resolves the pattern down to about 325 dB
-  next to the null. Population draws sum the same terms in float64, about
-  10x faster, with an error bounded inside the beam edge (see
-  ``_location_attenuation``).
+  1e-12 relative rounding margin) raises ValueError. The series is summed
+  once, in float64, by ``antenna_gain_rel``, which population draws and
+  ``beam_edge_angle`` both call, so they share one pattern and one domain
+  check. It is within 2^-50 of the exact series on the whole main lobe
+  (see ``_location_attenuation``) and resolves the pattern down to about
+  300 dB next to the null.
 * weather: drawn from an empirical attenuation distribution supplied as a
   tabulated CDF, sampled by inverse transform with linear interpolation.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -59,36 +59,24 @@ _X_MAX = _J1_FIRST_ZERO * (1 + 1e-12)
 # 2 J1(x)/x = sum_k (-1)^k u^k / (k! (k+1)!) with u = x^2/4 <= 3.68 on the
 # main lobe. From k = 1 on the terms alternate and shrink, so the error of
 # the first 22 terms is below the first omitted one, u^22 / (22! 23!) <
-# 1e-30 at the bound. That is far below the rounding (~1e-19) of the sum
-# itself, summed by Horner in extended precision, so more terms change no
-# float64 output bit.
+# 1e-30 at the bound, far below the float64 rounding of the sum itself, so
+# more terms change no output bit. Each coefficient is the correctly
+# rounded quotient of two exact integers.
 _J1_SERIES_TERMS = 22
-_J1_SERIES_COEFFS = [
-    np.longdouble((-1) ** k) / (np.longdouble(math.factorial(k)) * np.longdouble(math.factorial(k + 1)))
-    for k in range(_J1_SERIES_TERMS)
-]
+_J1_SERIES_COEFFS = [(-1) ** k / (math.factorial(k) * math.factorial(k + 1)) for k in range(_J1_SERIES_TERMS)]
 
 
-# The population draw's copy of the series: the same terms rounded to
-# float64, for the bound stated in _location_attenuation.
-_J1_SERIES_COEFFS_F64 = [np.float64(c) for c in _J1_SERIES_COEFFS]
-
-
-def _j1_series_factor(x2_over_4, coeffs=_J1_SERIES_COEFFS):
-    """sum_k (-1)^k u^k / (k!(k+1)!) by Horner, in the precision of the
-    coefficient list (long double by default), as float64; J1(x) = (x/2) *
+def _j1_series_factor(x2_over_4):
+    """sum_k (-1)^k u^k / (k!(k+1)!) by Horner in float64; J1(x) = (x/2) *
     this."""
-    u = np.asarray(x2_over_4, dtype=type(coeffs[0]))
-    acc = np.full_like(u, coeffs[-1])
+    u = np.asarray(x2_over_4, dtype=float)
+    acc = np.full_like(u, _J1_SERIES_COEFFS[-1])
     # In place: one array for the whole series, so large batches do not
     # churn the heap.
-    for c in reversed(coeffs[:-1]):
+    for c in reversed(_J1_SERIES_COEFFS[:-1]):
         acc *= u
         acc += c
-    return acc.astype(float, copy=False)
-
-
-_j1_series_factor_f64 = partial(_j1_series_factor, coeffs=_J1_SERIES_COEFFS_F64)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -162,9 +150,10 @@ def beam_edge_angle(cfg: AntennaConfig) -> float:
 
     Raises ValueError only for an antenna whose main lobe reaches 90
     degrees off axis above the edge level. When the first null comes
-    before 90 degrees every level is reachable; a level deeper than the
-    series resolves near the null (about 325 dB) gives the angle where the
-    computed gain bottoms out, next to the null."""
+    before 90 degrees every level is reachable. Next to the null the
+    float64 gain falls to rounding noise (about 300-313 dB) and then to 0,
+    so any level deeper than about 310 dB gives one floor angle, where the
+    computed gain is 0: 3 ulps below the null for the default antenna."""
     target = 10.0 ** (-cfg.edge_level_db / 10.0)
     sin_null = _J1_FIRST_ZERO / cfg.aperture_factor
     if sin_null < 1.0:
@@ -191,26 +180,22 @@ def _location_attenuation(u, cfg: AntennaConfig):
     over the coverage disk; the off-axis angle is the exact
     arctan(r / altitude).
 
-    The pattern is ``antenna_gain_rel``'s, with the same domain checks, but
-    its series runs in float64 (``_j1_series_factor_f64``), about 10x
-    faster than in long double.
+    The pattern is ``antenna_gain_rel``'s, looked up as a module global
+    so that a wrapper installed on it sees the draw.
 
     Error bound: on the whole main lobe the float64 bracket 2 J1(x)/x is
-    within 2^-50 (4 ulp of 1) of the long-double one. The tests check this
-    on a dense grid, where the worst case is 1.6 ulp; Horner's a priori
-    bound, gamma_43 * 2 I1(x)/x <= 2.1e-14, is looser. On [0, x_edge] the
-    bracket is at least 10^(-edge_level_db/20), so there its relative error
-    is at most 2^-50 * 10^(edge_level_db/20): 1.4e-15 at the default 4 dB,
-    or 1.2e-14 dB of attenuation. Near the null the bracket falls to 0 and
-    the relative error grows without bound, which is why
-    ``beam_edge_angle`` keeps the long-double series.
+    within 2^-50 (4 ulp of 1) of the exact series. The tests check this on
+    a dense grid against a 52-term long-double reference, where the worst
+    case is 3.5e-16; Horner's a priori bound, gamma_43 * 2 I1(x)/x <=
+    2.1e-14, is looser. On [0, x_edge] the bracket is at least
+    10^(-edge_level_db/20), so there its relative error is at most 2^-50 *
+    10^(edge_level_db/20): 1.4e-15 at the default 4 dB, or 1.2e-14 dB of
+    attenuation. Near the null the bracket falls to 0 and the relative
+    error grows without bound (see ``beam_edge_angle``).
     """
     edge_radius = GEO_ALTITUDE_M * math.tan(beam_edge_angle(cfg))
     theta = np.arctan(edge_radius * np.sqrt(u) / GEO_ALTITUDE_M)
-    x = _main_lobe_x(theta, cfg)
-    bracket = _j1_series_factor_f64(x * x / 4.0)
-    att = -10.0 * np.log10(bracket * bracket)
-    return np.maximum(att, 0.0)
+    return np.maximum(-10.0 * np.log10(antenna_gain_rel(theta, cfg)), 0.0)
 
 
 class WeatherCdf:

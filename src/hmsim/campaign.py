@@ -110,6 +110,12 @@ class CampaignConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
 
+    @property
+    def family_tokens(self) -> tuple[str, ...]:
+        """The report's curve tokens in order: each family's, then
+        ``COMBINED`` if ``combined``."""
+        return tuple(fam.token for fam in self.families) + ((COMBINED,) if self.combined else ())
+
 
 @dataclass(frozen=True)
 class GainStat:
@@ -302,7 +308,7 @@ def run_campaign(
     combined evaluation over all requested families when configured.
     """
     ctx = _primed_context(cfg, tables, beam, weather)
-    tokens = tuple(ctx.tables)
+    tokens = cfg.family_tokens
     grid = range(len(cfg.snr_max_grid))
     blocks = [grid[w::cfg.workers] for w in range(min(cfg.workers, len(grid)))]
     children = []

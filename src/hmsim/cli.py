@@ -95,10 +95,12 @@ def _read(reader, path, *args):
         raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _write(path: Path, text: str, where: str = "") -> None:
-    """Write an output file; a failure is a ScenarioError located by ``where`` or ``path``."""
+def _write(path: Path, text: str, where: str = "", mode: str = "w") -> None:
+    """Write an output file, opened in ``mode``; a failure is a ScenarioError
+    located by ``where`` or ``path``."""
     try:
-        path.write_text(text)
+        with open(path, mode) as fh:
+            fh.write(text)
     except OSError as exc:
         raise ScenarioError(f"{where or path}: {exc.strerror}") from None
 
@@ -386,11 +388,16 @@ def cmd_campaign(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"{scenario.out_where}: {exc.strerror}") from None
-    report = run_campaign(scenario.campaign, scenario.tables, scenario.antenna, scenario.weather)
     gains = out / "gains.csv"
+    curves = {token: out / f"curve_{token}.csv" for token in scenario.campaign.family_tokens}
+    # Every report file is created or checked before the run, so one that
+    # cannot be written fails it at once; appending keeps what a file holds.
+    for path in (gains, *curves.values()):
+        _write(path, "", mode="a")
+    report = run_campaign(scenario.campaign, scenario.tables, scenario.antenna, scenario.weather)
     _write(gains, gains_csv_text(report))
-    for token in report.family_tokens:
-        _write(out / f"curve_{token}.csv", curve_csv_text(report, token))
+    for token, path in curves.items():
+        _write(path, curve_csv_text(report, token))
     total_excluded = sum(s.total_outage_runs for s in report.outage.values())
     worst_outage = max(s.max_count for s in report.outage.values())
     print(f"wrote {gains} ({len(report.config.snr_max_grid)} grid points x {len(report.family_tokens)} curves)")

@@ -303,9 +303,9 @@ def _best_crossings(xp, dp, xq, dq) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndarray:
-    """Memo terms of many (weak cell, strong cell) pairs: 1 / r_hm where
-    hierarchical points beat classical time sharing, else the classical term
-    ``cell_inv[weak] + cell_inv[strong]``.
+    """The terms ``system_summaries`` sums, for many (weak cell, strong
+    cell) pairs: 1 / r_hm where hierarchical points beat classical time
+    sharing, else the classical term ``cell_inv[weak] + cell_inv[strong]``.
 
     Each pair is solved exactly in int64 on ``table.cell_units``, in units
     of 1/EFFICIENCY_UNITS bit/s/Hz. Its points are the origin, the singles

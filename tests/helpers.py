@@ -320,6 +320,29 @@ def system_summary_reference(snrs, table: ThresholdTable, oracle: ExactPairOracl
     return RowSummary(r_hm, r_ts, (r_hm - r_ts) / r_ts, outage)
 
 
+def series_factor(u, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] u^k by Horner in the precision of the coefficients,
+    as float64."""
+    u = np.asarray(u, dtype=type(coeffs[0]))
+    acc = np.full_like(u, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * u + c
+    return acc.astype(float)
+
+
+# 2 J1(x)/x = sum_k (-1)^k u^k / (k! (k+1)!) with u = x^2/4, to 52 terms,
+# whose tail is negligible far beyond the main lobe, in long double: the
+# reference for the beam pattern's 22-term float64 series.
+REFERENCE_SERIES_COEFFS = [
+    np.longdouble((-1) ** k) / (np.longdouble(math.factorial(k)) * np.longdouble(math.factorial(k + 1)))
+    for k in range(52)
+]
+
+
+def reference_series_factor(u) -> np.ndarray:
+    return series_factor(u, REFERENCE_SERIES_COEFFS)
+
+
 # Constellation geometry: the symbol sets whose quadrant barycenters the
 # closed-form rho_he formulas of hmsim.constellations are checked against.
 

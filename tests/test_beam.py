@@ -8,6 +8,7 @@ import pytest
 import scipy.optimize
 import scipy.special
 
+from helpers import reference_series_factor, series_factor
 from hmsim.beam import (
     GEO_ALTITUDE_M,
     WeatherCdf,
@@ -18,7 +19,6 @@ from hmsim.beam import (
     _J1_SERIES_TERMS,
     _X_MAX,
     _j1_series_factor,
-    _j1_series_factor_f64,
     _location_attenuation,
 )
 
@@ -40,22 +40,6 @@ J1_REFERENCE = [
 EDGE_ANGLE_RAD = 0.0058668218250460214517
 GAIN_AT_0336_DEG = 0.39845002707054591143
 
-# Reference for the short series: the same extended-precision Horner with
-# 52 terms, whose tail is negligible far beyond the main lobe.
-_REFERENCE_COEFFS = [
-    np.longdouble((-1) ** k) / (np.longdouble(math.factorial(k)) * np.longdouble(math.factorial(k + 1)))
-    for k in range(52)
-]
-
-
-def reference_series_factor(u):
-    u = np.asarray(u, dtype=np.longdouble)
-    acc = np.full_like(u, _REFERENCE_COEFFS[-1])
-    for c in reversed(_REFERENCE_COEFFS[:-1]):
-        acc = acc * u + c
-    return acc.astype(float)
-
-
 def j1_main_lobe(x):
     x = np.asarray(x, dtype=float)
     return (x / 2.0) * _j1_series_factor(x * x / 4.0)
@@ -73,21 +57,23 @@ class TestBesselJ1:
 
 class TestMainLobeSeries:
     def test_bit_equal_to_52_terms(self):
-        # seeded x over the whole main lobe up to the reject bound, plus the
+        # the same float64 Horner with 52 terms: the 30 further terms change
+        # no bit over the whole main lobe up to the reject bound, nor at the
         # null and the doubles either side of it
+        coeffs = [(-1) ** k / (math.factorial(k) * math.factorial(k + 1)) for k in range(52)]
         x = np.random.default_rng(20131002).uniform(0.0, _X_MAX, 1_000_000)
         null = _J1_FIRST_ZERO
         x = np.concatenate([x, [0.0, np.nextafter(null, 0.0), null, np.nextafter(null, 4.0), _X_MAX]])
         u = x * x / 4.0
-        assert np.array_equal(_j1_series_factor(u), reference_series_factor(u))
+        assert np.array_equal(_j1_series_factor(u), series_factor(u, coeffs))
 
     def test_float64_series_absolute_bound(self):
-        # the draw's series (beam._location_attenuation) is within 2^-50 of
-        # the long-double one over the whole main lobe
+        # the pattern's float64 series is within 2^-50 of the long-double
+        # 52-term reference over the whole main lobe
         x = np.random.default_rng(20131002).uniform(0.0, _X_MAX, 1_000_000)
         x = np.concatenate([x, [0.0, _J1_FIRST_ZERO, _X_MAX]])
         u = x * x / 4.0
-        assert np.abs(_j1_series_factor_f64(u) - _j1_series_factor(u)).max() <= 2.0**-50
+        assert np.abs(_j1_series_factor(u) - reference_series_factor(u)).max() <= 2.0**-50
 
     @pytest.mark.parametrize("edge_level_db", [1, 4, 10, 20, 40])
     def test_float64_series_relative_bound_inside_the_edge(self, default_antenna, edge_level_db):
@@ -96,8 +82,8 @@ class TestMainLobeSeries:
         cfg = dataclasses.replace(default_antenna, edge_level_db=edge_level_db)
         x = np.linspace(0.0, math.sin(beam_edge_angle(cfg)) * cfg.aperture_factor, 1_000_001)
         u = x * x / 4.0
-        exact = _j1_series_factor(u)
-        rel = np.abs(_j1_series_factor_f64(u) - exact) / exact
+        exact = reference_series_factor(u)
+        rel = np.abs(_j1_series_factor(u) - exact) / exact
         assert rel.max() <= 2.0**-50 * 10 ** (edge_level_db / 20)
 
     def test_tail_bound_justifies_term_count(self):
@@ -152,18 +138,23 @@ class TestAntennaGain:
         assert beam_edge_angle(dataclasses.replace(default_antenna)) == first
 
     def test_edge_levels_below_the_series_floor(self, default_antenna, sample_weather):
-        # next to the null the computed gain bottoms out near 325 dB, so a
-        # deeper edge level gives that angle, 1 ulp below the null
+        # next to the null the float64 gain falls to rounding noise near
+        # 300-313 dB and then to 0, so a deeper edge level gives the angle
+        # where it reads 0, 3 ulps below the null
         def edge(level):
             return dataclasses.replace(default_antenna, edge_level_db=level)
 
         floor_angle = beam_edge_angle(edge(325))
         null = math.asin(_J1_FIRST_ZERO / default_antenna.aperture_factor)
-        assert floor_angle == np.nextafter(null, 0.0)
+        assert floor_angle == null - 3 * np.spacing(null)
         for level in (326, 350, 1000, 1e6):
             assert beam_edge_angle(edge(level)) == floor_angle
         snrs = draw_population(2000, [10.0], edge(1000), sample_weather, [3])[0]
         assert np.isfinite(snrs).all()
+        # the largest uniform lands short of the floor angle, where the gain
+        # is above 0: a log10 of 0 would warn, and warnings are errors here
+        for level in (325, 1000, 1e6):
+            assert np.isfinite(_location_attenuation(np.array([1.0 - 2.0**-53]), edge(level))).all()
 
     def test_rejects_edge_level_without_a_null(self, default_antenna):
         # the first null lies past 90 degrees; the gain there is -0.01 dB

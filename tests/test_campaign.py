@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import best_single_reference, row_summary
+from helpers import best_single_reference, reference_series_factor, row_summary
 import hmsim
 from hmsim import campaign, rateopt
-from hmsim.beam import GEO_ALTITUDE_M, WeatherCdf, antenna_gain_rel, beam_edge_angle, draw_population
+from hmsim.beam import GEO_ALTITUDE_M, WeatherCdf, beam_edge_angle, draw_population
 from hmsim.campaign import (
     COMBINED,
     CampaignConfig,
@@ -393,9 +393,9 @@ class TestBenchmarkCampaigns:
     def test_float64_pattern_keeps_every_cell(self, name, full_table, sample_weather, default_antenna,
                                               campaign_config):
         # The draw evaluates the pattern in float64; the oracle runs the same
-        # uniforms through the long-double antenna_gain_rel. The SNRs may
-        # differ by the draw's stated bound (beam._location_attenuation) as
-        # dB, plus a rounding of log10 and of the two subtractions; every
+        # uniforms through the tests' long-double reference series. The SNRs
+        # may differ by the draw's stated bound (beam._location_attenuation)
+        # as dB, plus a rounding of log10 and of the two subtractions; every
         # receiver must stay further than that from every threshold.
         cfg = benchmark_config(campaign_config, name)
         units = [(g, rep) for g in range(len(cfg.snr_max_grid)) for rep in range(cfg.repetitions)]
@@ -406,7 +406,9 @@ class TestBenchmarkCampaigns:
         u = np.stack([np.random.default_rng(seed).random((2, cfg.receivers)) for seed in seeds])
         edge_radius = GEO_ALTITUDE_M * math.tan(beam_edge_angle(default_antenna))
         theta = np.arctan(edge_radius * np.sqrt(u[:, 0]) / GEO_ALTITUDE_M)
-        location = np.maximum(-10.0 * np.log10(antenna_gain_rel(theta, default_antenna)), 0.0)
+        x = np.sin(theta) * default_antenna.aperture_factor
+        bracket = reference_series_factor(x * x / 4.0)
+        location = np.maximum(-10.0 * np.log10(bracket * bracket), 0.0)
         oracle = snr_max[:, None] - location - sample_weather.quantile(u[:, 1])
 
         level = default_antenna.edge_level_db

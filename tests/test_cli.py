@@ -338,12 +338,21 @@ class TestCampaign:
         assert main(["campaign", *small, "--scenario", str(ini)]) == 1
         assert capsys.readouterr().err == f"error: {ini}: [output] dir = '{taken}': File exists\n"
 
-    @pytest.mark.parametrize("name", ["gains.csv", "curve_h_qpsk.csv"])
-    def test_unwritable_report_located(self, scenario_dir, tmp_path, name, capsys):
+    @pytest.mark.parametrize("name, earlier", [("gains.csv", "curve_h_qpsk.csv"), ("curve_h_qpsk.csv", "gains.csv")],
+                             ids=["gains.csv", "curve_h_qpsk.csv"])
+    def test_unwritable_report_located(self, scenario_dir, tmp_path, monkeypatch, name, earlier, capsys):
+        # found before the run, and the other report file from an earlier
+        # run keeps its bytes
+        def no_run(*args):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(cli, "run_campaign", no_run)
         out = tmp_path / "o"
         (out / name).mkdir(parents=True)
+        (out / earlier).write_text("old\n")
         assert main(["campaign", "--scenario", str(scenario_dir / "scenario.ini"), "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"error: {out / name}: Is a directory\n")
+        assert (out / earlier).read_bytes() == b"old\n"
 
     def test_unknown_family_is_validation_error(self, scenario_dir, capsys):
         code = main([

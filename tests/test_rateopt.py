@@ -292,8 +292,9 @@ def every_cell_pair(table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, list
 
 
 def oracle_terms(table: ThresholdTable, pairs, rates) -> list[float]:
-    """The memo term of each SNR pair from its exact (R*, R_ts): 1 / R*
-    where R* > R_ts, else the sum of the two best-single reciprocals."""
+    """The solve_cell_pairs term of each SNR pair from its exact (R*,
+    R_ts): 1 / R* where R* > R_ts, else the sum of the two best-single
+    reciprocals."""
     def inv(snr):
         choice = table.best_single(snr)
         return 1.0 / choice.spectral_efficiency if choice else math.inf
