@@ -13,7 +13,9 @@ all; they are left out of the run and counted, since the relative gain is
 undefined against a zero baseline. Every family table holds all the
 single-stream entries, so each family's ``system_summaries`` call counts
 the same receivers. A run is excluded (gain recorded as missing) only when
-the whole population is in outage.
+the whole population is in outage, so every curve excludes the same runs:
+the ``excluded_runs`` column of gains.csv is the grid point's
+``OutageStat.total_outage_runs``, stored once.
 
 Each process evaluates its (grid point, repetition) units as one array
 program, in spans of whole units of at most ``_SPAN_RECEIVERS``
@@ -119,10 +121,11 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class GainStat:
+    """Mean and population std of one curve's gains at a grid point over its runs
+    not excluded; every curve excludes the ``OutageStat.total_outage_runs``."""
+
     mean: float
     std: float
-    included_runs: int
-    excluded_runs: int
 
 
 @dataclass(frozen=True)
@@ -137,13 +140,18 @@ class OutageStat:
 @dataclass(frozen=True)
 class SimulationReport:
     """Per-cell statistics, keyed by (grid point, family token), and the
-    per-run gains they reduce, in repetition order (None: run excluded)."""
+    per-run gains they reduce, in repetition order (None: run excluded, for
+    every curve exactly the runs in total outage, counted once in ``outage``)."""
 
     config: CampaignConfig
-    family_tokens: tuple[str, ...]
     stats: dict[tuple[float, str], GainStat]
     outage: dict[float, OutageStat]
     raw_gains: dict[tuple[float, str], tuple[Optional[float], ...]]
+
+    @property
+    def family_tokens(self) -> tuple[str, ...]:
+        """The curve tokens in report order, ``config.family_tokens``."""
+        return self.config.family_tokens
 
 
 # Receivers per chunk of units drawn and searched as one array program:
@@ -346,20 +354,9 @@ def run_campaign(
                 std = math.sqrt(sum((v - mean) ** 2 for v in included) / len(included))
             else:
                 mean = std = math.nan
-            stats[(snr_max, token)] = GainStat(
-                mean=mean,
-                std=std,
-                included_runs=len(included),
-                excluded_runs=len(values) - len(included),
-            )
+            stats[(snr_max, token)] = GainStat(mean=mean, std=std)
             raw[(snr_max, token)] = tuple(values)
-    return SimulationReport(
-        config=cfg,
-        family_tokens=tokens,
-        stats=stats,
-        outage=outage,
-        raw_gains=raw,
-    )
+    return SimulationReport(config=cfg, stats=stats, outage=outage, raw_gains=raw)
 
 
 def gain_curve(report: SimulationReport, family: str) -> list[tuple[float, float]]:
@@ -377,11 +374,10 @@ def gains_csv_text(report: SimulationReport) -> str:
     """Canonical gains.csv body: one row per (grid point, family)."""
     lines = ["snr_max_db,family,mean_gain,std_gain,excluded_runs"]
     for snr_max in report.config.snr_max_grid:
+        excluded = report.outage[snr_max].total_outage_runs
         for token in report.family_tokens:
             s = report.stats[(snr_max, token)]
-            lines.append(
-                f"{_fmt(snr_max)},{token},{_fmt(s.mean)},{_fmt(s.std)},{s.excluded_runs}"
-            )
+            lines.append(f"{_fmt(snr_max)},{token},{_fmt(s.mean)},{_fmt(s.std)},{excluded}")
     return "\n".join(lines) + "\n"
 
 

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from operator import itemgetter
 from pathlib import Path
@@ -91,6 +91,18 @@ DVBS2_CODE_RATES = tuple(
 EFFICIENCY_UNITS = math.lcm(*(rate.denominator for rate in DVBS2_CODE_RATES))
 
 
+# Cached: a table's per-cell build calls it once per entry, and the rate check
+# alone, a scan of Fraction compares, costs as much as the rest of that build.
+# A rate that fails is not cached, so it keeps at most bit widths x 11 results.
+@cache
+def _efficiency_units(bits: int, rate: Fraction) -> int:
+    """The one efficiency formula: a stream of ``bits`` bits per symbol at a
+    DVB-S2 code rate, in 1/EFFICIENCY_UNITS bit/s/Hz. ValueError otherwise."""
+    if rate not in DVBS2_CODE_RATES:
+        raise ValueError(f"code rate {rate} is not a DVB-S2 rate")
+    return bits * rate.numerator * (EFFICIENCY_UNITS // rate.denominator)
+
+
 class Stream(Enum):
     # Members are singletons that compare by identity, so the identity hash
     # (a C slot, unlike Enum's) is exact and keeps table keys cheap to hash.
@@ -137,7 +149,7 @@ _FAMILY_BY_TOKEN = {fam.token: fam for fam in Family}
 
 # (bits of a stream, efficiency units) -> the code rate giving that efficiency.
 _RATE_BY_UNITS = {
-    (bits, int(bits * rate * EFFICIENCY_UNITS)): rate
+    (bits, _efficiency_units(bits, rate)): rate
     for bits in {bits for fam in Family for bits in (fam.default_bits_he, fam.default_bits_le) if bits}
     for rate in DVBS2_CODE_RATES
 }
@@ -202,7 +214,7 @@ class ModcodChoice:
     @cached_property
     def spectral_efficiency(self) -> float:
         """bits x code rate, rounded once from the exact ratio."""
-        return float(self.scheme.bits(self.stream) * self.code_rate)
+        return _efficiency_units(self.scheme.bits(self.stream), self.code_rate) / EFFICIENCY_UNITS
 
     def __str__(self) -> str:
         return f"{self.scheme.token}/{self.stream.value} {self.code_rate} ({self.spectral_efficiency:.4g} bit/s/Hz)"
@@ -269,11 +281,6 @@ def _parse_rate(text: str, path: Path, line_no: int) -> Fraction:
     return DVBS2_CODE_RATES[DVBS2_CODE_RATES.index(rate)]
 
 
-def _efficiency_units(scheme: SchemeId, stream: Stream, rate: Fraction) -> int:
-    """The efficiency of an entry in 1/EFFICIENCY_UNITS bit/s/Hz."""
-    return scheme.bits(stream) * rate.numerator * (EFFICIENCY_UNITS // rate.denominator)
-
-
 class ThresholdTable:
     """Immutable map (scheme, stream, code rate) -> decoding threshold in dB.
 
@@ -317,8 +324,8 @@ class ThresholdTable:
         ``rateopt.system_summaries`` leaves such receivers out of a
         population and counts them, and a pair that holds one has
         classical rate 0."""
-        # units / EFFICIENCY_UNITS is the exact ratio rounded once, so it is
-        # the ModcodChoice.spectral_efficiency of the cell's best choice.
+        # ModcodChoice.spectral_efficiency is units / EFFICIENCY_UNITS too,
+        # so this is 1 / the spectral efficiency of the cell's best choice.
         with np.errstate(divide="ignore"):
             return 1.0 / (self.cell_units[:, 0] / EFFICIENCY_UNITS)
 
@@ -336,7 +343,7 @@ class ThresholdTable:
         column = {(scheme, Stream.HE): 1 + i for i, scheme in enumerate(schemes)}
         column.update({(scheme, Stream.LE): 1 + len(schemes) + i for i, scheme in enumerate(schemes)})
         columns = np.fromiter((column.get((scheme, stream), 0) for scheme, stream, _ in entries), np.intp, n)
-        units = np.fromiter((_efficiency_units(scheme, stream, rate) for scheme, stream, rate in entries), np.int64, n)
+        units = np.fromiter((_efficiency_units(scheme.bits(stream), rate) for scheme, stream, rate in entries), np.int64, n)
         # An entry decodes from the cell its threshold opens (thresholds are
         # table edges), so the best per cell is a running max down the cells.
         cells = np.searchsorted(self.edges, np.fromiter(entries.values(), float, n), side="right")
@@ -358,7 +365,7 @@ class ThresholdTable:
             (key for key in self._entries if key[1] is Stream.SINGLE),
             key=lambda key: (self._entries[key], key[0].token, key[2]),
         ):
-            first.setdefault(_efficiency_units(scheme, stream, rate), ModcodChoice(scheme, stream, rate))
+            first.setdefault(_efficiency_units(scheme.bits(stream), rate), ModcodChoice(scheme, stream, rate))
         return [first.get(units) for units in self.cell_units[:, 0].tolist()]
 
     # -- basic container surface -------------------------------------------------

@@ -80,8 +80,8 @@ class RatePair:
     provenance: tuple[Optional[ModcodChoice], Optional[ModcodChoice]] = (None, None)
 
     def __post_init__(self):
-        if self.r1 < 0 or self.r2 < 0:
-            raise ValueError("rates must be nonnegative")
+        if not (0.0 <= self.r1 < math.inf and 0.0 <= self.r2 < math.inf):
+            raise ValueError(f"rates must be finite and nonnegative, got ({self.r1}, {self.r2})")
 
     def describe(self) -> str:
         p1, p2 = self.provenance
@@ -120,14 +120,10 @@ class PairSolution:
 
     @property
     def gain(self) -> float:
-        return _relative_gain(self.r_hm, self.r_ts)
-
-
-def _relative_gain(r_hm: float, r_ts: float) -> float:
-    """(r_hm - r_ts) / r_ts; 0 when both are 0, +inf over a zero baseline."""
-    if r_ts == 0.0:
-        return 0.0 if r_hm == 0.0 else math.inf
-    return (r_hm - r_ts) / r_ts
+        """(r_hm - r_ts) / r_ts; 0 when both are 0, +inf over a zero baseline."""
+        if self.r_ts == 0.0:
+            return 0.0 if self.r_hm == 0.0 else math.inf
+        return (self.r_hm - self.r_ts) / self.r_ts
 
 
 _ORIGIN = RatePair(0.0, 0.0)
@@ -195,7 +191,7 @@ def rate_region_hull(pairs: Sequence[RatePair]) -> list[RatePair]:
     """Vertices of the convex hull of the achievable set, in boundary order
     (for plotting and inspection)."""
     coords = [(p.r1, p.r2, i) for i, p in enumerate(pairs)]
-    return [_ORIGIN if tag < 0 else pairs[tag] for _, _, tag in _hull_vertices(coords)]
+    return [pairs[tag] for _, _, tag in _hull_vertices(coords)]
 
 
 def equal_rate_point(pairs: Sequence[RatePair]) -> EqualRateSolution:
@@ -221,13 +217,14 @@ def equal_rate_point(pairs: Sequence[RatePair]) -> EqualRateSolution:
     def pair_at(tag: int) -> RatePair:
         return _ORIGIN if tag < 0 else pairs[tag]
 
+    # Rates are finite and >= 0: hull[0] is the origin, so step 0 sets a schedule.
     best_rate = 0.0
     best_schedule: Optional[TimeShare] = None
     vertex_rate, vertex_tag = 0.0, -1
     m = len(hull)
     for i in range(m):
         x1, y1, tag1 = hull[i]
-        x2, y2, tag2 = hull[(i + 1) % m] if m > 1 else hull[i]
+        x2, y2, tag2 = hull[(i + 1) % m]
         d1, d2 = x1 - y1, x2 - y2
         score = x1 if x1 < y1 else y1
         if score > vertex_rate:
@@ -235,7 +232,7 @@ def equal_rate_point(pairs: Sequence[RatePair]) -> EqualRateSolution:
         if d1 == 0.0 and x1 >= best_rate:
             best_rate = x1
             best_schedule = TimeShare(1.0, pair_at(tag1), pair_at(tag1))
-        if m > 1 and (d1 < 0.0) != (d2 < 0.0):
+        if (d1 < 0.0) != (d2 < 0.0):
             tau = d2 / (d2 - d1)
             rate = tau * x1 + (1.0 - tau) * x2
             if rate > best_rate:
@@ -250,8 +247,6 @@ def equal_rate_point(pairs: Sequence[RatePair]) -> EqualRateSolution:
         if p.r1 == p.r2 == best_rate:
             best_schedule = TimeShare(1.0, p, p)
             break
-    if best_schedule is None:
-        best_schedule = TimeShare(1.0, _ORIGIN, _ORIGIN)
     return EqualRateSolution(rate=best_rate, schedule=best_schedule)
 
 

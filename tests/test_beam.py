@@ -21,6 +21,7 @@ from hmsim.beam import (
     _j1_series_factor,
     _location_attenuation,
 )
+from hmsim.cli import main
 
 # J1 reference values on the main lobe [0, j1,1], 30-digit
 # arbitrary-precision series, computed offline and frozen here.
@@ -271,6 +272,27 @@ class TestWeatherSampling:
             with pytest.raises(ValueError) as excinfo:
                 WeatherCdf.from_csv(non_finite)
             assert str(excinfo.value) == f"{non_finite}: line 3: non-finite value"
+
+    @pytest.mark.parametrize("text,problem", [
+        ("", "empty file"),
+        ("attenuation_db,cum_prob\n0,0\n1,0.5,2\n6,1\n", "line 3: expected 2 fields"),
+        ("attenuation_db,cum_prob\n0,0\n1 dB,0.5\n6,1\n", "line 3: bad number"),
+    ], ids=["empty", "field_count", "bad_number"])
+    def test_csv_errors_located(self, tmp_path, text, problem, capsys):
+        path = tmp_path / "wx.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            WeatherCdf.from_csv(path)
+        assert str(excinfo.value) == f"{path}: {problem}"
+        ini = tmp_path / "s.ini"
+        ini.write_text("[weather]\ncdf = wx.csv\n")
+        assert main(["validate", "--scenario", str(ini)]) == 1
+        assert capsys.readouterr() == ("", f"FAIL: weather CDF: {path}: {problem}\n")
+
+    def test_csv_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "wx.csv"
+        path.write_text("attenuation_db,cum_prob\n0,0\n\n , \n8,1\n")
+        assert list(WeatherCdf.from_csv(path).attenuation_db) == [0.0, 8.0]
 
 
 class TestDrawPopulation:

@@ -166,10 +166,10 @@ class TestEngine:
         cfg = campaign_config(snr_max_grid=(-40.0,), receivers=5, repetitions=3, master_seed=1)
         report = run_campaign(cfg, full_table, default_antenna, sample_weather)
         stat = report.stats[(-40.0, "h_apsk32")]
-        assert stat.excluded_runs == 3
-        assert stat.included_runs == 0
-        assert math.isnan(stat.mean)
         assert report.outage[-40.0].total_outage_runs == 3
+        assert report.raw_gains[(-40.0, "h_apsk32")] == (None,) * 3
+        assert math.isnan(stat.mean)
+        assert gains_csv_text(report).splitlines()[1:] == [f"-40,{t},nan,nan,3" for t in report.family_tokens]
 
     def test_per_run_gains_match_filtered_system_gain(self, full_table, sample_weather, default_antenna,
                                                       campaign_config):
@@ -429,6 +429,23 @@ class TestReportSurface:
         lines = gains_csv_text(report).strip().splitlines()
         assert lines[0] == "snr_max_db,family,mean_gain,std_gain,excluded_runs"
         assert len(lines) - 1 == 3 * 2  # grid points x families
+
+    def test_excluded_runs_are_the_total_outage_runs(self, full_table, sample_weather, default_antenna,
+                                                     campaign_config):
+        """Every curve leaves out exactly the runs in total outage, so each
+        gains.csv row's excluded_runs is its grid point's total_outage_runs."""
+        cfg = campaign_config(snr_max_grid=(-4.0, -2.6, -2.2, 3.0), receivers=4, repetitions=8,
+                              families=(Family.H_QPSK, Family.H_APSK32), combined=True, master_seed=5)
+        report = run_campaign(cfg, full_table, default_antenna, sample_weather)
+        counts = [report.outage[snr].total_outage_runs for snr in cfg.snr_max_grid]
+        assert counts[0] == 8 and counts[-1] == 0 and any(0 < c < 8 for c in counts)
+        rows = [line.split(",") for line in gains_csv_text(report).splitlines()[1:]]
+        assert len(rows) == 4 * 3
+        for (snr, token, *_, excluded), (snr_max, tok) in zip(
+                rows, [(snr_max, tok) for snr_max in cfg.snr_max_grid for tok in report.family_tokens]):
+            assert (float(snr), token) == (snr_max, tok)
+            assert int(excluded) == report.raw_gains[(snr_max, tok)].count(None)
+            assert int(excluded) == report.outage[snr_max].total_outage_runs
 
     def test_combined_curve_rows(self, full_table, sample_weather, default_antenna, campaign_config):
         cfg = campaign_config(

@@ -77,6 +77,25 @@ class TestRho:
     def test_requires_exactly_one_family(self, capsys):
         assert main(["rho", "--theta", "20"]) == 1
 
+    def test_h8psk_value(self, capsys):
+        assert main(["rho", "--h8psk", "--theta", "27"]) == 0
+        assert capsys.readouterr() == ("rho_he = 0.7939\n", "")
+
+    def test_hqpsk_table(self, capsys):
+        assert main(["rho", "--table", "hqpsk"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "rho_he theta_deg cos2(theta)" and len(lines) == 10
+        assert "0.75   30        0.7500" in lines
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--hqpsk"], "--theta required"),
+        (["--h8psk"], "--theta required"),
+        (["--h32apsk", "--g1", "1.6", "--theta", "28.4"], "--g1, --g2 and --theta required"),
+    ], ids=["hqpsk", "h8psk", "h32apsk"])
+    def test_missing_parameter(self, argv, message, capsys):
+        assert main(["rho", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestPair:
     def test_invariant_printed(self, capsys):
@@ -309,6 +328,7 @@ class TestCampaign:
         ("--seed", "seed", "-1", "is below the minimum of 0"),
         ("--grid", "grid", "1:x:2", "is not a valid grid: expected 'start:stop:step'"),
         ("--grid", "grid", "4:2:1", "is not a valid grid: expected 'start:stop:step'"),
+        ("--grid", "grid", "1:2", "is not a valid grid: expected 'start:stop:step'"),
         ("--grid", "grid", "0:1e-9:2.5e-10", "is not a valid grid: two points round to 0 at 9 decimals"),
         ("--grid", "grid", "0:1e-8:6e-10", "is not a valid grid: two points round to 1e-09 at 9 decimals"),
         ("--grid", "grid", "0:100:1e-6", "is not a valid grid: more than 10,000 points"),
@@ -459,6 +479,26 @@ class TestValidate:
 
     def test_missing_scenario_file(self, capsys):
         assert main(["validate", "--scenario", "/nonexistent/s.ini"]) == 1
+
+    # Tables that load but fail validate: no single-stream entries, and a
+    # rho_he pattern warning (HE should fall as rho_he rises) that the
+    # known-anomalies manifest does not name.
+    @pytest.mark.parametrize("tables,rows,problem", [
+        ("baseline = <packaged hqpsk_thresholds.csv>", None,
+         "no single-stream baseline entries; campaigns cannot run"),
+        ("hierarchical = hq.csv", ["h_qpsk,0.6,HE,1/2,1.0", "h_qpsk,0.6,LE,1/2,5.0",
+                                   "h_qpsk,0.7,HE,1/2,2.0", "h_qpsk,0.7,LE,1/2,6.0"],
+         "1 warnings outside the known-anomalies manifest"),
+    ], ids=["no_single_stream", "unknown_warning"])
+    def test_tables_that_fail_validation(self, tmp_path, tables, rows, problem, capsys):
+        if rows:
+            (tmp_path / "hq.csv").write_text("\n".join(["family,rho_he,stream,code_rate,threshold_db", *rows]) + "\n")
+        ini = tmp_path / "s.ini"
+        ini.write_text(f"[tables]\n{tables}\n")
+        assert main(["validate", "--scenario", str(ini)]) == 1
+        captured = capsys.readouterr()
+        assert "tables: " in captured.out and "OK" not in captured.out.splitlines()
+        assert captured.err == f"FAIL: {problem}\n"
 
 
 class TestScenario:

@@ -181,6 +181,29 @@ class TestLoaderErrors:
         with pytest.raises(error, match=f"^{re.escape(str(path))}: line 3: "):
             load_threshold_csv(path)
 
+    @pytest.mark.parametrize("row,error,problem", [
+        ("qpsk,,SINGLE,1/2", TableParseError, "expected 5 fields, got 4"),
+        ("h_qpsk,high,HE,1/2,1.0", TableParseError, "bad rho_he 'high'"),
+        ("qpsk,,SINGLE,1/2,1.0 dB", TableParseError, "bad threshold '1.0 dB'"),
+        ("qpsk,,SINGLE,1/2,inf", TableValidationError, "non-finite threshold"),
+        ("qpsk,,SINGLE,1/2,nan", TableValidationError, "non-finite threshold"),
+        ("h_qpsk,0.7,MID,1/2,1.0", TableParseError, "unknown stream 'MID'"),
+    ])
+    def test_bad_row_located(self, tmp_path, row, error, problem, capsys):
+        path = write_csv(tmp_path, "h.csv", ["qpsk,,SINGLE,1/4,-2.35", row])
+        with pytest.raises(error) as excinfo:
+            load_threshold_csv(path)
+        assert str(excinfo.value) == f"{path}: line 3: {problem}"
+        ini = tmp_path / "s.ini"
+        ini.write_text("[tables]\nhierarchical = h.csv\n")
+        assert cli.main(["validate", "--scenario", str(ini)]) == 1
+        assert capsys.readouterr() == ("", f"FAIL: threshold tables: {path}: line 3: {problem}\n")
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = write_csv(tmp_path, "h.csv", ["qpsk,,SINGLE,1/4,-2.35", "", " , ,", "qpsk,,SINGLE,1/2,1.0"])
+        table = load_threshold_csv(path)
+        assert sorted(table.entries().values()) == [-2.35, 1.0]
+
     def test_duplicate_cell(self, tmp_path):
         rows = ["qpsk,,SINGLE,1/2,1.0", "qpsk,,SINGLE,1/2,2.0"]
         with pytest.raises(TableValidationError, match="duplicate"):
@@ -258,6 +281,24 @@ class TestStreamEfficiency:
     def test_mismatch(self):
         with pytest.raises(ValueError):
             ModcodChoice(SchemeId(Family.QPSK), Stream.HE, F(1, 2)).spectral_efficiency
+
+    def test_one_formula_is_the_exact_ratio_rounded_once(self):
+        for bits in range(1, 6):
+            for rate in DVBS2_CODE_RATES:
+                units = modcod._efficiency_units(bits, rate)
+                assert units / modcod.EFFICIENCY_UNITS == float(bits * Fraction(rate))
+                assert units == bits * rate * modcod.EFFICIENCY_UNITS
+
+    @pytest.mark.parametrize("rate", [F(7, 8), F(1, 5)], ids=["7_8", "1_5"])
+    def test_non_dvbs2_rate_rejected_in_a_table_built_directly(self, rate):
+        # 7/8 has no whole number of units; 1/5 has one, but no DVB-S2 modcod
+        qpsk = SchemeId(Family.QPSK)
+        table = ThresholdTable({(qpsk, Stream.SINGLE, rate): 1.0, (qpsk, Stream.SINGLE, F(1, 2)): 0.0})
+        queries = [lambda: table.cell_inv, lambda: table.best_single(2.0),
+                   lambda: ModcodChoice(qpsk, Stream.SINGLE, rate).spectral_efficiency]
+        for query in queries:
+            with pytest.raises(ValueError, match=f"^code rate {rate} is not a DVB-S2 rate$"):
+                query()
 
 
 SINGLES = {Family.QPSK, Family.PSK8, Family.APSK16, Family.APSK32}

@@ -467,6 +467,11 @@ class TestAggregates:
         with pytest.raises(ValueError, match="nonnegative"):
             RatePair(-1.0, 2.0)
 
+    @pytest.mark.parametrize("r1,r2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_rejects_non_finite(self, r1, r2):
+        with pytest.raises(ValueError, match="finite"):
+            RatePair(r1, r2)
+
 
 class TestSystemGain:
     def test_total_outage_reads_nan(self, full_table):
@@ -626,7 +631,7 @@ class TestPairMemo:
             cfg = campaign_config(snr_max_grid=(2.0, 12.0), receivers=40, repetitions=3, families=(Family.H_PSK8,),
                                   combined=False, master_seed=2)
             report = run_campaign(cfg, table, default_antenna, sample_weather)
-            assert all(stat.excluded_runs == 0 for stat in report.stats.values())
+            assert all(stat.total_outage_runs == 0 for stat in report.outage.values())
 
     def test_one_solve_per_cell_pair(self, full_table, monkeypatch):
         solved = []
