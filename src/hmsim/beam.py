@@ -28,7 +28,6 @@ seed. Callers that parallelize derive one child seed per work unit, e.g.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +35,8 @@ from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
+
+from .modcod import read_csv_rows
 
 __all__ = [
     "GEO_ALTITUDE_M",
@@ -228,29 +229,19 @@ class WeatherCdf:
 
     @classmethod
     def from_csv(cls, path: Union[str, Path]) -> "WeatherCdf":
-        """Load from a CSV with header ``attenuation_db,cum_prob``."""
+        """Load from a CSV with header ``attenuation_db,cum_prob``, read by
+        ``modcod.read_csv_rows``: UTF-8, that header, two fields on every
+        row but the blank ones. ValueError names the file and the line."""
         path = Path(path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        points = []
+        for line_no, fields in read_csv_rows(path, ("attenuation_db", "cum_prob")):
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty file") from None
-            if [h.strip() for h in header] != ["attenuation_db", "cum_prob"]:
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            points = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}: line {line_no}: expected 2 fields")
-                try:
-                    point = (float(row[0]), float(row[1]))
-                except ValueError:
-                    raise ValueError(f"{path}: line {line_no}: bad number") from None
-                if not all(map(math.isfinite, point)):
-                    raise ValueError(f"{path}: line {line_no}: non-finite value")
-                points.append(point)
+                point = (float(fields[0]), float(fields[1]))
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: bad number") from None
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"{path}: line {line_no}: non-finite value")
+            points.append(point)
         try:
             return cls(points)
         except ValueError as exc:

@@ -55,6 +55,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -350,8 +352,9 @@ def run_campaign(
             values = [None if math.isnan(v) else v for v in gains[token][g].tolist()]
             included = [v for v in values if v is not None]
             if included:
-                mean = sum(included) / len(included)
-                std = math.sqrt(sum((v - mean) ** 2 for v in included) / len(included))
+                # Left to right from 0.0: sum() of floats is compensated from Python 3.12 on.
+                mean = reduce(add, included, 0.0) / len(included)
+                std = math.sqrt(reduce(add, ((v - mean) ** 2 for v in included), 0.0) / len(included))
             else:
                 mean = std = math.nan
             stats[(snr_max, token)] = GainStat(mean=mean, std=std)

@@ -87,14 +87,6 @@ class ScenarioError(ValueError):
     pass
 
 
-def _read(reader, path, *args):
-    """``reader(path, *args)``; a file that is not UTF-8 is a ScenarioError naming it."""
-    try:
-        return reader(path, *args)
-    except UnicodeDecodeError as exc:
-        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from None
-
-
 def _write(path: Path, text: str, where: str = "", mode: str = "w") -> None:
     """Write an output file, opened in ``mode``; a failure is a ScenarioError
     located by ``where`` or ``path``."""
@@ -209,11 +201,13 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
             raise ScenarioError(f"scenario file not found: {file}")
         known = {section: list(parser[section]) for section in parser.sections()}
         try:
-            _read(parser.read, str(file), "utf-8")
+            parser.read(str(file), "utf-8")
         except configparser.Error as exc:
             # A missing section header or a duplicate key; configparser's
             # message names the file and the line, over several lines.
             raise ScenarioError(" ".join(str(exc).split())) from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{file}: not UTF-8 text: {exc}") from None
         base = file.parent
         source = str(file)
         # Only the sections and keys of DEFAULT_SCENARIO. configparser
@@ -276,13 +270,13 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
     workers = setting("campaign", "workers", int, 1)
     try:
         anomalies = load_anomaly_manifest()
-        tables = _read(load_threshold_csv, baseline_path, anomalies)
+        tables = load_threshold_csv(baseline_path, anomalies)
         for table_path in hierarchical_paths:
-            tables = tables.merged_with(_read(load_threshold_csv, table_path, anomalies))
-    except (OSError, ScenarioError, TableParseError, TableValidationError) as exc:
+            tables = tables.merged_with(load_threshold_csv(table_path, anomalies))
+    except (OSError, TableParseError, TableValidationError) as exc:
         raise ScenarioError(f"threshold tables: {exc}") from exc
     try:
-        weather = _read(WeatherCdf.from_csv, weather_path)
+        weather = WeatherCdf.from_csv(weather_path)
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"weather CDF: {exc}") from exc
     families, combined = _resolve_families(*text("campaign", "families"), tables)
@@ -414,10 +408,9 @@ def cmd_validate(args) -> int:
     warnings = scenario.tables.warnings
     for w in warnings:
         print(w)
-    anomalies = load_anomaly_manifest()
     hits = [w for w in warnings if w.known_anomaly]
     print(f"tables: {len(scenario.tables)} entries, {len(warnings)} warnings "
-          f"({len(hits)} known-anomaly, {len(anomalies)} manifest rows)")
+          f"({len(hits)} known-anomaly, {len(load_anomaly_manifest())} manifest rows)")
     print(f"weather CDF: {len(scenario.weather.cum_prob)} points, max attenuation "
           f"{scenario.weather.attenuation_db[-1]:g} dB")
     if all(family.hierarchical for family in scenario.tables.families()):

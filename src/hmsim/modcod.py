@@ -28,6 +28,9 @@ The shipped files live in ``hmsim/data``:
   ``load_threshold_csv`` reports them as warnings, not errors;
 * ``weather_cdf_sample.csv`` - a sample weather-attenuation CDF for the
   beam model, schema ``attenuation_db,cum_prob`` (see ``hmsim.beam``).
+
+Every data file is read by ``read_csv_rows``: UTF-8 text, the expected
+header, then blank rows skipped and the header's field count on the rest.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import cache, cached_property
 from importlib import resources
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -60,6 +63,7 @@ __all__ = [
     "load_anomaly_manifest",
     "signaling_bits",
     "packaged_data_path",
+    "read_csv_rows",
 ]
 
 
@@ -247,6 +251,30 @@ def packaged_data_path(name: str) -> Path:
     return Path(resources.files("hmsim").joinpath("data", name))
 
 
+def read_csv_rows(path: Path, header: Sequence[str], error: type[Exception] = ValueError) -> Iterator[tuple[int, list[str]]]:
+    """(line number, stripped fields) of each non-blank row after the first,
+    which must be ``header``, of a UTF-8 CSV file. Raises ``error`` naming the
+    file for an empty file, another header, text that is not UTF-8 and, with
+    its line, a row without ``len(header)`` fields."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = enumerate(csv.reader(fh), start=1)
+            first = next(rows, None)
+            if first is None:
+                raise error(f"{path}: empty file")
+            if [h.strip() for h in first[1]] != list(header):
+                raise error(f"{path}: line 1: unexpected header {first[1]!r}")
+            for line_no, row in rows:
+                fields = [field.strip() for field in row]
+                if not any(fields):
+                    continue
+                if len(fields) != len(header):
+                    raise error(f"{path}: line {line_no}: expected {len(header)} fields, got {len(fields)}")
+                yield line_no, fields
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_anomaly_manifest() -> dict[AnomalyKey, str]:
     """Load the shipped known-anomalies manifest.
 
@@ -254,13 +282,9 @@ def load_anomaly_manifest() -> dict[AnomalyKey, str]:
     even though it breaks an expected monotonic pattern. Keys are
     (family token, rho_he, stream, code rate).
     """
-    manifest: dict[AnomalyKey, str] = {}
-    with open(packaged_data_path("known_anomalies.csv"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            rho = float(row["rho_he"]) if row["rho_he"] else None
-            key = (row["family"], rho, row["stream"], Fraction(row["code_rate"]))
-            manifest[key] = row["note"]
-    return manifest
+    rows = read_csv_rows(packaged_data_path("known_anomalies.csv"), ("family", "rho_he", "stream", "code_rate", "note"))
+    return {(family, float(rho) if rho else None, stream, Fraction(rate)): note
+            for _, (family, rho, stream, rate, note) in rows}
 
 
 # The canonical spelling of each DVB-S2 rate, so the common case is one
@@ -394,7 +418,8 @@ class ThresholdTable:
             if key in entries and entries[key] != thr:
                 raise TableValidationError(f"conflicting thresholds for {key[0].token}/{key[1].value} {key[2]}")
             entries[key] = thr
-        return ThresholdTable(entries, warnings=tuple(self.warnings) + tuple(other.warnings))
+        # A warning both tables carry, as when one file is merged twice, is kept once.
+        return ThresholdTable(entries, warnings=tuple(dict.fromkeys(self.warnings + other.warnings)))
 
     # -- queries -------------------------------------------------------------------
 
@@ -498,67 +523,54 @@ def load_threshold_csv(
     # One SchemeId per (family, rho_he) spelling, so the rows of a scheme
     # share it and each spelling is parsed and checked once.
     schemes: dict[tuple[str, str], SchemeId] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableParseError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["family", "rho_he", "stream", "code_rate", "threshold_db"]:
-            raise TableParseError(f"{path}: line 1: unexpected header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            cells = [cell.strip() for cell in row]
-            if not any(cells):
-                continue
-            if len(cells) != 5:
-                raise TableParseError(f"{path}: line {line_no}: expected 5 fields, got {len(cells)}")
-            fam_tok, rho_tok, stream_tok, rate_tok, thr_tok = cells
-            scheme = schemes.get((fam_tok, rho_tok))
-            if scheme is None:
-                try:
-                    family = Family.from_token(fam_tok)
-                except ValueError as exc:
-                    raise TableParseError(f"{path}: line {line_no}: {exc}") from None
-                try:
-                    rho = float(rho_tok) if rho_tok else None
-                except ValueError:
-                    raise TableParseError(f"{path}: line {line_no}: bad rho_he {rho_tok!r}") from None
-                try:
-                    scheme = schemes[(fam_tok, rho_tok)] = SchemeId(family, rho)
-                except ValueError as exc:
-                    raise TableValidationError(f"{path}: line {line_no}: {exc}") from None
-            family, rho = scheme.family, scheme.rho_he
-            rate = _parse_rate(rate_tok, path, line_no)
+    header = ("family", "rho_he", "stream", "code_rate", "threshold_db")
+    for line_no, (fam_tok, rho_tok, stream_tok, rate_tok, thr_tok) in read_csv_rows(path, header, TableParseError):
+        scheme = schemes.get((fam_tok, rho_tok))
+        if scheme is None:
             try:
-                threshold = float(thr_tok)
+                family = Family.from_token(fam_tok)
+            except ValueError as exc:
+                raise TableParseError(f"{path}: line {line_no}: {exc}") from None
+            try:
+                rho = float(rho_tok) if rho_tok else None
             except ValueError:
-                raise TableParseError(f"{path}: line {line_no}: bad threshold {thr_tok!r}") from None
-            if not math.isfinite(threshold):
-                raise TableValidationError(f"{path}: line {line_no}: non-finite threshold")
+                raise TableParseError(f"{path}: line {line_no}: bad rho_he {rho_tok!r}") from None
+            try:
+                scheme = schemes[(fam_tok, rho_tok)] = SchemeId(family, rho)
+            except ValueError as exc:
+                raise TableValidationError(f"{path}: line {line_no}: {exc}") from None
+        family, rho = scheme.family, scheme.rho_he
+        rate = _parse_rate(rate_tok, path, line_no)
+        try:
+            threshold = float(thr_tok)
+        except ValueError:
+            raise TableParseError(f"{path}: line {line_no}: bad threshold {thr_tok!r}") from None
+        if not math.isfinite(threshold):
+            raise TableValidationError(f"{path}: line {line_no}: non-finite threshold")
 
-            if stream_tok == "HE/LE":
-                if not family.hierarchical or rho != 0.5:
-                    raise TableValidationError(
-                        f"{path}: line {line_no}: merged HE/LE rows are only legal for hierarchical rho_he=0.5"
-                    )
-                targets = (Stream.HE, Stream.LE)
-            else:
-                try:
-                    stream = Stream(stream_tok)
-                except ValueError:
-                    raise TableParseError(f"{path}: line {line_no}: unknown stream {stream_tok!r}") from None
-                if (stream is Stream.SINGLE) == family.hierarchical:
-                    raise TableValidationError(
-                        f"{path}: line {line_no}: stream {stream.value} inconsistent with family {family.token}"
-                    )
-                targets = (stream,)
-            for stream in targets:
-                key = (scheme, stream, rate)
-                if key in entries:
-                    raise TableValidationError(
-                        f"{path}: line {line_no}: duplicate entry {scheme.token}/{stream.value} {rate}"
-                    )
-                entries[key] = threshold
+        if stream_tok == "HE/LE":
+            if not family.hierarchical or rho != 0.5:
+                raise TableValidationError(
+                    f"{path}: line {line_no}: merged HE/LE rows are only legal for hierarchical rho_he=0.5"
+                )
+            targets = (Stream.HE, Stream.LE)
+        else:
+            try:
+                stream = Stream(stream_tok)
+            except ValueError:
+                raise TableParseError(f"{path}: line {line_no}: unknown stream {stream_tok!r}") from None
+            if (stream is Stream.SINGLE) == family.hierarchical:
+                raise TableValidationError(
+                    f"{path}: line {line_no}: stream {stream.value} inconsistent with family {family.token}"
+                )
+            targets = (stream,)
+        for stream in targets:
+            key = (scheme, stream, rate)
+            if key in entries:
+                raise TableValidationError(
+                    f"{path}: line {line_no}: duplicate entry {scheme.token}/{stream.value} {rate}"
+                )
+            entries[key] = threshold
     if not entries:
         raise TableParseError(f"{path}: no data rows")
 

@@ -275,12 +275,14 @@ class TestWeatherSampling:
 
     @pytest.mark.parametrize("text,problem", [
         ("", "empty file"),
-        ("attenuation_db,cum_prob\n0,0\n1,0.5,2\n6,1\n", "line 3: expected 2 fields"),
+        ("attenuation_db,cum_prob\n0,0\n1,0.5,2\n6,1\n", "line 3: expected 2 fields, got 3"),
         ("attenuation_db,cum_prob\n0,0\n1 dB,0.5\n6,1\n", "line 3: bad number"),
-    ], ids=["empty", "field_count", "bad_number"])
+        ("attenuation_db,cum_prob\n0,0\n\xff,0.5\n6,1\n",
+         "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 28: invalid start byte"),
+    ], ids=["empty", "field_count", "bad_number", "not_utf8"])
     def test_csv_errors_located(self, tmp_path, text, problem, capsys):
         path = tmp_path / "wx.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode("latin-1"))
         with pytest.raises(ValueError) as excinfo:
             WeatherCdf.from_csv(path)
         assert str(excinfo.value) == f"{path}: {problem}"

@@ -469,6 +469,21 @@ class TestReportSurface:
         text = curve_csv_text(report, "h_qpsk")
         assert text.startswith("snr_max_db,mean_gain\n")
 
+    def test_mean_and_std_sum_left_to_right(self, full_table, sample_weather, default_antenna, monkeypatch,
+                                            campaign_config):
+        # sum() of floats is compensated from Python 3.12 on, where ten 0.1s
+        # sum to 1.0; the report sums left to right from 0.0 on every Python.
+        cfg = campaign_config(snr_max_grid=(5.0,), receivers=2, repetitions=10, families=(Family.H_QPSK,))
+        monkeypatch.setattr(campaign, "_run_grid_points", lambda ctx, grid_indices: (
+            np.zeros((1, 10), dtype=np.intp), {"h_qpsk": np.full((1, 10), 0.1)}))
+        stat = run_campaign(cfg, full_table, default_antenna, sample_weather).stats[(5.0, "h_qpsk")]
+        mean = 0.9999999999999999 / 10
+        squares = 0.0
+        for _ in range(10):
+            squares += (0.1 - mean) ** 2
+        assert mean != 0.1 and squares > 0.0
+        assert (stat.mean, stat.std) == (mean, math.sqrt(squares / 10))
+
     def test_missing_baseline_rejected(self, hqpsk_table, sample_weather, default_antenna, small_cfg):
         with pytest.raises(ValueError, match="baseline"):
             run_campaign(small_cfg, hqpsk_table, default_antenna, sample_weather)

@@ -409,6 +409,14 @@ class TestValidate:
         assert "known anomaly" in out
         assert "OK" in out
 
+    def test_table_named_twice_warns_once(self, tmp_path, capsys):
+        ini = tmp_path / "twice.ini"
+        ini.write_text("[tables]\nhierarchical = <packaged hqpsk_thresholds.csv>, <packaged hqpsk_thresholds.csv>\n")
+        assert main(["validate", "--scenario", str(ini)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("WARNING") == 1
+        assert "tables: 226 entries, 1 warnings (1 known-anomaly, 1 manifest rows)\n" in out
+
     def test_decreasing_cdf_fails(self, scenario_dir, capsys):
         (scenario_dir / "wx.csv").write_text("attenuation_db,cum_prob\n0,0.9\n1,0.2\n2,1\n")
         assert main(["validate", "--scenario", str(scenario_dir / "scenario.ini")]) == 1

@@ -199,6 +199,15 @@ class TestLoaderErrors:
         assert cli.main(["validate", "--scenario", str(ini)]) == 1
         assert capsys.readouterr() == ("", f"FAIL: threshold tables: {path}: line 3: {problem}\n")
 
+    def test_file_that_is_not_utf8_located(self, tmp_path):
+        path = write_csv(tmp_path, "h.csv", ["qpsk,,SINGLE,1/4,-2.35"])
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(TableParseError) as excinfo:
+            load_threshold_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 67: invalid start byte"
+        )
+
     def test_blank_rows_skipped(self, tmp_path):
         path = write_csv(tmp_path, "h.csv", ["qpsk,,SINGLE,1/4,-2.35", "", " , ,", "qpsk,,SINGLE,1/2,1.0"])
         table = load_threshold_csv(path)
@@ -438,6 +447,13 @@ class TestTableAlgebra:
         for table in (merged, single_table):
             assert table.best_single(-2.35) is not None and table.best_single(np.nextafter(-2.35, -np.inf)) is None
         assert np.isinf(hqpsk_table.cell_inv).all()
+
+    def test_merge_keeps_each_warning_once(self, hqpsk_table, full_table, single_table, h32apsk_table):
+        assert len(hqpsk_table.warnings) == 1
+        assert hqpsk_table.merged_with(hqpsk_table).warnings == hqpsk_table.warnings
+        assert full_table.merged_with(hqpsk_table).warnings == full_table.warnings == (
+            single_table.warnings + hqpsk_table.warnings + h32apsk_table.warnings
+        )
 
     def test_inf_reciprocal_marks_outage(self, full_table):
         # SNRs exactly at, and one ulp either side of, every threshold
