@@ -11,10 +11,10 @@ Receivers that decode no single-stream modcod (an inf ``cell_inv``, see
 ``rateopt.system_summaries``) are not servable by the classical baseline at
 all; they are left out of the run and counted, since the relative gain is
 undefined against a zero baseline. Every family table holds all the
-single-stream entries, so each family's ``system_summaries`` call counts
-the same receivers. A run is excluded (gain recorded as missing) only when
-the whole population is in outage, so every curve excludes the same runs:
-the ``excluded_runs`` column of gains.csv is the grid point's
+single-stream entries, so every family leaves out the same receivers,
+counted once. A run is excluded (gain recorded as missing) only when the
+whole population is in outage, so every curve excludes the same runs: the
+``excluded_runs`` column of gains.csv is the grid point's
 ``OutageStat.total_outage_runs``, stored once.
 
 Each process evaluates its (grid point, repetition) units as one array
@@ -22,22 +22,23 @@ program, in spans of whole units of at most ``_SPAN_RECEIVERS``
 receivers. First, each chunk of at most ``_CHUNK_RECEIVERS`` receivers
 is drawn, sorted once and searched once in the edges of the union table,
 which holds every evaluated family and so refines every family table's
-cells; a lookup table per family turns those cells into that family's
-cells, kept in one uint8 buffer per family. Then each family makes one
-``rateopt.system_summaries`` call on the span, which counts each unit's
-outage, solves each of the span's cell pairs once, in one
-``solve_cell_pairs`` call, and sums each unit from those terms. A unit's
-receivers are paired max-spread, lowest cell with highest, the model's
-rule, so the reported gain is a lower bound on the best pairing's.
+cells; those cells are kept in one uint8 buffer. Then one
+``rateopt.system_summaries`` call on the span counts each unit's outage,
+pairs its receivers and sums its classical rate once, and per family
+maps the pairs to the family's cells, solves each distinct cell pair
+once, in one ``solve_cell_pairs`` call, and sums each unit from those
+terms. A unit's receivers are paired max-spread, lowest cell with
+highest, the model's rule, so the reported gain is a lower bound on the
+best pairing's.
 
 With W workers the grid is split into B = min(W, grid points)
 interleaved blocks of grid points (block b takes points b, b + W, ...),
 which spreads the costlier high-SNR points, and the results are put back
 in grid order. The parent process first builds everything a block reads
 (see ``_primed_context``): numpy's lazily imported ``random`` submodule,
-the beam edge angle, the lookup tables and each family table's query
-structures. It then starts one child process for each of blocks 1 to
-B - 1, forked on Linux so that it inherits the primed context without
+the beam edge angle, the union table's edges and each family table's
+query structures. It then starts one child process for each of blocks 1
+to B - 1, forked on Linux so that it inherits the primed context without
 pickling, and runs block 0 itself while they run the others. Each child
 sends back its block's result, or the exception it raised, over a
 one-way pipe. With one block, at workers=1 or on a one-point grid, no
@@ -165,10 +166,10 @@ class SimulationReport:
 # campaign, whose cost moved with the host from one run to the next.
 _CHUNK_RECEIVERS = 1 << 12
 
-# Receivers per span of units whose cells are kept for one pair solve and
-# the sums: one (units x receivers) buffer of cells per family, uint8 while
-# the tables have fewer than 256 cells (the shipped ones have at most 193),
-# so 256 KB each, allocated once per block whatever the campaign's size.
+# Receivers per span of units whose cells are kept for one
+# ``system_summaries`` call: one (units x receivers) buffer of union cells,
+# uint8 while the union has fewer than 256 cells (the shipped one has at
+# most 193), so 256 KB, allocated once per block whatever the campaign's size.
 _SPAN_RECEIVERS = 1 << 18
 
 
@@ -177,36 +178,35 @@ class _Context(NamedTuple):
 
     ``tables`` holds each evaluated family's table, keyed by token in report
     order. ``union`` holds the entries of every evaluated family, so its
-    cells refine each family table's cells: ``luts[token][c]`` is the cell
-    of that family's table for any SNR in union cell c."""
+    cells refine each family table's cells and ``system_summaries`` takes
+    the union cells for all of them."""
 
     tables: dict[str, ThresholdTable]
     union: ThresholdTable
-    luts: dict[str, np.ndarray]
     cfg: CampaignConfig
     beam: AntennaConfig
     weather: WeatherCdf
 
 
-def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The units of the given grid points: the receivers left out as
-    unservable, and each family's gains (NaN: run excluded), as (grid
-    points, repetitions) arrays.
+    unservable, as a (grid points, repetitions) array, and the gains (NaN:
+    run excluded), as a (``ctx.tables``, grid points, repetitions) array.
 
     The units run in spans of at most ``_SPAN_RECEIVERS`` receivers, each
     drawn in chunks of at most ``_CHUNK_RECEIVERS`` (both at least one
     unit). Each chunk is sorted and searched once in the union table's
-    edges, and each family's cells are looked up from those cells into the
-    span's buffer. Each family then sums the whole span in one
-    ``system_summaries`` call, which makes one pair solve and counts the
-    receivers left out, the same for every family."""
+    edges into the span's buffer of union cells. One ``system_summaries``
+    call then sums the whole span for every family: it counts the receivers
+    left out and pairs them once, and makes one pair solve per family."""
     cfg = ctx.cfg
     units = [(g, rep) for g in grid_indices for rep in range(cfg.repetitions)]
+    tables, edges = list(ctx.tables.values()), ctx.union.edges
     dropped = np.empty(len(units), dtype=np.intp)
-    gains = {token: np.empty(len(units)) for token in ctx.tables}
+    gains = np.empty((len(tables), len(units)))
     span = max(1, _SPAN_RECEIVERS // cfg.receivers)
     chunk = min(span, max(1, _CHUNK_RECEIVERS // cfg.receivers))
-    cells = {token: np.empty((min(span, len(units)), cfg.receivers), lut.dtype) for token, lut in ctx.luts.items()}
+    cells = np.empty((min(span, len(units)), cfg.receivers), np.min_scalar_type(edges.size))
     for lo in range(0, len(units), span):
         hi = min(lo + span, len(units))
         for first in range(lo, hi, chunk):
@@ -220,13 +220,10 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
             )
             # Sorted SNRs give sorted cells, and searchsorted runs faster on them.
             snrs.sort(axis=1)
-            union_cells = ctx.union.cells(snrs)
-            for token, lut in ctx.luts.items():
-                cells[token][first - lo:first - lo + len(part)] = lut[union_cells]
-        for token, table in ctx.tables.items():
-            _, _, gains[token][lo:hi], dropped[lo:hi] = system_summaries(cells[token][:hi - lo], table)
+            cells[first - lo:first - lo + len(part)] = ctx.union.cells(snrs)
+        _, _, gains[:, lo:hi], dropped[lo:hi] = system_summaries(cells[:hi - lo], edges, tables)
     shape = (len(grid_indices), cfg.repetitions)
-    return dropped.reshape(shape), {token: g.reshape(shape) for token, g in gains.items()}
+    return dropped.reshape(shape), gains.reshape(len(tables), *shape)
 
 
 def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaConfig, weather: WeatherCdf) -> _Context:
@@ -235,7 +232,7 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     Everything a block reads is built here, once, so that no block rebuilds
     it and the child processes forked afterwards inherit it: numpy's lazily
     imported ``random`` submodule, the beam edge angle, the union table's
-    edges, each family's cell lookup, and each table's per-cell arrays."""
+    edges, and each table's edges and per-cell arrays."""
     loaded = tables.families()
     single_families = {f for f in loaded if not f.hierarchical}
     if not single_families:
@@ -252,13 +249,10 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
 
     import numpy.random  # noqa: F401  numpy imports it on first use
     beam_edge_angle(beam)
-    edges = union.edges
-    # A union cell's family cell is that of its lowest SNR, its lower edge.
-    dtype = np.min_scalar_type(edges.size)
-    luts = {token: np.concatenate(([0], table.cells(edges))).astype(dtype) for token, table in family_tables.items()}
+    union.edges  # the campaign's cells are union cells
     for table in family_tables.values():
-        table.cell_inv  # builds cell_units, which the pair solves read
-    return _Context(family_tables, union, luts, cfg, beam, weather)
+        table.cell_inv  # builds edges and cell_units, which system_summaries reads
+    return _Context(family_tables, union, cfg, beam, weather)
 
 
 def _run_child_block(ctx, grid_indices: Sequence[int], sender) -> None:
@@ -335,7 +329,7 @@ def run_campaign(
     parts += replies
     order = np.argsort(np.concatenate(blocks))
     dropped = np.concatenate([d for d, _ in parts])[order]
-    gains = {token: np.concatenate([g[token] for _, g in parts])[order] for token in tokens}
+    gains = np.concatenate([g for _, g in parts], axis=1)[:, order]
 
     stats: dict[tuple[float, str], GainStat] = {}
     outage: dict[float, OutageStat] = {}
@@ -348,8 +342,8 @@ def run_campaign(
             max_count=max(outage_counts),
             total_outage_runs=outage_counts.count(cfg.receivers),
         )
-        for token in tokens:
-            values = [None if math.isnan(v) else v for v in gains[token][g].tolist()]
+        for token, family_gains in zip(tokens, gains):
+            values = [None if math.isnan(v) else v for v in family_gains[g].tolist()]
             included = [v for v in values if v is not None]
             if included:
                 # Left to right from 0.0: sum() of floats is compensated from Python 3.12 on.

@@ -19,8 +19,9 @@ aggregated on arrays indexed by cell: ``ThresholdTable.cell_inv`` for
 single modcods and a grid of solved pair terms. The reported gain is
 that of this max-spread pairing, a lower bound on the best pairing's.
 There is one pairing and summing path, ``system_summaries``: it takes
-many populations as the rows of one array of sorted cells, pairs each
-block of rows once, solves each distinct cell pair once in one
+many populations as the rows of one array of sorted cells and any tables
+with the same single modcods, pairs each block of rows once for all
+tables, solves each table's distinct cell pairs once in one
 ``solve_cell_pairs`` call and sums the rows from those terms. A receiver
 that decodes no single modcod has reciprocal inf in ``cell_inv``; that
 inf is the one outage rule. Such receivers sit first in each sorted row,
@@ -273,8 +274,8 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
 # in _best_crossings, int64 and 32 KB each; in system_summaries, a block's
 # rows x term columns. A block's temporaries then total about 0.3 MB and
 # stay within the heap that glibc keeps mapped between blocks (see
-# campaign._CHUNK_RECEIVERS); only its pairing, as large as its cells, is
-# kept for the sums.
+# campaign._CHUNK_RECEIVERS); only its pairing and one table's mapping of
+# it, each as large as its cells, are kept for the sums.
 _BLOCK_ENTRIES = 1 << 12
 
 
@@ -409,17 +410,20 @@ def _pairing(cells, outage, none) -> tuple[np.ndarray, np.ndarray]:
     return weak, np.where(weak_at < strong_at, cells[:, ::-1][:, :width], none)
 
 
-def system_summaries(cells, table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def system_summaries(cells, edges, tables: Sequence[ThresholdTable]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Hierarchical vs classical time sharing for each row of an (R, n)
-    array of sorted receiver cells of ``table`` (see ``table.cells``), n >=
-    1, each pair at its free-disposal equal rate (see ``equal_rate_point``):
-    the arrays r_hm, r_ts, gain and outage, one entry per row.
+    array of sorted receiver cells of ``edges`` (see ``ThresholdTable.cells``),
+    n >= 1, on each of ``tables``, each pair at its free-disposal equal rate
+    (see ``equal_rate_point``): r_hm and gain as (tables, R) arrays, r_ts
+    and outage as (R,) arrays. Each table's edges must be in ``edges``, and
+    its ``cell_inv`` on the cells of ``edges`` must be ``inv``, the first
+    table's (the same single-stream entries); else a ValueError names it.
 
-    A row's outage is its count of leading cells with an inf
-    ``table.cell_inv`` (the inf cells are the lowest, as ``cell_units`` is
-    a running maximum down the cells): those receivers decode no single
-    modcod and are left out, and a row that leaves out all n reads NaN.
-    Every served receiver has a finite reciprocal, so r_ts > 0.
+    A row's outage is its count of leading cells with an inf ``inv`` (the
+    inf cells are the lowest, as ``cell_units`` is a running maximum down
+    the cells): those receivers decode no single modcod and are left out,
+    and a row that leaves out all n reads NaN. Every served receiver has a
+    finite reciprocal, so r_ts > 0.
 
     With k receivers left out, the served cells are ``cells[k:]``, and pair
     j is weak cell ``k + j`` with strong cell ``n - 1 - j`` while ``k + j <
@@ -427,7 +431,7 @@ def system_summaries(cells, table: ThresholdTable) -> tuple[np.ndarray, np.ndarr
     j`` is left unpaired. Cells never decrease as the SNR rises and every
     term is a function of the cells, so this is the weakest-with-strongest
     rule on SNRs. The classical term of a pair is the sum of its two cells'
-    ``table.cell_inv`` entries. Its hierarchical term is the one
+    ``inv`` entries. Its hierarchical term on a table is the one
     ``solve_cell_pairs`` returns: the correctly rounded 1 / r_hm of the
     exact equal rate, or the classical term itself where hierarchy gains
     nothing; so "no gain anywhere" yields r_hm == r_ts bit for bit, and
@@ -435,20 +439,31 @@ def system_summaries(cells, table: ThresholdTable) -> tuple[np.ndarray, np.ndarr
 
     Each block of at most ``_BLOCK_ENTRIES`` rows x term columns (at least
     one row) is paired once, by ``_pairing`` with the sentinel cell ``none
-    = cell_inv.size``, and its cell pairs are marked on one (none + 1) x
-    (none + 1) bool grid. The marked pairs of cells go, each once, to one
+    = edges.size + 1``. Per table, ``lut = [0, *table.cells(edges), m]``,
+    m = ``table.cell_inv.size``, maps each block's pairing to the table's
+    cells (a cell of ``edges`` lies in the table's cell of its lower edge,
+    and ``none`` goes to the table's sentinel m); its cell pairs are marked
+    on one (m + 1) x (m + 1) bool grid and go, each once, to one
     ``solve_cell_pairs`` call, whose terms fill a float grid of that shape
-    with ``padded`` (``cell_inv``, then 0.0) in column ``none``. A row's
-    classical and hierarchical sums are ``np.add.accumulate`` of
-    ``padded[weak] + padded[strong]`` and of ``terms[weak, strong]`` along
-    its term columns; padding adds +0.0, which changes no sum's bits, so a
-    row's sums do not depend on the rows it is summed with.
+    with the table's ``cell_inv``, then 0.0, in column m. A row's classical
+    and hierarchical sums are ``np.add.accumulate`` of ``padded[weak] +
+    padded[strong]`` (``padded``: ``inv``, then 0.0) and of ``terms[weak,
+    strong]`` along its term columns; padding adds +0.0, which changes no
+    sum's bits, so a row's sums do not depend on the rows it is summed with.
     """
     rows, n = cells.shape
     if not n:
         raise ValueError("need at least one receiver")
-    inv = table.cell_inv
-    none = inv.size
+    none = edges.size + 1
+    # Each lookup is as narrow as its sentinel: uint8 pairings map to uint8.
+    luts = [np.concatenate(([0], table.cells(edges), [table.cell_inv.size])) for table in tables]
+    luts = [lut.astype(np.min_scalar_type(lut[-1])) for lut in luts]
+    inv = tables[0].cell_inv[luts[0][:-1]]
+    for i, (table, lut) in enumerate(zip(tables, luts)):
+        if not np.isin(table.edges, edges, assume_unique=True).all():
+            raise ValueError(f"tables[{i}]: edges not all in edges")
+        if not np.array_equal(table.cell_inv[lut[:-1]], inv):
+            raise ValueError(f"tables[{i}]: other single-stream entries than tables[0]")
     # Widen the cells so that they hold the sentinel: uint8 does not hold 256.
     cells = cells.astype(np.result_type(cells.dtype, np.min_scalar_type(none)), copy=False)
     outage = (cells < np.count_nonzero(np.isinf(inv))).sum(axis=1)
@@ -456,21 +471,26 @@ def system_summaries(cells, table: ThresholdTable) -> tuple[np.ndarray, np.ndarr
     step = max(1, _BLOCK_ENTRIES // max(1, int(served.max() + 1) // 2))
     blocks = [slice(lo, lo + step) for lo in range(0, rows, step)]
     pairings = [_pairing(cells[block], outage[block], none) for block in blocks]
-    marked = np.zeros((none + 1, none + 1), dtype=bool)
-    for weak, strong in pairings:
-        marked[weak, strong] = True
-    # Each marked pair of cells once, in row-major (weak, strong) order.
-    a, b = np.nonzero(marked[:none, :none])
-    terms = np.zeros(marked.shape)
-    terms[a, b] = solve_cell_pairs(table, a, b)
-    padded = terms[:, none] = np.append(inv, 0.0)
-    ts_inv, hm_inv = np.empty(rows), np.empty(rows)
+    padded = np.append(inv, 0.0)
+    ts_inv, hm_inv = np.empty(rows), np.empty((len(tables), rows))
     for block, (weak, strong) in zip(blocks, pairings):
         # add.accumulate adds in sequence, so the bits do not depend on
         # numpy's pairwise summation.
         ts_inv[block] = np.add.accumulate(padded[weak] + padded[strong], axis=1)[:, -1]
-        hm_inv[block] = np.add.accumulate(terms[weak, strong], axis=1)[:, -1]
+    for table, lut, hm in zip(tables, luts, hm_inv):
+        mapped = [(lut[weak], lut[strong]) for weak, strong in pairings]
+        m = table.cell_inv.size
+        marked = np.zeros((m + 1, m + 1), dtype=bool)
+        for weak, strong in mapped:
+            marked[weak, strong] = True
+        # Each marked pair of cells once, in row-major (weak, strong) order.
+        a, b = np.nonzero(marked[:m, :m])
+        terms = np.zeros(marked.shape)
+        terms[a, b] = solve_cell_pairs(table, a, b)
+        terms[:, m] = np.append(table.cell_inv, 0.0)
+        for block, (weak, strong) in zip(blocks, mapped):
+            hm[block] = np.add.accumulate(terms[weak, strong], axis=1)[:, -1]
     some = served > 0
     r_ts = np.divide(1.0, ts_inv, out=np.full(rows, np.nan), where=some)
-    r_hm = np.divide(1.0, hm_inv, out=np.full(rows, np.nan), where=some)
+    r_hm = np.divide(1.0, hm_inv, out=np.full(hm_inv.shape, np.nan), where=some)
     return r_hm, r_ts, (r_hm - r_ts) / r_ts, outage

@@ -276,8 +276,9 @@ class RowSummary(NamedTuple):
 
 def snr_summaries(snrs, table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """r_hm, r_ts, gain and outage of each row of an (R, n) SNR array:
-    ``system_summaries`` on the rows' sorted cells."""
-    return system_summaries(table.cells(np.sort(snrs, axis=1)), table)
+    ``system_summaries`` on the rows' sorted cells, with ``table`` alone."""
+    r_hm, r_ts, gain, outage = system_summaries(table.cells(np.sort(snrs, axis=1)), table.edges, [table])
+    return r_hm[0], r_ts, gain[0], outage
 
 
 def row_summary(snrs, table: ThresholdTable) -> RowSummary:

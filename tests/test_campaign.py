@@ -262,14 +262,14 @@ class TestDeterminism:
         singles = {f for f in full_table.families() if not f.hierarchical}
         fresh = {fam.token: full_table.subset(singles | {fam}) for fam in cfg.families}
         fresh[COMBINED] = full_table.subset(singles | set(cfg.families))
-        assert list(gains) == list(fresh)
+        assert list(ctx.tables) == list(fresh) and len(gains) == len(fresh)
         for g, snr_max in enumerate(cfg.snr_max_grid):
             for rep in range(cfg.repetitions):
                 row = draw_population(cfg.receivers, [snr_max], default_antenna, sample_weather,
                                       rng=[np.random.SeedSequence(3, spawn_key=(g, rep))])[0]
-                for token, table in fresh.items():
+                for family_gains, (token, table) in zip(gains, fresh.items()):
                     expected = row_summary(row, table)
-                    got = gains[token][g, rep]
+                    got = family_gains[g, rep]
                     assert got == expected.gain or math.isnan(got) and math.isnan(expected.gain), (g, rep, token)
                     assert dropped[g, rep] == expected.outage
         assert dropped[0].tolist() == [cfg.receivers] * 4 and dropped[-1].tolist() == [0] * 4
@@ -475,7 +475,7 @@ class TestReportSurface:
         # sum to 1.0; the report sums left to right from 0.0 on every Python.
         cfg = campaign_config(snr_max_grid=(5.0,), receivers=2, repetitions=10, families=(Family.H_QPSK,))
         monkeypatch.setattr(campaign, "_run_grid_points", lambda ctx, grid_indices: (
-            np.zeros((1, 10), dtype=np.intp), {"h_qpsk": np.full((1, 10), 0.1)}))
+            np.zeros((1, 10), dtype=np.intp), np.full((1, 1, 10), 0.1)))
         stat = run_campaign(cfg, full_table, default_antenna, sample_weather).stats[(5.0, "h_qpsk")]
         mean = 0.9999999999999999 / 10
         squares = 0.0
@@ -539,20 +539,6 @@ class TestPrimedContext:
         assert set(grown["attributes"]) == {"h_apsk32", "h_qpsk"}
         assert all(new == [] for new in grown["attributes"].values())
         assert grown["edge_angle_misses"] == 0
-
-    def test_family_luts_give_each_tables_cells(self, full_table, sample_weather, default_antenna, campaign_config):
-        # Every threshold, the doubles either side of it, both infinities and
-        # NaN: a family's cell is its lookup of the union cell.
-        cfg = campaign_config(families=(Family.H_QPSK, Family.H_APSK32), combined=True)
-        ctx = campaign._primed_context(cfg, full_table, default_antenna, sample_weather)
-        thresholds = np.array(sorted(set(full_table.entries().values())))
-        snrs = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf),
-                               [-np.inf, np.inf, np.nan]])
-        assert np.array_equal(ctx.union.edges, thresholds)
-        assert list(ctx.luts) == ["h_qpsk", "h_apsk32", COMBINED]
-        for token, lut in ctx.luts.items():
-            assert lut.dtype == np.uint8
-            assert np.array_equal(lut[ctx.union.cells(snrs)], ctx.tables[token].cells(snrs)), token
 
     def test_no_hmsim_command_imports_numpy_ma(self, tmp_path):
         # numpy imports numpy.ma lazily, in np.unique among others, which

@@ -19,6 +19,7 @@ from helpers import (
     system_summary_reference,
     unpruned_points,
 )
+from hmsim import rateopt
 from hmsim.campaign import run_campaign
 from hmsim.modcod import DVBS2_CODE_RATES, Family, ModcodChoice, SchemeId, Stream, ThresholdTable
 from hmsim.rateopt import (
@@ -461,7 +462,21 @@ class TestAggregates:
 
     def test_empty_rejected(self, full_table):
         with pytest.raises(ValueError, match="at least one receiver"):
-            system_summaries(np.empty((3, 0), dtype=np.intp), full_table)
+            system_summaries(np.empty((3, 0), dtype=np.intp), full_table.edges, [full_table])
+
+    def test_table_with_other_edges_rejected(self, full_table):
+        # h_apsk32's thresholds are not all edges of the h_qpsk table
+        union = table_for(full_table, Family.H_QPSK)
+        cells = union.cells(np.linspace(-3.0, 18.0, 12)[None])
+        with pytest.raises(ValueError, match=r"tables\[1\]: edges not all in edges"):
+            system_summaries(cells, union.edges, [union, table_for(full_table, Family.H_APSK32)])
+
+    def test_table_with_other_singles_rejected(self, full_table, hqpsk_table):
+        # the h_qpsk thresholds are all edges of the full table, but without
+        # the singles every cell of theirs is in outage
+        cells = full_table.cells(np.linspace(-3.0, 18.0, 12)[None])
+        with pytest.raises(ValueError, match=r"tables\[1\]: other single-stream entries than tables\[0\]"):
+            system_summaries(cells, full_table.edges, [full_table, hqpsk_table])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -619,19 +634,60 @@ class TestPairMemo:
         snrs[3:6] = np.linspace(16.1, 21.0, 31)
         cells = table.cells(snrs)
         assert cells.dtype == np.intp and cells.max() <= 255
-        summaries = system_summaries(cells, table)
+        summaries = system_summaries(cells, table.edges, [table])
         assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                   for a, b in zip(summaries, system_summaries(cells.astype(np.uint8), table)))
+                   for a, b in zip(summaries, system_summaries(cells.astype(np.uint8), table.edges, [table])))
         outage = summaries[3]
         assert outage.tolist() == np.isinf(table.cell_inv)[cells].sum(axis=1).tolist()
         assert outage[:3].tolist() == [31] * 3 and outage[3:6].tolist() == [0] * 3
         assert ((0 < outage) & (outage < 31)).any()
-        assert np.isnan(summaries[2][outage == 31]).all() and (summaries[2][outage < 31] >= 0).all()
+        assert np.isnan(summaries[2][0, outage == 31]).all() and (summaries[2][0, outage < 31] >= 0).all()
         if wide:
             cfg = campaign_config(snr_max_grid=(2.0, 12.0), receivers=40, repetitions=3, families=(Family.H_PSK8,),
                                   combined=False, master_seed=2)
             report = run_campaign(cfg, table, default_antenna, sample_weather)
             assert all(stat.total_outage_runs == 0 for stat in report.outage.values())
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["shipped", "256_cells"])
+    def test_one_call_equals_each_tables_own_call(self, full_table, single_table, monkeypatch, wide):
+        """One call on union cells, uint8 as a campaign passes them, gives
+        each table, bit for bit, every array of its one-table call on its
+        own cells: h_qpsk, h_apsk32 and their union, a campaign's combined
+        table; or the singles and the 256-cell table, whose union cells
+        widen to hold the sentinel. The rows hold every threshold, the
+        doubles either side of it, both infinities and NaN, then random
+        draws from those with partial outage, then total outage. Three
+        tables pair as many blocks as one."""
+        if wide:
+            union = self.wide_table(single_table)
+            tables = [single_table, union]
+        else:
+            union = table_for(full_table, None)
+            tables = [table_for(full_table, Family.H_QPSK), table_for(full_table, Family.H_APSK32), union]
+        edges = union.edges
+        snrs = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                               [-np.inf, np.inf, np.nan]])
+        rng = np.random.default_rng(5)
+        rows = np.sort(np.concatenate([snrs[None], rng.choice(snrs, (40, snrs.size)), np.full((1, snrs.size), -8.0)]),
+                       axis=1)
+        cells = union.cells(rows).astype(np.min_scalar_type(edges.size))
+        assert cells.dtype == np.uint8
+        pairings, pairing = [], rateopt._pairing
+        def counting(*args):
+            pairings.append(args)
+            return pairing(*args)
+        monkeypatch.setattr(rateopt, "_pairing", counting)
+        r_hm, r_ts, gain, outage = system_summaries(cells, edges, tables)
+        blocks = len(pairings)
+        assert blocks > 1
+        assert ((0 < outage[:-1]) & (outage[:-1] < snrs.size)).all() and outage[-1] == snrs.size
+        for i, table in enumerate(tables):
+            want = system_summaries(table.cells(rows), table.edges, [table])
+            got = r_hm[i:i + 1], r_ts, gain[i:i + 1], outage
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want)), i
+        del pairings[:]
+        system_summaries(cells, edges, tables[:1])
+        assert len(pairings) == blocks
 
     def test_one_solve_per_cell_pair(self, full_table, monkeypatch):
         solved = []
