@@ -201,7 +201,7 @@ def load_scenario(path: Optional[str], overrides: argparse.Namespace) -> Scenari
             raise ScenarioError(f"scenario file not found: {file}")
         known = {section: list(parser[section]) for section in parser.sections()}
         try:
-            parser.read(str(file), "utf-8")
+            parser.read(str(file), "utf-8-sig")
         except configparser.Error as exc:
             # A missing section header or a duplicate key; configparser's
             # message names the file and the line, over several lines.

@@ -29,8 +29,9 @@ The shipped files live in ``hmsim/data``:
 * ``weather_cdf_sample.csv`` - a sample weather-attenuation CDF for the
   beam model, schema ``attenuation_db,cum_prob`` (see ``hmsim.beam``).
 
-Every data file is read by ``read_csv_rows``: UTF-8 text, the expected
-header, then blank rows skipped and the header's field count on the rest.
+Every data file is read by ``read_csv_rows``: UTF-8 text (a leading
+byte-order mark is dropped), the expected header, then blank rows skipped
+and the header's field count on the rest.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property
-from importlib import resources
-from operator import itemgetter
+from functools import cached_property
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -67,44 +67,63 @@ __all__ = [
 ]
 
 
-class _CodeRate(Fraction):
-    """A Fraction that computes its hash once. The keys of a loaded table
-    hold these, and Fraction's own hash redoes a Python-level modular
-    inverse on every dict operation; the value is the same, so a plain
-    Fraction still finds the key."""
+# The 11 LDPC code rates of DVB-S2 (normal FEC frames), ascending.
+_DVBS2_RATE_TERMS = ((1, 4), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5), (5, 6), (8, 9), (9, 10))
 
-    __slots__ = ("_hash",)
+
+class _CodeRate(Fraction):
+    """A DVB-S2 code rate that computes its hash once and knows its place in
+    DVBS2_CODE_RATES, ``index``. The keys of a loaded table hold these, and
+    Fraction's own hash redoes a Python-level modular inverse on every dict
+    operation; the value is the same, so a plain Fraction still finds the
+    key."""
+
+    __slots__ = ("_hash", "index")
 
     def __new__(cls, numerator, denominator):
         self = super().__new__(cls, numerator, denominator)
         self._hash = Fraction.__hash__(self)
+        self.index = _DVBS2_RATE_TERMS.index((self.numerator, self.denominator))
         return self
 
     def __hash__(self):
         return self._hash
 
 
-# The 11 LDPC code rates of DVB-S2 (normal FEC frames).
-DVBS2_CODE_RATES = tuple(
-    _CodeRate(p, q)
-    for p, q in [(1, 4), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5), (5, 6), (8, 9), (9, 10)]
-)
+DVBS2_CODE_RATES = tuple(_CodeRate(p, q) for p, q in _DVBS2_RATE_TERMS)
 
 # Every spectral efficiency bits x p/q is a whole number of 1/180 bit/s/Hz,
 # since 180 is the lcm of the rate denominators: bits x p x (180 // q).
 EFFICIENCY_UNITS = math.lcm(*(rate.denominator for rate in DVBS2_CODE_RATES))
 
+# Each rate's place in DVBS2_CODE_RATES, which orders rates and indexes
+# arrays by rate, and one bit's efficiency at each rate.
+_RATE_INDEX = {rate: rate.index for rate in DVBS2_CODE_RATES}
+_UNITS_PER_BIT = np.array([rate.numerator * (EFFICIENCY_UNITS // rate.denominator) for rate in DVBS2_CODE_RATES])
 
-# Cached: a table's per-cell build calls it once per entry, and the rate check
-# alone, a scan of Fraction compares, costs as much as the rest of that build.
-# A rate that fails is not cached, so it keeps at most bit widths x 11 results.
-@cache
+
+def _rate_index(rate: Fraction) -> int:
+    """Place of a DVB-S2 code rate in DVBS2_CODE_RATES. ValueError otherwise."""
+    index = _RATE_INDEX.get(rate)
+    if index is None:
+        raise ValueError(f"code rate {rate} is not a DVB-S2 rate")
+    return index
+
+
+def _rate_indices(rates: Sequence[Fraction]) -> np.ndarray:
+    """``_rate_index`` of each rate: read off the rates when all are
+    _CodeRates, as in a loaded table, else looked up."""
+    try:
+        return np.fromiter(map(attrgetter("index"), rates), np.intp, len(rates))
+    except AttributeError:
+        return np.fromiter(map(_rate_index, rates), np.intp, len(rates))
+
+
 def _efficiency_units(bits: int, rate: Fraction) -> int:
     """The one efficiency formula: a stream of ``bits`` bits per symbol at a
-    DVB-S2 code rate, in 1/EFFICIENCY_UNITS bit/s/Hz. ValueError otherwise."""
-    if rate not in DVBS2_CODE_RATES:
-        raise ValueError(f"code rate {rate} is not a DVB-S2 rate")
-    return bits * rate.numerator * (EFFICIENCY_UNITS // rate.denominator)
+    DVB-S2 code rate, in 1/EFFICIENCY_UNITS bit/s/Hz. ValueError otherwise.
+    ``ThresholdTable.cell_units`` applies it to arrays of entries."""
+    return bits * int(_UNITS_PER_BIT[_rate_index(rate)])
 
 
 class Stream(Enum):
@@ -248,28 +267,30 @@ AnomalyKey = tuple[str, Optional[float], str, Fraction]
 
 def packaged_data_path(name: str) -> Path:
     """Path of a data file shipped inside the package."""
-    return Path(resources.files("hmsim").joinpath("data", name))
+    return Path(__file__).parent / "data" / name
 
 
 def read_csv_rows(path: Path, header: Sequence[str], error: type[Exception] = ValueError) -> Iterator[tuple[int, list[str]]]:
     """(line number, stripped fields) of each non-blank row after the first,
-    which must be ``header``, of a UTF-8 CSV file. Raises ``error`` naming the
-    file for an empty file, another header, text that is not UTF-8 and, with
-    its line, a row without ``len(header)`` fields."""
+    which must be ``header``, of a UTF-8 CSV file; a leading byte-order mark
+    is dropped. Raises ``error`` naming the file for an empty file, another
+    header, text that is not UTF-8 and, with its line, a row without
+    ``len(header)`` fields."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = enumerate(csv.reader(fh), start=1)
             first = next(rows, None)
             if first is None:
                 raise error(f"{path}: empty file")
             if [h.strip() for h in first[1]] != list(header):
                 raise error(f"{path}: line 1: unexpected header {first[1]!r}")
+            width = len(header)
             for line_no, row in rows:
-                fields = [field.strip() for field in row]
+                fields = list(map(str.strip, row))
                 if not any(fields):
                     continue
-                if len(fields) != len(header):
-                    raise error(f"{path}: line {line_no}: expected {len(header)} fields, got {len(fields)}")
+                if len(fields) != width:
+                    raise error(f"{path}: line {line_no}: expected {width} fields, got {len(fields)}")
                 yield line_no, fields
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
@@ -288,21 +309,20 @@ def load_anomaly_manifest() -> dict[AnomalyKey, str]:
 
 
 # The canonical spelling of each DVB-S2 rate, so the common case is one
-# dict lookup that returns the shared DVBS2_CODE_RATES object.
-_RATE_BY_TEXT = {str(rate): rate for rate in DVBS2_CODE_RATES}
+# dict lookup.
+_RATE_INDEX_BY_TEXT = {str(rate): i for i, rate in enumerate(DVBS2_CODE_RATES)}
 
 
-def _parse_rate(text: str, path: Path, line_no: int) -> Fraction:
-    rate = _RATE_BY_TEXT.get(text)
-    if rate is not None:
-        return rate
+def _parse_rate(text: str, path: Path, line_no: int) -> int:
+    """Index in DVBS2_CODE_RATES of a code_rate field in any spelling."""
     try:
         rate = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise TableParseError(f"{path}: line {line_no}: bad code_rate {text!r}: {exc}") from None
-    if rate not in DVBS2_CODE_RATES:
+    index = _RATE_INDEX.get(rate)
+    if index is None:
         raise TableValidationError(f"{path}: line {line_no}: code rate {text} is not a DVB-S2 rate")
-    return DVBS2_CODE_RATES[DVBS2_CODE_RATES.index(rate)]
+    return index
 
 
 class ThresholdTable:
@@ -331,7 +351,7 @@ class ThresholdTable:
 
     @cached_property
     def _schemes(self) -> list[SchemeId]:
-        return sorted({scheme for scheme, _, _ in self._entries}, key=SchemeId.sort_key)
+        return sorted({scheme for scheme, _, _ in _column_runs(self._entries)}, key=SchemeId.sort_key)
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -363,14 +383,19 @@ class ThresholdTable:
         9/10 bit/s/Hz, 810 units. This is the table's one per-cell record of
         best efficiencies: ``cell_inv``, ``best_single``,
         ``achievable_pairs`` and ``rateopt.solve_cell_pairs`` all read it."""
-        schemes, entries, n = self.hierarchical_schemes(), self._entries, len(self._entries)
+        schemes, keys = self.hierarchical_schemes(), list(self._entries)
         column = {(scheme, Stream.HE): 1 + i for i, scheme in enumerate(schemes)}
         column.update({(scheme, Stream.LE): 1 + len(schemes) + i for i, scheme in enumerate(schemes)})
-        columns = np.fromiter((column.get((scheme, stream), 0) for scheme, stream, _ in entries), np.intp, n)
-        units = np.fromiter((_efficiency_units(scheme.bits(stream), rate) for scheme, stream, rate in entries), np.int64, n)
+        # Each run of one scheme and stream has one column and one bit width;
+        # only the rate is looked up per entry.
+        runs = _column_runs(keys)
+        lengths = np.diff([start for _, _, start in runs] + [len(keys)])
+        columns = np.repeat(np.array([column.get((scheme, stream), 0) for scheme, stream, _ in runs], np.intp), lengths)
+        bits = np.repeat(np.array([scheme.bits(stream) for scheme, stream, _ in runs], np.int64), lengths)
+        units = bits * _UNITS_PER_BIT[_rate_indices(list(map(itemgetter(2), keys)))]
         # An entry decodes from the cell its threshold opens (thresholds are
         # table edges), so the best per cell is a running max down the cells.
-        cells = np.searchsorted(self.edges, np.fromiter(entries.values(), float, n), side="right")
+        cells = np.searchsorted(self.edges, np.fromiter(self._entries.values(), float, len(keys)), side="right")
         grid = np.zeros((self.edges.size + 1, 1 + 2 * len(schemes)), dtype=np.int64)
         np.maximum.at(grid, (cells, columns), units)
         return np.maximum.accumulate(grid, axis=0)
@@ -384,13 +409,19 @@ class ThresholdTable:
         so an exact tie (2 x 9/10 == 3 x 3/5) goes to the lower threshold,
         then the scheme token. That entry decodes in the cell: every entry
         with that efficiency has a threshold at least as high."""
+        # No two SINGLE entries share a scheme token and a rate, so the sort
+        # never compares schemes.
+        singles = sorted(
+            (thr, scheme.token, rate, scheme)
+            for (scheme, stream, rate), thr in self._entries.items()
+            if stream is Stream.SINGLE
+        )
         first: dict[int, ModcodChoice] = {}
-        for scheme, stream, rate in sorted(
-            (key for key in self._entries if key[1] is Stream.SINGLE),
-            key=lambda key: (self._entries[key], key[0].token, key[2]),
-        ):
-            first.setdefault(_efficiency_units(scheme.bits(stream), rate), ModcodChoice(scheme, stream, rate))
-        return [first.get(units) for units in self.cell_units[:, 0].tolist()]
+        for _, _, rate, scheme in singles:
+            units = _efficiency_units(scheme.bits(Stream.SINGLE), rate)
+            if units not in first:
+                first[units] = ModcodChoice(scheme, Stream.SINGLE, rate)
+        return list(map(first.get, self.cell_units[:, 0].tolist()))
 
     # -- basic container surface -------------------------------------------------
 
@@ -414,10 +445,11 @@ class ThresholdTable:
 
     def merged_with(self, other: "ThresholdTable") -> "ThresholdTable":
         entries = dict(self._entries)
+        add = entries.setdefault
         for key, thr in other._entries.items():
-            if key in entries and entries[key] != thr:
+            held = add(key, thr)  # thr itself if the key is new
+            if held is not thr and held != thr:
                 raise TableValidationError(f"conflicting thresholds for {key[0].token}/{key[1].value} {key[2]}")
-            entries[key] = thr
         # A warning both tables carry, as when one file is merged twice, is kept once.
         return ThresholdTable(entries, warnings=tuple(dict.fromkeys(self.warnings + other.warnings)))
 
@@ -440,8 +472,29 @@ class ThresholdTable:
         return int(self.cells(snr_db))
 
 
+def _column_runs(keys: Iterable[tuple[SchemeId, Stream, Fraction]]) -> list[tuple[SchemeId, Stream, int]]:
+    """(scheme, stream, position of its first key) of each run of
+    consecutive table keys that hold one SchemeId object and one stream.
+    The rows of a loaded column share their scheme object, so a column is
+    one run (a merged HE/LE column is one run per entry, as its rows
+    alternate HE and LE), and work per run replaces hashing the scheme of
+    each entry."""
+    runs = []
+    last_scheme = last_stream = None
+    for position, (scheme, stream, _) in enumerate(keys):
+        if scheme is not last_scheme or stream is not last_stream:
+            runs.append((scheme, stream, position))
+            last_scheme, last_stream = scheme, stream
+    return runs
+
+
+# The thresholds of one (scheme, stream) at each DVB-S2 rate, by rate index,
+# None where the table has no entry.
+_Column = list[Optional[float]]
+
+
 def _validation_issues(
-    entries: Mapping[tuple[SchemeId, Stream, Fraction], float],
+    columns: Mapping[tuple[SchemeId, Stream], _Column],
     anomalies: Optional[Mapping[AnomalyKey, str]],
 ) -> list[ValidationIssue]:
     """Check monotonicity invariants.
@@ -455,11 +508,8 @@ def _validation_issues(
     anomalies = anomalies or {}
     issues: list[ValidationIssue] = []
 
-    by_column: dict[tuple[SchemeId, Stream], list[tuple[Fraction, float]]] = {}
-    for (scheme, stream, rate), thr in entries.items():
-        by_column.setdefault((scheme, stream), []).append((rate, thr))
-    for (scheme, stream), cells in sorted(by_column.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].value)):
-        by_rate = sorted(cells, key=itemgetter(0))  # rates are unique within a column
+    for (scheme, stream), column in sorted(columns.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].value)):
+        by_rate = [(rate, thr) for rate, thr in zip(DVBS2_CODE_RATES, column) if thr is not None]
         for (r_a, t_a), (r_b, t_b) in zip(by_rate, by_rate[1:]):
             if t_b <= t_a:
                 key = (scheme.family.token, scheme.rho_he, stream.value, r_b)
@@ -476,15 +526,16 @@ def _validation_issues(
                 )
 
     by_family: dict[Family, list[SchemeId]] = {}
-    for scheme in {scheme for scheme, _ in by_column if scheme.rho_he is not None}:
+    for scheme in {scheme for scheme, _ in columns if scheme.rho_he is not None}:
         by_family.setdefault(scheme.family, []).append(scheme)
     for family, schemes in sorted(by_family.items(), key=lambda kv: kv[0].token):
         schemes.sort(key=lambda s: s.rho_he)
         for lo, hi in zip(schemes, schemes[1:]):
             for stream, should_increase in ((Stream.HE, False), (Stream.LE, True)):
-                for rate in DVBS2_CODE_RATES:
-                    t_lo = entries.get((lo, stream, rate))
-                    t_hi = entries.get((hi, stream, rate))
+                lo_column, hi_column = columns.get((lo, stream)), columns.get((hi, stream))
+                if lo_column is None or hi_column is None:
+                    continue
+                for rate, t_lo, t_hi in zip(DVBS2_CODE_RATES, lo_column, hi_column):
                     if t_lo is None or t_hi is None:
                         continue
                     ok = t_hi > t_lo if should_increase else t_hi < t_lo
@@ -520,61 +571,76 @@ def load_threshold_csv(
         anomalies = load_anomaly_manifest()
     path = Path(path)
     entries: dict[tuple[SchemeId, Stream, Fraction], float] = {}
-    # One SchemeId per (family, rho_he) spelling, so the rows of a scheme
-    # share it and each spelling is parsed and checked once.
+    # One SchemeId per (family, rho_he) spelling and one target list per
+    # (family, rho_he, stream) spelling, so each spelling is parsed and
+    # checked once and the rows of a column share their scheme object. A
+    # target is a (scheme, stream, column) that a row fills at its rate.
     schemes: dict[tuple[str, str], SchemeId] = {}
+    targets_of: dict[tuple[str, str, str], tuple[tuple[SchemeId, Stream, _Column], ...]] = {}
+    columns: dict[tuple[SchemeId, Stream], _Column] = {}
+    rate_index, isfinite = _RATE_INDEX_BY_TEXT.get, math.isfinite
     header = ("family", "rho_he", "stream", "code_rate", "threshold_db")
     for line_no, (fam_tok, rho_tok, stream_tok, rate_tok, thr_tok) in read_csv_rows(path, header, TableParseError):
-        scheme = schemes.get((fam_tok, rho_tok))
-        if scheme is None:
-            try:
-                family = Family.from_token(fam_tok)
-            except ValueError as exc:
-                raise TableParseError(f"{path}: line {line_no}: {exc}") from None
-            try:
-                rho = float(rho_tok) if rho_tok else None
-            except ValueError:
-                raise TableParseError(f"{path}: line {line_no}: bad rho_he {rho_tok!r}") from None
-            try:
-                scheme = schemes[(fam_tok, rho_tok)] = SchemeId(family, rho)
-            except ValueError as exc:
-                raise TableValidationError(f"{path}: line {line_no}: {exc}") from None
-        family, rho = scheme.family, scheme.rho_he
-        rate = _parse_rate(rate_tok, path, line_no)
+        # A row's checks run in this order: scheme, rate, threshold, stream.
+        targets = targets_of.get((fam_tok, rho_tok, stream_tok))
+        if targets is None:
+            scheme = schemes.get((fam_tok, rho_tok))
+            if scheme is None:
+                try:
+                    family = Family.from_token(fam_tok)
+                except ValueError as exc:
+                    raise TableParseError(f"{path}: line {line_no}: {exc}") from None
+                try:
+                    rho = float(rho_tok) if rho_tok else None
+                except ValueError:
+                    raise TableParseError(f"{path}: line {line_no}: bad rho_he {rho_tok!r}") from None
+                try:
+                    scheme = schemes[(fam_tok, rho_tok)] = SchemeId(family, rho)
+                except ValueError as exc:
+                    raise TableValidationError(f"{path}: line {line_no}: {exc}") from None
+        index = rate_index(rate_tok)
+        if index is None:
+            index = _parse_rate(rate_tok, path, line_no)
         try:
             threshold = float(thr_tok)
         except ValueError:
             raise TableParseError(f"{path}: line {line_no}: bad threshold {thr_tok!r}") from None
-        if not math.isfinite(threshold):
+        if not isfinite(threshold):
             raise TableValidationError(f"{path}: line {line_no}: non-finite threshold")
 
-        if stream_tok == "HE/LE":
-            if not family.hierarchical or rho != 0.5:
-                raise TableValidationError(
-                    f"{path}: line {line_no}: merged HE/LE rows are only legal for hierarchical rho_he=0.5"
-                )
-            targets = (Stream.HE, Stream.LE)
-        else:
-            try:
-                stream = Stream(stream_tok)
-            except ValueError:
-                raise TableParseError(f"{path}: line {line_no}: unknown stream {stream_tok!r}") from None
-            if (stream is Stream.SINGLE) == family.hierarchical:
-                raise TableValidationError(
-                    f"{path}: line {line_no}: stream {stream.value} inconsistent with family {family.token}"
-                )
-            targets = (stream,)
-        for stream in targets:
-            key = (scheme, stream, rate)
-            if key in entries:
+        if targets is None:
+            family = scheme.family
+            if stream_tok == "HE/LE":
+                if not family.hierarchical or scheme.rho_he != 0.5:
+                    raise TableValidationError(
+                        f"{path}: line {line_no}: merged HE/LE rows are only legal for hierarchical rho_he=0.5"
+                    )
+                streams = (Stream.HE, Stream.LE)
+            else:
+                try:
+                    stream = Stream(stream_tok)
+                except ValueError:
+                    raise TableParseError(f"{path}: line {line_no}: unknown stream {stream_tok!r}") from None
+                if (stream is Stream.SINGLE) == family.hierarchical:
+                    raise TableValidationError(
+                        f"{path}: line {line_no}: stream {stream.value} inconsistent with family {family.token}"
+                    )
+                streams = (stream,)
+            targets = targets_of[(fam_tok, rho_tok, stream_tok)] = tuple(
+                (scheme, stream, columns.setdefault((scheme, stream), [None] * len(DVBS2_CODE_RATES)))
+                for stream in streams
+            )
+        rate = DVBS2_CODE_RATES[index]
+        for scheme, stream, column in targets:
+            if column[index] is not None:
                 raise TableValidationError(
                     f"{path}: line {line_no}: duplicate entry {scheme.token}/{stream.value} {rate}"
                 )
-            entries[key] = threshold
+            column[index] = entries[scheme, stream, rate] = threshold
     if not entries:
         raise TableParseError(f"{path}: no data rows")
 
-    issues = _validation_issues(entries, anomalies)
+    issues = _validation_issues(columns, anomalies)
     errors = [i for i in issues if i.severity == "error"]
     if errors:
         raise TableValidationError(f"{path}: " + "; ".join(i.message for i in errors))

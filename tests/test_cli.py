@@ -485,6 +485,20 @@ class TestValidate:
         assert capsys.readouterr() == ("", captured.err.replace("FAIL:", "error:", 1))
         assert not (scenario_dir / "out").exists()
 
+    def test_files_with_a_byte_order_mark_load(self, scenario_dir, capsys):
+        """Every file a scenario reads may start with a UTF-8 byte-order mark,
+        as editors on Windows write it; validate reads the same scenario."""
+        ini = scenario_dir / "scenario.ini"
+        baseline = scenario_dir / "single.csv"
+        baseline.write_bytes(packaged_data_path("dvbs2_single.csv").read_bytes())
+        ini.write_text(ini.read_text().replace(str(packaged_data_path("dvbs2_single.csv")), baseline.name))
+        assert main(["validate", "--scenario", str(ini)]) == 0
+        expected = capsys.readouterr()
+        for path in (ini, baseline, scenario_dir / "hq08.csv", scenario_dir / "wx.csv"):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["validate", "--scenario", str(ini)]) == 0
+        assert capsys.readouterr() == expected
+
     def test_missing_scenario_file(self, capsys):
         assert main(["validate", "--scenario", "/nonexistent/s.ini"]) == 1
 

@@ -208,6 +208,11 @@ class TestLoaderErrors:
             f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 67: invalid start byte"
         )
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = write_csv(tmp_path, "h.csv", ["qpsk,,SINGLE,1/4,-2.35"])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_threshold_csv(path).entries() == {(SchemeId(Family.QPSK), Stream.SINGLE, F(1, 4)): -2.35}
+
     def test_blank_rows_skipped(self, tmp_path):
         path = write_csv(tmp_path, "h.csv", ["qpsk,,SINGLE,1/4,-2.35", "", " , ,", "qpsk,,SINGLE,1/2,1.0"])
         table = load_threshold_csv(path)
@@ -244,6 +249,89 @@ class TestLoaderErrors:
         table = load_threshold_csv(write_csv(tmp_path, "h.csv", rows), manifest)
         assert len(table.warnings) == 1
         assert table.warnings[0].known_anomaly
+
+    @pytest.mark.parametrize("rows,problem", [
+        (["qpsk,,SINGLE,1/2,1.0", "qpsk,,SINGLE,1/2,2.0"], "duplicate entry qpsk/SINGLE 1/2"),
+        (["qpsk,,SINGLE,1/2,1.0", "qpsk,,SINGLE,2/4,2.0"], "duplicate entry qpsk/SINGLE 1/2"),
+        (["h_qpsk,0.5,HE,1/2,1.0", "h_qpsk,0.5,HE/LE,1/2,1.0"], "duplicate entry h_qpsk[rho=0.5]/HE 1/2"),
+        (["h_qpsk,0.5,LE,1/2,1.0", "h_qpsk,0.5,HE/LE,1/2,1.0"], "duplicate entry h_qpsk[rho=0.5]/LE 1/2"),
+        (["h_qpsk,0.5,HE/LE,1/2,1.0", "h_qpsk,0.50,LE,1/2,1.0"], "duplicate entry h_qpsk[rho=0.5]/LE 1/2"),
+        (["qpsk,,SINGLE,1/4,-2.35", "h_qpsk,0.6,HE/LE,1/2,1.0"],
+         "merged HE/LE rows are only legal for hierarchical rho_he=0.5"),
+        (["qpsk,,SINGLE,1/4,-2.35", "qpsk,,HE/LE,1/2,1.0"], "merged HE/LE rows are only legal for hierarchical rho_he=0.5"),
+        (["qpsk,,SINGLE,1/4,-2.35", "qpsk,,HE,1/2,1.0"], "stream HE inconsistent with family qpsk"),
+        (["qpsk,,SINGLE,1/4,-2.35", "h_qpsk,0.7,SINGLE,1/2,1.0"], "stream SINGLE inconsistent with family h_qpsk"),
+    ])
+    def test_validation_error_texts(self, tmp_path, rows, problem):
+        path = write_csv(tmp_path, "h.csv", rows)
+        with pytest.raises(TableValidationError) as excinfo:
+            load_threshold_csv(path)
+        assert str(excinfo.value) == f"{path}: line 3: {problem}"
+
+    @pytest.mark.parametrize("row,error,problem", [
+        ("h_qpsk,0.7,MID,7/8,1.0", TableValidationError, "code rate 7/8 is not a DVB-S2 rate"),
+        ("h_qpsk,0.7,MID,1/2,nan", TableValidationError, "non-finite threshold"),
+        ("h_qpsk,0.7,MID,1/2,x", TableParseError, "bad threshold 'x'"),
+        ("qpsk,,HE,1/0,1.0", TableParseError, "bad code_rate '1/0': Fraction(1, 0)"),
+        ("qpsk,0.7,HE/LE,7/8,x", TableValidationError, "family qpsk requires rho_he=absent"),
+        ("qam64,0.7,MID,7/8,x", TableParseError, "unknown modulation family 'qam64'"),
+        ("h_qpsk,0.6,HE/LE,1/4,x", TableParseError, "bad threshold 'x'"),
+        ("h_qpsk,0.6,HE/LE,1/4,1.0", TableValidationError,
+         "merged HE/LE rows are only legal for hierarchical rho_he=0.5"),
+    ])
+    def test_first_fault_of_a_row_wins(self, tmp_path, row, error, problem):
+        # Each row but the last has a spelling the last row shares in part,
+        # so checks made once per spelling keep the order of a row's checks.
+        rows = ["qpsk,,SINGLE,1/4,-2.35", "h_qpsk,0.7,HE,1/4,-2.0", row]
+        path = write_csv(tmp_path, "h.csv", rows)
+        with pytest.raises(error) as excinfo:
+            load_threshold_csv(path)
+        assert str(excinfo.value) == f"{path}: line 4: {problem}"
+
+    def test_validation_issues_golden(self, tmp_path, monkeypatch):
+        # Rows out of rate order across five columns; rho 0.7 lacks 2/5 and
+        # rho 0.6 lacks LE 2/3, so those rates have no rho comparison.
+        rows = [
+            "h_qpsk,0.7,LE,2/3,4.0",
+            "qpsk,,SINGLE,1/2,3.0",
+            "h_qpsk,0.6,HE,1/2,1.0",
+            "h_qpsk,0.7,HE,1/2,0.5",
+            "qpsk,,SINGLE,1/4,2.0",
+            "h_qpsk,0.6,LE,1/2,4.5",
+            "h_qpsk,0.7,LE,1/4,2.0",
+            "h_qpsk,0.6,HE,2/5,1.0",
+            "qpsk,,SINGLE,1/3,1.5",
+            "h_qpsk,0.6,HE,1/4,-1.0",
+            "h_qpsk,0.7,HE,1/4,-0.5",
+            "h_qpsk,0.6,LE,1/4,3.0",
+            "h_qpsk,0.7,LE,1/2,5.0",
+        ]
+        manifest = {("h_qpsk", 0.6, "HE", F(1, 2)): "rate order", ("h_qpsk", 0.7, "LE", F(1, 4)): "rho order"}
+        found = []
+
+        def recording(*args):
+            found.extend(validation_issues(*args))
+            return found
+
+        validation_issues = modcod._validation_issues
+        monkeypatch.setattr(modcod, "_validation_issues", recording)
+        path = write_csv(tmp_path, "h.csv", rows)
+        with pytest.raises(TableValidationError) as excinfo:
+            load_threshold_csv(path, manifest)
+        errors = [
+            "h_qpsk[rho=0.7]/LE: threshold not increasing in code rate at 2/3 (5.0 dB -> 4.0 dB)",
+            "qpsk/SINGLE: threshold not increasing in code rate at 1/3 (2.0 dB -> 1.5 dB)",
+        ]
+        assert [(i.severity, i.message, i.known_anomaly) for i in found] == [
+            ("warning", "h_qpsk[rho=0.6]/HE: threshold not increasing in code rate at 1/2 (1.0 dB -> 1.0 dB)", True),
+            ("error", errors[0], False),
+            ("error", errors[1], False),
+            ("warning", "h_qpsk HE at rate 1/4: threshold should be decreasing in rho_he but goes "
+                        "-1.0 dB (rho=0.6) -> -0.5 dB (rho=0.7)", False),
+            ("warning", "h_qpsk LE at rate 1/4: threshold should be increasing in rho_he but goes "
+                        "3.0 dB (rho=0.6) -> 2.0 dB (rho=0.7)", True),
+        ]
+        assert str(excinfo.value) == f"{path}: " + "; ".join(errors)
 
     def test_optional_family_slots_load(self, tmp_path):
         # no shipped data for these families, but the schema supports them
@@ -375,15 +463,17 @@ class TestBestSingleModcod:
         snrs = probe_snrs(table)
         assert [table.best_single(s) for s in snrs] == [best_single_reference(table, s) for s in snrs]
 
-    def test_matches_reference_on_jittered_tables(self, single_table):
-        ties = 0
-        for seed in range(40):
-            table = jittered(single_table, seed, whole_db=seed % 2 == 1)
-            snrs = probe_snrs(table)
-            assert [table.best_single(s) for s in snrs] == [best_single_reference(table, s) for s in snrs], seed
-            efficiencies = [(thr, scheme.bits(stream) * rate) for (scheme, stream, rate), thr in table.entries().items()]
-            ties += len(efficiencies) - len(set(efficiencies))
-        assert ties > 0  # some cells hold two equally efficient entries at one threshold
+    def test_matches_reference_on_jittered_tables(self, single_table, full_table):
+        for base in (single_table, full_table):
+            ties = 0
+            for seed in range(40):
+                table = jittered(base, seed, whole_db=seed % 2 == 1)
+                snrs = probe_snrs(table)
+                assert [table.best_single(s) for s in snrs] == [best_single_reference(table, s) for s in snrs], seed
+                efficiencies = [(thr, scheme.bits(stream) * rate)
+                                for (scheme, stream, rate), thr in table.entries().items()]
+                ties += len(efficiencies) - len(set(efficiencies))
+            assert ties > 0  # some cells hold two equally efficient entries at one threshold
 
     def test_known_values(self, single_table):
         assert single_table.best_single(16.0).spectral_efficiency == pytest.approx(40 / 9)
@@ -411,9 +501,8 @@ class TestCellUnits:
     """cell_units holds, per cell, the best efficiency of the single column
     and of every hierarchical scheme's HE and LE column in 1/180 bit/s/Hz."""
 
-    @pytest.mark.parametrize("name", ["full_table", "hqpsk_table", "single_table"])
-    def test_matches_entries(self, request, name):
-        table = request.getfixturevalue(name)
+    @staticmethod
+    def assert_matches_entries(table):
         schemes = table.hierarchical_schemes()
         columns = [None] + [(s, Stream.HE) for s in schemes] + [(s, Stream.LE) for s in schemes]
         edges = sorted(set(table.entries().values()))
@@ -428,6 +517,30 @@ class TestCellUnits:
         assert modcod.EFFICIENCY_UNITS == 180
         assert table.cell_units.dtype == np.int64
         assert np.array_equal(table.cell_units, expected)
+
+    @pytest.mark.parametrize("name", ["full_table", "hqpsk_table", "single_table"])
+    def test_matches_entries(self, request, name):
+        self.assert_matches_entries(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_entries_of_tied_tables(self, full_table, seed):
+        # Whole-dB thresholds tie across schemes, streams and rates, and a
+        # table built from plain Fractions holds no loaded rate objects.
+        table = jittered(full_table, seed, whole_db=True)
+        assert len(table.cell_inv) < len(full_table.cell_inv)
+        self.assert_matches_entries(table)
+        plain = ThresholdTable({(scheme, stream, F(rate)): thr for (scheme, stream, rate), thr in table.entries().items()})
+        assert not any(type(rate) is modcod._CodeRate for _, _, rate in plain.entries())
+        assert np.array_equal(plain.cell_units, table.cell_units)
+        snrs = probe_snrs(table)
+        assert [plain.best_single(s) for s in snrs] == [table.best_single(s) for s in snrs]
+
+    def test_non_dvbs2_rate_in_a_tied_table(self, full_table):
+        entries = jittered(full_table, 1, whole_db=True).entries()
+        entries[SchemeId(Family.PSK8), Stream.SINGLE, F(7, 8)] = 5.0
+        for query in (lambda table: table.cell_units, lambda table: table.best_single(9.0)):
+            with pytest.raises(ValueError, match="^code rate 7/8 is not a DVB-S2 rate$"):
+                query(ThresholdTable(entries))
 
 
 class TestTableAlgebra:
