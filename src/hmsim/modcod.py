@@ -391,8 +391,14 @@ class ThresholdTable:
         runs = _column_runs(keys)
         lengths = np.diff([start for _, _, start in runs] + [len(keys)])
         columns = np.repeat(np.array([column.get((scheme, stream), 0) for scheme, stream, _ in runs], np.intp), lengths)
-        bits = np.repeat(np.array([scheme.bits(stream) for scheme, stream, _ in runs], np.int64), lengths)
-        units = bits * _UNITS_PER_BIT[_rate_indices(list(map(itemgetter(2), keys)))]
+        try:
+            bits = np.repeat(np.array([scheme.bits(stream) for scheme, stream, _ in runs], np.int64), lengths)
+            units = bits * _UNITS_PER_BIT[_rate_indices(list(map(itemgetter(2), keys)))]
+        except ValueError:
+            # A table built directly: report its first invalid entry.
+            for scheme, stream, rate in keys:
+                _efficiency_units(scheme.bits(stream), rate)
+            raise
         # An entry decodes from the cell its threshold opens (thresholds are
         # table edges), so the best per cell is a running max down the cells.
         cells = np.searchsorted(self.edges, np.fromiter(self._entries.values(), float, len(keys)), side="right")

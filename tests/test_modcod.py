@@ -397,6 +397,15 @@ class TestStreamEfficiency:
             with pytest.raises(ValueError, match=f"^code rate {rate} is not a DVB-S2 rate$"):
                 query()
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_first_invalid_entry_of_a_table_built_directly_reported(self, reverse):
+        qpsk = SchemeId(Family.QPSK)
+        keys = [(qpsk, Stream.SINGLE, F(1, 2)), (qpsk, Stream.SINGLE, F(7, 8)), (qpsk, Stream.HE, F(1, 2))]
+        table = ThresholdTable(dict.fromkeys(keys[::-1] if reverse else keys, 1.0))
+        problem = "qpsk is non-hierarchical; stream HE does not apply" if reverse else "code rate 7/8 is not a DVB-S2 rate"
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            table.cell_units
+
 
 SINGLES = {Family.QPSK, Family.PSK8, Family.APSK16, Family.APSK32}
 
