@@ -1,6 +1,7 @@
 """Rate-region optimization: hull solver vs brute-force oracle, pairing,
 aggregation, and system gains."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -381,6 +382,23 @@ class TestSolveCellPairs:
         table = ThresholdTable(entries)
         rates = self.assert_exact(table, every_cell_pair(table)[2])
         assert 0 < sum(r > ts for r, ts in rates) < len(rates)
+
+
+@pytest.mark.parametrize("family, size, sha256", [
+    (None, 18721, "5d22190cd1c7ce6d301ee994b54dca1925e2983993e1878a9d29d8bf4dd91ec6"),
+    (Family.H_QPSK, 10296, "a96aaab2229c1a430b367008e7ae62025e5d81390d15524b8ed2146c6619e1ac"),
+    (Family.H_APSK32, 6105, "012573ecbb4182d7ae5a676a062ae2c3eb6883caa9b7d460d4ab5993ec43b876"),
+], ids=["combined", "h_qpsk", "h_apsk32"])
+def test_every_shipped_cell_pair_term_golden(full_table, family, size, sha256):
+    """The float64 bytes of every cell pair's term on the shipped tables.
+    The slow ``TestEveryCellPair`` checks these terms against the Fraction
+    oracle; this digest pins the same bytes without it."""
+    table = table_for(full_table, family)
+    weak, strong = np.triu_indices(table.cell_inv.size)
+    assert weak.size == size
+    terms = solve_cell_pairs(table, weak, strong)
+    assert terms.dtype == np.float64
+    assert hashlib.sha256(terms.astype("<f8").tobytes()).hexdigest() == sha256
 
 
 @pytest.mark.slow
