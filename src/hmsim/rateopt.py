@@ -33,17 +33,20 @@ Both pair answers take a cell's best efficiencies from one per-cell
 array, ``ThresholdTable.cell_units``: the best single, HE and LE
 efficiencies in integer units of 1/180 bit/s/Hz
 (``modcod.EFFICIENCY_UNITS``). ``solve_cell_pairs`` solves a batch of cell
-pairs exactly in those units, without building points or schedules. It
-first tests each pair against its classical time-sharing line, which
-decides in O(S) whether hierarchy gains at all, and crosses the diagonal
-only for the pairs that gain, between points below it and points above
-it; no coordinate exceeds 810 units and no product 1.32e6, so int64 is
-exact. It is the one place that decides whether a pair gains, for a
-population and for ``pair_solution`` alike. ``pair_solution`` adds what
-``hmsim pair`` prints: the float hull's rate where the pair gains, and
-the schedule and the provenance of each point (``achievable_pairs``,
-whose single-modcod points and their provenance come from
-``ThresholdTable.best_single``).
+pairs exactly in those units, in one pass per block of pairs and without
+building schedules. It first tests each pair against its classical
+time-sharing line, which decides in O(S) whether hierarchy gains at all,
+and crosses the diagonal only for the pairs that gain, each pair only
+between its own points below the diagonal and above it, all in one
+ragged batch. No coordinate exceeds 810 units and no product 1.32e6 <
+2**31, so int32 is exact. A term is the smallest of the correctly rounded
+reciprocals of the pair's vertex and crossing rates, so no crossing is
+picked and crossings that tie cannot change it. It is the one place that
+decides whether a pair gains, for a population and for ``pair_solution``
+alike. ``pair_solution`` adds what ``hmsim pair`` prints: the float
+hull's rate where the pair gains, and the schedule and the provenance of
+each point (``achievable_pairs``, whose single-modcod points and their
+provenance come from ``ThresholdTable.best_single``).
 """
 
 from __future__ import annotations
@@ -269,33 +272,22 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
     return PairSolution(r_hm=r_hm, r_ts=r_ts, schedule=solution.schedule)
 
 
-# Entries per temporary of a block: in solve_cell_pairs, a block's points
-# (pairs x (1 + 2 S)) in the gain test and its crossings (pairs x |P| x |Q|)
-# in _best_crossings, int64 and 32 KB each; in system_summaries, a block's
-# rows x term columns. A block's temporaries then total about 0.3 MB and
-# stay within the heap that glibc keeps mapped between blocks (see
-# campaign._CHUNK_RECEIVERS); only its pairing and one table's mapping of
-# it, each as large as its cells, are kept for the sums.
+# Entries per temporary of a system_summaries block: its rows x term
+# columns, float64 and 32 KB each. A block's temporaries then total about
+# 0.3 MB and stay within the heap that glibc keeps mapped between blocks
+# (see campaign._CHUNK_RECEIVERS); only its pairing and one table's mapping
+# of it, each as large as its cells, are kept for the sums.
 _BLOCK_ENTRIES = 1 << 12
 
-
-def _best_crossings(xp, dp, xq, dq) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator of each row's best diagonal crossing
-    between a P point (x, d) = (xp, dp) and a Q point (xq, dq); the inputs
-    are (rows, |P|) and (rows, |Q|) int64 arrays (see solve_cell_pairs)."""
-    rows, width = xp.shape[0], xp.shape[1] * xq.shape[1]
-    num, den = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // width)
-    for lo in range(0, rows, step):
-        block = slice(lo, lo + step)
-        n = dp[block, :, None] * xq[block, None]
-        n -= dq[block, None] * xp[block, :, None]
-        d = dp[block, :, None] - dq[block, None]
-        np.maximum(d, 1, out=d)
-        n, d = n.reshape(-1, width), d.reshape(-1, width)
-        best = (n / d).argmax(axis=1) + np.arange(0, n.size, width)
-        num[block], den[block] = n.ravel()[best], d.ravel()[best]
-    return num, den
+# Point entries per block of solve_cell_pairs: pairs x (2 S + 2) int32
+# coordinates, 32 KB per temporary, as in a system_summaries block. A
+# block's crossings number at most pairs x (S + 1)**2, and at most 5,922
+# (on the h_qpsk table) in any block of all the shipped tables' cell pairs.
+# Blocks four times as large made the 1,143 h_qpsk pairs of a 31-point,
+# 500-receiver campaign one block, but their temporaries passed the heap
+# that glibc keeps mapped (see campaign._CHUNK_RECEIVERS): about 100 page
+# faults per such campaign and 900 per default one, none at this size.
+_SOLVE_ENTRIES = 1 << 13
 
 
 def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndarray:
@@ -303,8 +295,8 @@ def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndar
     cell) pairs: 1 / r_hm where hierarchical points beat classical time
     sharing, else the classical term ``cell_inv[weak] + cell_inv[strong]``.
 
-    Each pair is solved exactly in int64 on ``table.cell_units``, in units
-    of 1/EFFICIENCY_UNITS bit/s/Hz. Its points are the origin, the singles
+    Each pair is solved exactly in int32 on ``table.cell_units``, in units
+    of 1/EFFICIENCY_UNITS bit/s/Hz. Its 2 S + 2 points are the singles
     (s_w, 0) and (0, s_s) and, for every hierarchical scheme, both stream
     assignments (weak on HE with strong on LE, and the reverse); an
     assignment whose HE or LE stream does not decode is the origin, and
@@ -322,7 +314,8 @@ def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndar
     origin, so it is interior to the hull and R* > R_ts. When s_w or s_s
     is 0, R_ts = 0 and the test holds for every live point, whose
     min(x, y) > 0 is a lower bound on R*. A pair without gain keeps its
-    classical term and forms no crossing.
+    classical term and forms no crossing. The test runs on (points, pairs)
+    arrays, pairs along the contiguous axis.
 
     Crossings, for the pairs that gain: the diagonal leaves the hull
     beyond the line, at a vertex or on an edge whose ends are singles or
@@ -336,58 +329,77 @@ def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndar
 
     the best vertex or diagonal crossing; each term is a rate of the
     region, so none exceeds R*. d_p - d_q is 0 only when both singles are
-    the origin, and then the numerator is 0 too. A block keeps only the
-    columns that hold a P (Q) point in some row and pads each row's other
-    cells with its single: a repeated point changes no maximum. The term
-    stored is the correctly rounded EFFICIENCY_UNITS x den / num of
-    R* = num / den.
+    the origin, and then the numerator is 0 too. Each pair crosses only
+    its own P and Q points: the (pair, p, q) triples of a block form one
+    ragged batch, grouped by pair, with |P| x |Q| triples per pair.
 
     Exactness: coordinates are at most 810 units, so every product formed
-    here, gain test included, is at most 2 x 810**2 < 1.32e6, and a
-    crossing's denominator at most 1620. The best crossing is picked by its
-    float64 quotient: both operands are exact, correctly rounded division
-    never reverses an order, and two different crossings differ by at least
-    1 / 1620**2 units, far above the 1e-13 units of rounding. The pick's
-    own numerator and denominator then meet the vertex by
-    cross-multiplication. These bounds also keep a term that gains strictly
-    below its classical float term: R* and R_ts have denominators of at
-    most 1620, so R* > R_ts gives R* - R_ts >= 1 / 1620**2 units, and with
-    R* <= 810 units 1 / R* lies a relative 1 / (1620**2 x 810), 4.7e-10,
-    or more below 1 / R_ts (inf where s_w or s_s is 0), far above the few
-    ulps of either term's rounding. Rounded addition keeps order, so the
-    sums keep r_hm >= r_ts.
+    here, gain test included, is at most 2 x 810**2 < 1.32e6 < 2**31, and
+    a crossing's denominator at most 1620, EFFICIENCY_UNITS times it at
+    most 291,600; int32 is exact. The term of a rate num / den is the
+    correctly rounded EFFICIENCY_UNITS x den / num (inf for num = 0): both
+    operands are exact in float64. Correctly
+    rounded division never reverses an order, so of a pair's vertex and
+    crossings the smallest term is the correctly rounded
+    EFFICIENCY_UNITS / R*, which is what is stored: no crossing is
+    picked, and crossings that tie at R*, such as 2/4 and 1/2, are the same
+    rational and round to the same term, so a choice among them could not
+    change it. These bounds also keep a term that gains strictly below its
+    classical float term: R* and R_ts have denominators of at most 1620,
+    so R* > R_ts gives R* - R_ts >= 1 / 1620**2 units, and with R* <= 810
+    units 1 / R* lies a relative 1 / (1620**2 x 810), 4.7e-10, or more
+    below 1 / R_ts (inf where s_w or s_s is 0), far above the few ulps of
+    either term's rounding. Rounded addition keeps order, so the sums keep
+    r_hm >= r_ts.
     """
     weak_cells, strong_cells = np.asarray(weak_cells), np.asarray(strong_cells)
     units, inv = table.cell_units, table.cell_inv
-    schemes = (units.shape[1] - 1) // 2
+    schemes, k = (units.shape[1] - 1) // 2, units.shape[1] + 1
     terms = inv[weak_cells] + inv[strong_cells]
-    step = max(1, _BLOCK_ENTRIES // units.shape[1])
+    # Row r of cols, per cell: the single, each scheme's HE stream, each
+    # scheme's LE stream in reverse scheme order, then 0. Point r of a pair
+    # is row r of its weak cell and row k - 1 - r of its strong cell: (s_w,
+    # 0), weak on HE with strong on LE, weak on LE with strong on HE, (0, s_s).
+    cols = np.zeros((k, units.shape[0]), np.int32)
+    cols[:schemes + 1] = units.T[:schemes + 1]
+    cols[schemes + 1:-1] = units.T[:schemes:-1]
+    step = max(1, _SOLVE_ENTRIES // k)
     for lo in range(0, weak_cells.size, step):
-        x, strong = units[weak_cells[lo:lo + step]], units[strong_cells[lo:lo + step]]
-        sw, ss = x[:, :1], strong[:, :1]
-        # Point k is (x[:, k], y[:, k]): point 0 is (s_w, 0), never live,
-        # then weak on HE with strong on LE for each scheme, then weak on LE
-        # with strong on HE.
-        y = np.concatenate((0 * ss, strong[:, schemes + 1:], strong[:, 1:schemes + 1]), axis=1)
-        beyond = (x * np.maximum(ss, 1) + y * sw > sw * ss) & (x > 0) & (y > 0)
-        rows = beyond.any(axis=1).nonzero()[0]
-        if not rows.size:
+        x, y = cols.take(weak_cells[lo:lo + step], axis=1), cols[::-1].take(strong_cells[lo:lo + step], axis=1)
+        sw, ss, n = x[0], y[-1], x.shape[1]
+        m = np.minimum(x, y)
+        beyond = x * np.maximum(ss, 1) + y * sw > sw * ss
+        beyond &= m > 0
+        gains = beyond.any(axis=0)
+        if not gains.any():
             continue
-        x, y, beyond, ss = x[rows], y[rows], beyond[rows], ss[rows]
-        sw, d = x[:, :1], x - y
-        vertex = np.where(beyond, np.minimum(x, y), 0).max(axis=1)
-        below, above = beyond & (d > 0), beyond & (d < 0)
-        p, q = below.any(axis=0), above.any(axis=0)
-        # Point 0 is never beyond, so its column pads to the singles:
-        # (x, d) = (s_w, s_w) in P and (0, -s_s) in Q.
-        p[0] = q[0] = True
-        sides = (np.where(below, x, sw).compress(p, axis=1), np.where(below, d, sw).compress(p, axis=1),
-                 np.where(above, x, 0).compress(q, axis=1), np.where(above, d, -ss).compress(q, axis=1))
-        del x, y, d, strong  # free the block's points before the crossing grid
-        num, den = _best_crossings(*sides)
-        won = vertex * den > num
-        num, den = np.where(won, vertex, num), np.where(won, 1, den)
-        terms[lo + rows] = EFFICIENCY_UNITS * den / num
+        m *= beyond
+        vertex = m.max(axis=0)[gains]
+        d = x - y
+        p, q = beyond & (d > 0), beyond & (d < 0)
+        p[0] = q[-1] = gains
+        # Flat index c * k + r of a transposed mask is point r of pair c, so
+        # the entries come pair by pair, and P's single first in each pair.
+        pp, pr = np.divmod(np.flatnonzero(p.T), k)
+        qp, qr = np.divmod(np.flatnonzero(q.T), k)
+        # The triples, pair by pair: P entry e meets the reps[e] Q entries of
+        # its pair as triples run[e] onwards, and j is each triple's Q entry.
+        nq = np.bincount(qp, minlength=n)
+        reps = nq[pp]
+        run = np.cumsum(reps)
+        run -= reps
+        j = np.arange(run[-1] + reps[-1]) - np.repeat(run - (np.cumsum(nq) - nq)[pp], reps)
+        # Entry r * n + c of the flattened points is point r of pair c.
+        i, j = np.repeat(pr * n + pp, reps), (qr * n + qp)[j]
+        x, d = x.ravel(), d.ravel()
+        num = d[i] * x[j]
+        num -= d[j] * x[i]
+        den = d[i] - d[j]
+        np.maximum(den, 1, out=den)
+        den *= EFFICIENCY_UNITS
+        with np.errstate(divide="ignore"):
+            crossed = np.minimum.reduceat(den / num, run[pr == 0])
+        terms[lo + gains.nonzero()[0]] = np.minimum(crossed, EFFICIENCY_UNITS / vertex)
     return terms
 
 

@@ -367,9 +367,9 @@ class TestSolveCellPairs:
         table = synthetic_singles(ThresholdTable(entries), singles)
         assert self.assert_exact(table, [snrs]) == [rates]
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_every_cell_pair_of_random_tables(self, full_table, seed):
-        """Random subsets of the shipped schemes, with every threshold
+    @staticmethod
+    def random_table(full_table: ThresholdTable, seed: int) -> ThresholdTable:
+        """A random subset of the shipped schemes, with every threshold
         jittered by up to 3 dB either way on odd seeds."""
         rng = np.random.default_rng(seed)
         singles = [f for f in full_table.families() if not f.hierarchical]
@@ -379,9 +379,63 @@ class TestSolveCellPairs:
         entries = {k: v for k, v in full_table.entries().items() if (k[0].family if k[0].rho_he is None else k[0]) in keep}
         if seed % 2:
             entries = {k: v + rng.uniform(-3.0, 3.0) for k, v in entries.items()}
-        table = ThresholdTable(entries)
+        return ThresholdTable(entries)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_cell_pair_of_random_tables(self, full_table, seed):
+        table = self.random_table(full_table, seed)
         rates = self.assert_exact(table, every_cell_pair(table)[2])
         assert 0 < sum(r > ts for r, ts in rates) < len(rates)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_term_does_not_depend_on_its_batch(self, full_table, monkeypatch, seed):
+        """Every cell pair of a random table solved as one shuffled batch,
+        one pair per call, and in blocks of one pair: the same bits as the
+        batch of all pairs in order."""
+        table = self.random_table(full_table, seed)
+        weak, strong, _ = every_cell_pair(table)
+        terms = solve_cell_pairs(table, weak, strong)
+        order = np.random.default_rng(seed).permutation(weak.size)
+        shuffled = np.empty_like(terms)
+        shuffled[order] = solve_cell_pairs(table, weak[order], strong[order])
+        alone = np.concatenate([solve_cell_pairs(table, weak[k:k + 1], strong[k:k + 1]) for k in range(weak.size)])
+        monkeypatch.setattr(rateopt, "_SOLVE_ENTRIES", 1)
+        blocks = solve_cell_pairs(table, weak, strong)
+        for other in (shuffled, alone, blocks):
+            assert other.dtype == np.float64 and other.tobytes() == terms.tobytes()
+        assert 0 < np.count_nonzero(terms != table.cell_inv[weak] + table.cell_inv[strong]) < weak.size
+
+    def test_empty_batch(self, full_table, single_table, monkeypatch):
+        """An empty batch gives an empty float64 array: all that
+        system_summaries has to solve when every receiver is in outage."""
+        for table in (full_table, single_table):
+            empty = np.array([], dtype=np.intp)
+            terms = solve_cell_pairs(table, empty, empty)
+            assert terms.dtype == np.float64 and terms.shape == (0,)
+        sizes = []
+
+        def recording(table, weak_cells, strong_cells):
+            sizes.append(len(weak_cells))
+            return solve_cell_pairs(table, weak_cells, strong_cells)
+
+        monkeypatch.setattr(rateopt, "solve_cell_pairs", recording)
+        cells = np.zeros((2, 3), dtype=np.intp)  # cell 0: below every single threshold
+        r_hm, r_ts, gain, outage = system_summaries(cells, full_table.edges, [full_table])
+        assert not any(sizes) and outage.tolist() == [3, 3]
+        assert np.isnan(r_hm).all() and np.isnan(r_ts).all() and np.isnan(gain).all()
+
+    @pytest.mark.parametrize("name", ["full_table", "single_table"])
+    def test_batch_without_gain_is_classical(self, request, name):
+        """A batch in which no pair gains returns exactly the classical
+        terms: every pair of the shipped full table that does not gain, and
+        every pair of the baseline-only table (S = 0)."""
+        table = request.getfixturevalue(name)
+        weak, strong, _ = every_cell_pair(table)
+        classical = table.cell_inv[weak] + table.cell_inv[strong]
+        keep = solve_cell_pairs(table, weak, strong) == classical
+        assert keep.all() if name == "single_table" else 1000 < keep.sum() < keep.size
+        terms = solve_cell_pairs(table, weak[keep], strong[keep])
+        assert terms.tobytes() == classical[keep].tobytes()
 
 
 @pytest.mark.parametrize("family, size, sha256", [
