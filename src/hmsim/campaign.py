@@ -31,18 +31,24 @@ terms. A unit's receivers are paired max-spread, lowest cell with
 highest, the model's rule, so the reported gain is a lower bound on the
 best pairing's.
 
-With W workers the grid is split into B = min(W, grid points)
-interleaved blocks of grid points (block b takes points b, b + W, ...),
+With W workers, the most processes the campaign may use, the grid is
+split into B = min(W, grid points, max(1, grid points × repetitions ×
+receivers // ``_CHILD_RECEIVERS``)) interleaved blocks of grid points
+(block b takes points b, b + B, ...; see ``_grid_blocks``),
 which spreads the costlier high-SNR points, and the results are put back
-in grid order. The parent process first builds everything a block reads
-(see ``_primed_context``): numpy's lazily imported ``random`` submodule,
-the beam edge angle, the union table's edges and each family table's
-query structures. It then starts one child process for each of blocks 1
-to B - 1, forked on Linux so that it inherits the primed context without
-pickling, and runs block 0 itself while they run the others. Each child
-sends back its block's result, or the exception it raised, over a
-one-way pipe. With one block, at workers=1 or on a one-point grid, no
-child is started and ``multiprocessing`` is not imported.
+in grid order. So a second process runs only for a campaign of at least
+2 × ``_CHILD_RECEIVERS`` receivers, and each further one only for another
+``_CHILD_RECEIVERS``, the size that pays for a process. The parent process
+first builds everything a block reads (see ``_primed_context``): numpy's
+lazily imported ``random`` submodule, the beam edge angle, the union
+table's edges and each family table's query structures. It then starts
+one child process for each of blocks 1 to B - 1, forked on Linux so that
+it inherits the primed context without pickling, and runs block 0 itself
+while they run the others. Each child sends back its block's result, or
+the exception it raised, over a one-way pipe. With one block, at
+workers=1, on a one-point grid or for a campaign of fewer than
+2 × ``_CHILD_RECEIVERS`` receivers, no child is started and
+``multiprocessing`` is not imported.
 
 Determinism: the population for grid index g, repetition r is drawn from
 its own generator, ``SeedSequence(master_seed, spawn_key=(g, r))``, and
@@ -86,7 +92,9 @@ class CampaignConfig:
     """``repetitions`` draws of ``receivers`` receivers at each point of
     ``snr_max_grid`` (dB, finite, strictly increasing), each evaluated for
     every one of ``families`` (nonempty) and, if ``combined``, for all of
-    them together. No defaults: a scenario's are in ``cli.DEFAULT_SCENARIO``."""
+    them together, in at most ``workers`` processes: a campaign too small
+    to pay for a child process runs in one (see ``run_campaign``). No
+    defaults: a scenario's are in ``cli.DEFAULT_SCENARIO``."""
 
     snr_max_grid: tuple[float, ...]
     receivers: int
@@ -165,6 +173,14 @@ class SimulationReport:
 # 1 << 14 receivers that was about 1,900 page faults (7.5 MB) per 31-unit
 # campaign, whose cost moved with the host from one run to the next.
 _CHUNK_RECEIVERS = 1 << 12
+
+# Receivers a block must hold to pay for the child process that runs it:
+# the fork, the copy-on-write faults it causes in both processes and the
+# wait for the child. On 2 vCPUs the 31-point grid's 15,500 receivers (one
+# repetition) took 8-12 ms in two processes against 5-6 ms in one; the two
+# ran about even near 124,000 receivers (8 repetitions), and two processes
+# were faster from about 140,000 on.
+_CHILD_RECEIVERS = 1 << 16
 
 # Receivers per span of units whose cells are kept for one
 # ``system_summaries`` call: one (units x receivers) buffer of union cells,
@@ -255,6 +271,15 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     return _Context(family_tables, union, cfg, beam, weather)
 
 
+def _grid_blocks(cfg: CampaignConfig) -> list[range]:
+    """The campaign's B blocks of grid indices (see the module docstring),
+    block b holding points b, b + B, ..."""
+    grid = range(len(cfg.snr_max_grid))
+    receivers = len(grid) * cfg.repetitions * cfg.receivers
+    count = min(cfg.workers, len(grid), max(1, receivers // _CHILD_RECEIVERS))
+    return [grid[b::count] for b in range(count)]
+
+
 def _run_child_block(ctx, grid_indices: Sequence[int], sender) -> None:
     """The body of a child process: sends its block's ``_run_grid_points``
     result, or the exception it raised, to the parent."""
@@ -309,12 +334,14 @@ def run_campaign(
 
     ``tables`` must hold the non-hierarchical baseline plus every requested
     family; each family is evaluated against the baseline alone, plus a
-    combined evaluation over all requested families when configured.
+    combined evaluation over all requested families when configured. The
+    campaign runs in one process per block of ``_grid_blocks``: at most
+    ``cfg.workers``, and one for a campaign too small to pay for a second.
     """
     ctx = _primed_context(cfg, tables, beam, weather)
     tokens = cfg.family_tokens
     grid = range(len(cfg.snr_max_grid))
-    blocks = [grid[w::cfg.workers] for w in range(min(cfg.workers, len(grid)))]
+    blocks = _grid_blocks(cfg)
     children = []
     try:
         for block in blocks[1:]:

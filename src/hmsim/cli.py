@@ -456,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", metavar="A:B:STEP")
         p.add_argument("--families", metavar="LIST", help="comma list of family tokens, 'all' and/or 'combined'")
         p.add_argument("--out", metavar="DIR")
-        p.add_argument("--workers", type=int, metavar="N")
+        p.add_argument("--workers", type=int, metavar="N",
+                       help="most processes to run the campaign in; one for a campaign too small to pay for more")
 
     p_rho = sub.add_parser("rho", help="HE energy fraction of a constellation")
     p_rho.add_argument("--hqpsk", action="store_true")

@@ -41,8 +41,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from operator import attrgetter, itemgetter
+from functools import cached_property, partial
+from operator import attrgetter, gt, is_not, itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -498,6 +498,9 @@ def _column_runs(keys: Iterable[tuple[SchemeId, Stream, Fraction]]) -> list[tupl
 # None where the table has no entry.
 _Column = list[Optional[float]]
 
+# Whether a column slot holds a threshold, as a C-level callable.
+_present = partial(is_not, None)
+
 
 def _validation_issues(
     columns: Mapping[tuple[SchemeId, Stream], _Column],
@@ -514,7 +517,15 @@ def _validation_issues(
     anomalies = anomalies or {}
     issues: list[ValidationIssue] = []
 
-    for (scheme, stream), column in sorted(columns.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].value)):
+    # Almost every column is in order, and so is almost every pair of full
+    # columns: one C-level comparison of the present thresholds passes each,
+    # and only the ones that fail it are walked rate by rate below.
+    unordered = []
+    for key, column in columns.items():
+        present = list(filter(_present, column))
+        if not all(map(lt, present, present[1:])):
+            unordered.append((key, column))
+    for (scheme, stream), column in sorted(unordered, key=lambda kv: (kv[0][0].sort_key(), kv[0][1].value)):
         by_rate = [(rate, thr) for rate, thr in zip(DVBS2_CODE_RATES, column) if thr is not None]
         for (r_a, t_a), (r_b, t_b) in zip(by_rate, by_rate[1:]):
             if t_b <= t_a:
@@ -541,6 +552,11 @@ def _validation_issues(
                 lo_column, hi_column = columns.get((lo, stream)), columns.get((hi, stream))
                 if lo_column is None or hi_column is None:
                     continue
+                try:
+                    if all(map(gt if should_increase else lt, hi_column, lo_column)):
+                        continue
+                except TypeError:  # a None, at a rate one of them lacks: walk the pair
+                    pass
                 for rate, t_lo, t_hi in zip(DVBS2_CODE_RATES, lo_column, hi_column):
                     if t_lo is None or t_hi is None:
                         continue

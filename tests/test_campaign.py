@@ -68,6 +68,14 @@ def started(monkeypatch):
     return processes
 
 
+@pytest.fixture()
+def forking(monkeypatch):
+    """Start a child for every block after the first, however few receivers
+    it holds, so that a small campaign takes the fork path. The children
+    forked from the test inherit the patch."""
+    monkeypatch.setattr(campaign, "_CHILD_RECEIVERS", 1)
+
+
 def _patch_blocks(monkeypatch, parent_block, child_block):
     """Make campaign._run_grid_points call parent_block in this process and
     child_block in the children forked from it, which inherit the patch."""
@@ -190,6 +198,7 @@ class TestEngine:
 
 
 class TestDeterminism:
+    @pytest.mark.usefixtures("forking")
     def test_worker_count_does_not_change_bytes(self, full_table, sample_weather, default_antenna, small_cfg):
         serial = run_campaign(small_cfg, full_table, default_antenna, sample_weather)
         parallel_cfg = dataclasses.replace(small_cfg, workers=2)
@@ -197,6 +206,7 @@ class TestDeterminism:
         assert gains_csv_text(serial) == gains_csv_text(parallel)
         assert serial.stats == parallel.stats
 
+    @pytest.mark.usefixtures("forking")
     def test_uneven_worker_blocks_do_not_change_bytes(self, full_table, sample_weather, default_antenna,
                                                       campaign_config):
         # workers=3 on 4 grid points: blocks (0, 3), (1,) and (2,)
@@ -206,6 +216,7 @@ class TestDeterminism:
         assert gains_csv_text(serial) == gains_csv_text(parallel)
         assert serial.raw_gains == parallel.raw_gains and serial.outage == parallel.outage
 
+    @pytest.mark.usefixtures("forking")
     @pytest.mark.parametrize("workers, grid", [(2, (7.0,)), (4, (-1.0, 6.0, 13.0))],
                              ids=["one_block", "more_workers_than_points"])
     def test_more_workers_than_grid_points_do_not_change_bytes(self, full_table, sample_weather, default_antenna,
@@ -217,6 +228,7 @@ class TestDeterminism:
         assert gains_csv_text(serial) == gains_csv_text(parallel)
         assert serial.raw_gains == parallel.raw_gains and serial.outage == parallel.outage
 
+    @pytest.mark.usefixtures("forking")
     @pytest.mark.parametrize("workers, grid, children", [(2, (7.0,), 0), (3, (-1.0, 6.0, 13.0), 2)],
                              ids=["one_block", "three_blocks"])
     def test_each_block_after_the_first_starts_one_child(self, full_table, sample_weather, default_antenna,
@@ -294,6 +306,47 @@ class TestDeterminism:
             assert long.raw_gains[key][: len(values)] == values
 
 
+class TestGridBlocks:
+    """The block plan: at most one block per worker, per grid point and per
+    ``_CHILD_RECEIVERS`` receivers of the campaign, and at least one."""
+
+    @staticmethod
+    def blocks(cfg):
+        return [list(block) for block in campaign._grid_blocks(cfg)]
+
+    def test_sweep_runs_in_one_block(self, campaign_config):
+        cfg = dataclasses.replace(benchmark_config(campaign_config, "sweep"), workers=2)
+        assert self.blocks(cfg) == [list(range(31))]
+
+    def test_two_blocks_of_child_receivers_split_at_two_workers(self, campaign_config):
+        cfg = campaign_config(snr_max_grid=_grid(1.0, 1.0, 5), receivers=2 ** 16 // 5 + 1, repetitions=2,
+                              workers=2)
+        assert self.blocks(cfg) == [[0, 2, 4], [1, 3]]
+        assert self.blocks(dataclasses.replace(cfg, receivers=2 ** 16 // 5)) == [[0, 1, 2, 3, 4]]
+
+    def test_interleaves_by_blocks_not_workers(self, campaign_config):
+        # 6 x 30,000 receivers pay for two processes, not three.
+        cfg = campaign_config(snr_max_grid=_grid(1.0, 1.0, 6), receivers=30_000, repetitions=1, workers=3)
+        assert self.blocks(cfg) == [[0, 2, 4], [1, 3, 5]]
+
+    def test_one_block_per_point_below_the_worker_count(self, campaign_config):
+        cfg = campaign_config(snr_max_grid=(-1.0, 6.0, 13.0), receivers=2 ** 16, repetitions=1, workers=8)
+        assert self.blocks(cfg) == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("receivers, children", [(2 ** 16, 1), (2 ** 16 - 1, 0)],
+                             ids=["two_blocks", "one_receiver_short"])
+    def test_a_child_starts_at_two_blocks_of_child_receivers(self, full_table, sample_weather, default_antenna,
+                                                             started, receivers, children, campaign_config):
+        cfg = campaign_config(snr_max_grid=(3.0, 9.0), receivers=receivers, repetitions=1, master_seed=8)
+        serial = run_campaign(cfg, full_table, default_antenna, sample_weather)
+        assert started == []
+        parallel = run_campaign(dataclasses.replace(cfg, workers=2), full_table, default_antenna, sample_weather)
+        assert len(started) == children
+        assert gains_csv_text(serial) == gains_csv_text(parallel)
+        assert serial.raw_gains == parallel.raw_gains and serial.outage == parallel.outage
+        assert multiprocessing.active_children() == []
+
+
 @pytest.fixture()
 def deadline():
     """Fail a test that waits on child processes for more than 60 s, rather
@@ -313,7 +366,7 @@ def deadline():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="children inherit a patched module only when forked, as on Linux")
-@pytest.mark.usefixtures("deadline")
+@pytest.mark.usefixtures("deadline", "forking")
 class TestChildProcesses:
     CLI_CAMPAIGN = ["campaign", "--grid", "4:6:1", "--reps", "2", "--receivers", "40", "--workers", "2"]
 
@@ -544,7 +597,8 @@ class TestPrimedContext:
         # numpy imports numpy.ma lazily, in np.unique among others, which
         # costs a cold campaign about 16 ms. Commands that start no child
         # process import no process machinery either: concurrent.futures
-        # costs 19-30 ms of a cold import.
+        # costs 19-30 ms of a cold import. The 3 x 2 x 40 campaign is far
+        # too small to pay for a child, so it starts none at --workers 2.
         imported = _run_fresh_process(f"""
             import json, sys
             from hmsim.cli import main
@@ -559,6 +613,6 @@ class TestPrimedContext:
             assert main([*campaign, "--workers", "1"]) == 0
             serial = imported("numpy.ma", "multiprocessing", "concurrent")
             assert main([*campaign, "--workers", "2"]) == 0
-            print(json.dumps({{"serial": serial, "two_workers": imported("numpy.ma", "concurrent")}}))
+            print(json.dumps({{"serial": serial, "two_workers": imported("numpy.ma", "multiprocessing", "concurrent")}}))
         """)
         assert imported == {"serial": [], "two_workers": []}
