@@ -93,9 +93,9 @@ class Apsk32Params:
     theta: float
 
     def __post_init__(self):
-        if not 1.0 < self.gamma1 < self.gamma2:
+        if not (1.0 < self.gamma1 < self.gamma2 and math.isfinite(self.gamma2)):
             raise ValueError(
-                f"ring ratios must satisfy 1 < gamma1 < gamma2, got "
+                f"ring ratios must be finite and satisfy 1 < gamma1 < gamma2, got "
                 f"gamma1={self.gamma1}, gamma2={self.gamma2}"
             )
         if not 0.0 < self.theta < 45.0:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import attrgetter, gt, is_not, itemgetter, lt
+from operator import gt, is_not, lt
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -68,29 +68,9 @@ __all__ = [
 
 
 # The 11 LDPC code rates of DVB-S2 (normal FEC frames), ascending.
-_DVBS2_RATE_TERMS = ((1, 4), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5), (5, 6), (8, 9), (9, 10))
-
-
-class _CodeRate(Fraction):
-    """A DVB-S2 code rate that computes its hash once and knows its place in
-    DVBS2_CODE_RATES, ``index``. The keys of a loaded table hold these, and
-    Fraction's own hash redoes a Python-level modular inverse on every dict
-    operation; the value is the same, so a plain Fraction still finds the
-    key."""
-
-    __slots__ = ("_hash", "index")
-
-    def __new__(cls, numerator, denominator):
-        self = super().__new__(cls, numerator, denominator)
-        self._hash = Fraction.__hash__(self)
-        self.index = _DVBS2_RATE_TERMS.index((self.numerator, self.denominator))
-        return self
-
-    def __hash__(self):
-        return self._hash
-
-
-DVBS2_CODE_RATES = tuple(_CodeRate(p, q) for p, q in _DVBS2_RATE_TERMS)
+DVBS2_CODE_RATES = tuple(
+    Fraction(p, q) for p, q in ((1, 4), (1, 3), (2, 5), (1, 2), (3, 5), (2, 3), (3, 4), (4, 5), (5, 6), (8, 9), (9, 10))
+)
 
 # Every spectral efficiency bits x p/q is a whole number of 1/180 bit/s/Hz,
 # since 180 is the lcm of the rate denominators: bits x p x (180 // q).
@@ -98,7 +78,7 @@ EFFICIENCY_UNITS = math.lcm(*(rate.denominator for rate in DVBS2_CODE_RATES))
 
 # Each rate's place in DVBS2_CODE_RATES, which orders rates and indexes
 # arrays by rate, and one bit's efficiency at each rate.
-_RATE_INDEX = {rate: rate.index for rate in DVBS2_CODE_RATES}
+_RATE_INDEX = {rate: i for i, rate in enumerate(DVBS2_CODE_RATES)}
 _UNITS_PER_BIT = np.array([rate.numerator * (EFFICIENCY_UNITS // rate.denominator) for rate in DVBS2_CODE_RATES])
 
 
@@ -110,27 +90,14 @@ def _rate_index(rate: Fraction) -> int:
     return index
 
 
-def _rate_indices(rates: Sequence[Fraction]) -> np.ndarray:
-    """``_rate_index`` of each rate: read off the rates when all are
-    _CodeRates, as in a loaded table, else looked up."""
-    try:
-        return np.fromiter(map(attrgetter("index"), rates), np.intp, len(rates))
-    except AttributeError:
-        return np.fromiter(map(_rate_index, rates), np.intp, len(rates))
-
-
 def _efficiency_units(bits: int, rate: Fraction) -> int:
     """The one efficiency formula: a stream of ``bits`` bits per symbol at a
     DVB-S2 code rate, in 1/EFFICIENCY_UNITS bit/s/Hz. ValueError otherwise.
-    ``ThresholdTable.cell_units`` applies it to arrays of entries."""
+    ``ThresholdTable.cell_units`` applies it to arrays of columns."""
     return bits * int(_UNITS_PER_BIT[_rate_index(rate)])
 
 
 class Stream(Enum):
-    # Members are singletons that compare by identity, so the identity hash
-    # (a C slot, unlike Enum's) is exact and keeps table keys cheap to hash.
-    __hash__ = object.__hash__
-
     HE = "HE"
     LE = "LE"
     SINGLE = "SINGLE"
@@ -148,8 +115,6 @@ class Family(Enum):
     H_PSK8 = ("h_psk8", 2, 1)
     H_APSK16 = ("h_apsk16", 2, 2)
     H_APSK32 = ("h_apsk32", 2, 3)
-
-    __hash__ = object.__hash__  # as for Stream
 
     def __init__(self, token: str, bits_he: int, bits_le: int):
         self.token = token
@@ -192,16 +157,6 @@ class SchemeId:
             raise ValueError(f"family {self.family.token} requires rho_he={'set' if self.family.hierarchical else 'absent'}")
         if hierarchical and not 0.5 <= self.rho_he <= 0.9:
             raise ValueError(f"rho_he must be in [0.5, 0.9], got {self.rho_he}")
-        # Every table-key operation hashes the scheme, so hash it once. The
-        # value differs between processes (Family hashes by identity), so
-        # __reduce__ rebuilds a pickled scheme instead of copying it.
-        object.__setattr__(self, "_hash", hash((self.family, self.rho_he)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return SchemeId, (self.family, self.rho_he)
 
     def bits(self, stream: Stream) -> int:
         if stream is Stream.SINGLE:
@@ -325,40 +280,51 @@ def _parse_rate(text: str, path: Path, line_no: int) -> int:
     return index
 
 
+# The thresholds of one (scheme, stream) at each DVB-S2 rate, by rate index,
+# None where the table has no entry.
+_Column = list[Optional[float]]
+
+# Whether a column slot holds a threshold, as a C-level callable.
+_present = partial(is_not, None)
+
+
 class ThresholdTable:
     """Immutable map (scheme, stream, code rate) -> decoding threshold in dB.
 
-    Construction keeps only the entries and the warnings. Each query
-    structure is built on the first call that reads it and kept on the
-    instance, so a table that is only loaded, merged, validated or pickled
-    never builds one: the sorted scheme list, the cell edges and the
-    structures indexed by cell (see ``cells``). ``cell_units``, the best
-    single, HE and LE efficiencies as exact integers in 1/EFFICIENCY_UNITS
-    bit/s/Hz, is the one per-cell record of best efficiencies, built from
-    the entries; ``cell_inv``, the float reciprocals that the harmonic sums
-    add, and the single-modcod choices that ``best_single`` returns are
-    derived from it. These are deterministic caches, so instances are safe
-    to share across threads and processes: a race only repeats work.
+    A table holds its columns, {(scheme, stream): the thresholds at the 11
+    DVB-S2 rates, indexed as DVBS2_CODE_RATES, None where absent}, and its
+    warnings. Each query structure is built on the first call that reads it
+    and kept on the instance, so a table that is only loaded, merged,
+    validated or pickled never builds one: the sorted scheme list, the cell
+    edges and the structures indexed by cell (see ``cells``).
+    ``cell_units``, the best single, HE and LE efficiencies as exact
+    integers in 1/EFFICIENCY_UNITS bit/s/Hz, is the one per-cell record of
+    best efficiencies, built from the columns; ``cell_inv``, the float
+    reciprocals that the harmonic sums add, and the single-modcod choices
+    that ``best_single`` returns are derived from it. These are
+    deterministic caches, so instances are safe to share across threads
+    and processes: a race only repeats work.
     """
 
-    def __init__(
-        self,
-        entries: Mapping[tuple[SchemeId, Stream, Fraction], float],
-        warnings: Sequence[ValidationIssue] = (),
-    ):
-        self._entries = dict(entries)
+    def __init__(self, columns: Mapping[tuple[SchemeId, Stream], _Column], warnings: Sequence[ValidationIssue] = ()):
+        self._columns = dict(columns)
         self.warnings = tuple(warnings)
 
     @cached_property
     def _schemes(self) -> list[SchemeId]:
-        return sorted({scheme for scheme, _, _ in _column_runs(self._entries)}, key=SchemeId.sort_key)
+        return sorted({scheme for scheme, _ in self._columns}, key=SchemeId.sort_key)
+
+    @cached_property
+    def _thresholds(self) -> np.ndarray:
+        """The columns as one (columns, rates) float array, NaN where absent."""
+        return np.array(list(self._columns.values()), dtype=float).reshape(-1, len(DVBS2_CODE_RATES))
 
     @cached_property
     def edges(self) -> np.ndarray:
         """The distinct thresholds, ascending: each first of a run of equal
         sorted values, as np.unique keeps it (thresholds are finite). Cell c
         holds the SNRs from ``edges[c - 1]`` up to below ``edges[c]``."""
-        edges = np.sort(np.fromiter(self._entries.values(), float, len(self._entries)))
+        edges = np.sort(self._thresholds[~np.isnan(self._thresholds)])
         return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
     @cached_property
@@ -382,28 +348,23 @@ class ThresholdTable:
         and columns S+1..2S its best LE stream. No efficiency exceeds 5 x
         9/10 bit/s/Hz, 810 units. This is the table's one per-cell record of
         best efficiencies: ``cell_inv``, ``best_single``,
-        ``achievable_pairs`` and ``rateopt.solve_cell_pairs`` all read it."""
-        schemes, keys = self.hierarchical_schemes(), list(self._entries)
-        column = {(scheme, Stream.HE): 1 + i for i, scheme in enumerate(schemes)}
-        column.update({(scheme, Stream.LE): 1 + len(schemes) + i for i, scheme in enumerate(schemes)})
-        # Each run of one scheme and stream has one column and one bit width;
-        # only the rate is looked up per entry.
-        runs = _column_runs(keys)
-        lengths = np.diff([start for _, _, start in runs] + [len(keys)])
-        columns = np.repeat(np.array([column.get((scheme, stream), 0) for scheme, stream, _ in runs], np.intp), lengths)
-        try:
-            bits = np.repeat(np.array([scheme.bits(stream) for scheme, stream, _ in runs], np.int64), lengths)
-            units = bits * _UNITS_PER_BIT[_rate_indices(list(map(itemgetter(2), keys)))]
-        except ValueError:
-            # A table built directly: report its first invalid entry.
-            for scheme, stream, rate in keys:
-                _efficiency_units(scheme.bits(stream), rate)
-            raise
-        # An entry decodes from the cell its threshold opens (thresholds are
-        # table edges), so the best per cell is a running max down the cells.
-        cells = np.searchsorted(self.edges, np.fromiter(self._entries.values(), float, len(keys)), side="right")
+        ``achievable_pairs`` and ``rateopt.solve_cell_pairs`` all read it.
+        A column whose stream does not apply to its scheme raises
+        ValueError here."""
+        schemes = self.hierarchical_schemes()
+        place = {scheme: i for i, scheme in enumerate(schemes)}
+        bits = np.array([scheme.bits(stream) for scheme, stream in self._columns], np.int64)
+        columns = np.array([
+            0 if stream is Stream.SINGLE else 1 + place[scheme] + (len(schemes) if stream is Stream.LE else 0)
+            for scheme, stream in self._columns
+        ], np.intp)
+        # Each threshold decodes from the cell it opens (thresholds are table
+        # edges), so the best per cell is a running max down the cells. An
+        # absent slot adds 0 units to the cell that NaN sorts into.
+        thresholds = self._thresholds
+        units = np.where(np.isnan(thresholds), 0, bits[:, None] * _UNITS_PER_BIT)
         grid = np.zeros((self.edges.size + 1, 1 + 2 * len(schemes)), dtype=np.int64)
-        np.maximum.at(grid, (cells, columns), units)
+        np.maximum.at(grid, (self.cells(thresholds), columns[:, None]), units)
         return np.maximum.accumulate(grid, axis=0)
 
     @cached_property
@@ -415,27 +376,34 @@ class ThresholdTable:
         so an exact tie (2 x 9/10 == 3 x 3/5) goes to the lower threshold,
         then the scheme token. That entry decodes in the cell: every entry
         with that efficiency has a threshold at least as high."""
-        # No two SINGLE entries share a scheme token and a rate, so the sort
-        # never compares schemes.
+        # No two SINGLE entries share a scheme token and a rate index, so the
+        # sort never compares schemes.
         singles = sorted(
-            (thr, scheme.token, rate, scheme)
-            for (scheme, stream, rate), thr in self._entries.items()
+            (thr, scheme.token, index, scheme)
+            for (scheme, stream), column in self._columns.items()
             if stream is Stream.SINGLE
+            for index, thr in enumerate(column)
+            if thr is not None
         )
         first: dict[int, ModcodChoice] = {}
-        for _, _, rate, scheme in singles:
-            units = _efficiency_units(scheme.bits(Stream.SINGLE), rate)
+        for _, _, index, scheme in singles:
+            units = scheme.bits(Stream.SINGLE) * int(_UNITS_PER_BIT[index])
             if units not in first:
-                first[units] = ModcodChoice(scheme, Stream.SINGLE, rate)
+                first[units] = ModcodChoice(scheme, Stream.SINGLE, DVBS2_CODE_RATES[index])
         return list(map(first.get, self.cell_units[:, 0].tolist()))
 
     # -- basic container surface -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(sum(map(_present, column)) for column in self._columns.values())
 
     def entries(self) -> dict[tuple[SchemeId, Stream, Fraction], float]:
-        return dict(self._entries)
+        return {
+            (scheme, stream, rate): thr
+            for (scheme, stream), column in self._columns.items()
+            for rate, thr in zip(DVBS2_CODE_RATES, column)
+            if thr is not None
+        }
 
     def hierarchical_schemes(self) -> list[SchemeId]:
         return [s for s in self._schemes if s.rho_he is not None]
@@ -446,18 +414,24 @@ class ThresholdTable:
     def subset(self, families: Iterable[Family]) -> "ThresholdTable":
         """Table restricted to the given families (warnings not re-derived)."""
         keep = set(families)
-        sub = {k: v for k, v in self._entries.items() if k[0].family in keep}
-        return ThresholdTable(sub, warnings=())
+        return ThresholdTable({key: column for key, column in self._columns.items() if key[0].family in keep})
 
     def merged_with(self, other: "ThresholdTable") -> "ThresholdTable":
-        entries = dict(self._entries)
-        add = entries.setdefault
-        for key, thr in other._entries.items():
-            held = add(key, thr)  # thr itself if the key is new
-            if held is not thr and held != thr:
-                raise TableValidationError(f"conflicting thresholds for {key[0].token}/{key[1].value} {key[2]}")
+        """Both tables' entries; an entry both hold must have one threshold."""
+        columns = dict(self._columns)
+        for key, column in other._columns.items():
+            held = columns.setdefault(key, column)
+            if held is column:  # a new column, or one both tables share
+                continue
+            merged = [thr if held_thr is None else held_thr for held_thr, thr in zip(held, column)]
+            for index, thr in enumerate(column):
+                if thr is not None and thr != merged[index]:
+                    raise TableValidationError(
+                        f"conflicting thresholds for {key[0].token}/{key[1].value} {DVBS2_CODE_RATES[index]}"
+                    )
+            columns[key] = merged
         # A warning both tables carry, as when one file is merged twice, is kept once.
-        return ThresholdTable(entries, warnings=tuple(dict.fromkeys(self.warnings + other.warnings)))
+        return ThresholdTable(columns, warnings=tuple(dict.fromkeys(self.warnings + other.warnings)))
 
     # -- queries -------------------------------------------------------------------
 
@@ -476,30 +450,6 @@ class ThresholdTable:
     def cell(self, snr_db: float) -> int:
         """Cell of one SNR (see ``cells``)."""
         return int(self.cells(snr_db))
-
-
-def _column_runs(keys: Iterable[tuple[SchemeId, Stream, Fraction]]) -> list[tuple[SchemeId, Stream, int]]:
-    """(scheme, stream, position of its first key) of each run of
-    consecutive table keys that hold one SchemeId object and one stream.
-    The rows of a loaded column share their scheme object, so a column is
-    one run (a merged HE/LE column is one run per entry, as its rows
-    alternate HE and LE), and work per run replaces hashing the scheme of
-    each entry."""
-    runs = []
-    last_scheme = last_stream = None
-    for position, (scheme, stream, _) in enumerate(keys):
-        if scheme is not last_scheme or stream is not last_stream:
-            runs.append((scheme, stream, position))
-            last_scheme, last_stream = scheme, stream
-    return runs
-
-
-# The thresholds of one (scheme, stream) at each DVB-S2 rate, by rate index,
-# None where the table has no entry.
-_Column = list[Optional[float]]
-
-# Whether a column slot holds a threshold, as a C-level callable.
-_present = partial(is_not, None)
 
 
 def _validation_issues(
@@ -592,11 +542,10 @@ def load_threshold_csv(
     if anomalies is None:
         anomalies = load_anomaly_manifest()
     path = Path(path)
-    entries: dict[tuple[SchemeId, Stream, Fraction], float] = {}
     # One SchemeId per (family, rho_he) spelling and one target list per
     # (family, rho_he, stream) spelling, so each spelling is parsed and
-    # checked once and the rows of a column share their scheme object. A
-    # target is a (scheme, stream, column) that a row fills at its rate.
+    # checked once. A target is a (scheme, stream, column) that a row fills
+    # at its rate.
     schemes: dict[tuple[str, str], SchemeId] = {}
     targets_of: dict[tuple[str, str, str], tuple[tuple[SchemeId, Stream, _Column], ...]] = {}
     columns: dict[tuple[SchemeId, Stream], _Column] = {}
@@ -652,21 +601,20 @@ def load_threshold_csv(
                 (scheme, stream, columns.setdefault((scheme, stream), [None] * len(DVBS2_CODE_RATES)))
                 for stream in streams
             )
-        rate = DVBS2_CODE_RATES[index]
         for scheme, stream, column in targets:
             if column[index] is not None:
                 raise TableValidationError(
-                    f"{path}: line {line_no}: duplicate entry {scheme.token}/{stream.value} {rate}"
+                    f"{path}: line {line_no}: duplicate entry {scheme.token}/{stream.value} {DVBS2_CODE_RATES[index]}"
                 )
-            column[index] = entries[scheme, stream, rate] = threshold
-    if not entries:
+            column[index] = threshold
+    if not columns:
         raise TableParseError(f"{path}: no data rows")
 
     issues = _validation_issues(columns, anomalies)
     errors = [i for i in issues if i.severity == "error"]
     if errors:
         raise TableValidationError(f"{path}: " + "; ".join(i.message for i in errors))
-    return ThresholdTable(entries, warnings=[i for i in issues if i.severity == "warning"])
+    return ThresholdTable(columns, warnings=[i for i in issues if i.severity == "warning"])
 
 
 def signaling_bits(n_rates: int, n_hier_mods: int) -> int:

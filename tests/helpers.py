@@ -20,11 +20,23 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from hmsim import modcod
 from hmsim.constellations import Apsk32Params, Psk8Params, QpskParams
 from hmsim.modcod import DVBS2_CODE_RATES, ModcodChoice, Stream, ThresholdTable
 from hmsim.rateopt import system_summaries
 
 RATES = list(DVBS2_CODE_RATES)
+
+
+def table_from_entries(entries, warnings=()) -> ThresholdTable:
+    """The table of ``entries``, {(scheme, stream, code rate): threshold}:
+    each entry goes to its rate's slot, ``modcod._rate_index``, of its
+    (scheme, stream) column. ValueError for a rate outside DVB-S2."""
+    columns = {}
+    for (scheme, stream, rate), thr in entries.items():
+        columns.setdefault((scheme, stream), [None] * len(DVBS2_CODE_RATES))[modcod._rate_index(rate)] = thr
+    return ThresholdTable(columns, warnings)
+
 
 # Hierarchical QPSK thresholds, row-major. Per rate: shared rho=0.5 value,
 # then (HE, LE) for rho = 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9.

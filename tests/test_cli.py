@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import serialize_threshold_csv
+from helpers import serialize_threshold_csv, table_from_entries
 import hmsim
 from hmsim import cli
 from hmsim.cli import main
-from hmsim.modcod import Family, SchemeId, Stream, ThresholdTable, packaged_data_path
+from hmsim.modcod import Family, SchemeId, Stream, packaged_data_path
 from hmsim.rateopt import pair_solution
 
 
@@ -29,7 +29,7 @@ def scenario_dir(tmp_path):
     from hmsim.modcod import load_threshold_csv
 
     hq = load_threshold_csv(packaged_data_path("hqpsk_thresholds.csv"))
-    sub = ThresholdTable({k: v for k, v in hq.entries().items() if k[0].rho_he == 0.8})
+    sub = table_from_entries({k: v for k, v in hq.entries().items() if k[0].rho_he == 0.8})
     (tmp_path / "hq08.csv").write_text(serialize_threshold_csv(sub))
     (tmp_path / "wx.csv").write_text("attenuation_db,cum_prob\n0,0\n0.4,0.9\n2,1\n")
     (tmp_path / "scenario.ini").write_text(

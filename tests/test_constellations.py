@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_apsk32_points, build_psk8_points, build_qpsk_points
+from hmsim import cli
 from hmsim.constellations import (
     ADOPTED_APSK32_TRIPLES,
     ADOPTED_QPSK_SPLITS,
@@ -107,6 +108,14 @@ class TestApsk32Rho:
             Apsk32Params(2.0, 1.5, 20.0)
         with pytest.raises(ValueError):
             Apsk32Params(1.5, 2.5, 45.0)
+        with pytest.raises(ValueError, match="got gamma1=2.0, gamma2=inf$"):
+            Apsk32Params(2.0, math.inf, 20.0)
+
+    def test_rho_command_rejects_an_infinite_ring_ratio(self, capsys):
+        assert cli.main(["rho", "--h32apsk", "--g1", "2", "--g2", "inf", "--theta", "30"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: ring ratios must be finite and satisfy 1 < gamma1 < gamma2, got gamma1=2.0, gamma2=inf\n"
+        )
 
 
 class TestQpskPoints:

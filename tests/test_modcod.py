@@ -19,6 +19,7 @@ from helpers import (
     h32apsk_reference_cells,
     hqpsk_reference_cells,
     serialize_threshold_csv,
+    table_from_entries,
 )
 from hmsim import cli, modcod
 from hmsim.campaign import CampaignConfig, run_campaign
@@ -64,7 +65,7 @@ def jittered(table: ThresholdTable, seed: int, whole_db: bool) -> ThresholdTable
     rounded to a whole dB if whole_db, so that thresholds tie."""
     rng = random.Random(seed)
     entries = {key: thr + rng.uniform(-1.5, 1.5) for key, thr in table.entries().items()}
-    return ThresholdTable({key: float(round(thr)) if whole_db else thr for key, thr in entries.items()})
+    return table_from_entries({key: float(round(thr)) if whole_db else thr for key, thr in entries.items()})
 
 
 class TestShippedFiles:
@@ -388,10 +389,10 @@ class TestStreamEfficiency:
 
     @pytest.mark.parametrize("rate", [F(7, 8), F(1, 5)], ids=["7_8", "1_5"])
     def test_non_dvbs2_rate_rejected_in_a_table_built_directly(self, rate):
-        # 7/8 has no whole number of units; 1/5 has one, but no DVB-S2 modcod
+        # 7/8 has no whole number of units; 1/5 has one, but no DVB-S2 modcod.
+        # A table column has a slot for each DVB-S2 rate and no other.
         qpsk = SchemeId(Family.QPSK)
-        table = ThresholdTable({(qpsk, Stream.SINGLE, rate): 1.0, (qpsk, Stream.SINGLE, F(1, 2)): 0.0})
-        queries = [lambda: table.cell_inv, lambda: table.best_single(2.0),
+        queries = [lambda: table_from_entries({(qpsk, Stream.SINGLE, rate): 1.0}),
                    lambda: ModcodChoice(qpsk, Stream.SINGLE, rate).spectral_efficiency]
         for query in queries:
             with pytest.raises(ValueError, match=f"^code rate {rate} is not a DVB-S2 rate$"):
@@ -400,9 +401,9 @@ class TestStreamEfficiency:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_first_invalid_entry_of_a_table_built_directly_reported(self, reverse):
         qpsk = SchemeId(Family.QPSK)
-        keys = [(qpsk, Stream.SINGLE, F(1, 2)), (qpsk, Stream.SINGLE, F(7, 8)), (qpsk, Stream.HE, F(1, 2))]
-        table = ThresholdTable(dict.fromkeys(keys[::-1] if reverse else keys, 1.0))
-        problem = "qpsk is non-hierarchical; stream HE does not apply" if reverse else "code rate 7/8 is not a DVB-S2 rate"
+        keys = [(qpsk, Stream.SINGLE, F(1, 2)), (qpsk, Stream.HE, F(1, 2))]
+        table = table_from_entries(dict.fromkeys(keys[::-1] if reverse else keys, 1.0))
+        problem = "qpsk is non-hierarchical; stream HE does not apply"
         with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
             table.cell_units
 
@@ -421,7 +422,7 @@ class TestBestSingleModcod:
         entries = {
             k: v for k, v in hqpsk_table.entries().items() if k[0].rho_he == 0.9
         }
-        table = ThresholdTable(entries)
+        table = table_from_entries(entries)
         (scheme,) = table.hierarchical_schemes()
         units = int(table.cell_units[table.cell(3.7), 1])
         assert units == 160  # 1 bit x 8/9 in 1/180 bit/s/Hz
@@ -442,13 +443,13 @@ class TestBestSingleModcod:
     def test_tie_breaks_to_lower_threshold(self):
         a = SchemeId(Family.QPSK)
         b = SchemeId(Family.PSK8)
-        table = ThresholdTable({
+        table = table_from_entries({
             (a, Stream.SINGLE, F(9, 10)): 6.42,   # eff 1.8
             (b, Stream.SINGLE, F(3, 5)): 5.50,    # eff 1.8, lower threshold
         })
         assert table.best_single(7.0).scheme.family is Family.PSK8
         # and when the lower threshold is the later scheme token
-        table = ThresholdTable({(a, Stream.SINGLE, F(9, 10)): 5.0, (b, Stream.SINGLE, F(3, 5)): 5.5})
+        table = table_from_entries({(a, Stream.SINGLE, F(9, 10)): 5.0, (b, Stream.SINGLE, F(3, 5)): 5.5})
         assert table.best_single(7.0).scheme.family is Family.QPSK
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -459,7 +460,7 @@ class TestBestSingleModcod:
     def test_tie_at_equal_threshold_breaks_to_scheme_token(self, loser, winner, reverse):
         # whichever entry the table holds first
         keys = [(SchemeId(family), Stream.SINGLE, rate) for family, rate in (loser, winner)]
-        table = ThresholdTable(dict.fromkeys(keys[::-1] if reverse else keys, 6.0))
+        table = table_from_entries(dict.fromkeys(keys[::-1] if reverse else keys, 6.0))
         assert table.best_single(6.0) == ModcodChoice(*keys[1])
         assert table.best_single(6.0) == best_single_reference(table, 6.0)
 
@@ -533,23 +534,10 @@ class TestCellUnits:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_entries_of_tied_tables(self, full_table, seed):
-        # Whole-dB thresholds tie across schemes, streams and rates, and a
-        # table built from plain Fractions holds no loaded rate objects.
+        # Whole-dB thresholds tie across schemes, streams and rates.
         table = jittered(full_table, seed, whole_db=True)
         assert len(table.cell_inv) < len(full_table.cell_inv)
         self.assert_matches_entries(table)
-        plain = ThresholdTable({(scheme, stream, F(rate)): thr for (scheme, stream, rate), thr in table.entries().items()})
-        assert not any(type(rate) is modcod._CodeRate for _, _, rate in plain.entries())
-        assert np.array_equal(plain.cell_units, table.cell_units)
-        snrs = probe_snrs(table)
-        assert [plain.best_single(s) for s in snrs] == [table.best_single(s) for s in snrs]
-
-    def test_non_dvbs2_rate_in_a_tied_table(self, full_table):
-        entries = jittered(full_table, 1, whole_db=True).entries()
-        entries[SchemeId(Family.PSK8), Stream.SINGLE, F(7, 8)] = 5.0
-        for query in (lambda table: table.cell_units, lambda table: table.best_single(9.0)):
-            with pytest.raises(ValueError, match="^code rate 7/8 is not a DVB-S2 rate$"):
-                query(ThresholdTable(entries))
 
 
 class TestTableAlgebra:
@@ -559,9 +547,31 @@ class TestTableAlgebra:
         assert len(sub.hierarchical_schemes()) == 9
 
     def test_merge_conflict(self, single_table):
-        clash = ThresholdTable({(SchemeId(Family.QPSK), Stream.SINGLE, F(1, 4)): -9.9})
-        with pytest.raises(TableValidationError, match="conflict"):
+        clash = table_from_entries({(SchemeId(Family.QPSK), Stream.SINGLE, F(1, 4)): -9.9})
+        with pytest.raises(TableValidationError, match="^conflicting thresholds for qpsk/SINGLE 1/4$"):
             single_table.merged_with(clash)
+
+    @pytest.mark.parametrize("entries,named", [
+        ({(Family.QPSK, F(1, 2)): 9.0, (Family.QPSK, F(1, 4)): -9.9}, "qpsk/SINGLE 1/4"),
+        ({(Family.PSK8, F(3, 5)): 9.0, (Family.QPSK, F(1, 4)): -9.9}, "psk8/SINGLE 3/5"),
+        ({(Family.QPSK, F(1, 4)): -9.9, (Family.PSK8, F(3, 5)): 9.0}, "qpsk/SINGLE 1/4"),
+    ], ids=["rate_order", "column_order", "column_order_reversed"])
+    def test_merge_conflict_names_the_first_in_column_then_rate_order(self, single_table, entries, named):
+        clash = table_from_entries({(SchemeId(family), Stream.SINGLE, rate): thr for (family, rate), thr in entries.items()})
+        with pytest.raises(TableValidationError, match=f"^conflicting thresholds for {re.escape(named)}$"):
+            single_table.merged_with(clash)
+
+    def test_merge_of_split_rows_equals_the_whole_file(self, tmp_path, single_table):
+        header, *rows = packaged_data_path("dvbs2_single.csv").read_text().splitlines()
+        even = load_threshold_csv(write_csv(tmp_path, "even.csv", rows[0::2], header))
+        odd = load_threshold_csv(write_csv(tmp_path, "odd.csv", rows[1::2], header))
+        snrs = probe_snrs(single_table)
+        for merged in (even.merged_with(odd), odd.merged_with(even)):
+            assert merged.entries() == single_table.entries()
+            assert len(merged) == len(single_table) == len(rows)
+            assert np.array_equal(merged.edges, single_table.edges)
+            assert np.array_equal(merged.cell_units, single_table.cell_units)
+            assert [merged.best_single(s) for s in snrs] == [single_table.best_single(s) for s in snrs]
 
     def test_merge_disjoint(self, single_table, hqpsk_table):
         merged = single_table.merged_with(hqpsk_table)

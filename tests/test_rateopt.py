@@ -18,6 +18,7 @@ from helpers import (
     row_summary,
     snr_summaries,
     system_summary_reference,
+    table_from_entries,
     unpruned_points,
 )
 from hmsim import rateopt
@@ -41,13 +42,13 @@ def synthetic_singles(table: ThresholdTable, entries) -> ThresholdTable:
     merged = table.entries()
     for (family, rate), thr in entries.items():
         merged[(SchemeId(family), Stream.SINGLE, rate)] = thr
-    return ThresholdTable(merged)
+    return table_from_entries(merged)
 
 
 @pytest.fixture(scope="module")
 def hqpsk_rho08_with_singles(hqpsk_table):
     sub = {k: v for k, v in hqpsk_table.entries().items() if k[0].rho_he == 0.8}
-    return synthetic_singles(ThresholdTable(sub), {
+    return synthetic_singles(table_from_entries(sub), {
         (Family.QPSK, F(1, 2)): 0.9,
         (Family.QPSK, F(9, 10)): 6.3,
     })
@@ -65,7 +66,7 @@ class TestAchievablePairs:
         assert [(p.r1, p.r2) for p in points] == [(0.0, 0.0)]
 
     def test_h32_example_point_unpruned(self, h32apsk_table):
-        sub = ThresholdTable(
+        sub = table_from_entries(
             {k: v for k, v in h32apsk_table.entries().items() if k[0].rho_he == 0.7}
         )
         points = unpruned_points(0.0, 12.0, sub)
@@ -364,7 +365,7 @@ class TestSolveCellPairs:
         scheme = SchemeId(Family.H_QPSK, 0.8)
         entries = {(scheme, Stream.HE, rate): thr for rate, thr in he.items()}
         entries.update({(scheme, Stream.LE, rate): thr for rate, thr in le.items()})
-        table = synthetic_singles(ThresholdTable(entries), singles)
+        table = synthetic_singles(table_from_entries(entries), singles)
         assert self.assert_exact(table, [snrs]) == [rates]
 
     @staticmethod
@@ -379,7 +380,7 @@ class TestSolveCellPairs:
         entries = {k: v for k, v in full_table.entries().items() if (k[0].family if k[0].rho_he is None else k[0]) in keep}
         if seed % 2:
             entries = {k: v + rng.uniform(-3.0, 3.0) for k, v in entries.items()}
-        return ThresholdTable(entries)
+        return table_from_entries(entries)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_every_cell_pair_of_random_tables(self, full_table, seed):
@@ -687,7 +688,7 @@ class TestPairMemo:
                 for rate in DVBS2_CODE_RATES]
         pool = np.linspace(-4.0, 19.0, 227).round(4) + 5e-5
         thresholds = rng.permutation(np.concatenate([pool, rng.choice(pool, len(keys) - pool.size)]))
-        table = single_table.merged_with(ThresholdTable(dict(zip(keys, thresholds.tolist()))))
+        table = single_table.merged_with(table_from_entries(dict(zip(keys, thresholds.tolist()))))
         assert table.cell_inv.size == 256
         return table
 
