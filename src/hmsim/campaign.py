@@ -51,10 +51,11 @@ workers=1, on a one-point grid or for a campaign of fewer than
 ``multiprocessing`` is not imported.
 
 Determinism: the population for grid index g, repetition r is drawn from
-its own generator, ``SeedSequence(master_seed, spawn_key=(g, r))``, and
-every unit's sums run in the same order whatever chunk or span it sits
-in, so results are bit-identical for any worker count, chunk size and
-span size.
+its own generator, whose stream is that of ``SeedSequence(master_seed,
+spawn_key=(g, r))``: it is seeded with the entropy words that
+SeedSequence assembles for that key (see ``_unit_generator``). Every
+unit's sums run in the same order whatever chunk or span it sits in, so
+results are bit-identical for any worker count, chunk size and span size.
 """
 
 from __future__ import annotations
@@ -166,13 +167,18 @@ class SimulationReport:
 
 
 # Receivers per chunk of units drawn and searched as one array program:
-# (units x receivers) float64 arrays of 32 KB, a few hundred KB in all.
-# Larger chunks are slower and less steady: glibc's malloc hands the free
-# top of its heap back to the kernel once it passes a threshold of a few
-# hundred KB, so temporaries past it are faulted back in on every chunk. At
-# 1 << 14 receivers that was about 1,900 page faults (7.5 MB) per 31-unit
-# campaign, whose cost moved with the host from one run to the next.
-_CHUNK_RECEIVERS = 1 << 12
+# (units x receivers) float64 arrays of 64 KB, 0.4 MB at the draw's peak.
+# A chunk makes about 75 numpy calls whatever its size, so fewer chunks
+# save time until their temporaries pass glibc's trim threshold: malloc
+# hands the free top of its heap back to the kernel past a few hundred KB,
+# and every chunk then faults it back in. Minor faults, counted with
+# getrusage on 2 vCPUs: per perfbench `sweep` or `outage-edge` operation
+# the median is 0 at 1 << 12 and at 1 << 13, against about 1,900 per
+# `sweep` operation at 1 << 14; the default campaign, run once in a fresh
+# process, faults about 1,020 pages at 1 << 12 and 1,360 at 1 << 13 (3,540
+# and 3,810 at workers=2, its child included), in the same time within the
+# host's spread, while `outage-edge` draws 6 chunks per operation, not 12.
+_CHUNK_RECEIVERS = 1 << 13
 
 # Receivers a block must hold to pay for the child process that runs it:
 # the fork, the copy-on-write faults it causes in both processes and the
@@ -204,6 +210,33 @@ class _Context(NamedTuple):
     weather: WeatherCdf
 
 
+def _words(n: int) -> list[int]:
+    """The 32-bit words of n >= 0, low word first: [0] for 0, as
+    ``SeedSequence`` splits an int."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _seed_words(master_seed: int) -> list[int]:
+    """The entropy words ``SeedSequence(master_seed, spawn_key=key)`` puts
+    before those of its spawn key: the master seed's words, zero-padded to
+    the pool size."""
+    words = _words(master_seed)
+    return words + [0] * (np.random.SeedSequence(0).pool_size - len(words))
+
+
+def _unit_generator(seed: list[int], g: int, r: int) -> np.random.Generator:
+    """The generator of unit (g, r), given ``_seed_words(master_seed)``,
+    with the stream of ``np.random.default_rng(SeedSequence(master_seed,
+    spawn_key=(g, r)))``: it is seeded with the words that SeedSequence
+    assembles into its pool (the seed words, then those of g and of r),
+    which skips SeedSequence's coercion of the seed and key on every unit."""
+    words = np.array(seed + _words(g) + _words(r), np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
 def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The units of the given grid points: the receivers left out as
     unservable, as a (grid points, repetitions) array, and the gains (NaN:
@@ -216,6 +249,7 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
     call then sums the whole span for every family: it counts the receivers
     left out and pairs them once, and makes one pair solve per family."""
     cfg = ctx.cfg
+    seed = _seed_words(cfg.master_seed)
     units = [(g, rep) for g in grid_indices for rep in range(cfg.repetitions)]
     tables, edges = list(ctx.tables.values()), ctx.union.edges
     dropped = np.empty(len(units), dtype=np.intp)
@@ -232,7 +266,7 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
                 np.array([cfg.snr_max_grid[g] for g, _ in part]),
                 ctx.beam,
                 ctx.weather,
-                rng=[np.random.SeedSequence(cfg.master_seed, spawn_key=unit) for unit in part],
+                rng=[_unit_generator(seed, *unit) for unit in part],
             )
             # Sorted SNRs give sorted cells, and searchsorted runs faster on them.
             snrs.sort(axis=1)

@@ -323,9 +323,12 @@ class ThresholdTable:
     def edges(self) -> np.ndarray:
         """The distinct thresholds, ascending: each first of a run of equal
         sorted values, as np.unique keeps it (thresholds are finite). Cell c
-        holds the SNRs from ``edges[c - 1]`` up to below ``edges[c]``."""
+        holds the SNRs from ``edges[c - 1]`` up to below ``edges[c]``. A
+        table without entries has no edges and one cell, in outage."""
         edges = np.sort(self._thresholds[~np.isnan(self._thresholds)])
-        return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+        first = np.ones(edges.size, bool)
+        np.not_equal(edges[1:], edges[:-1], out=first[1:])
+        return edges[first]
 
     @cached_property
     def cell_inv(self) -> np.ndarray:

@@ -273,10 +273,11 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
 
 
 # Entries per temporary of a system_summaries block: its rows x term
-# columns, float64 and 32 KB each. A block's temporaries then total about
-# 0.3 MB and stay within the heap that glibc keeps mapped between blocks
-# (see campaign._CHUNK_RECEIVERS); only its pairing and one table's mapping
-# of it, each as large as its cells, are kept for the sums.
+# columns, float64 and 32 KB each, half a campaign draw chunk's. A block's
+# temporaries then total about 0.3 MB and stay within the heap that glibc
+# keeps mapped between blocks (see campaign._CHUNK_RECEIVERS); only its
+# pairing and one table's mapping of it, each as large as its cells, are
+# kept for the sums.
 _BLOCK_ENTRIES = 1 << 12
 
 # Point entries per block of solve_cell_pairs: pairs x (2 S + 2) int32

@@ -256,19 +256,22 @@ class TestDeterminism:
         small = run_campaign(small_cfg, full_table, default_antenna, sample_weather)
         assert small.raw_gains == default.raw_gains and small.outage == default.outage
 
-    @pytest.mark.parametrize("small_blocks", [False, True], ids=["default_blocks", "one_unit_spans"])
+    @pytest.mark.parametrize("small_blocks, master_seed", [(False, 3), (True, 3), (False, 2**32 + 1),
+                                                           (False, 2**128 + 3)],
+                             ids=["default_blocks", "one_unit_spans", "two_word_seed", "five_word_seed"])
     def test_each_unit_equals_the_one_row_call(self, full_table, sample_weather, default_antenna, campaign_config,
-                                               monkeypatch, small_blocks):
+                                               monkeypatch, small_blocks, master_seed):
         # From total outage through partial outage to full service (40 dB
         # clears the weather CDF's deepest fade, 30 dB), every family and the
         # combined table: each unit's gain and outage count, bit for bit, are
-        # those of system_summaries on its drawn row alone, on a fresh table
-        # of the same entries.
+        # those of system_summaries on its row drawn from its own
+        # SeedSequence, on a fresh table of the same entries. The master
+        # seeds take one, two and five 32-bit words.
         if small_blocks:
             monkeypatch.setattr(campaign, "_SPAN_RECEIVERS", 1)
             monkeypatch.setattr(rateopt, "_BLOCK_ENTRIES", 1)
         cfg = campaign_config(snr_max_grid=(-8.0, -2.4, -1.8, 1.0, 40.0), receivers=60, repetitions=4,
-                              families=(Family.H_QPSK, Family.H_APSK32), combined=True, master_seed=3)
+                              families=(Family.H_QPSK, Family.H_APSK32), combined=True, master_seed=master_seed)
         ctx = campaign._primed_context(cfg, full_table, default_antenna, sample_weather)
         dropped, gains = campaign._run_grid_points(ctx, range(len(cfg.snr_max_grid)))
         singles = {f for f in full_table.families() if not f.hierarchical}
@@ -278,7 +281,7 @@ class TestDeterminism:
         for g, snr_max in enumerate(cfg.snr_max_grid):
             for rep in range(cfg.repetitions):
                 row = draw_population(cfg.receivers, [snr_max], default_antenna, sample_weather,
-                                      rng=[np.random.SeedSequence(3, spawn_key=(g, rep))])[0]
+                                      rng=[np.random.SeedSequence(cfg.master_seed, spawn_key=(g, rep))])[0]
                 for family_gains, (token, table) in zip(gains, fresh.items()):
                     expected = row_summary(row, table)
                     got = family_gains[g, rep]
@@ -286,6 +289,17 @@ class TestDeterminism:
                     assert dropped[g, rep] == expected.outage
         assert dropped[0].tolist() == [cfg.receivers] * 4 and dropped[-1].tolist() == [0] * 4
         assert ((0 < dropped) & (dropped < cfg.receivers)).any()
+
+    @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 9])
+    def test_unit_generator_is_the_spawned_seed_sequence(self, master_seed):
+        # The master seed's words are zero-padded to the pool size before
+        # the spawn key's words when there are fewer than four of them.
+        seed = campaign._seed_words(master_seed)
+        for g, r in [(0, 0), (0, 1), (1, 0), (30, 99), (2**32 - 1, 2**32), (2**32, 2**40)]:
+            got = campaign._unit_generator(seed, g, r)
+            expected = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(g, r)))
+            assert got.bit_generator.state == expected.bit_generator.state, (g, r)
+            assert got.random(5).tolist() == expected.random(5).tolist()
 
     def test_same_seed_same_report(self, full_table, sample_weather, default_antenna, small_cfg):
         a = run_campaign(small_cfg, full_table, default_antenna, sample_weather)
@@ -501,17 +515,29 @@ class TestReportSurface:
             assert int(excluded) == report.outage[snr_max].total_outage_runs
 
     def test_combined_curve_rows(self, full_table, sample_weather, default_antenna, campaign_config):
+        # More schemes never hurt, exactly: on every run, from total outage
+        # through partial outage to full service, the combined gain is at
+        # least each family's, and every curve excludes the same runs.
+        grid = (-8.0, -2.4, -1.8, 1.0, 6.0, 12.0, 40.0)
         cfg = campaign_config(
-            snr_max_grid=(6.0,), receivers=20, repetitions=2,
+            snr_max_grid=grid, receivers=60, repetitions=4,
             families=(Family.H_QPSK, Family.H_APSK32), combined=True, master_seed=2,
         )
         report = run_campaign(cfg, full_table, default_antenna, sample_weather)
         assert report.family_tokens == ("h_qpsk", "h_apsk32", COMBINED)
         lines = gains_csv_text(report).strip().splitlines()
-        assert len(lines) - 1 == 3
-        combined = report.stats[(6.0, COMBINED)].mean
-        each = [report.stats[(6.0, t)].mean for t in ("h_qpsk", "h_apsk32")]
-        assert combined >= max(each) - 1e-12  # more schemes never hurt
+        assert len(lines) - 1 == 3 * len(grid)
+        ahead = 0
+        for snr_max in grid:
+            combined = report.raw_gains[(snr_max, COMBINED)]
+            for token in ("h_qpsk", "h_apsk32"):
+                for both, one in zip(combined, report.raw_gains[(snr_max, token)], strict=True):
+                    assert (both is None) == (one is None), (snr_max, token)
+                    assert both is None or both >= one, (snr_max, token)
+                    ahead += both is not None and both > one
+        assert report.outage[-8.0].total_outage_runs == 4 and report.raw_gains[(-8.0, COMBINED)] == (None,) * 4
+        assert report.outage[-1.8].total_outage_runs < 4 < report.outage[-1.8].max_count
+        assert ahead > 0
 
     def test_gain_curve_order_and_unknown_family(self, full_table, sample_weather, default_antenna, small_cfg):
         report = run_campaign(small_cfg, full_table, default_antenna, sample_weather)

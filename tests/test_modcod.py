@@ -506,6 +506,18 @@ class TestCellInv:
         assert [table.cell_inv[table.cell(s)] for s in snrs] == expected
         assert len(table.cell_inv) == len(set(table.entries().values())) + 1
 
+    @pytest.mark.parametrize("empty", [lambda full: ThresholdTable({}), lambda full: full.subset([])],
+                             ids=["no_columns", "subset_of_no_family"])
+    def test_table_without_entries_is_one_outage_cell(self, full_table, empty):
+        table = empty(full_table)
+        assert len(table) == 0
+        assert table.edges.dtype == np.float64 and table.edges.shape == (0,)
+        assert table.cell_inv.tolist() == [math.inf]
+        snrs = [-math.inf, -2.35, 0.0, 40.0, math.inf, math.nan]
+        assert table.cells(snrs).tolist() == [0] * len(snrs)
+        assert all(table.best_single(s) is None for s in snrs)
+        TestCellUnits.assert_matches_entries(table)
+
 
 class TestCellUnits:
     """cell_units holds, per cell, the best efficiency of the single column
