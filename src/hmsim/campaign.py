@@ -174,10 +174,12 @@ class SimulationReport:
 # and every chunk then faults it back in. Minor faults, counted with
 # getrusage on 2 vCPUs: per perfbench `sweep` or `outage-edge` operation
 # the median is 0 at 1 << 12 and at 1 << 13, against about 1,900 per
-# `sweep` operation at 1 << 14; the default campaign, run once in a fresh
-# process, faults about 1,020 pages at 1 << 12 and 1,360 at 1 << 13 (3,540
-# and 3,810 at workers=2, its child included), in the same time within the
-# host's spread, while `outage-edge` draws 6 chunks per operation, not 12.
+# `sweep` operation at 1 << 14. The default campaign, each run in a fresh
+# process, faults 1,020-1,270 pages at 1 << 12 and 1,280-1,360 at 1 << 13
+# (3,530-3,820 at either size at workers=2, its child included): medians
+# of two sets of 10 runs, which moved between the sets about as much as
+# between the sizes. Its wall time is the same within the host's spread,
+# while `outage-edge` draws 6 chunks per operation, not 12.
 _CHUNK_RECEIVERS = 1 << 13
 
 # Receivers a block must hold to pay for the child process that runs it:
