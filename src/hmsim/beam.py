@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
-from .modcod import read_csv_rows
+from .modcod import _BucketSearch, read_csv_rows
 
 __all__ = [
     "GEO_ALTITUDE_M",
@@ -211,7 +211,8 @@ class WeatherCdf:
     def __init__(self, points: Sequence[tuple[float, float]]):
         if len(points) < 2:
             raise ValueError("need at least two CDF points")
-        att = np.asarray([p[0] for p in points], dtype=float)
+        # + 0.0 turns an attenuation of -0.0 into 0.0, which ``quantile`` adds exactly.
+        att = np.asarray([p[0] for p in points], dtype=float) + 0.0
         prob = np.asarray([p[1] for p in points], dtype=float)
         # NaN compares False, so the order checks below would pass it.
         if not (np.isfinite(att).all() and np.isfinite(prob).all()):
@@ -247,9 +248,39 @@ class WeatherCdf:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
+    @cached_property
+    def _segments(self):
+        """The index of the segment that holds u, ``searchsorted(cum_prob, u,
+        side="right")``, and per segment its (slope, start, value at start).
+        Segment k > 0 starts at the k-th breakpoint and runs to the next;
+        segments 0 and ``len(cum_prob)``, below the first breakpoint and from
+        the last on, are flat. A segment between repeated probabilities holds
+        no u, so its slope may read inf or NaN."""
+        xp, fp = self.cum_prob, self.attenuation_db
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Division, as numpy's interp loop computes its slopes.
+            slope = np.concatenate(([0.0], np.diff(fp) / np.diff(xp), [0.0]))
+        return _BucketSearch(xp), slope, np.concatenate((xp[:1], xp)), np.concatenate((fp[:1], fp))
+
     def quantile(self, u):
-        """Inverse CDF with linear interpolation."""
-        return np.interp(u, self.cum_prob, self.attenuation_db)
+        """Inverse CDF with linear interpolation, of a float array u.
+
+        Bit for bit ``np.interp(u, cum_prob, attenuation_db)`` for every
+        u: below 0 and above 1 too, where it reads the first and the last
+        attenuation, and NaN for a NaN u, as long as no slope between two
+        distinct probabilities overflows. It computes what numpy's loop does, slope * (u - start) +
+        value at start on u's segment, but finds the segment in O(1) (see
+        ``modcod._BucketSearch``), not by a binary search."""
+        search, slope, start, value = self._segments
+        k = search(u)
+        # Probabilities lie in [0, 1], so the clip moves only a u on a flat
+        # end segment, and keeps it there: an infinite u reads 0 * a finite
+        # difference.
+        out = np.clip(u, -1.0, 2.0)
+        out -= start.take(k)
+        out *= slope.take(k)
+        out += value.take(k)
+        return out
 
 
 def draw_population(

@@ -20,9 +20,12 @@ whole population is in outage, so every curve excludes the same runs: the
 Each process evaluates its (grid point, repetition) units as one array
 program, in spans of whole units of at most ``_SPAN_RECEIVERS``
 receivers. First, each chunk of at most ``_CHUNK_RECEIVERS`` receivers
-is drawn, sorted once and searched once in the edges of the union table,
-which holds every evaluated family and so refines every family table's
-cells; those cells are kept in one uint8 buffer. Then one
+is drawn and its SNRs are mapped to cells of the union table, which
+holds every evaluated family and so refines every family table's cells:
+in O(1) per receiver, by a bucket index on the union's edges
+(``modcod._BucketSearch``), not by a binary search. Those cells are kept
+in one uint8 buffer, and each unit's row of them is sorted once there, by
+a radix sort. Then one
 ``rateopt.system_summaries`` call on the span counts each unit's outage,
 pairs its receivers and sums its classical rate once, and per family
 maps the pairs to the family's cells, solves each distinct cell pair
@@ -70,7 +73,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .beam import AntennaConfig, WeatherCdf, beam_edge_angle, draw_population
-from .modcod import Family, ThresholdTable
+from .modcod import Family, ThresholdTable, _BucketSearch
 from .rateopt import system_summaries
 
 __all__ = [
@@ -166,20 +169,19 @@ class SimulationReport:
         return self.config.family_tokens
 
 
-# Receivers per chunk of units drawn and searched as one array program:
-# (units x receivers) float64 arrays of 64 KB, 0.4 MB at the draw's peak.
-# A chunk makes about 75 numpy calls whatever its size, so fewer chunks
+# Receivers per chunk of units drawn and mapped to cells as one array
+# program: (units x receivers) float64 and intp arrays of 64 KB, about
+# 0.5 MB at the draw's peak. A chunk costs about 80 µs of numpy calls
+# whatever its size (one unit of 2 receivers, 2 vCPUs), so fewer chunks
 # save time until their temporaries pass glibc's trim threshold: malloc
 # hands the free top of its heap back to the kernel past a few hundred KB,
 # and every chunk then faults it back in. Minor faults, counted with
-# getrusage on 2 vCPUs: per perfbench `sweep` or `outage-edge` operation
-# the median is 0 at 1 << 12 and at 1 << 13, against about 1,900 per
-# `sweep` operation at 1 << 14. The default campaign, each run in a fresh
-# process, faults 1,020-1,270 pages at 1 << 12 and 1,280-1,360 at 1 << 13
-# (3,530-3,820 at either size at workers=2, its child included): medians
-# of two sets of 10 runs, which moved between the sets about as much as
-# between the sizes. Its wall time is the same within the host's spread,
-# while `outage-edge` draws 6 chunks per operation, not 12.
+# getrusage around each of 30-40 in-process perfbench operations after the
+# first 5, on 2 vCPUs: the median per `sweep` operation is 1 and per
+# `outage-edge` operation 0 at 1 << 13, against 144 per `sweep` operation
+# at 1 << 14. The default campaign, in a fresh process, faults about 1,310
+# pages at 1 << 13 (about 4,050 at workers=2, its child included).
+# `outage-edge` draws 6 chunks per operation, against 12 at 1 << 12.
 _CHUNK_RECEIVERS = 1 << 13
 
 # Receivers a block must hold to pay for the child process that runs it:
@@ -203,10 +205,12 @@ class _Context(NamedTuple):
     ``tables`` holds each evaluated family's table, keyed by token in report
     order. ``union`` holds the entries of every evaluated family, so its
     cells refine each family table's cells and ``system_summaries`` takes
-    the union cells for all of them."""
+    the union cells for all of them. ``union_cells`` is ``union.cells`` on
+    an array of SNRs, none NaN, with the dtype of a span's cell buffer."""
 
     tables: dict[str, ThresholdTable]
     union: ThresholdTable
+    union_cells: _BucketSearch
     cfg: CampaignConfig
     beam: AntennaConfig
     weather: WeatherCdf
@@ -246,8 +250,11 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
 
     The units run in spans of at most ``_SPAN_RECEIVERS`` receivers, each
     drawn in chunks of at most ``_CHUNK_RECEIVERS`` (both at least one
-    unit). Each chunk is sorted and searched once in the union table's
-    edges into the span's buffer of union cells. One ``system_summaries``
+    unit). Each chunk's SNRs are mapped by ``ctx.union_cells`` into the
+    span's buffer of union cells, whose rows are then sorted in place, as
+    integers: on 2 vCPUs, 54-59 µs per chunk of 16 units of 500 receivers,
+    against 139-142 µs for a float sort of the SNRs and a ``searchsorted``
+    of the sorted rows. One ``system_summaries``
     call then sums the whole span for every family: it counts the receivers
     left out and pairs them once, and makes one pair solve per family."""
     cfg = ctx.cfg
@@ -263,16 +270,18 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
         hi = min(lo + span, len(units))
         for first in range(lo, hi, chunk):
             part = units[first:min(first + chunk, hi)]
-            snrs = draw_population(
+            rows = cells[first - lo:first - lo + len(part)]
+            rows[:] = ctx.union_cells(draw_population(
                 cfg.receivers,
                 np.array([cfg.snr_max_grid[g] for g, _ in part]),
                 ctx.beam,
                 ctx.weather,
                 rng=[_unit_generator(seed, *unit) for unit in part],
-            )
-            # Sorted SNRs give sorted cells, and searchsorted runs faster on them.
-            snrs.sort(axis=1)
-            cells[first - lo:first - lo + len(part)] = ctx.union.cells(snrs)
+            ))
+            # A cell is a nondecreasing function of the SNR, so the sorted
+            # cells are the cells of the sorted SNRs; a stable sort of 8- or
+            # 16-bit integers is a radix sort.
+            rows.sort(axis=1, kind="stable")
         _, _, gains[:, lo:hi], dropped[lo:hi] = system_summaries(cells[:hi - lo], edges, tables)
     shape = (len(grid_indices), cfg.repetitions)
     return dropped.reshape(shape), gains.reshape(len(tables), *shape)
@@ -283,8 +292,10 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
 
     Everything a block reads is built here, once, so that no block rebuilds
     it and the child processes forked afterwards inherit it: numpy's lazily
-    imported ``random`` submodule, the beam edge angle, the union table's
-    edges, and each table's edges and per-cell arrays."""
+    imported ``random`` submodule, the beam edge angle, the weather CDF's
+    segments, the bucket index on the union table's edges (2,601 buckets
+    for the shipped tables' 192 edges, about 40 µs), and each table's edges
+    and per-cell arrays."""
     loaded = tables.families()
     single_families = {f for f in loaded if not f.hierarchical}
     if not single_families:
@@ -301,10 +312,12 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
 
     import numpy.random  # noqa: F401  numpy imports it on first use
     beam_edge_angle(beam)
-    union.edges  # the campaign's cells are union cells
+    weather.quantile(np.zeros(1))  # builds its segments
+    # The campaign's cells are union cells, in a span buffer's dtype.
+    union_cells = _BucketSearch(union.edges, np.min_scalar_type(union.edges.size))
     for table in family_tables.values():
         table.cell_inv  # builds edges and cell_units, which system_summaries reads
-    return _Context(family_tables, union, cfg, beam, weather)
+    return _Context(family_tables, union, union_cells, cfg, beam, weather)
 
 
 def _grid_blocks(cfg: CampaignConfig) -> list[range]:

@@ -400,14 +400,6 @@ class ThresholdTable:
     def __len__(self) -> int:
         return sum(sum(map(_present, column)) for column in self._columns.values())
 
-    def entries(self) -> dict[tuple[SchemeId, Stream, Fraction], float]:
-        return {
-            (scheme, stream, rate): thr
-            for (scheme, stream), column in self._columns.items()
-            for rate, thr in zip(DVBS2_CODE_RATES, column)
-            if thr is not None
-        }
-
     def hierarchical_schemes(self) -> list[SchemeId]:
         return [s for s in self._schemes if s.rho_he is not None]
 
@@ -453,6 +445,47 @@ class ThresholdTable:
     def cell(self, snr_db: float) -> int:
         """Cell of one SNR (see ``cells``)."""
         return int(self.cells(snr_db))
+
+
+class _BucketSearch:
+    """``np.searchsorted(points, x, side="right")`` in O(1) per x, exactly,
+    for sorted finite points and any x but NaN, which counts as below every
+    point.
+
+    The span of the points is cut into buckets as wide as their smallest
+    positive gap, but at most 2^12 of them. Bucket q(x) = clip((x - lo) *
+    (1 / width), 0, top), truncated, is monotone in x, since rounded
+    subtraction, multiplication and clipping are: a point in a bucket below
+    x's is below x, and a point in a bucket above is above. So the count is
+    the points in the buckets below, ``base[q(x)]``, plus a comparison of x
+    with each of the at most ``depth`` points from there on, which reads
+    NaN past the last point, so that x = +inf counts them all."""
+
+    def __init__(self, points: np.ndarray, dtype=np.intp):
+        lo, hi = (float(points[0]), float(points[-1])) if points.size else (0.0, 0.0)
+        gaps = np.diff(points)
+        gaps = gaps[gaps > 0]
+        self._lo, self._scale = lo, 1.0 / max(gaps.min(), (hi - lo) / 2**12) if gaps.size else 1.0
+        self._top = float(int((hi - lo) * self._scale))  # the last point's bucket, as _buckets computes it
+        counts = np.bincount(self._buckets(points), minlength=int(self._top) + 1)
+        base = np.cumsum(counts) - counts
+        padded = np.concatenate((points, np.full(counts.max(), np.nan)))
+        self._base = base.astype(dtype)
+        self._next = [padded[base + k] for k in range(counts.max())]
+
+    def _buckets(self, x) -> np.ndarray:
+        q = np.subtract(x, self._lo)
+        with np.errstate(over="ignore"):  # q = +-inf is clipped as well
+            q *= self._scale
+        # fmax and fmin, not clip, so that a NaN lands in bucket 0.
+        return np.fmin(np.fmax(q, 0.0, out=q), self._top, out=q).astype(np.intp)
+
+    def __call__(self, x) -> np.ndarray:
+        at = self._buckets(x)
+        found = self._base.take(at)
+        for next_points in self._next:
+            found += x >= next_points.take(at)
+        return found
 
 
 def _validation_issues(

@@ -38,6 +38,17 @@ def table_from_entries(entries, warnings=()) -> ThresholdTable:
     return ThresholdTable(columns, warnings)
 
 
+def table_entries(table: ThresholdTable) -> dict:
+    """{(scheme, stream, code rate): threshold} of every entry of a table,
+    read from its columns: the inverse of ``table_from_entries``."""
+    return {
+        (scheme, stream, rate): thr
+        for (scheme, stream), column in table._columns.items()
+        for rate, thr in zip(DVBS2_CODE_RATES, column)
+        if thr is not None
+    }
+
+
 # Hierarchical QPSK thresholds, row-major. Per rate: shared rho=0.5 value,
 # then (HE, LE) for rho = 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9.
 HQPSK_ROWS = {
@@ -101,7 +112,7 @@ def serialize_threshold_csv(table: ThresholdTable) -> str:
     a rate are written back as merged HE/LE rows, matching the shipped file
     layout.
     """
-    entries = table.entries()
+    entries = table_entries(table)
     merged = {
         (scheme, rate)
         for (scheme, stream, rate), thr in entries.items()
@@ -135,7 +146,7 @@ def _singles_by_rank(table: ThresholdTable) -> list[tuple[float, ModcodChoice]]:
     exact efficiency, then by (threshold, scheme token, code rate)."""
     rows = [
         ((-scheme.bits(stream) * rate, thr, scheme.token, rate), thr, ModcodChoice(scheme, stream, rate))
-        for (scheme, stream, rate), thr in table.entries().items()
+        for (scheme, stream, rate), thr in table_entries(table).items()
         if stream is Stream.SINGLE
     ]
     return [(thr, choice) for _, thr, choice in sorted(rows, key=lambda row: row[0])]
@@ -187,7 +198,7 @@ def _decodable_by_prefix(table: ThresholdTable) -> tuple[list[float], list[dict]
     """The table's thresholds, ascending, and for each prefix length k the
     efficiencies of the first k entries in that order, listed per (scheme,
     stream): what a receiver decodes is the prefix its SNR bisects."""
-    rows = sorted(table.entries().items(), key=lambda kv: kv[1])
+    rows = sorted(table_entries(table).items(), key=lambda kv: kv[1])
     prefixes: list[dict] = [{}]
     for (scheme, stream, rate), _ in rows:
         decodable = dict(prefixes[-1])
@@ -217,7 +228,7 @@ def unpruned_points(snr_weak: float, snr_strong: float, table: ThresholdTable) -
 
 class ExactPairOracle:
     """Exact free-disposal equal rates of receiver pairs, in Fractions,
-    from ``table.entries()`` alone: no cell arrays, no float hull.
+    from ``table_entries(table)`` alone: no cell arrays, no float hull.
 
     A receiver decodes the entries at or below its SNR, a prefix of the
     entries sorted by threshold, so a pair's answer depends only on the two
@@ -230,7 +241,7 @@ class ExactPairOracle:
     diagonal and one above it."""
 
     def __init__(self, table: ThresholdTable):
-        rows = sorted(table.entries().items(), key=lambda kv: kv[1])
+        rows = sorted(table_entries(table).items(), key=lambda kv: kv[1])
         self._thresholds = [thr for _, thr in rows]
         self._efficiencies = [(scheme, stream, scheme.bits(stream) * rate) for (scheme, stream, rate), _ in rows]
         self._schemes = sorted({s for s, stream, _ in self._efficiencies if stream is not Stream.SINGLE},

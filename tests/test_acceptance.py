@@ -17,7 +17,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import build_apsk32_points, equal_rate_oracle, h32apsk_reference_cells, hqpsk_reference_cells
+from helpers import (
+    build_apsk32_points,
+    equal_rate_oracle,
+    h32apsk_reference_cells,
+    hqpsk_reference_cells,
+    table_entries,
+)
 from hmsim.beam import AntennaConfig, antenna_gain_rel, beam_edge_angle
 from hmsim.campaign import gain_curve, gains_csv_text, run_campaign
 from hmsim.constellations import (
@@ -93,15 +99,15 @@ def test_criterion_3_threshold_table_fidelity(hqpsk_table, h32apsk_table):
     h32_cells = h32apsk_reference_cells()
     checked = 0
     for (rho, stream, rate) in rng.sample(sorted(hq_cells, key=str), 10):
-        got = hqpsk_table.entries()[SchemeId(Family.H_QPSK, rho), Stream(stream), rate]
+        got = table_entries(hqpsk_table)[SchemeId(Family.H_QPSK, rho), Stream(stream), rate]
         assert got == hq_cells[(rho, stream, rate)], (rho, stream, rate)
         checked += 1
     for (rho, stream, rate) in rng.sample(sorted(h32_cells, key=str), 10):
-        got = h32apsk_table.entries()[SchemeId(Family.H_APSK32, rho), Stream(stream), rate]
+        got = table_entries(h32apsk_table)[SchemeId(Family.H_APSK32, rho), Stream(stream), rate]
         assert got == h32_cells[(rho, stream, rate)], (rho, stream, rate)
         checked += 1
     # the known-anomaly cell is preserved verbatim and flagged on load
-    assert hqpsk_table.entries()[SchemeId(Family.H_QPSK, 0.6), Stream.LE, F(1, 2)] == 1.2
+    assert table_entries(hqpsk_table)[SchemeId(Family.H_QPSK, 0.6), Stream.LE, F(1, 2)] == 1.2
     assert [w.known_anomaly for w in hqpsk_table.warnings] == [True]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -1,5 +1,6 @@
 """Beam model: main-lobe J1 series, edge geometry, attenuation sampling."""
 
+import argparse
 import dataclasses
 import math
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_series_factor, series_factor
 from hmsim.beam import (
@@ -21,7 +24,7 @@ from hmsim.beam import (
     _j1_series_factor,
     _location_attenuation,
 )
-from hmsim.cli import main
+from hmsim.cli import load_scenario, main
 
 # J1 reference values on the main lobe [0, j1,1], 30-digit
 # arbitrary-precision series, computed offline and frozen here.
@@ -295,6 +298,84 @@ class TestWeatherSampling:
         path = tmp_path / "wx.csv"
         path.write_text("attenuation_db,cum_prob\n0,0\n\n , \n8,1\n")
         assert list(WeatherCdf.from_csv(path).attenuation_db) == [0.0, 8.0]
+
+
+def _quantile_probes(cdf):
+    """0 and 1, every breakpoint and its two neighbouring floats, values
+    below 0 and above 1, infinities and uniforms."""
+    breaks = cdf.cum_prob
+    return np.concatenate([
+        [0.0, 1.0, -0.0, -1e-300, -0.5, -1.0, -1.5, -1e300, -np.inf, 1 + 2**-52, 1.5, 2.0, 2.5, 1e300, np.inf],
+        breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+        np.random.default_rng(3).random(2_000),
+    ])
+
+
+def _assert_quantile_is_interp(cdf, u):
+    got, expected = cdf.quantile(u), np.interp(u, cdf.cum_prob, cdf.attenuation_db)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+# Generated CDFs: nondecreasing attenuations from >= 0 with repeats (point
+# masses), and probabilities from 0 or above, with repeats, ending at 1 or
+# at 1 - 1e-13, inside the 1e-12 that WeatherCdf allows.
+_steps = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+_cdf_shapes = st.integers(2, 24).flatmap(lambda n: st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 10.0)), min_size=n - 1, max_size=n - 1),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+    st.lists(_steps, min_size=n - 1, max_size=n - 1),
+    st.sampled_from([1.0, 1 - 1e-13]),
+))
+
+
+def _cdf_of(shape):
+    att0, att_steps, prob0, prob_steps, last = shape
+    att = att0 + np.cumsum([0.0] + att_steps)
+    rising = np.cumsum([0.0] + prob_steps)
+    prob = prob0 + (last - prob0) * (rising / rising[-1] if rising[-1] > 0 else rising)
+    prob = np.minimum(prob, last)
+    prob[-1] = last
+    return WeatherCdf(list(zip(att, prob)))
+
+
+class TestWeatherQuantile:
+    """``WeatherCdf.quantile`` is ``np.interp`` on the table, bit for bit."""
+
+    def test_shipped_cdf(self, sample_weather):
+        _assert_quantile_is_interp(sample_weather, _quantile_probes(sample_weather))
+        # the rows of a draw: a strided (rows, receivers) view
+        _assert_quantile_is_interp(sample_weather, np.random.default_rng(4).random((8, 2, 500))[:, 1])
+
+    @given(shape=_cdf_shapes, extra=st.lists(st.floats(allow_nan=False), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_cdfs(self, shape, extra):
+        cdf = _cdf_of(shape)
+        _assert_quantile_is_interp(cdf, np.concatenate([_quantile_probes(cdf), extra]))
+
+    @pytest.mark.parametrize("points", [
+        [(0.0, 0.0), (0.0, 0.4), (1.0, 0.4), (1.0, 0.4), (3.0, 0.9), (3.0, 1.0)],  # masses and flats
+        [(0.0, 0.25), (2.0, 0.25), (5.0, 1 - 1e-13)],  # mass at 0, last below 1
+        [(0.0, 1.0), (7.0, 1.0)],  # one step of probability 1
+        [(-0.0, 0.0), (-0.0, 0.5), (4.0, 1.0)],  # -0.0 reads as 0.0
+    ], ids=["masses_and_flats", "first_above_zero", "all_at_one", "negative_zero"])
+    def test_adversarial_cdfs(self, points):
+        cdf = WeatherCdf(points)
+        _assert_quantile_is_interp(cdf, _quantile_probes(cdf))
+
+    def test_nan_reads_nan(self, sample_weather):
+        got = sample_weather.quantile(np.array([np.nan, 0.5, np.nan]))
+        assert np.isnan(got[[0, 2]]).all() and got[1] == np.interp(0.5, sample_weather.cum_prob,
+                                                                  sample_weather.attenuation_db)
+
+    def test_segments_built_on_first_quantile(self):
+        # so that loading a scenario, as every hmsim pair does, builds none
+        assert "_segments" not in vars(load_scenario(None, argparse.Namespace()).weather)
+        cdf = WeatherCdf([(0.0, 0.0), (1.0, 1.0)])
+        cdf.quantile(np.zeros(1))
+        assert "_segments" in vars(cdf)
 
 
 class TestDrawPopulation:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import best_single_reference, reference_series_factor, row_summary
+from helpers import best_single_reference, reference_series_factor, row_summary, table_entries
 import hmsim
 from hmsim import campaign, rateopt
 from hmsim.beam import GEO_ALTITUDE_M, WeatherCdf, beam_edge_angle, draw_population
@@ -485,7 +485,7 @@ class TestBenchmarkCampaigns:
         cells = full_table.cells(oracle)
         assert np.array_equal(full_table.cells(snrs), cells)
         # cell c lies between the c-th and (c+1)-th distinct thresholds
-        edges = np.concatenate([[-np.inf], np.unique(list(full_table.entries().values())), [np.inf]])
+        edges = np.concatenate([[-np.inf], np.unique(list(table_entries(full_table).values())), [np.inf]])
         margin = np.minimum(oracle - edges[cells], edges[cells + 1] - oracle).min()
         assert margin > bound_db
 
@@ -602,21 +602,23 @@ class TestPrimedContext:
             ctx = campaign._primed_context(cfg, scenario.tables, scenario.antenna, scenario.weather)
 
             def snapshot():
-                return (set(sys.modules), {token: set(vars(t)) for token, t in ctx[0].items()},
-                        beam.beam_edge_angle.cache_info().misses)
+                return (set(sys.modules), {token: set(vars(t)) for token, t in ctx.tables.items()},
+                        set(vars(ctx.weather)), beam.beam_edge_angle.cache_info().misses)
 
-            modules, attributes, misses = snapshot()
+            modules, attributes, weather, misses = snapshot()
             campaign._run_grid_points(ctx, range(1, len(cfg.snr_max_grid), 2))
-            modules_after, attributes_after, misses_after = snapshot()
+            modules_after, attributes_after, weather_after, misses_after = snapshot()
             print(json.dumps({
                 "modules": sorted(modules_after - modules),
                 "attributes": {token: sorted(attributes_after[token] - attributes[token]) for token in attributes},
+                "weather": sorted(weather_after - weather),
                 "edge_angle_misses": misses_after - misses,
             }))
         """)
         assert grown["modules"] == []
         assert set(grown["attributes"]) == {"h_apsk32", "h_qpsk"}
         assert all(new == [] for new in grown["attributes"].values())
+        assert grown["weather"] == []
         assert grown["edge_angle_misses"] == 0
 
     def test_no_hmsim_command_imports_numpy_ma(self, tmp_path):

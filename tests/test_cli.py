@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import serialize_threshold_csv, table_from_entries
+from helpers import serialize_threshold_csv, table_entries, table_from_entries
 import hmsim
 from hmsim import cli
 from hmsim.cli import main
@@ -29,7 +29,7 @@ def scenario_dir(tmp_path):
     from hmsim.modcod import load_threshold_csv
 
     hq = load_threshold_csv(packaged_data_path("hqpsk_thresholds.csv"))
-    sub = table_from_entries({k: v for k, v in hq.entries().items() if k[0].rho_he == 0.8})
+    sub = table_from_entries({k: v for k, v in table_entries(hq).items() if k[0].rho_he == 0.8})
     (tmp_path / "hq08.csv").write_text(serialize_threshold_csv(sub))
     (tmp_path / "wx.csv").write_text("attenuation_db,cum_prob\n0,0\n0.4,0.9\n2,1\n")
     (tmp_path / "scenario.ini").write_text(
@@ -116,6 +116,28 @@ class TestPair:
         captured = capsys.readouterr()
         assert "nan" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,plain", [
+        (["-1e1", "5"], ["-10", "5"]), (["5", "-1E1"], ["-10", "5"]), (["5", "-.5e1"], ["-5", "5"]),
+        (["-5e0", "5"], ["-5", "5"]),
+    ], ids=["exponent_first", "exponent_second", "leading_point", "zero_exponent"])
+    def test_negative_snr_with_an_exponent(self, argv, plain, capsys):
+        # argparse reads '-1e1' as an option unless it is made a value
+        assert main(["pair", *plain]) == 0
+        expected = capsys.readouterr()
+        assert main(["pair", *argv]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_negative_infinity_reaches_the_finite_check(self, capsys):
+        assert main(["pair", "5", "-inf"]) == 1
+        assert capsys.readouterr() == ("", "error: SNR -inf dB is not a finite number\n")
+
+    def test_dash_word_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "-x", "5"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "the following arguments are required: snr2" in captured.err and captured.out == ""
 
     def test_matches_module_solution(self, scenario_dir, capsys):
         code = main(["pair", "1", "7", "--scenario", str(scenario_dir / "scenario.ini")])
@@ -534,7 +556,7 @@ class TestScenario:
         for f in dataclasses.fields(cli.Scenario):
             ours, theirs = getattr(from_file, f.name), getattr(default, f.name)
             if f.name == "tables":
-                assert (ours.entries(), ours.warnings) == (theirs.entries(), theirs.warnings)
+                assert (table_entries(ours), ours.warnings) == (table_entries(theirs), theirs.warnings)
             elif f.name == "weather":
                 assert np.array_equal(ours.attenuation_db, theirs.attenuation_db)
                 assert np.array_equal(ours.cum_prob, theirs.cum_prob)

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     H32APSK_RHOS,
@@ -19,6 +21,7 @@ from helpers import (
     h32apsk_reference_cells,
     hqpsk_reference_cells,
     serialize_threshold_csv,
+    table_entries,
     table_from_entries,
 )
 from hmsim import cli, modcod
@@ -51,7 +54,7 @@ def write_csv(tmp_path, name, rows, header="family,rho_he,stream,code_rate,thres
 def probe_snrs(table: ThresholdTable) -> list[float]:
     """Every threshold of a table, one ulp either side of it, +-inf and NaN:
     an SNR in every cell and at both ends of each."""
-    thresholds = np.array(sorted(set(table.entries().values())))
+    thresholds = np.array(sorted(set(table_entries(table).values())))
     return np.concatenate([
         thresholds,
         np.nextafter(thresholds, -np.inf),
@@ -64,7 +67,7 @@ def jittered(table: ThresholdTable, seed: int, whole_db: bool) -> ThresholdTable
     """A copy of a table with every threshold moved by up to 1.5 dB, then
     rounded to a whole dB if whole_db, so that thresholds tie."""
     rng = random.Random(seed)
-    entries = {key: thr + rng.uniform(-1.5, 1.5) for key, thr in table.entries().items()}
+    entries = {key: thr + rng.uniform(-1.5, 1.5) for key, thr in table_entries(table).items()}
     return table_from_entries({key: float(round(thr)) if whole_db else thr for key, thr in entries.items()})
 
 
@@ -81,7 +84,7 @@ class TestShippedFiles:
         assert len(hqpsk_table) == 11 * 9 * 2
 
     def test_merged_column_expands_identically(self, hqpsk_table):
-        scheme, entries = SchemeId(Family.H_QPSK, 0.5), hqpsk_table.entries()
+        scheme, entries = SchemeId(Family.H_QPSK, 0.5), table_entries(hqpsk_table)
         for rate in DVBS2_CODE_RATES:
             assert entries[scheme, Stream.HE, rate] == entries[scheme, Stream.LE, rate]
 
@@ -91,7 +94,7 @@ class TestShippedFiles:
         sample = rng.sample(sorted(cells, key=str), 12)
         for rho, stream, rate in sample:
             expected = cells[(rho, stream, rate)]
-            got = hqpsk_table.entries()[SchemeId(Family.H_QPSK, rho), Stream(stream), rate]
+            got = table_entries(hqpsk_table)[SchemeId(Family.H_QPSK, rho), Stream(stream), rate]
             assert got == expected, (rho, stream, rate)
 
     def test_h32apsk_spot_checks(self, h32apsk_table):
@@ -100,15 +103,15 @@ class TestShippedFiles:
         sample = rng.sample(sorted(cells, key=str), 12)
         for rho, stream, rate in sample:
             expected = cells[(rho, stream, rate)]
-            got = h32apsk_table.entries()[SchemeId(Family.H_APSK32, rho), Stream(stream), rate]
+            got = table_entries(h32apsk_table)[SchemeId(Family.H_APSK32, rho), Stream(stream), rate]
             assert got == expected, (rho, stream, rate)
 
     def test_named_example_cells(self, hqpsk_table, h32apsk_table):
-        assert hqpsk_table.entries()[SchemeId(Family.H_QPSK, 0.5), Stream.HE, F(1, 4)] == -2.6
-        assert h32apsk_table.entries()[SchemeId(Family.H_APSK32, 0.9), Stream.LE, F(9, 10)] == 20.8
+        assert table_entries(hqpsk_table)[SchemeId(Family.H_QPSK, 0.5), Stream.HE, F(1, 4)] == -2.6
+        assert table_entries(h32apsk_table)[SchemeId(Family.H_APSK32, 0.9), Stream.LE, F(9, 10)] == 20.8
 
     def test_anomaly_cell_preserved_and_flagged(self, hqpsk_table):
-        assert hqpsk_table.entries()[SchemeId(Family.H_QPSK, 0.6), Stream.LE, F(1, 2)] == 1.2
+        assert table_entries(hqpsk_table)[SchemeId(Family.H_QPSK, 0.6), Stream.LE, F(1, 2)] == 1.2
         assert len(hqpsk_table.warnings) == 1
         warning = hqpsk_table.warnings[0]
         assert warning.known_anomaly
@@ -131,7 +134,7 @@ class TestShippedFiles:
 
     def test_rate_monotonicity_of_every_column(self, full_table):
         by_column = {}
-        for (scheme, stream, rate), thr in full_table.entries().items():
+        for (scheme, stream, rate), thr in table_entries(full_table).items():
             by_column.setdefault((scheme, stream), []).append((rate, thr))
         for cells in by_column.values():
             cells.sort()
@@ -170,9 +173,9 @@ class TestLoaderErrors:
     @pytest.mark.parametrize("text", ["1/2", "2/4", "0.5", "+1/2", "01/02", "5e-1", "0.50"])
     def test_rate_spellings(self, tmp_path, text):
         table = load_threshold_csv(write_csv(tmp_path, "h.csv", [f"qpsk,,SINGLE,{text},1.0"]))
-        ((_, _, rate),) = table.entries()
+        ((_, _, rate),) = table_entries(table)
         assert rate == F(1, 2) and isinstance(rate, Fraction)
-        assert table.entries()[SchemeId(Family.QPSK), Stream.SINGLE, F(1, 2)] == 1.0
+        assert table_entries(table)[SchemeId(Family.QPSK), Stream.SINGLE, F(1, 2)] == 1.0
 
     @pytest.mark.parametrize("text,error", [
         ("abc", TableParseError), ("1/0", TableParseError), ("1/5", TableValidationError), ("", TableParseError),
@@ -212,12 +215,12 @@ class TestLoaderErrors:
     def test_byte_order_mark_dropped(self, tmp_path):
         path = write_csv(tmp_path, "h.csv", ["qpsk,,SINGLE,1/4,-2.35"])
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        assert load_threshold_csv(path).entries() == {(SchemeId(Family.QPSK), Stream.SINGLE, F(1, 4)): -2.35}
+        assert table_entries(load_threshold_csv(path)) == {(SchemeId(Family.QPSK), Stream.SINGLE, F(1, 4)): -2.35}
 
     def test_blank_rows_skipped(self, tmp_path):
         path = write_csv(tmp_path, "h.csv", ["qpsk,,SINGLE,1/4,-2.35", "", " , ,", "qpsk,,SINGLE,1/2,1.0"])
         table = load_threshold_csv(path)
-        assert sorted(table.entries().values()) == [-2.35, 1.0]
+        assert sorted(table_entries(table).values()) == [-2.35, 1.0]
 
     def test_duplicate_cell(self, tmp_path):
         rows = ["qpsk,,SINGLE,1/2,1.0", "qpsk,,SINGLE,1/2,2.0"]
@@ -420,7 +423,7 @@ class TestBestSingleModcod:
         # (column 1 of cell_units): at 3.7 dB rate 8/9 decodes (3.6 dB) but
         # 9/10 (3.8 dB) does not
         entries = {
-            k: v for k, v in hqpsk_table.entries().items() if k[0].rho_he == 0.9
+            k: v for k, v in table_entries(hqpsk_table).items() if k[0].rho_he == 0.9
         }
         table = table_from_entries(entries)
         (scheme,) = table.hierarchical_schemes()
@@ -481,7 +484,7 @@ class TestBestSingleModcod:
                 snrs = probe_snrs(table)
                 assert [table.best_single(s) for s in snrs] == [best_single_reference(table, s) for s in snrs], seed
                 efficiencies = [(thr, scheme.bits(stream) * rate)
-                                for (scheme, stream, rate), thr in table.entries().items()]
+                                for (scheme, stream, rate), thr in table_entries(table).items()]
                 ties += len(efficiencies) - len(set(efficiencies))
             assert ties > 0  # some cells hold two equally efficient entries at one threshold
 
@@ -504,7 +507,7 @@ class TestCellInv:
         ]
         assert table.cell_inv[table.cells(snrs)].tolist() == expected
         assert [table.cell_inv[table.cell(s)] for s in snrs] == expected
-        assert len(table.cell_inv) == len(set(table.entries().values())) + 1
+        assert len(table.cell_inv) == len(set(table_entries(table).values())) + 1
 
     @pytest.mark.parametrize("empty", [lambda full: ThresholdTable({}), lambda full: full.subset([])],
                              ids=["no_columns", "subset_of_no_family"])
@@ -527,9 +530,9 @@ class TestCellUnits:
     def assert_matches_entries(table):
         schemes = table.hierarchical_schemes()
         columns = [None] + [(s, Stream.HE) for s in schemes] + [(s, Stream.LE) for s in schemes]
-        edges = sorted(set(table.entries().values()))
+        edges = sorted(set(table_entries(table).values()))
         expected = np.zeros((len(edges) + 1, len(columns)), dtype=np.int64)
-        for (scheme, stream, rate), thr in table.entries().items():
+        for (scheme, stream, rate), thr in table_entries(table).items():
             col = columns.index(None if stream is Stream.SINGLE else (scheme, stream))
             units = scheme.bits(stream) * rate * 180
             assert units.denominator == 1 and units <= 810
@@ -579,7 +582,7 @@ class TestTableAlgebra:
         odd = load_threshold_csv(write_csv(tmp_path, "odd.csv", rows[1::2], header))
         snrs = probe_snrs(single_table)
         for merged in (even.merged_with(odd), odd.merged_with(even)):
-            assert merged.entries() == single_table.entries()
+            assert table_entries(merged) == table_entries(single_table)
             assert len(merged) == len(single_table) == len(rows)
             assert np.array_equal(merged.edges, single_table.edges)
             assert np.array_equal(merged.cell_units, single_table.cell_units)
@@ -601,7 +604,7 @@ class TestTableAlgebra:
 
     def test_inf_reciprocal_marks_outage(self, full_table):
         # SNRs exactly at, and one ulp either side of, every threshold
-        thresholds = np.array(sorted(set(full_table.entries().values())))
+        thresholds = np.array(sorted(set(table_entries(full_table).values())))
         snrs = np.concatenate([
             thresholds,
             np.nextafter(thresholds, -np.inf),
@@ -688,7 +691,7 @@ class TestPickledTable:
         if queried:
             pair_solution(3.0, 12.0, table)
         copy = pickle.loads(pickle.dumps(table))
-        thresholds = np.array(sorted(set(table.entries().values())))
+        thresholds = np.array(sorted(set(table_entries(table).values())))
         snrs = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf)])
         assert np.array_equal(copy.cells(snrs), table.cells(snrs))
         assert np.array_equal(copy.cell_inv, table.cell_inv)
@@ -699,7 +702,7 @@ class TestPickledTable:
         assert [copy.best_single(s) for s in values] == [table.best_single(s) for s in values] == expected
         weak, strong = np.triu_indices(table.cell_inv.size)
         assert solve_cell_pairs(copy, weak, strong).tolist() == solve_cell_pairs(table, weak, strong).tolist()
-        assert copy.entries() == table.entries() and copy.warnings == table.warnings
+        assert table_entries(copy) == table_entries(table) and copy.warnings == table.warnings
         # a cell's lower edge stands for it, and 1 dB below the lowest
         # threshold for cell 0
         cell_snrs = [thresholds[0] - 1.0] + thresholds.tolist()
@@ -711,3 +714,69 @@ class TestPickledTable:
                 str(p) for point in achievable_pairs(weak_snr, top, table) for p in point.provenance
             ]
             assert pair_solution(weak_snr, top, copy) == pair_solution(weak_snr, top, table)
+
+
+def _probes(points):
+    """Each point and its two neighbouring floats, far and infinite values
+    on both sides, and the midpoints of the points."""
+    points = np.asarray(points, dtype=float)
+    mids = (points[1:] + points[:-1]) / 2
+    return np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf), mids,
+                           [-np.inf, -1e300, -1.0, 0.0, 1.0, 1e300, np.inf]])
+
+
+def _assert_searches_alike(points, x, dtype=np.intp):
+    got = modcod._BucketSearch(points, dtype)(x)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.searchsorted(points, x, side="right"))
+
+
+# Sorted point sets: a start and gaps of 0 (a repeated point), of
+# 1e-12-1e-9 (the narrowest buckets and the float rounding of q) or wide.
+_gaps = st.one_of(st.just(0.0), st.floats(1e-12, 1e-9), st.floats(1e-3, 20.0))
+_point_sets = st.builds(lambda start, gaps: start + np.cumsum([0.0] + gaps),
+                        st.floats(-50.0, 50.0), st.lists(_gaps, max_size=40))
+
+
+class TestBucketSearch:
+    """``modcod._BucketSearch`` is ``np.searchsorted(points, x,
+    side="right")``, exactly, for any x but NaN."""
+
+    def test_every_shipped_edge_set(self, full_table, hqpsk_table, h32apsk_table, single_table):
+        singles = set(single_table.families())
+        tables = [full_table.subset(singles | set(extra)) for extra in
+                  ((), (Family.H_QPSK,), (Family.H_APSK32,), (Family.H_QPSK, Family.H_APSK32))]
+        for table in tables + [hqpsk_table, h32apsk_table]:
+            edges = table.edges
+            x = _probes(edges)
+            _assert_searches_alike(edges, x)
+            # as the campaign builds it, into its span buffer's dtype
+            _assert_searches_alike(edges, x.reshape(1, -1), np.min_scalar_type(edges.size))
+        union = modcod._BucketSearch(tables[-1].edges)
+        assert tables[-1].edges.size == 192 and union._base.size == 2601 and len(union._next) == 1
+
+    @given(points=_point_sets, extra=st.lists(st.floats(allow_nan=False), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_point_sets(self, points, extra):
+        _assert_searches_alike(points, np.concatenate([_probes(points), extra]))
+        # a bounded number of buckets, however narrow the gaps
+        assert modcod._BucketSearch(points)._base.size <= 2**12 + 1
+
+    def test_narrow_gaps_share_buckets(self):
+        # 1e-12 gaps over a 100 dB span: 2^12 buckets, so several points
+        # in some of them
+        points = np.concatenate([np.arange(5) * 1e-12, 100 + np.arange(5) * 1e-12, [37.5]])
+        points.sort()
+        search = modcod._BucketSearch(points)
+        assert search._base.size == 2**12 + 1 and len(search._next) == 5
+        _assert_searches_alike(points, _probes(points))
+
+    def test_empty_and_one_point(self):
+        x = _probes([0.0, 3.0])
+        _assert_searches_alike(np.array([]), x)
+        _assert_searches_alike(np.array([3.0]), x)
+        _assert_searches_alike(np.array([3.0, 3.0]), x)
+
+    def test_nan_counts_as_below_every_point(self):
+        points = np.array([-2.0, 0.5, 4.0])
+        assert modcod._BucketSearch(points)(np.array([np.nan, 1.0])).tolist() == [0, 2]

@@ -18,6 +18,7 @@ from helpers import (
     row_summary,
     snr_summaries,
     system_summary_reference,
+    table_entries,
     table_from_entries,
     unpruned_points,
 )
@@ -39,7 +40,7 @@ F = Fraction
 
 def synthetic_singles(table: ThresholdTable, entries) -> ThresholdTable:
     """Attach single-stream entries {(family, rate): threshold} to a table."""
-    merged = table.entries()
+    merged = table_entries(table)
     for (family, rate), thr in entries.items():
         merged[(SchemeId(family), Stream.SINGLE, rate)] = thr
     return table_from_entries(merged)
@@ -47,7 +48,7 @@ def synthetic_singles(table: ThresholdTable, entries) -> ThresholdTable:
 
 @pytest.fixture(scope="module")
 def hqpsk_rho08_with_singles(hqpsk_table):
-    sub = {k: v for k, v in hqpsk_table.entries().items() if k[0].rho_he == 0.8}
+    sub = {k: v for k, v in table_entries(hqpsk_table).items() if k[0].rho_he == 0.8}
     return synthetic_singles(table_from_entries(sub), {
         (Family.QPSK, F(1, 2)): 0.9,
         (Family.QPSK, F(9, 10)): 6.3,
@@ -67,7 +68,7 @@ class TestAchievablePairs:
 
     def test_h32_example_point_unpruned(self, h32apsk_table):
         sub = table_from_entries(
-            {k: v for k, v in h32apsk_table.entries().items() if k[0].rho_he == 0.7}
+            {k: v for k, v in table_entries(h32apsk_table).items() if k[0].rho_he == 0.7}
         )
         points = unpruned_points(0.0, 12.0, sub)
         assert any(
@@ -117,14 +118,14 @@ class TestAchievablePairs:
         # efficiencies; SNRs at every threshold and one ulp either side
         table = request.getfixturevalue(name)
         columns: dict = {}
-        for (scheme, stream, rate), thr in table.entries().items():
+        for (scheme, stream, rate), thr in table_entries(table).items():
             columns.setdefault((scheme, stream), []).append((rate, thr))
 
         def best(scheme, stream, snr):
             rate = max((r for r, thr in columns.get((scheme, stream), ()) if thr <= snr), default=None)
             return None if rate is None else ModcodChoice(scheme, stream, rate)
 
-        thresholds = np.array(sorted(set(table.entries().values())))
+        thresholds = np.array(sorted(set(table_entries(table).values())))
         snrs = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf), np.nextafter(thresholds, np.inf)])
         snrs = snrs.tolist()
         partners = random.Random(4).sample(snrs, len(snrs))
@@ -288,7 +289,7 @@ def every_cell_pair(table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, list
     """Every (weak cell, strong cell) pair of a table, weak <= strong, and
     an SNR pair in each: a cell is represented by its lower edge, and cell
     0 by 1 dB below the lowest threshold."""
-    edges = sorted(set(table.entries().values()))
+    edges = sorted(set(table_entries(table).values()))
     snrs = [edges[0] - 1.0] + edges
     weak, strong = np.triu_indices(len(snrs))
     return weak, strong, [(snrs[i], snrs[j]) for i, j in zip(weak.tolist(), strong.tolist())]
@@ -377,7 +378,7 @@ class TestSolveCellPairs:
         schemes = full_table.hierarchical_schemes()
         keep = {singles[i] for i in np.flatnonzero(rng.random(len(singles)) < 0.5)}
         keep |= {schemes[i] for i in rng.choice(len(schemes), rng.integers(1, 5), replace=False)}
-        entries = {k: v for k, v in full_table.entries().items() if (k[0].family if k[0].rho_he is None else k[0]) in keep}
+        entries = {k: v for k, v in table_entries(full_table).items() if (k[0].family if k[0].rho_he is None else k[0]) in keep}
         if seed % 2:
             entries = {k: v + rng.uniform(-3.0, 3.0) for k, v in entries.items()}
         return table_from_entries(entries)
@@ -500,9 +501,9 @@ def snr_for_efficiency(table: ThresholdTable, eff: float) -> float:
     """A table threshold at which the best single modcod has efficiency
     eff, or the double just below the lowest one for eff = 0."""
     if eff == 0:
-        floor = min(thr for (_, stream, _), thr in table.entries().items() if stream is Stream.SINGLE)
+        floor = min(thr for (_, stream, _), thr in table_entries(table).items() if stream is Stream.SINGLE)
         return float(np.nextafter(floor, -np.inf))
-    for thr in sorted(set(table.entries().values())):
+    for thr in sorted(set(table_entries(table).values())):
         choice = table.best_single(thr)
         if choice is not None and choice.spectral_efficiency == eff:
             return thr
@@ -625,7 +626,7 @@ class TestPairMemo:
     def snr_pool(table: ThresholdTable, rng) -> list[float]:
         """Every threshold, the doubles either side of it and as many
         uniform SNRs on [-6, 21] dB."""
-        edges = np.unique(list(table.entries().values()))
+        edges = np.unique(list(table_entries(table).values()))
         pool = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
         return np.concatenate([pool, rng.uniform(-6.0, 21.0, pool.size)]).tolist()
 
