@@ -268,9 +268,10 @@ class WeatherCdf:
         Bit for bit ``np.interp(u, cum_prob, attenuation_db)`` for every
         u: below 0 and above 1 too, where it reads the first and the last
         attenuation, and NaN for a NaN u, as long as no slope between two
-        distinct probabilities overflows. It computes what numpy's loop does, slope * (u - start) +
-        value at start on u's segment, but finds the segment in O(1) (see
-        ``modcod._BucketSearch``), not by a binary search."""
+        distinct probabilities overflows. It computes what numpy's loop
+        does, slope * (u - start) + value at start on u's segment, but
+        finds the segment in O(1) (see ``modcod._BucketSearch``), not by a
+        binary search."""
         search, slope, start, value = self._segments
         k = search(u)
         # Probabilities lie in [0, 1], so the clip moves only a u on a flat

@@ -171,17 +171,18 @@ class SimulationReport:
 
 # Receivers per chunk of units drawn and mapped to cells as one array
 # program: (units x receivers) float64 and intp arrays of 64 KB, about
-# 0.5 MB at the draw's peak. A chunk costs about 80 µs of numpy calls
+# 0.5 MB at the draw's peak. A chunk costs 73-79 µs of numpy calls
 # whatever its size (one unit of 2 receivers, 2 vCPUs), so fewer chunks
 # save time until their temporaries pass glibc's trim threshold: malloc
 # hands the free top of its heap back to the kernel past a few hundred KB,
 # and every chunk then faults it back in. Minor faults, counted with
-# getrusage around each of 30-40 in-process perfbench operations after the
-# first 5, on 2 vCPUs: the median per `sweep` operation is 1 and per
-# `outage-edge` operation 0 at 1 << 13, against 144 per `sweep` operation
-# at 1 << 14. The default campaign, in a fresh process, faults about 1,310
-# pages at 1 << 13 (about 4,050 at workers=2, its child included).
-# `outage-edge` draws 6 chunks per operation, against 12 at 1 << 12.
+# getrusage around each of 60 in-process perfbench operations after the
+# first 5, each after a reference run as in perfbench's loop, on 2 vCPUs:
+# the median per `sweep` and per `outage-edge` operation is 0 at 1 << 13,
+# against 146 per `sweep` operation at 1 << 14. The default campaign, in a
+# fresh process, faults about 1,160 pages at 1 << 13 (about 3,670 at
+# workers=2, its child included). `outage-edge` draws 6 chunks per
+# operation, against 12 at 1 << 12.
 _CHUNK_RECEIVERS = 1 << 13
 
 # Receivers a block must hold to pay for the child process that runs it:
@@ -252,11 +253,11 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
     drawn in chunks of at most ``_CHUNK_RECEIVERS`` (both at least one
     unit). Each chunk's SNRs are mapped by ``ctx.union_cells`` into the
     span's buffer of union cells, whose rows are then sorted in place, as
-    integers: on 2 vCPUs, 54-59 µs per chunk of 16 units of 500 receivers,
-    against 139-142 µs for a float sort of the SNRs and a ``searchsorted``
-    of the sorted rows. One ``system_summaries``
-    call then sums the whole span for every family: it counts the receivers
-    left out and pairs them once, and makes one pair solve per family."""
+    integers: on 2 vCPUs, 49-52 µs per chunk of 16 units of 500 receivers,
+    against 136-138 µs for a float sort of the SNRs and a ``searchsorted``
+    of the sorted rows. One ``system_summaries`` call then sums the whole
+    span for every family: it counts the receivers left out and pairs them
+    once, and makes one pair solve per family."""
     cfg = ctx.cfg
     seed = _seed_words(cfg.master_seed)
     units = [(g, rep) for g in grid_indices for rep in range(cfg.repetitions)]
@@ -294,7 +295,7 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     it and the child processes forked afterwards inherit it: numpy's lazily
     imported ``random`` submodule, the beam edge angle, the weather CDF's
     segments, the bucket index on the union table's edges (2,601 buckets
-    for the shipped tables' 192 edges, about 40 µs), and each table's edges
+    for the shipped tables' 192 edges, about 32 µs), and each table's edges
     and per-cell arrays."""
     loaded = tables.families()
     single_families = {f for f in loaded if not f.hierarchical}
