@@ -424,35 +424,20 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _as_value(token: str) -> str:
-    """A token that starts with '-' and parses as a float, with a space
-    appended (see ``_ArgumentParser``); any other token as it is."""
-    if token.startswith("-"):
-        try:
-            float(token)
-        except ValueError:
-            return token
-        return token + " "
-    return token
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     """A usage error exits 1, like any other bad input, not argparse's 2.
 
-    argparse reads a separate value that starts with '-' as an option
-    unless it is a negative number without an exponent, so ``--grid
-    -2.4:-1.5:0.3`` is joined into ``--grid=-2.4:-1.5:0.3`` first, and so
-    is any abbreviation of ``--grid`` (``--gri``, ``--g``), which argparse
-    then resolves. Then every other token that parses as a float, such as
-    ``-1e1`` or ``-inf``, gets a trailing space: argparse reads a token
-    with a space as a value, and float() and int() strip it."""
+    argparse reads a token that starts with '-' as an option unless it is
+    a negative number without an exponent. Here a token is a value when
+    '-' is followed by a digit or by '.' and a digit, such as ``-1e1`` or
+    the grid ``-2.4:-1.5:0.3``, or by inf, infinity or nan in any case."""
 
-    def parse_known_args(self, args=None, namespace=None):
-        args = list(sys.argv[1:] if args is None else args)
-        for i in reversed(range(len(args) - 1)):
-            if len(args[i]) > 2 and "--grid".startswith(args[i]) and re.match(r"-[\d.]", args[i + 1]):
-                args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
-        return super().parse_known_args(list(map(_as_value, args)), namespace)
+    _is_value = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE).match
+
+    def _parse_optional(self, arg_string):
+        if self._is_value(arg_string):
+            return None  # argparse's answer for a value
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -132,6 +132,10 @@ class TestPair:
         assert main(["pair", "5", "-inf"]) == 1
         assert capsys.readouterr() == ("", "error: SNR -inf dB is not a finite number\n")
 
+    def test_option_values_read_as_written(self):
+        args = cli.build_parser().parse_args(["campaign", "--out", "-1e1", "--gri", "-2.4:-1.5:0.3", "--scenario", "-Inf"])
+        assert (args.out, args.grid, args.scenario) == ("-1e1", "-2.4:-1.5:0.3", "-Inf")
+
     def test_dash_word_is_still_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pair", "-x", "5"])
