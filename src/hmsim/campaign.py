@@ -43,22 +43,25 @@ in grid order. So a second process runs only for a campaign of at least
 2 × ``_CHILD_RECEIVERS`` receivers, and each further one only for another
 ``_CHILD_RECEIVERS``, the size that pays for a process. The parent process
 first builds everything a block reads (see ``_primed_context``): numpy's
-lazily imported ``random`` submodule, the beam edge angle, the union
-table's edges and each family table's query structures. It then starts
-one child process for each of blocks 1 to B - 1, forked on Linux so that
-it inherits the primed context without pickling, and runs block 0 itself
-while they run the others. Each child sends back its block's result, or
-the exception it raised, over a one-way pipe. With one block, at
-workers=1, on a one-point grid or for a campaign of fewer than
-2 × ``_CHILD_RECEIVERS`` receivers, no child is started and
+lazily imported ``random`` submodule, the class of the units' seeds, the
+beam edge angle, the union table's edges and each family table's query
+structures. It then starts one child process for each of blocks 1 to
+B - 1, forked on Linux so that it inherits the primed context without
+pickling, and runs block 0 itself while they run the others. Each child
+sends back its block's result, or the exception it raised, over a one-way
+pipe. With one block, at workers=1, on a one-point grid or for a campaign
+of fewer than 2 × ``_CHILD_RECEIVERS`` receivers, no child is started and
 ``multiprocessing`` is not imported.
 
 Determinism: the population for grid index g, repetition r is drawn from
-its own generator, whose stream is that of ``SeedSequence(master_seed,
-spawn_key=(g, r))``: it is seeded with the entropy words that
-SeedSequence assembles for that key (see ``_unit_generator``). Every
-unit's sums run in the same order whatever chunk or span it sits in, so
-results are bit-identical for any worker count, chunk size and span size.
+its own generator, whose stream is that of
+``default_rng(SeedSequence(master_seed, spawn_key=(g, r)))``. No
+SeedSequence is built per unit: ``_unit_seeds`` computes the state words
+SeedSequence would hand that unit's PCG64, for all of a block's units in
+one pass of array operations, and each unit's PCG64 seeds itself from its
+row as from a SeedSequence (see ``_unit_seed_class``). Every unit's sums
+run in the same order whatever chunk or span it sits in, so results are
+bit-identical for any worker count, chunk size and span size.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
@@ -217,31 +220,106 @@ class _Context(NamedTuple):
     weather: WeatherCdf
 
 
-def _words(n: int) -> list[int]:
-    """The 32-bit words of n >= 0, low word first: [0] for 0, as
-    ``SeedSequence`` splits an int."""
-    words = [n & 0xFFFFFFFF]
-    while n := n >> 32:
-        words.append(n & 0xFFFFFFFF)
-    return words
+# The constants of numpy's SeedSequence (``numpy.random.bit_generator``, a
+# port of M. E. O'Neill's ``seed_seq_fe``): the hash that mixes entropy words
+# into the pool (A), the hash that makes output words of the pool (B) and
+# the mix of two words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
-def _seed_words(master_seed: int) -> list[int]:
-    """The entropy words ``SeedSequence(master_seed, spawn_key=key)`` puts
-    before those of its spawn key: the master seed's words, zero-padded to
-    the pool size."""
-    words = _words(master_seed)
-    return words + [0] * (np.random.SeedSequence(0).pool_size - len(words))
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    """The first ``count`` constants of a SeedSequence hash: init, then each
+    times mult, mod 2^32. The hash's call k xors its word with constant k
+    and multiplies it by constant k + 1."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
 
 
-def _unit_generator(seed: list[int], g: int, r: int) -> np.random.Generator:
-    """The generator of unit (g, r), given ``_seed_words(master_seed)``,
-    with the stream of ``np.random.default_rng(SeedSequence(master_seed,
-    spawn_key=(g, r)))``: it is seeded with the words that SeedSequence
-    assembles into its pool (the seed words, then those of g and of r),
-    which skips SeedSequence's coercion of the seed and key on every unit."""
-    words = np.array(seed + _words(g) + _words(r), np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+def _hashed(value, xor, mult):
+    """A word hashed with the constants ``xor`` and ``mult``: Python ints or
+    uint32 arrays, whose products wrap without a warning (numpy scalars'
+    would warn)."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mixed(x, y):
+    """Pool word x mixed with the hashed word y."""
+    x = (x * _MIX_L - y * _MIX_R) & _MASK32
+    return x ^ x >> 16
+
+
+def _unit_seeds(master_seed: int, units: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The (units, 4) uint64 words ``SeedSequence(master_seed, spawn_key=(g,
+    r)).generate_state(4, np.uint64)`` gives for each unit (g, r): the seeds
+    of the units' PCG64s (see ``_unit_seed_class``), in one pass.
+
+    SeedSequence splits each int into 32-bit words, low word first ([0] for
+    0). Its entropy is the master seed's words, zero-padded to the pool size
+    of 4, then g's and r's. The first four words are hashed into the pool and
+    mixed with each other; they are the master seed's for every unit, so
+    that runs once, in Python ints. Each further word (the master seed's
+    past the fourth, then g's and r's) is hashed into each pool word in
+    turn, as uint32 arrays of the units with as many words. The output hash
+    makes 8 words of the pool, taken in turn, and SeedSequence pairs them
+    low word first into 4 uint64s."""
+    def words(n):
+        return [n & _MASK32, *words(n >> 32)] if n >> 32 else [n]
+
+    seed = words(master_seed)
+    keys = [seed[4:] + words(g) + words(r) for g, r in units]
+    lengths = np.array([len(key) for key in keys], np.intp)
+    a = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * max(lengths.tolist(), default=0))
+    pool = [_hashed(word, a[i], a[i + 1]) for i, word in enumerate((seed + [0] * 3)[:4])]
+    n = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mixed(pool[dst], _hashed(pool[src], a[n], a[n + 1]))
+                n += 1
+    a = np.array(a, np.uint32)[:, None]
+    b = np.array(_hash_consts(_INIT_B, _MULT_B, 9), np.uint32)[:, None]
+    seeds = np.empty((len(keys), 4), np.uint64)
+    for length in set(lengths.tolist()):
+        rows = np.flatnonzero(lengths == length)
+        mixer = np.array(pool, np.uint32)[:, None]  # (4, units) once mixed
+        for k, word in enumerate(np.array([keys[i] for i in rows], np.uint32).T):
+            n = 16 + 4 * k  # after the 16 hash calls of the first four words
+            mixer = _mixed(mixer, _hashed(word, a[n:n + 4], a[n + 1:n + 5]))
+        out = _hashed(np.tile(mixer, (2, 1)), b[:8], b[1:])
+        seeds[rows] = out[0::2].T | out[1::2].T.astype(np.uint64) << 32
+    return seeds
+
+
+@cache
+def _unit_seed_class() -> type:
+    """The class of a unit's seed, ``_UnitSeed(row)`` for its row of
+    ``_unit_seeds``: ``np.random.Generator(np.random.PCG64(_UnitSeed(row)))``
+    draws the stream of ``default_rng(SeedSequence(master_seed,
+    spawn_key=(g, r)))``, since PCG64 seeds itself with the words
+    ``generate_state(4, np.uint64)`` returns. Built on first use, as it
+    subclasses a class of ``numpy.random``, which ``import hmsim.cli`` does
+    not import."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _UnitSeed(ISeedSequence):
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # Anything else would draw another stream: a numpy whose PCG64
+            # asked for other words, or another bit generator.
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"generate_state({n_words}, {np.dtype(dtype)}): "
+                                 "a unit seed holds 4 uint64 words only")
+            return self.row
+
+    return _UnitSeed
 
 
 def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -259,8 +337,8 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
     span for every family: it counts the receivers left out and pairs them
     once, and makes one pair solve per family."""
     cfg = ctx.cfg
-    seed = _seed_words(cfg.master_seed)
     units = [(g, rep) for g in grid_indices for rep in range(cfg.repetitions)]
+    seeds, unit_seed = _unit_seeds(cfg.master_seed, units), _unit_seed_class()
     tables, edges = list(ctx.tables.values()), ctx.union.edges
     dropped = np.empty(len(units), dtype=np.intp)
     gains = np.empty((len(tables), len(units)))
@@ -277,7 +355,8 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
                 np.array([cfg.snr_max_grid[g] for g, _ in part]),
                 ctx.beam,
                 ctx.weather,
-                rng=[_unit_generator(seed, *unit) for unit in part],
+                rng=[np.random.Generator(np.random.PCG64(unit_seed(row)))
+                     for row in seeds[first:first + len(part)]],
             ))
             # A cell is a nondecreasing function of the SNR, so the sorted
             # cells are the cells of the sorted SNRs; a stable sort of 8- or
@@ -293,10 +372,11 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
 
     Everything a block reads is built here, once, so that no block rebuilds
     it and the child processes forked afterwards inherit it: numpy's lazily
-    imported ``random`` submodule, the beam edge angle, the weather CDF's
-    segments, the bucket index on the union table's edges (2,601 buckets
-    for the shipped tables' 192 edges, about 32 µs), and each table's edges
-    and per-cell arrays."""
+    imported ``random`` submodule and the class of the units' seeds
+    (``_unit_seed_class``), the beam edge angle, the weather CDF's segments,
+    the bucket index on the union table's edges (2,601 buckets for the
+    shipped tables' 192 edges, about 32 µs), and each table's edges and
+    per-cell arrays."""
     loaded = tables.families()
     single_families = {f for f in loaded if not f.hierarchical}
     if not single_families:
@@ -312,6 +392,7 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
         family_tables[COMBINED] = union
 
     import numpy.random  # noqa: F401  numpy imports it on first use
+    _unit_seed_class()
     beam_edge_angle(beam)
     weather.quantile(np.zeros(1))  # builds its segments
     # The campaign's cells are union cells, in a span buffer's dtype.

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import best_single_reference, reference_series_factor, row_summary, table_entries
 import hmsim
@@ -293,13 +295,39 @@ class TestDeterminism:
     @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 9])
     def test_unit_generator_is_the_spawned_seed_sequence(self, master_seed):
         # The master seed's words are zero-padded to the pool size before
-        # the spawn key's words when there are fewer than four of them.
-        seed = campaign._seed_words(master_seed)
-        for g, r in [(0, 0), (0, 1), (1, 0), (30, 99), (2**32 - 1, 2**32), (2**32, 2**40)]:
-            got = campaign._unit_generator(seed, g, r)
+        # the spawn key's words when there are fewer than four of them. The
+        # keys of two, three and four words share one call, interleaved.
+        keys = [(0, 0), (2**32 - 1, 2**32), (0, 1), (2**32, 2**40), (1, 0), (30, 99)]
+        seeds = campaign._unit_seeds(master_seed, keys)
+        assert seeds.shape == (len(keys), 4) and seeds.dtype == np.uint64
+        unit_seed = campaign._unit_seed_class()
+        for (g, r), row in zip(keys, seeds):
+            got = np.random.Generator(np.random.PCG64(unit_seed(row)))
             expected = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(g, r)))
             assert got.bit_generator.state == expected.bit_generator.state, (g, r)
             assert got.random(5).tolist() == expected.random(5).tolist()
+
+    @given(master_seed=st.integers(0, 2**256),
+           keys=st.lists(st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_unit_seeds_are_the_seed_sequence_states(self, master_seed, keys):
+        seeds = campaign._unit_seeds(master_seed, keys)
+        expected = [np.random.SeedSequence(master_seed, spawn_key=key).generate_state(4, np.uint64).tolist()
+                    for key in keys]
+        assert seeds.shape == (len(keys), 4) and seeds.tolist() == expected
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)])
+    def test_unit_seed_refuses_other_requests(self, n_words, dtype):
+        # Another request would draw another stream, so it fails loudly:
+        # MT19937, SFC64 and Philox ask for other words than PCG64 does.
+        row = campaign._unit_seeds(1, [(0, 0)])[0]
+        unit_seed = campaign._unit_seed_class()(row)
+        with pytest.raises(ValueError, match=rf"^generate_state\({n_words}, {np.dtype(dtype)}\): "):
+            unit_seed.generate_state(n_words, dtype)
+        for bit_generator in (np.random.MT19937, np.random.SFC64, np.random.Philox):
+            with pytest.raises(ValueError, match="a unit seed holds 4 uint64 words only"):
+                bit_generator(unit_seed)
+        assert unit_seed.generate_state(4, np.dtype("<u8")) is row
 
     def test_same_seed_same_report(self, full_table, sample_weather, default_antenna, small_cfg):
         a = run_campaign(small_cfg, full_table, default_antenna, sample_weather)
@@ -603,16 +631,18 @@ class TestPrimedContext:
 
             def snapshot():
                 return (set(sys.modules), {token: set(vars(t)) for token, t in ctx.tables.items()},
-                        set(vars(ctx.weather)), beam.beam_edge_angle.cache_info().misses)
+                        set(vars(ctx.weather)), beam.beam_edge_angle.cache_info().misses,
+                        campaign._unit_seed_class.cache_info().misses)
 
-            modules, attributes, weather, misses = snapshot()
+            modules, attributes, weather, misses, seed_misses = snapshot()
             campaign._run_grid_points(ctx, range(1, len(cfg.snr_max_grid), 2))
-            modules_after, attributes_after, weather_after, misses_after = snapshot()
+            modules_after, attributes_after, weather_after, misses_after, seed_misses_after = snapshot()
             print(json.dumps({
                 "modules": sorted(modules_after - modules),
                 "attributes": {token: sorted(attributes_after[token] - attributes[token]) for token in attributes},
                 "weather": sorted(weather_after - weather),
                 "edge_angle_misses": misses_after - misses,
+                "seed_class_misses": seed_misses_after - seed_misses,
             }))
         """)
         assert grown["modules"] == []
@@ -620,6 +650,7 @@ class TestPrimedContext:
         assert all(new == [] for new in grown["attributes"].values())
         assert grown["weather"] == []
         assert grown["edge_angle_misses"] == 0
+        assert grown["seed_class_misses"] == 0
 
     def test_no_hmsim_command_imports_numpy_ma(self, tmp_path):
         # numpy imports numpy.ma lazily, in np.unique among others, which
@@ -627,6 +658,8 @@ class TestPrimedContext:
         # process import no process machinery either: concurrent.futures
         # costs 19-30 ms of a cold import. The 3 x 2 x 40 campaign is far
         # too small to pay for a child, so it starts none at --workers 2.
+        # Commands that draw nothing import no numpy.random (13-15 ms cold),
+        # whose classes the campaign's unit seeds subclass only on first use.
         imported = _run_fresh_process(f"""
             import json, sys
             from hmsim.cli import main
@@ -637,10 +670,12 @@ class TestPrimedContext:
             out = {str(tmp_path)!r}
             assert main(["validate"]) == 0
             assert main(["pair", "-3", "10", "--dump-hull", out + "/hull.csv"]) == 0
+            no_draw = imported("numpy.random")
             campaign = ["campaign", "--grid", "4:6:1", "--reps", "2", "--receivers", "40", "--out", out]
             assert main([*campaign, "--workers", "1"]) == 0
             serial = imported("numpy.ma", "multiprocessing", "concurrent")
             assert main([*campaign, "--workers", "2"]) == 0
-            print(json.dumps({{"serial": serial, "two_workers": imported("numpy.ma", "multiprocessing", "concurrent")}}))
+            print(json.dumps({{"no_draw": no_draw, "serial": serial,
+                               "two_workers": imported("numpy.ma", "multiprocessing", "concurrent")}}))
         """)
-        assert imported == {"serial": [], "two_workers": []}
+        assert imported == {"no_draw": [], "serial": [], "two_workers": []}
