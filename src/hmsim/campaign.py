@@ -10,8 +10,8 @@ comparisons on a common system draw.
 Receivers that decode no single-stream modcod (an inf ``cell_inv``, see
 ``rateopt.system_summaries``) are not servable by the classical baseline at
 all; they are left out of the run and counted, since the relative gain is
-undefined against a zero baseline. Every family table holds all the
-single-stream entries, so every family leaves out the same receivers,
+undefined against a zero baseline. Every curve is evaluated with all the
+single-stream entries, so every curve leaves out the same receivers,
 counted once. A run is excluded (gain recorded as missing) only when the
 whole population is in outage, so every curve excludes the same runs: the
 ``excluded_runs`` column of gains.csv is the grid point's
@@ -20,19 +20,20 @@ whole population is in outage, so every curve excludes the same runs: the
 Each process evaluates its (grid point, repetition) units as one array
 program, in spans of whole units of at most ``_SPAN_RECEIVERS``
 receivers. First, each chunk of at most ``_CHUNK_RECEIVERS`` receivers
-is drawn and its SNRs are mapped to cells of the union table, which
-holds every evaluated family and so refines every family table's cells:
-in O(1) per receiver, by a bucket index on the union's edges
+is drawn and its SNRs are mapped to cells of the union table, the one
+table of the campaign, which holds the single modcods and every evaluated
+family: in O(1) per receiver, by a bucket index on the union's edges
 (``modcod._BucketSearch``), not by a binary search. Those cells are kept
 in one uint8 buffer, and each unit's row of them is sorted once there, by
 a radix sort. Then one
 ``rateopt.system_summaries`` call on the span counts each unit's outage,
-pairs its receivers and sums its classical rate once, and per family
-maps the pairs to the family's cells, solves each distinct cell pair
-once, in one ``solve_cell_pairs`` call, and sums each unit from those
-terms. A unit's receivers are paired max-spread, lowest cell with
-highest, the model's rule, so the reported gain is a lower bound on the
-best pairing's.
+pairs its receivers and sums its classical rate once, and per curve (a
+family alone, or all of them for the combined curve) reads the curve's
+columns of the union's ``cell_units``, solves each distinct pair of the
+curve's cells once, in one ``solve_cell_pairs`` call, and sums each unit
+from those terms. A unit's receivers are paired max-spread, lowest cell
+with highest, the model's rule, so the reported gain is a lower bound on
+the best pairing's.
 
 With W workers, the most processes the campaign may use, the grid is
 split into B = min(W, grid points, max(1, grid points × repetitions ×
@@ -44,8 +45,8 @@ in grid order. So a second process runs only for a campaign of at least
 ``_CHILD_RECEIVERS``, the size that pays for a process. The parent process
 first builds everything a block reads (see ``_primed_context``): numpy's
 lazily imported ``random`` submodule, the class of the units' seeds, the
-beam edge angle, the union table's edges and each family table's query
-structures. It then starts one child process for each of blocks 1 to
+beam edge angle and the union table's edges, per-cell arrays and bucket
+index. It then starts one child process for each of blocks 1 to
 B - 1, forked on Linux so that it inherits the primed context without
 pickling, and runs block 0 itself while they run the others. Each child
 sends back its block's result, or the exception it raised, over a one-way
@@ -206,14 +207,16 @@ _SPAN_RECEIVERS = 1 << 18
 class _Context(NamedTuple):
     """What ``_run_grid_points`` reads, built by ``_primed_context``.
 
-    ``tables`` holds each evaluated family's table, keyed by token in report
-    order. ``union`` holds the entries of every evaluated family, so its
-    cells refine each family table's cells and ``system_summaries`` takes
-    the union cells for all of them. ``union_cells`` is ``union.cells`` on
-    an array of SNRs, none NaN, with the dtype of a span's cell buffer."""
+    ``union`` holds the single-stream entries and those of every evaluated
+    family, and ``curves`` the hierarchical families of each curve in
+    ``cfg.family_tokens`` order: each family alone (none for a
+    non-hierarchical one, whose curve is the baseline's), then all of them
+    if ``cfg.combined``; ``system_summaries`` evaluates every curve on the
+    union cells. ``union_cells`` is ``union.cells`` on an array of SNRs,
+    none NaN, in its ``dtype``, that of a span's cell buffer."""
 
-    tables: dict[str, ThresholdTable]
     union: ThresholdTable
+    curves: tuple[tuple[Family, ...], ...]
     union_cells: _BucketSearch
     cfg: CampaignConfig
     beam: AntennaConfig
@@ -325,7 +328,7 @@ def _unit_seed_class() -> type:
 def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The units of the given grid points: the receivers left out as
     unservable, as a (grid points, repetitions) array, and the gains (NaN:
-    run excluded), as a (``ctx.tables``, grid points, repetitions) array.
+    run excluded), as a (``ctx.curves``, grid points, repetitions) array.
 
     The units run in spans of at most ``_SPAN_RECEIVERS`` receivers, each
     drawn in chunks of at most ``_CHUNK_RECEIVERS`` (both at least one
@@ -334,17 +337,16 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
     integers: on 2 vCPUs, 49-52 µs per chunk of 16 units of 500 receivers,
     against 136-138 µs for a float sort of the SNRs and a ``searchsorted``
     of the sorted rows. One ``system_summaries`` call then sums the whole
-    span for every family: it counts the receivers left out and pairs them
-    once, and makes one pair solve per family."""
+    span for every curve: it counts the receivers left out and pairs them
+    once, and makes one pair solve per curve."""
     cfg = ctx.cfg
     units = [(g, rep) for g in grid_indices for rep in range(cfg.repetitions)]
     seeds, unit_seed = _unit_seeds(cfg.master_seed, units), _unit_seed_class()
-    tables, edges = list(ctx.tables.values()), ctx.union.edges
     dropped = np.empty(len(units), dtype=np.intp)
-    gains = np.empty((len(tables), len(units)))
+    gains = np.empty((len(ctx.curves), len(units)))
     span = max(1, _SPAN_RECEIVERS // cfg.receivers)
     chunk = min(span, max(1, _CHUNK_RECEIVERS // cfg.receivers))
-    cells = np.empty((min(span, len(units)), cfg.receivers), np.min_scalar_type(edges.size))
+    cells = np.empty((min(span, len(units)), cfg.receivers), ctx.union_cells.dtype)
     for lo in range(0, len(units), span):
         hi = min(lo + span, len(units))
         for first in range(lo, hi, chunk):
@@ -362,9 +364,9 @@ def _run_grid_points(ctx: _Context, grid_indices: Sequence[int]) -> tuple[np.nda
             # cells are the cells of the sorted SNRs; a stable sort of 8- or
             # 16-bit integers is a radix sort.
             rows.sort(axis=1, kind="stable")
-        _, _, gains[:, lo:hi], dropped[lo:hi] = system_summaries(cells[:hi - lo], edges, tables)
+        _, _, gains[:, lo:hi], dropped[lo:hi] = system_summaries(cells[:hi - lo], ctx.union, ctx.curves)
     shape = (len(grid_indices), cfg.repetitions)
-    return dropped.reshape(shape), gains.reshape(len(tables), *shape)
+    return dropped.reshape(shape), gains.reshape(len(ctx.curves), *shape)
 
 
 def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaConfig, weather: WeatherCdf) -> _Context:
@@ -374,9 +376,10 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     it and the child processes forked afterwards inherit it: numpy's lazily
     imported ``random`` submodule and the class of the units' seeds
     (``_unit_seed_class``), the beam edge angle, the weather CDF's segments,
-    the bucket index on the union table's edges (2,601 buckets for the
-    shipped tables' 192 edges, about 32 µs), and each table's edges and
-    per-cell arrays."""
+    the union table, the one table of every curve, with its edges and
+    per-cell arrays, and the bucket index on its edges (2,601 buckets for
+    the shipped tables' 192 edges, about 32 µs). A campaign builds no
+    other table; ``subset`` runs once."""
     loaded = tables.families()
     single_families = {f for f in loaded if not f.hierarchical}
     if not single_families:
@@ -384,22 +387,19 @@ def _primed_context(cfg: CampaignConfig, tables: ThresholdTable, beam: AntennaCo
     for fam in cfg.families:
         if fam not in loaded:
             raise ValueError(f"family {fam.token} has no entries in the loaded tables")
-    family_tables: dict[str, ThresholdTable] = {
-        fam.token: tables.subset(single_families | {fam}) for fam in cfg.families
-    }
     union = tables.subset(single_families | set(cfg.families))
-    if cfg.combined:
-        family_tables[COMBINED] = union
+    # A non-hierarchical family's curve is the baseline alone, which gains 0.
+    hierarchical = tuple(fam for fam in cfg.families if fam.hierarchical)
+    curves = tuple((fam,) if fam.hierarchical else () for fam in cfg.families) + ((hierarchical,) if cfg.combined else ())
 
     import numpy.random  # noqa: F401  numpy imports it on first use
     _unit_seed_class()
     beam_edge_angle(beam)
     weather.quantile(np.zeros(1))  # builds its segments
-    # The campaign's cells are union cells, in a span buffer's dtype.
+    union.cell_inv  # builds edges and cell_units, which system_summaries reads
+    # The campaign's cells are union cells, in the dtype of a span's buffer.
     union_cells = _BucketSearch(union.edges, np.min_scalar_type(union.edges.size))
-    for table in family_tables.values():
-        table.cell_inv  # builds edges and cell_units, which system_summaries reads
-    return _Context(family_tables, union, union_cells, cfg, beam, weather)
+    return _Context(union, curves, union_cells, cfg, beam, weather)
 
 
 def _grid_blocks(cfg: CampaignConfig) -> list[range]:
@@ -505,8 +505,10 @@ def run_campaign(
             included = [v for v in values if v is not None]
             if included:
                 # Left to right from 0.0: sum() of floats is compensated from Python 3.12 on.
+                # Each square is a product: ** 2 goes through libm's pow, which
+                # need not round it correctly.
                 mean = reduce(add, included, 0.0) / len(included)
-                std = math.sqrt(reduce(add, ((v - mean) ** 2 for v in included), 0.0) / len(included))
+                std = math.sqrt(reduce(add, ((v - mean) * (v - mean) for v in included), 0.0) / len(included))
             else:
                 mean = std = math.nan
             stats[(snr_max, token)] = GainStat(mean=mean, std=std)

@@ -97,6 +97,16 @@ def _efficiency_units(bits: int, rate: Fraction) -> int:
     return bits * int(_UNITS_PER_BIT[_rate_index(rate)])
 
 
+def _inverse_efficiency(units: np.ndarray) -> np.ndarray:
+    """The one reciprocal formula: 1 / (units / EFFICIENCY_UNITS) per entry
+    of an efficiency array, inf for 0 units. ``ThresholdTable.cell_inv``
+    and the classical terms of ``rateopt.solve_cell_pairs`` both take it,
+    so the two agree bit for bit. ModcodChoice.spectral_efficiency is
+    units / EFFICIENCY_UNITS too, so this is 1 / the spectral efficiency."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / (units / EFFICIENCY_UNITS)
+
+
 class Stream(Enum):
     HE = "HE"
     LE = "LE"
@@ -337,10 +347,7 @@ class ThresholdTable:
         ``rateopt.system_summaries`` leaves such receivers out of a
         population and counts them, and a pair that holds one has
         classical rate 0."""
-        # ModcodChoice.spectral_efficiency is units / EFFICIENCY_UNITS too,
-        # so this is 1 / the spectral efficiency of the cell's best choice.
-        with np.errstate(divide="ignore"):
-            return 1.0 / (self.cell_units[:, 0] / EFFICIENCY_UNITS)
+        return _inverse_efficiency(self.cell_units[:, 0])
 
     @cached_property
     def cell_units(self) -> np.ndarray:
@@ -350,8 +357,10 @@ class ThresholdTable:
         best single modcod, columns 1..S the best HE stream of each scheme
         and columns S+1..2S its best LE stream. No efficiency exceeds 5 x
         9/10 bit/s/Hz, 810 units. This is the table's one per-cell record of
-        best efficiencies: ``cell_inv``, ``best_single``,
-        ``achievable_pairs`` and ``rateopt.solve_cell_pairs`` all read it.
+        best efficiencies: ``cell_inv``, ``best_single`` and
+        ``achievable_pairs`` read it, and ``rateopt.solve_cell_pairs``
+        solves on it or, for a curve of some of its families, on the runs
+        of equal rows of their columns (see ``rateopt.system_summaries``).
         A column whose stream does not apply to its scheme raises
         ValueError here."""
         schemes = self.hierarchical_schemes()
@@ -412,21 +421,28 @@ class ThresholdTable:
         return ThresholdTable({key: column for key, column in self._columns.items() if key[0].family in keep})
 
     def merged_with(self, other: "ThresholdTable") -> "ThresholdTable":
-        """Both tables' entries; an entry both hold must have one threshold."""
-        columns = dict(self._columns)
+        """Both tables' entries; an entry both hold must have one threshold.
+        A column that both tables hold is merged slot by slot and checked
+        as ``load_threshold_csv`` checks a column, against the shipped
+        known-anomalies manifest, which is read only when there is one."""
+        columns, merged = dict(self._columns), {}
         for key, column in other._columns.items():
             held = columns.setdefault(key, column)
             if held is column:  # a new column, or one both tables share
                 continue
-            merged = [thr if held_thr is None else held_thr for held_thr, thr in zip(held, column)]
+            merged[key] = [thr if held_thr is None else held_thr for held_thr, thr in zip(held, column)]
             for index, thr in enumerate(column):
-                if thr is not None and thr != merged[index]:
+                if thr is not None and thr != merged[key][index]:
                     raise TableValidationError(
                         f"conflicting thresholds for {key[0].token}/{key[1].value} {DVBS2_CODE_RATES[index]}"
                     )
-            columns[key] = merged
+        columns.update(merged)
+        issues = _rate_order_issues(merged, load_anomaly_manifest()) if merged else []
+        errors = [i.message for i in issues if i.severity == "error"]
+        if errors:
+            raise TableValidationError("; ".join(errors))
         # A warning both tables carry, as when one file is merged twice, is kept once.
-        return ThresholdTable(columns, warnings=tuple(dict.fromkeys(self.warnings + other.warnings)))
+        return ThresholdTable(columns, warnings=tuple(dict.fromkeys(self.warnings + other.warnings + tuple(issues))))
 
     # -- queries -------------------------------------------------------------------
 
@@ -459,7 +475,8 @@ class _BucketSearch:
     x's is below x, and a point in a bucket above is above. So the count is
     the points in the buckets below, ``base[q(x)]``, plus a comparison of x
     with each of the at most ``depth`` points from there on, which reads
-    NaN past the last point, so that x = +inf counts them all."""
+    NaN past the last point, so that x = +inf counts them all. The counts
+    are of ``dtype``, which the instance keeps as its attribute."""
 
     def __init__(self, points: np.ndarray, dtype=np.intp):
         lo, hi = (float(points[0]), float(points[-1])) if points.size else (0.0, 0.0)
@@ -471,6 +488,7 @@ class _BucketSearch:
         base = np.cumsum(counts) - counts
         padded = np.concatenate((points, np.full(counts.max(), np.nan)))
         self._base = base.astype(dtype)
+        self.dtype = self._base.dtype
         self._next = [padded[base + k] for k in range(counts.max())]
 
     def _buckets(self, x) -> np.ndarray:
@@ -488,24 +506,15 @@ class _BucketSearch:
         return found
 
 
-def _validation_issues(
-    columns: Mapping[tuple[SchemeId, Stream], _Column],
-    anomalies: Optional[Mapping[AnomalyKey, str]],
-) -> list[ValidationIssue]:
-    """Check monotonicity invariants.
-
-    Thresholds must be strictly increasing in code rate for each
+def _rate_order_issues(columns: Mapping[tuple[SchemeId, Stream], _Column],
+                       anomalies: Mapping[AnomalyKey, str]) -> list[ValidationIssue]:
+    """Thresholds must be strictly increasing in code rate for each
     (scheme, stream); violations are errors unless the cell appears in
-    the known-anomalies manifest. Across schemes of one hierarchical
-    family at a fixed rate, HE thresholds should fall and LE thresholds
-    rise with rho_he; violations of that pattern are warnings only.
-    """
-    anomalies = anomalies or {}
+    the known-anomalies manifest, and then warnings."""
     issues: list[ValidationIssue] = []
-
-    # Almost every column is in order, and so is almost every pair of full
-    # columns: one C-level comparison of the present thresholds passes each,
-    # and only the ones that fail it are walked rate by rate below.
+    # Almost every column is in order: one C-level comparison of its present
+    # thresholds passes it, and only the ones that fail it are walked rate
+    # by rate below.
     unordered = []
     for key, column in columns.items():
         present = list(filter(_present, column))
@@ -515,19 +524,24 @@ def _validation_issues(
         by_rate = [(rate, thr) for rate, thr in zip(DVBS2_CODE_RATES, column) if thr is not None]
         for (r_a, t_a), (r_b, t_b) in zip(by_rate, by_rate[1:]):
             if t_b <= t_a:
-                key = (scheme.family.token, scheme.rho_he, stream.value, r_b)
-                known = key in anomalies
-                issues.append(
-                    ValidationIssue(
-                        severity="warning" if known else "error",
-                        message=(
-                            f"{scheme.token}/{stream.value}: threshold not increasing "
-                            f"in code rate at {r_b} ({t_a} dB -> {t_b} dB)"
-                        ),
-                        known_anomaly=known,
-                    )
-                )
+                known = (scheme.family.token, scheme.rho_he, stream.value, r_b) in anomalies
+                message = (f"{scheme.token}/{stream.value}: threshold not increasing in code rate at {r_b} "
+                           f"({t_a} dB -> {t_b} dB)")
+                issues.append(ValidationIssue("warning" if known else "error", message, known))
+    return issues
 
+
+def _validation_issues(
+    columns: Mapping[tuple[SchemeId, Stream], _Column],
+    anomalies: Optional[Mapping[AnomalyKey, str]],
+) -> list[ValidationIssue]:
+    """Check monotonicity invariants: the rate order of each column (see
+    ``_rate_order_issues``), then, across schemes of one hierarchical
+    family at a fixed rate, HE thresholds should fall and LE thresholds
+    rise with rho_he; violations of that pattern are warnings only.
+    """
+    anomalies = anomalies or {}
+    issues = _rate_order_issues(columns, anomalies)
     by_family: dict[Family, list[SchemeId]] = {}
     for scheme in {scheme for scheme, _ in columns if scheme.rho_he is not None}:
         by_family.setdefault(scheme.family, []).append(scheme)

@@ -19,9 +19,12 @@ aggregated on arrays indexed by cell: ``ThresholdTable.cell_inv`` for
 single modcods and a grid of solved pair terms. The reported gain is
 that of this max-spread pairing, a lower bound on the best pairing's.
 There is one pairing and summing path, ``system_summaries``: it takes
-many populations as the rows of one array of sorted cells and any tables
-with the same single modcods, pairs each block of rows once for all
-tables, solves each table's distinct cell pairs once in one
+many populations as the rows of one array of sorted cells of one table,
+and curves, each a set of the table's hierarchical families evaluated
+with its single modcods. It pairs each block of rows once for all
+curves; a curve reads the single column and its families' HE and LE
+columns of ``ThresholdTable.cell_units``, whose runs of equal rows are
+the curve's cells, solves each distinct pair of them once in one
 ``solve_cell_pairs`` call and sums the rows from those terms. A receiver
 that decodes no single modcod has reciprocal inf in ``cell_inv``; that
 inf is the one outage rule. Such receivers sit first in each sorted row,
@@ -53,11 +56,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .modcod import EFFICIENCY_UNITS, ModcodChoice, Stream, ThresholdTable
+from .modcod import EFFICIENCY_UNITS, Family, ModcodChoice, Stream, ThresholdTable, _inverse_efficiency
 
 __all__ = [
     "RatePair",
@@ -267,7 +270,7 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
     weak, strong = table.cell(snr_weak), table.cell(snr_strong)
     classical = table.cell_inv[weak] + table.cell_inv[strong]
     r_ts = float(1.0 / classical)
-    gains = solve_cell_pairs(table, [weak], [strong])[0] != classical
+    gains = solve_cell_pairs(table.cell_units, [weak], [strong])[0] != classical
     r_hm = solution.rate if gains else r_ts
     return PairSolution(r_hm=r_hm, r_ts=r_ts, schedule=solution.schedule)
 
@@ -276,7 +279,7 @@ def pair_solution(snr_weak: float, snr_strong: float, table: ThresholdTable) -> 
 # columns, float64 and 32 KB each, half a campaign draw chunk's. A block's
 # temporaries then total about 0.3 MB and stay within the heap that glibc
 # keeps mapped between blocks (see campaign._CHUNK_RECEIVERS); only its
-# pairing and one table's mapping of it, each as large as its cells, are
+# pairing and one curve's mapping of it, each as large as its cells, are
 # kept for the sums.
 _BLOCK_ENTRIES = 1 << 12
 
@@ -291,13 +294,17 @@ _BLOCK_ENTRIES = 1 << 12
 _SOLVE_ENTRIES = 1 << 13
 
 
-def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndarray:
+def solve_cell_pairs(units: np.ndarray, weak_cells, strong_cells) -> np.ndarray:
     """The terms ``system_summaries`` sums, for many (weak cell, strong
-    cell) pairs: 1 / r_hm where hierarchical points beat classical time
-    sharing, else the classical term ``cell_inv[weak] + cell_inv[strong]``.
+    cell) pairs of a per-cell efficiency array ``units``, laid out as
+    ``ThresholdTable.cell_units`` (the single, then S HE and S LE columns,
+    in 1/EFFICIENCY_UNITS bit/s/Hz): 1 / r_hm where hierarchical points
+    beat classical time sharing, else the classical term ``inv[weak] +
+    inv[strong]``, ``inv`` the reciprocals of the single column by the
+    formula of ``ThresholdTable.cell_inv``, so bit-equal to its entries.
 
-    Each pair is solved exactly in int32 on ``table.cell_units``, in units
-    of 1/EFFICIENCY_UNITS bit/s/Hz. Its 2 S + 2 points are the singles
+    Each pair is solved exactly in int32 on its two rows of ``units``. Its
+    2 S + 2 points are the singles
     (s_w, 0) and (0, s_s) and, for every hierarchical scheme, both stream
     assignments (weak on HE with strong on LE, and the reverse); an
     assignment whose HE or LE stream does not decode is the origin, and
@@ -354,7 +361,7 @@ def solve_cell_pairs(table: ThresholdTable, weak_cells, strong_cells) -> np.ndar
     r_hm >= r_ts.
     """
     weak_cells, strong_cells = np.asarray(weak_cells), np.asarray(strong_cells)
-    units, inv = table.cell_units, table.cell_inv
+    inv = _inverse_efficiency(units[:, 0])
     schemes, k = (units.shape[1] - 1) // 2, units.shape[1] + 1
     terms = inv[weak_cells] + inv[strong_cells]
     # Row r of cols, per cell: the single, each scheme's HE stream, each
@@ -423,20 +430,23 @@ def _pairing(cells, outage, none) -> tuple[np.ndarray, np.ndarray]:
     return weak, np.where(weak_at < strong_at, cells[:, ::-1][:, :width], none)
 
 
-def system_summaries(cells, edges, tables: Sequence[ThresholdTable]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def system_summaries(cells, table: ThresholdTable,
+                     curves: Sequence[Iterable[Family]]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Hierarchical vs classical time sharing for each row of an (R, n)
-    array of sorted receiver cells of ``edges`` (see ``ThresholdTable.cells``),
-    n >= 1, on each of ``tables``, each pair at its free-disposal equal rate
-    (see ``equal_rate_point``): r_hm and gain as (tables, R) arrays, r_ts
-    and outage as (R,) arrays. Each table's edges must be in ``edges``, and
-    its ``cell_inv`` on the cells of ``edges`` must be ``inv``, the first
-    table's (the same single-stream entries); else a ValueError names it.
+    array of sorted receiver cells of ``table`` (see
+    ``ThresholdTable.cells``), n >= 1, for each of ``curves``, each pair at
+    its free-disposal equal rate (see ``equal_rate_point``): r_hm and gain
+    as (curves, R) arrays, r_ts and outage as (R,) arrays. A curve is a set
+    of hierarchical families of ``table``, evaluated with its single
+    modcods: what ``table.subset`` of those families and the singles would
+    give on its own cells. A curve that names a family with no scheme
+    among ``table.hierarchical_schemes()`` raises a ValueError naming it.
 
-    A row's outage is its count of leading cells with an inf ``inv`` (the
-    inf cells are the lowest, as ``cell_units`` is a running maximum down
-    the cells): those receivers decode no single modcod and are left out,
-    and a row that leaves out all n reads NaN. Every served receiver has a
-    finite reciprocal, so r_ts > 0.
+    A row's outage is its count of leading cells with an inf
+    ``table.cell_inv`` (the inf cells are the lowest, as ``cell_units`` is
+    a running maximum down the cells): those receivers decode no single
+    modcod and are left out, and a row that leaves out all n reads NaN.
+    Every served receiver has a finite reciprocal, so r_ts > 0.
 
     With k receivers left out, the served cells are ``cells[k:]``, and pair
     j is weak cell ``k + j`` with strong cell ``n - 1 - j`` while ``k + j <
@@ -444,7 +454,7 @@ def system_summaries(cells, edges, tables: Sequence[ThresholdTable]) -> tuple[np
     j`` is left unpaired. Cells never decrease as the SNR rises and every
     term is a function of the cells, so this is the weakest-with-strongest
     rule on SNRs. The classical term of a pair is the sum of its two cells'
-    ``inv`` entries. Its hierarchical term on a table is the one
+    ``cell_inv`` entries. Its hierarchical term for a curve is the one
     ``solve_cell_pairs`` returns: the correctly rounded 1 / r_hm of the
     exact equal rate, or the classical term itself where hierarchy gains
     nothing; so "no gain anywhere" yields r_hm == r_ts bit for bit, and
@@ -452,31 +462,26 @@ def system_summaries(cells, edges, tables: Sequence[ThresholdTable]) -> tuple[np
 
     Each block of at most ``_BLOCK_ENTRIES`` rows x term columns (at least
     one row) is paired once, by ``_pairing`` with the sentinel cell ``none
-    = edges.size + 1``. Per table, ``lut = [0, *table.cells(edges), m]``,
-    m = ``table.cell_inv.size``, maps each block's pairing to the table's
-    cells (a cell of ``edges`` lies in the table's cell of its lower edge,
-    and ``none`` goes to the table's sentinel m); its cell pairs are marked
-    on one (m + 1) x (m + 1) bool grid and go, each once, to one
-    ``solve_cell_pairs`` call, whose terms fill a float grid of that shape
-    with the table's ``cell_inv``, then 0.0, in column m. A row's classical
-    and hierarchical sums are ``np.add.accumulate`` of ``padded[weak] +
-    padded[strong]`` (``padded``: ``inv``, then 0.0) and of ``terms[weak,
-    strong]`` along its term columns; padding adds +0.0, which changes no
-    sum's bits, so a row's sums do not depend on the rows it is summed with.
+    = table.cell_inv.size``, and the classical sums run once. A curve reads
+    the single column and its families' HE and LE columns of
+    ``table.cell_units``; a term depends only on the two rows it reads, so
+    the curve's cells are the runs of equal rows in those columns, and
+    ``lut`` maps each cell of ``table`` to its curve cell and ``none`` to
+    the curve's sentinel m, its count of cells. Per curve, the block
+    pairings' cell pairs are marked on one (m + 1) x (m + 1) bool grid and
+    go, each once, to one ``solve_cell_pairs`` call, whose terms fill a
+    float grid of that shape with the curve cells' ``cell_inv``, then 0.0,
+    in column m. A row's classical and hierarchical sums are
+    ``np.add.accumulate`` of ``padded[weak] + padded[strong]`` (``padded``:
+    ``cell_inv``, then 0.0) and of ``terms[weak, strong]`` along its term
+    columns; padding adds +0.0, which changes no sum's bits, so a row's
+    sums do not depend on the rows it is summed with.
     """
     rows, n = cells.shape
     if not n:
         raise ValueError("need at least one receiver")
-    none = edges.size + 1
-    # Each lookup is as narrow as its sentinel: uint8 pairings map to uint8.
-    luts = [np.concatenate(([0], table.cells(edges), [table.cell_inv.size])) for table in tables]
-    luts = [lut.astype(np.min_scalar_type(lut[-1])) for lut in luts]
-    inv = tables[0].cell_inv[luts[0][:-1]]
-    for i, (table, lut) in enumerate(zip(tables, luts)):
-        if not np.isin(table.edges, edges, assume_unique=True).all():
-            raise ValueError(f"tables[{i}]: edges not all in edges")
-        if not np.array_equal(table.cell_inv[lut[:-1]], inv):
-            raise ValueError(f"tables[{i}]: other single-stream entries than tables[0]")
+    inv, units, schemes = table.cell_inv, table.cell_units, table.hierarchical_schemes()
+    none = inv.size
     # Widen the cells so that they hold the sentinel: uint8 does not hold 256.
     cells = cells.astype(np.result_type(cells.dtype, np.min_scalar_type(none)), copy=False)
     outage = (cells < np.count_nonzero(np.isinf(inv))).sum(axis=1)
@@ -485,22 +490,30 @@ def system_summaries(cells, edges, tables: Sequence[ThresholdTable]) -> tuple[np
     blocks = [slice(lo, lo + step) for lo in range(0, rows, step)]
     pairings = [_pairing(cells[block], outage[block], none) for block in blocks]
     padded = np.append(inv, 0.0)
-    ts_inv, hm_inv = np.empty(rows), np.empty((len(tables), rows))
+    ts_inv, hm_inv = np.empty(rows), np.empty((len(curves), rows))
     for block, (weak, strong) in zip(blocks, pairings):
         # add.accumulate adds in sequence, so the bits do not depend on
         # numpy's pairwise summation.
         ts_inv[block] = np.add.accumulate(padded[weak] + padded[strong], axis=1)[:, -1]
-    for table, lut, hm in zip(tables, luts, hm_inv):
+    for i, (families, hm) in enumerate(zip(curves, hm_inv)):
+        lacking = sorted(fam.token for fam in set(families).difference(scheme.family for scheme in schemes))
+        if lacking:
+            raise ValueError(f"curves[{i}]: {', '.join(lacking)}: not a hierarchical family of the table")
+        picked = [k for k, scheme in enumerate(schemes) if scheme.family in families]
+        curve_units = units[:, [0, *(1 + k for k in picked), *(1 + len(schemes) + k for k in picked)]]
+        opens = np.concatenate(([True], (curve_units[1:] != curve_units[:-1]).any(axis=1)))
+        m = np.count_nonzero(opens)
+        # Each lookup is as narrow as its sentinel: uint8 pairings map to uint8.
+        lut = np.append(np.cumsum(opens) - 1, m).astype(np.min_scalar_type(m))
         mapped = [(lut[weak], lut[strong]) for weak, strong in pairings]
-        m = table.cell_inv.size
         marked = np.zeros((m + 1, m + 1), dtype=bool)
         for weak, strong in mapped:
             marked[weak, strong] = True
         # Each marked pair of cells once, in row-major (weak, strong) order.
         a, b = np.nonzero(marked[:m, :m])
         terms = np.zeros(marked.shape)
-        terms[a, b] = solve_cell_pairs(table, a, b)
-        terms[:, m] = np.append(table.cell_inv, 0.0)
+        terms[a, b] = solve_cell_pairs(curve_units[opens], a, b)
+        terms[:, m] = np.append(inv[opens], 0.0)
         for block, (weak, strong) in zip(blocks, mapped):
             hm[block] = np.add.accumulate(terms[weak, strong], axis=1)[:, -1]
     some = served > 0

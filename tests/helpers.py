@@ -22,7 +22,7 @@ import numpy as np
 
 from hmsim import modcod
 from hmsim.constellations import Apsk32Params, Psk8Params, QpskParams
-from hmsim.modcod import DVBS2_CODE_RATES, ModcodChoice, Stream, ThresholdTable
+from hmsim.modcod import DVBS2_CODE_RATES, Family, ModcodChoice, Stream, ThresholdTable
 from hmsim.rateopt import system_summaries
 
 RATES = list(DVBS2_CODE_RATES)
@@ -297,10 +297,17 @@ class RowSummary(NamedTuple):
     outage: int
 
 
+def hierarchical_families(table: ThresholdTable) -> tuple[Family, ...]:
+    """Every hierarchical family of a table: the curve of all of them."""
+    return tuple(fam for fam in table.families() if fam.hierarchical)
+
+
 def snr_summaries(snrs, table: ThresholdTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """r_hm, r_ts, gain and outage of each row of an (R, n) SNR array:
-    ``system_summaries`` on the rows' sorted cells, with ``table`` alone."""
-    r_hm, r_ts, gain, outage = system_summaries(table.cells(np.sort(snrs, axis=1)), table.edges, [table])
+    ``system_summaries`` on the rows' sorted cells, with one curve of all
+    the table's hierarchical families."""
+    r_hm, r_ts, gain, outage = system_summaries(table.cells(np.sort(snrs, axis=1)), table,
+                                                [hierarchical_families(table)])
     return r_hm[0], r_ts, gain[0], outage
 
 

@@ -279,7 +279,8 @@ class TestDeterminism:
         singles = {f for f in full_table.families() if not f.hierarchical}
         fresh = {fam.token: full_table.subset(singles | {fam}) for fam in cfg.families}
         fresh[COMBINED] = full_table.subset(singles | set(cfg.families))
-        assert list(ctx.tables) == list(fresh) and len(gains) == len(fresh)
+        assert ctx.curves == ((Family.H_QPSK,), (Family.H_APSK32,), cfg.families)
+        assert list(fresh) == list(cfg.family_tokens) and len(gains) == len(fresh)
         for g, snr_max in enumerate(cfg.snr_max_grid):
             for rep in range(cfg.repetitions):
                 row = draw_population(cfg.receivers, [snr_max], default_antenna, sample_weather,
@@ -576,20 +577,24 @@ class TestReportSurface:
         text = curve_csv_text(report, "h_qpsk")
         assert text.startswith("snr_max_db,mean_gain\n")
 
+    @pytest.mark.parametrize("values, mean, std", [([0.1] * 10, 0.9999999999999999 / 10, 2.0**-56),
+                                                   ([0.475, 0.1], 0.2875, 0.1875)], ids=["ten_tenths", "two_runs"])
     def test_mean_and_std_sum_left_to_right(self, full_table, sample_weather, default_antenna, monkeypatch,
-                                            campaign_config):
+                                            campaign_config, values, mean, std):
         # sum() of floats is compensated from Python 3.12 on, where ten 0.1s
-        # sum to 1.0; the report sums left to right from 0.0 on every Python.
-        cfg = campaign_config(snr_max_grid=(5.0,), receivers=2, repetitions=10, families=(Family.H_QPSK,))
+        # sum to 1.0; the report sums left to right from 0.0 on every Python,
+        # so their mean is not 0.1. Each deviation is squared as a product,
+        # which is correctly rounded: glibc's pow rounds both squares of the
+        # two runs otherwise, and reads a std of 0.18749999999999997 there.
+        cfg = campaign_config(snr_max_grid=(5.0,), receivers=2, repetitions=len(values), families=(Family.H_QPSK,))
         monkeypatch.setattr(campaign, "_run_grid_points", lambda ctx, grid_indices: (
-            np.zeros((1, 10), dtype=np.intp), np.full((1, 1, 10), 0.1)))
+            np.zeros((1, len(values)), dtype=np.intp), np.array(values).reshape(1, 1, -1)))
         stat = run_campaign(cfg, full_table, default_antenna, sample_weather).stats[(5.0, "h_qpsk")]
-        mean = 0.9999999999999999 / 10
         squares = 0.0
-        for _ in range(10):
-            squares += (0.1 - mean) ** 2
-        assert mean != 0.1 and squares > 0.0
-        assert (stat.mean, stat.std) == (mean, math.sqrt(squares / 10))
+        for v in values:
+            squares += (v - mean) * (v - mean)
+        assert std == math.sqrt(squares / len(values)) > 0.0
+        assert (stat.mean, stat.std) == (mean, std)
 
     def test_missing_baseline_rejected(self, hqpsk_table, sample_weather, default_antenna, small_cfg):
         with pytest.raises(ValueError, match="baseline"):
@@ -630,7 +635,7 @@ class TestPrimedContext:
             ctx = campaign._primed_context(cfg, scenario.tables, scenario.antenna, scenario.weather)
 
             def snapshot():
-                return (set(sys.modules), {token: set(vars(t)) for token, t in ctx.tables.items()},
+                return (set(sys.modules), {"union": set(vars(ctx.union))},
                         set(vars(ctx.weather)), beam.beam_edge_angle.cache_info().misses,
                         campaign._unit_seed_class.cache_info().misses)
 
@@ -646,7 +651,7 @@ class TestPrimedContext:
             }))
         """)
         assert grown["modules"] == []
-        assert set(grown["attributes"]) == {"h_apsk32", "h_qpsk"}
+        assert set(grown["attributes"]) == {"union"}
         assert all(new == [] for new in grown["attributes"].values())
         assert grown["weather"] == []
         assert grown["edge_angle_misses"] == 0

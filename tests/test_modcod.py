@@ -35,6 +35,7 @@ from hmsim.modcod import (
     TableParseError,
     TableValidationError,
     ThresholdTable,
+    ValidationIssue,
     load_anomaly_manifest,
     load_threshold_csv,
     packaged_data_path,
@@ -588,6 +589,30 @@ class TestTableAlgebra:
             assert np.array_equal(merged.cell_units, single_table.cell_units)
             assert [merged.best_single(s) for s in snrs] == [single_table.best_single(s) for s in snrs]
 
+    def test_merge_checks_each_shared_column_as_a_load_does(self, tmp_path, single_table, hqpsk_table, monkeypatch):
+        """A column that both tables hold is merged and then checked in
+        code-rate order, as one file's column is: the same error, or a
+        warning for a manifest entry. The manifest is read only for a
+        merge that shares a column."""
+        rows = {"a.csv": ["qpsk,,SINGLE,1/4,-2.35", "qpsk,,SINGLE,1/2,1.0"], "b.csv": ["qpsk,,SINGLE,1/3,5.0"]}
+        a, b = (load_threshold_csv(write_csv(tmp_path, name, lines)) for name, lines in rows.items())
+        message = "qpsk/SINGLE: threshold not increasing in code rate at 1/2 (5.0 dB -> 1.0 dB)"
+        with pytest.raises(TableValidationError, match=f": {re.escape(message)}$"):
+            load_threshold_csv(write_csv(tmp_path, "ab.csv", rows["a.csv"] + rows["b.csv"]))
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(TableValidationError, match=f"^{re.escape(message)}$"):
+                first.merged_with(second)
+        reads = []
+        def manifest():
+            reads.append(1)
+            return {("qpsk", None, "SINGLE", F(1, 2)): "kept as printed"}
+        monkeypatch.setattr(modcod, "load_anomaly_manifest", manifest)
+        single_table.merged_with(hqpsk_table)
+        assert reads == []
+        merged = a.merged_with(b)
+        assert reads == [1] and len(merged) == 3
+        assert merged.warnings == (ValidationIssue("warning", message, known_anomaly=True),)
+
     def test_merge_disjoint(self, single_table, hqpsk_table):
         merged = single_table.merged_with(hqpsk_table)
         assert len(merged) == len(single_table) + len(hqpsk_table)
@@ -667,14 +692,15 @@ class TestLazyIndex:
         scenario = _default_scenario(grid="8", receivers=60, reps=2, families="h_qpsk,h_apsk32,combined")
         cfg = scenario.campaign_config()
         run_campaign(cfg, scenario.tables, scenario.antenna, scenario.weather)
-        # cell_units for each family table: h_qpsk, h_apsk32 and combined
-        assert len(cfg.families) + 1 == 3
-        assert calls == {"cell_units": 3}
+        # one cell_units, of the union table, for all three curves: h_qpsk,
+        # h_apsk32 and combined
+        assert len(cfg.family_tokens) == 3
+        assert calls == {"cell_units": 1}
         # the scenario's own table was never indexed: its first query builds it
         full = scenario.tables
         assert not {"_single_choices", "edges", "cell_units"} & set(vars(full))
         pair_solution(3.0, 12.0, full)
-        assert calls == {"cell_units": 4}
+        assert calls == {"cell_units": 2}
 
 
 class TestPickledTable:
@@ -701,7 +727,7 @@ class TestPickledTable:
         expected = [best_single_reference(table, s) for s in values]
         assert [copy.best_single(s) for s in values] == [table.best_single(s) for s in values] == expected
         weak, strong = np.triu_indices(table.cell_inv.size)
-        assert solve_cell_pairs(copy, weak, strong).tolist() == solve_cell_pairs(table, weak, strong).tolist()
+        assert solve_cell_pairs(copy.cell_units, weak, strong).tolist() == solve_cell_pairs(table.cell_units, weak, strong).tolist()
         assert table_entries(copy) == table_entries(table) and copy.warnings == table.warnings
         # a cell's lower edge stands for it, and 1 dB below the lowest
         # threshold for cell 0

@@ -15,6 +15,7 @@ from helpers import (
     ExactPairOracle,
     best_single_reference,
     equal_rate_oracle,
+    hierarchical_families,
     row_summary,
     snr_summaries,
     system_summary_reference,
@@ -327,7 +328,7 @@ class TestSolveCellPairs:
         oracle = ExactPairOracle(table)
         rates = [oracle.rates(*pair) for pair in pairs]
         weak, strong = (table.cells([pair[k] for pair in pairs]) for k in (0, 1))
-        terms = solve_cell_pairs(table, weak, strong)
+        terms = solve_cell_pairs(table.cell_units, weak, strong)
         assert terms.tolist() == oracle_terms(table, pairs, rates)
         assert_below_classical(table, weak, strong, terms, rates)
         return rates
@@ -396,13 +397,13 @@ class TestSolveCellPairs:
         batch of all pairs in order."""
         table = self.random_table(full_table, seed)
         weak, strong, _ = every_cell_pair(table)
-        terms = solve_cell_pairs(table, weak, strong)
+        terms = solve_cell_pairs(table.cell_units, weak, strong)
         order = np.random.default_rng(seed).permutation(weak.size)
         shuffled = np.empty_like(terms)
-        shuffled[order] = solve_cell_pairs(table, weak[order], strong[order])
-        alone = np.concatenate([solve_cell_pairs(table, weak[k:k + 1], strong[k:k + 1]) for k in range(weak.size)])
+        shuffled[order] = solve_cell_pairs(table.cell_units, weak[order], strong[order])
+        alone = np.concatenate([solve_cell_pairs(table.cell_units, weak[k:k + 1], strong[k:k + 1]) for k in range(weak.size)])
         monkeypatch.setattr(rateopt, "_SOLVE_ENTRIES", 1)
-        blocks = solve_cell_pairs(table, weak, strong)
+        blocks = solve_cell_pairs(table.cell_units, weak, strong)
         for other in (shuffled, alone, blocks):
             assert other.dtype == np.float64 and other.tobytes() == terms.tobytes()
         assert 0 < np.count_nonzero(terms != table.cell_inv[weak] + table.cell_inv[strong]) < weak.size
@@ -412,17 +413,17 @@ class TestSolveCellPairs:
         system_summaries has to solve when every receiver is in outage."""
         for table in (full_table, single_table):
             empty = np.array([], dtype=np.intp)
-            terms = solve_cell_pairs(table, empty, empty)
+            terms = solve_cell_pairs(table.cell_units, empty, empty)
             assert terms.dtype == np.float64 and terms.shape == (0,)
         sizes = []
 
-        def recording(table, weak_cells, strong_cells):
+        def recording(units, weak_cells, strong_cells):
             sizes.append(len(weak_cells))
-            return solve_cell_pairs(table, weak_cells, strong_cells)
+            return solve_cell_pairs(units, weak_cells, strong_cells)
 
         monkeypatch.setattr(rateopt, "solve_cell_pairs", recording)
         cells = np.zeros((2, 3), dtype=np.intp)  # cell 0: below every single threshold
-        r_hm, r_ts, gain, outage = system_summaries(cells, full_table.edges, [full_table])
+        r_hm, r_ts, gain, outage = system_summaries(cells, full_table, [hierarchical_families(full_table)])
         assert not any(sizes) and outage.tolist() == [3, 3]
         assert np.isnan(r_hm).all() and np.isnan(r_ts).all() and np.isnan(gain).all()
 
@@ -434,9 +435,9 @@ class TestSolveCellPairs:
         table = request.getfixturevalue(name)
         weak, strong, _ = every_cell_pair(table)
         classical = table.cell_inv[weak] + table.cell_inv[strong]
-        keep = solve_cell_pairs(table, weak, strong) == classical
+        keep = solve_cell_pairs(table.cell_units, weak, strong) == classical
         assert keep.all() if name == "single_table" else 1000 < keep.sum() < keep.size
-        terms = solve_cell_pairs(table, weak[keep], strong[keep])
+        terms = solve_cell_pairs(table.cell_units, weak[keep], strong[keep])
         assert terms.tobytes() == classical[keep].tobytes()
 
 
@@ -452,7 +453,7 @@ def test_every_shipped_cell_pair_term_golden(full_table, family, size, sha256):
     table = table_for(full_table, family)
     weak, strong = np.triu_indices(table.cell_inv.size)
     assert weak.size == size
-    terms = solve_cell_pairs(table, weak, strong)
+    terms = solve_cell_pairs(table.cell_units, weak, strong)
     assert terms.dtype == np.float64
     assert hashlib.sha256(terms.astype("<f8").tobytes()).hexdigest() == sha256
 
@@ -475,7 +476,7 @@ class TestEveryCellPair:
 
     def test_memo_terms_equal_the_exact_oracle(self, space):
         table, weak, strong, pairs, rates = space
-        terms = solve_cell_pairs(table, weak, strong)
+        terms = solve_cell_pairs(table.cell_units, weak, strong)
         assert terms.tolist() == oracle_terms(table, pairs, rates)
         assert_below_classical(table, weak, strong, terms, rates)
 
@@ -487,7 +488,7 @@ class TestEveryCellPair:
         positive exactly there."""
         table, weak, strong, pairs, rates = space
         classical = table.cell_inv[weak] + table.cell_inv[strong]
-        gains = solve_cell_pairs(table, weak, strong) != classical
+        gains = solve_cell_pairs(table.cell_units, weak, strong) != classical
         assert gains.tolist() == [r_star > r_ts for r_star, r_ts in rates]
         assert 0 < gains.sum() < gains.size
         for (a, b), (r_star, _), term, gain in zip(pairs, rates, classical.tolist(), gains.tolist()):
@@ -536,21 +537,16 @@ class TestAggregates:
 
     def test_empty_rejected(self, full_table):
         with pytest.raises(ValueError, match="at least one receiver"):
-            system_summaries(np.empty((3, 0), dtype=np.intp), full_table.edges, [full_table])
+            system_summaries(np.empty((3, 0), dtype=np.intp), full_table, [hierarchical_families(full_table)])
 
-    def test_table_with_other_edges_rejected(self, full_table):
-        # h_apsk32's thresholds are not all edges of the h_qpsk table
-        union = table_for(full_table, Family.H_QPSK)
-        cells = union.cells(np.linspace(-3.0, 18.0, 12)[None])
-        with pytest.raises(ValueError, match=r"tables\[1\]: edges not all in edges"):
-            system_summaries(cells, union.edges, [union, table_for(full_table, Family.H_APSK32)])
-
-    def test_table_with_other_singles_rejected(self, full_table, hqpsk_table):
-        # the h_qpsk thresholds are all edges of the full table, but without
-        # the singles every cell of theirs is in outage
-        cells = full_table.cells(np.linspace(-3.0, 18.0, 12)[None])
-        with pytest.raises(ValueError, match=r"tables\[1\]: other single-stream entries than tables\[0\]"):
-            system_summaries(cells, full_table.edges, [full_table, hqpsk_table])
+    @pytest.mark.parametrize("family", [Family.QPSK, Family.H_APSK32], ids=["non_hierarchical", "absent"])
+    def test_curve_with_a_family_outside_the_tables_hierarchy_rejected(self, full_table, family):
+        # qpsk has entries in the table but no HE or LE streams; the h_qpsk
+        # table holds no h_apsk32 scheme. The error names the curve.
+        table = table_for(full_table, Family.H_QPSK)
+        cells = table.cells(np.linspace(-3.0, 18.0, 12)[None])
+        with pytest.raises(ValueError, match=rf"^curves\[1\]: {family.token}: not a hierarchical family of the table$"):
+            system_summaries(cells, table, [(Family.H_QPSK,), (Family.H_QPSK, family)])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -708,9 +704,10 @@ class TestPairMemo:
         snrs[3:6] = np.linspace(16.1, 21.0, 31)
         cells = table.cells(snrs)
         assert cells.dtype == np.intp and cells.max() <= 255
-        summaries = system_summaries(cells, table.edges, [table])
+        curves = [hierarchical_families(table)]
+        summaries = system_summaries(cells, table, curves)
         assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                   for a, b in zip(summaries, system_summaries(cells.astype(np.uint8), table.edges, [table])))
+                   for a, b in zip(summaries, system_summaries(cells.astype(np.uint8), table, curves)))
         outage = summaries[3]
         assert outage.tolist() == np.isinf(table.cell_inv)[cells].sum(axis=1).tolist()
         assert outage[:3].tolist() == [31] * 3 and outage[3:6].tolist() == [0] * 3
@@ -724,20 +721,21 @@ class TestPairMemo:
 
     @pytest.mark.parametrize("wide", [False, True], ids=["shipped", "256_cells"])
     def test_one_call_equals_each_tables_own_call(self, full_table, single_table, monkeypatch, wide):
-        """One call on union cells, uint8 as a campaign passes them, gives
-        each table, bit for bit, every array of its one-table call on its
-        own cells: h_qpsk, h_apsk32 and their union, a campaign's combined
-        table; or the singles and the 256-cell table, whose union cells
+        """One call on the union table's cells, uint8 as a campaign passes
+        them, gives each curve, bit for bit, every array of the one-curve
+        call on its families' own table (``subset``) and that table's
+        cells: h_qpsk, h_apsk32 and both, a campaign's combined curve; or
+        no family at all and the 256-cell table's h_psk8, whose union cells
         widen to hold the sentinel. The rows hold every threshold, the
         doubles either side of it, both infinities and NaN, then random
         draws from those with partial outage, then total outage. Three
-        tables pair as many blocks as one."""
+        curves pair as many blocks as one."""
         if wide:
             union = self.wide_table(single_table)
-            tables = [single_table, union]
+            curves = [(), (Family.H_PSK8,)]
         else:
             union = table_for(full_table, None)
-            tables = [table_for(full_table, Family.H_QPSK), table_for(full_table, Family.H_APSK32), union]
+            curves = [(Family.H_QPSK,), (Family.H_APSK32,), (Family.H_QPSK, Family.H_APSK32)]
         edges = union.edges
         snrs = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
                                [-np.inf, np.inf, np.nan]])
@@ -751,31 +749,44 @@ class TestPairMemo:
             pairings.append(args)
             return pairing(*args)
         monkeypatch.setattr(rateopt, "_pairing", counting)
-        r_hm, r_ts, gain, outage = system_summaries(cells, edges, tables)
+        r_hm, r_ts, gain, outage = system_summaries(cells, union, curves)
         blocks = len(pairings)
         assert blocks > 1
         assert ((0 < outage[:-1]) & (outage[:-1] < snrs.size)).all() and outage[-1] == snrs.size
-        for i, table in enumerate(tables):
-            want = system_summaries(table.cells(rows), table.edges, [table])
+        singles = {fam for fam in union.families() if not fam.hierarchical}
+        for i, families in enumerate(curves):
+            own = union.subset(singles | set(families))
+            want = system_summaries(own.cells(rows), own, [families])
             got = r_hm[i:i + 1], r_ts, gain[i:i + 1], outage
             assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want)), i
         del pairings[:]
-        system_summaries(cells, edges, tables[:1])
+        system_summaries(cells, union, curves[:1])
         assert len(pairings) == blocks
 
     def test_one_solve_per_cell_pair(self, full_table, monkeypatch):
         solved = []
-        def counting(table, weak_cells, strong_cells):
-            solved.append(list(zip(weak_cells.tolist(), strong_cells.tolist())))
-            return solve_cell_pairs(table, weak_cells, strong_cells)
+        def counting(units, weak_cells, strong_cells):
+            solved.append([(tuple(units[w]), tuple(units[s])) for w, s in zip(weak_cells, strong_cells)])
+            return solve_cell_pairs(units, weak_cells, strong_cells)
         monkeypatch.setattr("hmsim.rateopt.solve_cell_pairs", counting)
-        cell = full_table.cell
+        def row(snr, table=full_table):
+            return tuple(table.cell_units[table.cell(snr)])
         # 3.0 and 3.01 share a cell, 9.0 and 9.02 too: 40 pairs, one solve
         row_summary([3.0, 3.01] * 20 + [9.0, 9.02] * 20, full_table)
-        assert solved == [[(cell(3.0), cell(9.0))]]
+        assert solved == [[(row(3.0), row(9.0))]]
         # a later call solves its own pairs, the same cell pair included
         row_summary([3.005, 9.01], full_table)
-        assert solved[1:] == [[(cell(3.0), cell(9.0))]]
+        assert solved[1:] == [[(row(3.0), row(9.0))]]
         # three cell pairs, one of them twice: one batch, in (weak, strong) order
         row_summary([-1.0, -1.0, 0.5, 3.0, 3.01, 9.0, 9.02, 14.0, 17.5, 17.5], full_table)
-        assert solved[2:] == [[(cell(-1.0), cell(17.5)), (cell(0.5), cell(14.0)), (cell(3.0), cell(9.0))]]
+        assert solved[2:] == [[(row(-1.0), row(17.5)), (row(0.5), row(14.0)), (row(3.0), row(9.0))]]
+        # Just below and at an h_apsk32 threshold that no h_qpsk or single
+        # entry shares: two cells of the full table, with equal rows for the
+        # h_qpsk curve, so its two pairs are one solve.
+        hqpsk = table_for(full_table, Family.H_QPSK)
+        apsk = sorted(set(table_entries(table_for(full_table, Family.H_APSK32)).values()) - set(hqpsk.edges.tolist()))
+        below, at = np.nextafter(apsk[len(apsk) // 2], -np.inf), apsk[len(apsk) // 2]
+        assert full_table.cell(below) != full_table.cell(at) and row(below, hqpsk) == row(at, hqpsk)
+        del solved[:]
+        system_summaries(full_table.cells([[below, 20.0], [at, 20.0]]), full_table, [(Family.H_QPSK,)])
+        assert solved == [[(row(at, hqpsk), row(20.0, hqpsk))]]
