@@ -577,24 +577,25 @@ class TestReportSurface:
         text = curve_csv_text(report, "h_qpsk")
         assert text.startswith("snr_max_db,mean_gain\n")
 
-    @pytest.mark.parametrize("values, mean, std", [([0.1] * 10, 0.9999999999999999 / 10, 2.0**-56),
-                                                   ([0.475, 0.1], 0.2875, 0.1875)], ids=["ten_tenths", "two_runs"])
     def test_mean_and_std_sum_left_to_right(self, full_table, sample_weather, default_antenna, monkeypatch,
-                                            campaign_config, values, mean, std):
+                                            campaign_config):
         # sum() of floats is compensated from Python 3.12 on, where ten 0.1s
         # sum to 1.0; the report sums left to right from 0.0 on every Python,
         # so their mean is not 0.1. Each deviation is squared as a product,
-        # which is correctly rounded: glibc's pow rounds both squares of the
-        # two runs otherwise, and reads a std of 0.18749999999999997 there.
-        cfg = campaign_config(snr_max_grid=(5.0,), receivers=2, repetitions=len(values), families=(Family.H_QPSK,))
-        monkeypatch.setattr(campaign, "_run_grid_points", lambda ctx, grid_indices: (
-            np.zeros((1, len(values)), dtype=np.intp), np.array(values).reshape(1, 1, -1)))
-        stat = run_campaign(cfg, full_table, default_antenna, sample_weather).stats[(5.0, "h_qpsk")]
-        squares = 0.0
-        for v in values:
-            squares += (v - mean) * (v - mean)
-        assert std == math.sqrt(squares / len(values)) > 0.0
-        assert (stat.mean, stat.std) == (mean, std)
+        # which is correctly rounded: glibc's pow squares the deviation
+        # -0.18749999999999997 of the two runs one ulp low, and the std then
+        # reads 0.18749999999999997.
+        for values, mean, std in (([0.1] * 10, 0.9999999999999999 / 10, 2.0**-56), ([0.475, 0.1], 0.2875, 0.1875)):
+            cfg = campaign_config(snr_max_grid=(5.0,), receivers=2, repetitions=len(values),
+                                  families=(Family.H_QPSK,))
+            monkeypatch.setattr(campaign, "_run_grid_points", lambda ctx, grid_indices: (
+                np.zeros((1, len(values)), dtype=np.intp), np.array(values).reshape(1, 1, -1)))
+            stat = run_campaign(cfg, full_table, default_antenna, sample_weather).stats[(5.0, "h_qpsk")]
+            squares = 0.0
+            for v in values:
+                squares += (v - mean) * (v - mean)
+            assert std == math.sqrt(squares / len(values)) > 0.0
+            assert (stat.mean, stat.std) == (mean, std)
 
     def test_missing_baseline_rejected(self, hqpsk_table, sample_weather, default_antenna, small_cfg):
         with pytest.raises(ValueError, match="baseline"):
